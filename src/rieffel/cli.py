@@ -20,9 +20,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .deformation import SkewForm, deformed_product, left_action
+from .deformation import SkewForm, deformed_product
 from .errors import MGFFormatError
 from .mgf import read_mgf, write_mgf
 from .quantization import TranslationSymbol
@@ -84,8 +82,8 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("apply", help="apply the left action of F to u")
-    sp.add_argument("symbol_file", help="MGF1 file holding F")
-    sp.add_argument("input_file", help="MGF1 file holding u")
+    sp.add_argument("left", metavar="symbol_file", help="MGF1 file holding F")
+    sp.add_argument("right", metavar="input_file", help="MGF1 file holding u")
     common(sp)
 
     sp = sub.add_parser("recover", help="recover F from its translation symbol")
@@ -143,26 +141,15 @@ def _cmd_verify(args):
 
 
 def _cmd_product(args):
+    """product and apply: L_F u = F x_J u is the deformed product."""
+    if not args.out:
+        raise UsageError(f"{args.command} requires --out")
     f = read_mgf(args.left)
     g = read_mgf(args.right)
     theta = 0.5 if args.theta is None else args.theta
-    prod = deformed_product(f, g, _skew_for(f, theta))
-    if not args.out:
-        raise UsageError("product requires --out")
-    write_mgf(args.out, prod)
-    print(f"wrote product grid to {args.out}")
-    return 0
-
-
-def _cmd_apply(args):
-    F = read_mgf(args.symbol_file)
-    u = read_mgf(args.input_file)
-    theta = 0.5 if args.theta is None else args.theta
-    result = left_action(F, u, _skew_for(F, theta))
-    if not args.out:
-        raise UsageError("apply requires --out")
-    write_mgf(args.out, result)
-    print(f"wrote operator output to {args.out}")
+    write_mgf(args.out, deformed_product(f, g, _skew_for(f, theta)))
+    what = "product grid" if args.command == "product" else "operator output"
+    print(f"wrote {what} to {args.out}")
     return 0
 
 
@@ -209,7 +196,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     handlers = {"verify": _cmd_verify, "product": _cmd_product,
-                "apply": _cmd_apply, "recover": _cmd_recover,
+                "apply": _cmd_product, "recover": _cmd_recover,
                 "info": _cmd_info}
     try:
         return handlers[args.command](args)

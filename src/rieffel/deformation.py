@@ -31,8 +31,8 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import DivergenceError, GridMismatchError, ResolutionError
-from .grids import GridSpec, axis_transform
-from .module_space import ModuleFunction, _check_compatible
+from .grids import GridSpec, grid_transform
+from .module_space import ModuleFunction, check_compatible
 
 TWO_PI = 2.0 * np.pi
 
@@ -82,13 +82,6 @@ class SkewForm:
         return SkewForm(self.entries * factor)
 
 
-def _grid_fourier(samples: np.ndarray, grid: GridSpec, inverse: bool = False) -> np.ndarray:
-    out = samples
-    for ax in range(grid.n):
-        out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=inverse)
-    return out
-
-
 def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                          theta: float) -> np.ndarray:
     """Fourier coefficients of the deformed product from factor coefficients."""
@@ -124,14 +117,14 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
 def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm,
                      rieffel_convention: bool = False) -> ModuleFunction:
     """(f x_J g) on the grid; rieffel_convention rescales J by 2*pi."""
-    _check_compatible(f, g)
+    check_compatible(f, g)
     if J.n != f.grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {f.grid.n}")
     theta = J.theta * (TWO_PI if rieffel_convention else 1.0)
-    fhat = _grid_fourier(f.samples, f.grid)
-    ghat = _grid_fourier(g.samples, g.grid)
+    fhat = grid_transform(f.samples, f.grid)
+    ghat = grid_transform(g.samples, g.grid)
     chat = twisted_coefficients(fhat, ghat, f.grid, theta)
-    return ModuleFunction(f.grid, _grid_fourier(chat, f.grid, inverse=True))
+    return ModuleFunction(f.grid, grid_transform(chat, f.grid, inverse=True))
 
 
 def left_action(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:
@@ -266,4 +259,4 @@ def approximate_identity(index: int, J: SkewForm, grid: GridSpec,
         raise GridMismatchError("J dimension does not match grid")
     psi = mollifier_hat(index, grid)
     hat = (TWO_PI ** (grid.n / 2.0)) * psi[..., None, None] * np.eye(algebra_dim)
-    return ModuleFunction(grid, _grid_fourier(hat, grid, inverse=True))
+    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))

@@ -104,31 +104,49 @@ def axis_transform(samples: np.ndarray, axis: int, dx: float, x0: float,
     return (m * dnu / np.sqrt(TWO_PI)) * alt * out
 
 
+def axis_multiplier(samples: np.ndarray, axis: int, dx: float, x0: float,
+                    fn) -> np.ndarray:
+    """Fourier multiplier along one axis: transform, multiply by fn(nu), invert.
+
+    fn receives the dual frequencies nu of axis_transform shaped to broadcast
+    along `axis` (length 1 on every other axis of samples), so it may return
+    a multiplier that also varies along the other axes.
+    """
+    m = samples.shape[axis]
+    shape = [1] * samples.ndim
+    shape[axis] = m
+    nu = ((TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)).reshape(shape)
+    hat = axis_transform(samples, axis, dx, x0)
+    hat *= fn(nu)  # in place: no second full-size array while inverting
+    return axis_transform(hat, axis, dx, x0, inverse=True)
+
+
 def axis_shift(samples: np.ndarray, axis: int, dx: float, x0: float,
                t: float) -> np.ndarray:
     """Samples of f(x - t) along one axis via trigonometric interpolation.
 
     Exact for band-limited data; exact translation when t is a multiple of dx.
     """
-    hat = axis_transform(samples, axis, dx, x0)
-    m = samples.shape[axis]
-    nu = (TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)
-    shape = [1] * samples.ndim
-    shape[axis] = m
-    hat = hat * np.exp(-1j * t * nu).reshape(shape)
-    return axis_transform(hat, axis, dx, x0, inverse=True)
+    return axis_multiplier(samples, axis, dx, x0, lambda nu: np.exp(-1j * t * nu))
 
 
 def spectral_derivative(samples: np.ndarray, axis: int, dx: float, x0: float,
                         order: int = 1) -> np.ndarray:
     """d^order/dx^order along one axis by Fourier multiplier (i*nu)^order."""
-    hat = axis_transform(samples, axis, dx, x0)
-    m = samples.shape[axis]
-    nu = (TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)
-    shape = [1] * samples.ndim
-    shape[axis] = m
-    hat = hat * ((1j * nu) ** order).reshape(shape)
-    return axis_transform(hat, axis, dx, x0, inverse=True)
+    return axis_multiplier(samples, axis, dx, x0, lambda nu: (1j * nu) ** order)
+
+
+def grid_transform(samples: np.ndarray, grid: GridSpec,
+                   inverse: bool = False) -> np.ndarray:
+    """axis_transform over the n spatial axes of samples laid out on grid.
+
+    Forward maps samples on grid.axis()^n to the dual grid; inverse=True maps
+    samples on the dual grid back.
+    """
+    out = samples
+    for ax in range(grid.n):
+        out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=inverse)
+    return out
 
 
 def central_derivative(samples: np.ndarray, axis: int, dx: float,

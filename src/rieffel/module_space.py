@@ -15,8 +15,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, cnorm, cnorm_entries
 from .errors import CapabilityError, GridMismatchError
-from .grids import GridSpec, axis_shift, axis_transform, central_derivative, \
-    spectral_derivative
+from .grids import (GridSpec, axis_shift, central_derivative, grid_transform,
+                    spectral_derivative)
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ class ModuleFunction:
         return cls(grid, np.broadcast_to(vals, grid.shape + (algebra_dim,) * 2).copy())
 
     def __add__(self, other: "ModuleFunction") -> "ModuleFunction":
-        _check_compatible(self, other)
+        check_compatible(self, other)
         return ModuleFunction(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "ModuleFunction") -> "ModuleFunction":
-        _check_compatible(self, other)
+        check_compatible(self, other)
         return ModuleFunction(self.grid, self.samples - other.samples)
 
     def __mul__(self, scalar: complex) -> "ModuleFunction":
@@ -80,14 +80,15 @@ class ModuleFunction:
         return float(cnorm_entries(self.samples).max())
 
 
-def _check_compatible(f: ModuleFunction, g: ModuleFunction):
+def check_compatible(f: ModuleFunction, g: ModuleFunction):
+    """Raise GridMismatchError unless f and g share grid and algebra size."""
     if not f.grid.compatible(g.grid) or f.algebra_dim != g.algebra_dim:
         raise GridMismatchError("module functions on different grids or algebra dims")
 
 
 def inner_product(f: ModuleFunction, g: ModuleFunction) -> AlgebraElement:
     """<f, g> = integral f(x)* g(x) dx, conjugate-linear in f, linear in g."""
-    _check_compatible(f, g)
+    check_compatible(f, g)
     weight = f.grid.spacing ** f.grid.n
     axes = tuple(range(f.grid.n))
     acc = np.einsum(f.samples.conj(), [*axes, f.grid.n + 1, f.grid.n],
@@ -109,15 +110,9 @@ def fourier(f: ModuleFunction, inverse: bool = False) -> ModuleFunction:
     products of transforms carry the frequency-side measure and Parseval
     holds exactly.  inverse=True applies e^{+i x xi} with the dual measure.
     """
-    g = f.grid
-    d = g.dual()
-    out = f.samples
-    for ax in range(g.n):
-        if inverse:
-            out = axis_transform(out, ax, d.spacing, -d.half_width, inverse=True)
-        else:
-            out = axis_transform(out, ax, g.spacing, -g.half_width)
-    return ModuleFunction(d, out)
+    d = f.grid.dual()
+    return ModuleFunction(d, grid_transform(f.samples, d if inverse else f.grid,
+                                            inverse=inverse))
 
 
 def translate(f: ModuleFunction, z) -> ModuleFunction:

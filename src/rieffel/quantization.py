@@ -20,6 +20,10 @@ Symbol backings:
   * TranslationSymbol -- a(x, xi) = F(x - J xi), the symbols of the left
                          actions L_F
 
+A backing implements eval.  PhaseSymbol gives generic sample, quantize,
+multiplier and adjoint methods built on eval and on the grid backing; a
+backing overrides one only where it has an exact shortcut.
+
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
 the pure phase e^{i u.w}: p = Finv[ F[a*](u, w) * e^{i u.w} ].
@@ -31,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import cnorm_entries
-from .deformation import SkewForm, left_action
+from .deformation import SkewForm, left_action, right_action
 from .errors import CapabilityError, GridMismatchError
-from .grids import GridSpec, axis_transform
-from .module_space import ModuleFunction, fourier, module_norm, modulate, translate
+from .grids import (GridSpec, axis_multiplier, axis_shift, axis_transform,
+                    grid_transform, spectral_derivative)
+from .module_space import ModuleFunction, module_norm, modulate, translate
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,7 +49,8 @@ TWO_PI = 2.0 * np.pi
 
 
 class PhaseSymbol:
-    """Base class: a function R^n x R^n -> M_k(C)."""
+    """Base class: a function R^n x R^n -> M_k(C) (protocol in the module
+    docstring)."""
 
     n: int
     algebra_dim: int
@@ -66,8 +72,84 @@ class PhaseSymbol:
         """Pointwise involution (x, xi) -> a(x, xi)*."""
         raise CapabilityError(f"{type(self).__name__} has no star capability")
 
+    def sample(self, grid: GridSpec) -> "GridSymbol":
+        """Samples on the product grid grid.axis^n x grid.dual_axis^n."""
+        xs = grid.axis()
+        xis = grid.dual_axis()
+        coords = np.meshgrid(*([xs] * grid.n + [xis] * grid.n), indexing="ij")
+        vals = self.eval(coords[:grid.n], coords[grid.n:])
+        return GridSymbol(grid, np.broadcast_to(
+            vals, grid.shape * 2 + (self.algebra_dim,) * 2).copy())
+
+    def quantize(self, u: ModuleFunction, chunk: int = 64) -> ModuleFunction:
+        """a(x,D) u by the dense frequency loop, evaluating a chunk of dual
+        nodes at a time."""
+        g = u.grid
+        xc = [m[None, ...] for m in g.mesh()]
+
+        def values(rows, q):
+            qc = [q[:, d].reshape((-1,) + (1,) * g.n) for d in range(g.n)]
+            return self.eval(xc, qc)
+        return _dense_quantize(values, u, chunk)
+
+    def multiplier(self, fn, grid: GridSpec | None = None) -> "PhaseSymbol":
+        """The symbol whose phase-space Fourier transform is this one's times
+        prod over all 2n axes of fn(nu_axis)."""
+        if grid is None:
+            raise CapabilityError(
+                f"{type(self).__name__} needs a grid for a Fourier multiplier")
+        return self.sample(grid).multiplier(fn)
+
+    def adjoint(self, grid: GridSpec) -> "PhaseSymbol":
+        """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>, on grid.
+
+        p(y, xi) = integral e^{-i z eta} a(y-z, xi-eta)* d/z d/eta, evaluated
+        by the Fourier-multiplier form p = Finv[ F[a*](u, w) e^{i u.w} ].
+        """
+        s = self.star().sample(grid)
+        out = s.samples
+        for ax in range(2 * grid.n):
+            d, x0 = s._axis_params(ax)
+            out = axis_transform(out, ax, d, x0)
+        # frequency axes: duals of x slots are the dual grid, duals of xi slots
+        # are the spatial grid
+        freqs = [grid.dual_axis()] * grid.n + [grid.axis()] * grid.n
+        arg = 0.0
+        for d in range(grid.n):
+            u = freqs[d].reshape((-1,) + (1,) * (2 * grid.n - 1 - d))
+            w = freqs[grid.n + d].reshape((-1,) + (1,) * (grid.n - 1 - d))
+            arg = arg + u * w
+        out = out * np.exp(1j * arg)[..., None, None]
+        for ax in range(2 * grid.n):
+            d, x0 = s._axis_params(ax)
+            out = axis_transform(out, ax, d, x0, inverse=True)
+        return GridSymbol(grid, out)
+
     def _coords(self, z, zeta):
         return list(z), list(zeta)
+
+
+def _dense_quantize(values, u: ModuleFunction, chunk: int) -> ModuleFunction:
+    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q); values(rows, q)
+    returns a(x, q) for the dual nodes q = flat node indices rows, shaped
+    (len(q),) + grid.shape + (k, k)."""
+    g = u.grid
+    mesh = g.mesh()
+    uhat = grid_transform(u.samples, g)
+    dual = g.dual_mesh()
+    flatq = np.stack([d.ravel() for d in dual], axis=-1)       # (M, n)
+    uh = uhat.reshape(-1, u.algebra_dim, u.algebra_dim)        # (M, k, k)
+    scale = (TWO_PI) ** (-g.n / 2.0) * g.dual_spacing ** g.n
+    out = np.zeros_like(u.samples)
+    for lo in range(0, flatq.shape[0], chunk):
+        rows = slice(lo, lo + chunk)
+        q = flatq[rows]                                        # (C, n)
+        avals = values(rows, q)                                # (C,)+shape+(k,k)
+        arg = sum(q[:, d].reshape((-1,) + (1,) * g.n) * mesh[d][None]
+                  for d in range(g.n))
+        term = np.einsum("c...ab,cbd->c...ad", avals, uh[rows])
+        out += (np.exp(1j * arg)[..., None, None] * term).sum(axis=0)
+    return ModuleFunction(g, scale * out)
 
 
 class CallableSymbol(PhaseSymbol):
@@ -152,7 +234,23 @@ class TrigPolySymbol(PhaseSymbol):
         return TrigPolySymbol(self.n, self.algebra_dim, [
             (-p, -w, c.conj().T) for p, w, c in self.terms])
 
-    def adjoint(self) -> "TrigPolySymbol":
+    def quantize(self, u, chunk=64):
+        # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w)
+        mesh = u.grid.mesh()
+        out = np.zeros_like(u.samples)
+        for p, w, c in self.terms:
+            shifted = translate(u, -w).samples
+            arg = sum(p[d] * mesh[d] for d in range(u.grid.n))
+            out += np.exp(1j * arg)[..., None, None] * \
+                np.einsum("ab,...bc->...ac", c, shifted)
+        return ModuleFunction(u.grid, out)
+
+    def multiplier(self, fn, grid=None):
+        # e^{i p.x} e^{i w.xi} is the plane wave at frequencies (p, w)
+        return TrigPolySymbol(self.n, self.algebra_dim, [
+            (p, w, np.prod(fn(p)) * np.prod(fn(w)) * c) for p, w, c in self.terms])
+
+    def adjoint(self, grid=None) -> "TrigPolySymbol":
         """Exact adjoint symbol: the term C e^{i(p.x + w.xi)} contributes
         C* e^{i w.p} e^{-i(p.x + w.xi)} (delta collapse of the twisted
         double integral)."""
@@ -197,33 +295,38 @@ class GridSymbol(PhaseSymbol):
         out = self.samples
         for ax, order in enumerate(tuple(dx) + tuple(dxi)):
             if order:
-                d, x0 = self._axis_params(ax)
-                hat = axis_transform(out, ax, d, x0)
-                m = out.shape[ax]
-                nu = (TWO_PI / (m * d)) * np.arange(-m // 2, m // 2)
-                shape = [1] * out.ndim
-                shape[ax] = m
-                hat = hat * ((1j * nu) ** order).reshape(shape)
-                out = axis_transform(hat, ax, d, x0, inverse=True)
+                out = spectral_derivative(out, ax, *self._axis_params(ax), order=order)
         return GridSymbol(self.grid, out)
 
     def shift(self, z, zeta):
         out = self.samples
         for ax, t in enumerate(tuple(z) + tuple(zeta)):
             if t:
-                d, x0 = self._axis_params(ax)
-                hat = axis_transform(out, ax, d, x0)
-                m = out.shape[ax]
-                nu = (TWO_PI / (m * d)) * np.arange(-m // 2, m // 2)
-                shape = [1] * out.ndim
-                shape[ax] = m
                 # samples of a(. + t): translate by -t
-                hat = hat * np.exp(1j * float(t) * nu).reshape(shape)
-                out = axis_transform(hat, ax, d, x0, inverse=True)
+                out = axis_shift(out, ax, *self._axis_params(ax), -t)
         return GridSymbol(self.grid, out)
 
     def star(self):
         return GridSymbol(self.grid, np.swapaxes(self.samples.conj(), -1, -2))
+
+    def sample(self, grid):
+        if self.grid.compatible(grid):
+            return self
+        return super().sample(grid)
+
+    def quantize(self, u, chunk=64):
+        g = u.grid
+        if not self.grid.compatible(g):
+            raise GridMismatchError("grid symbol lives on a different grid")
+        sym = self.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
+        return _dense_quantize(
+            lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u, chunk)
+
+    def multiplier(self, fn, grid=None):
+        out = self.samples
+        for ax in range(2 * self.grid.n):
+            out = axis_multiplier(out, ax, *self._axis_params(ax), fn)
+        return GridSymbol(self.grid, out)
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -241,8 +344,7 @@ class TranslationSymbol(PhaseSymbol):
         x, xi = self._coords(x, xi)
         # F evaluated by its Fourier series at y = x - J xi
         g = self.F.grid
-        from .deformation import _grid_fourier
-        fhat = _grid_fourier(self.F.samples, g)
+        fhat = grid_transform(self.F.samples, g)
         dual = g.dual_mesh()
         y = [np.asarray(x[d]) - sum(self.J.entries[d, e] * np.asarray(xi[e])
                                     for e in range(self.n)) for d in range(self.n)]
@@ -259,7 +361,6 @@ class TranslationSymbol(PhaseSymbol):
         return scale * out
 
     def partial(self, dx, dxi):
-        from .grids import spectral_derivative
         g = self.F.grid
         out = self.F.samples
         # d/dxi_i = sum_j J_ij d/dy_j; expand the xi-orders into y-derivatives
@@ -291,6 +392,44 @@ class TranslationSymbol(PhaseSymbol):
             ModuleFunction(self.F.grid, np.swapaxes(self.F.samples.conj(), -1, -2)),
             self.J)
 
+    def sample(self, grid):
+        if not self.F.grid.compatible(grid):
+            return super().sample(grid)
+        # shear: translate along x-axis d by (J xi)_d, one frequency-phase
+        # multiply per axis over the whole product grid
+        n, k = grid.n, self.algebra_dim
+        xim = grid.dual_mesh()
+        out = np.broadcast_to(
+            self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
+            grid.shape * 2 + (k, k)).copy()
+        for d in range(n):
+            t = sum(self.J.entries[d, e] * xim[e] for e in range(n))
+            if np.allclose(t, 0.0):
+                continue
+            t = t.reshape((1,) * n + grid.shape + (1, 1))
+            out = axis_multiplier(out, d, grid.spacing, -grid.half_width,
+                                  lambda nu: np.exp(-1j * nu * t))
+        return GridSymbol(grid, out)
+
+    def quantize(self, u, chunk=64):
+        if not self.F.grid.compatible(u.grid):
+            raise GridMismatchError("translation symbol lives on a different grid")
+        return left_action(self.F, u, self.J)
+
+    def multiplier(self, fn, grid=None):
+        # F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi}: the x
+        # frequency is nu and the xi frequency is J nu (J antisymmetric)
+        g = self.F.grid
+        nus = g.dual_mesh()
+        jnu = [sum(self.J.entries[j, e] * nus[e] for e in range(g.n))
+               for j in range(g.n)]
+        mult = np.ones(g.shape, dtype=complex)
+        for j in range(g.n):
+            mult = mult * fn(nus[j]) * fn(jnu[j])
+        fhat = grid_transform(self.F.samples, g)
+        out = grid_transform(fhat * mult[..., None, None], g, inverse=True)
+        return TranslationSymbol(ModuleFunction(g, out), self.J)
+
 
 def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
@@ -300,33 +439,7 @@ def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
 
 def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
     """Sample any symbol onto the product grid grid.axis^n x grid.dual_axis^n."""
-    if isinstance(a, GridSymbol) and a.grid.compatible(grid):
-        return a
-    if isinstance(a, TranslationSymbol) and a.F.grid.compatible(grid):
-        # shear fast path: translate along x-axis d by (J xi)_d, realized as
-        # one frequency-phase multiply per axis over the whole product grid
-        n, k = grid.n, a.algebra_dim
-        xim = grid.dual_mesh()
-        out = np.broadcast_to(
-            a.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
-            grid.shape * 2 + (k, k)).copy()
-        for d in range(n):
-            t = sum(a.J.entries[d, e] * xim[e] for e in range(n))
-            if np.allclose(t, 0.0):
-                continue
-            hat = axis_transform(out, d, grid.spacing, -grid.half_width)
-            nu_shape = [1] * (2 * n)
-            nu_shape[d] = grid.points
-            nu = grid.dual_axis().reshape(nu_shape)
-            hat = hat * np.exp(-1j * nu * t.reshape((1,) * n + grid.shape))[..., None, None]
-            out = axis_transform(hat, d, grid.spacing, -grid.half_width, inverse=True)
-        return GridSymbol(grid, out)
-    xs = grid.axis()
-    xis = grid.dual_axis()
-    coords = np.meshgrid(*([xs] * grid.n + [xis] * grid.n), indexing="ij")
-    vals = a.eval(coords[:grid.n], coords[grid.n:])
-    return GridSymbol(grid, np.broadcast_to(
-        vals, grid.shape * 2 + (a.algebra_dim,) * 2).copy())
+    return a.sample(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -335,50 +448,9 @@ def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
 
 def pdo_apply(a: PhaseSymbol, u: ModuleFunction, chunk: int = 64) -> ModuleFunction:
     """a(x,D) u: transform u, weight by a(x, xi) on the dual grid, invert."""
-    g = u.grid
-    if a.n != g.n or a.algebra_dim != u.algebra_dim:
+    if a.n != u.grid.n or a.algebra_dim != u.algebra_dim:
         raise GridMismatchError("symbol and function dimensions do not match")
-    if isinstance(a, TranslationSymbol):
-        if not a.F.grid.compatible(g):
-            raise GridMismatchError("translation symbol lives on a different grid")
-        return left_action(a.F, u, a.J)
-    from .deformation import _grid_fourier
-    uhat = _grid_fourier(u.samples, g)
-    mesh = g.mesh()
-    if isinstance(a, TrigPolySymbol):
-        # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w)
-        out = np.zeros_like(u.samples)
-        for p, w, c in a.terms:
-            shifted = translate(u, -w).samples
-            arg = sum(p[d] * mesh[d] for d in range(g.n))
-            out += np.exp(1j * arg)[..., None, None] * \
-                np.einsum("ab,...bc->...ac", c, shifted)
-        return ModuleFunction(g, out)
-
-    dual = g.dual_mesh()
-    flatq = np.stack([d.ravel() for d in dual], axis=-1)       # (M, n)
-    uh = uhat.reshape(-1, u.algebra_dim, u.algebra_dim)        # (M, k, k)
-    scale = (TWO_PI) ** (-g.n / 2.0) * g.dual_spacing ** g.n
-    out = np.zeros_like(u.samples)
-    if isinstance(a, GridSymbol):
-        if not a.grid.compatible(g):
-            raise GridMismatchError("grid symbol lives on a different grid")
-        sym = a.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
-    else:
-        sym = None
-    for lo in range(0, flatq.shape[0], chunk):
-        q = flatq[lo:lo + chunk]                               # (C, n)
-        if sym is None:
-            xc = [m[None, ...] for m in mesh]
-            qc = [q[:, d].reshape((-1,) + (1,) * g.n) for d in range(g.n)]
-            avals = a.eval(xc, qc)                             # (C,)+shape+(k,k)
-        else:
-            avals = np.moveaxis(sym[..., lo:lo + chunk, :, :], g.n, 0)
-        arg = sum(q[:, d].reshape((-1,) + (1,) * g.n) * mesh[d][None]
-                  for d in range(g.n))
-        term = np.einsum("c...ab,cbd->c...ad", avals, uh[lo:lo + chunk])
-        out += (np.exp(1j * arg)[..., None, None] * term).sum(axis=0)
-    return ModuleFunction(g, scale * out)
+    return a.quantize(u, chunk)
 
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
@@ -398,31 +470,8 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:
-    """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>.
-
-    p(y, xi) = integral e^{-i z eta} a(y-z, xi-eta)* d/z d/eta, evaluated by
-    the Fourier-multiplier form p = Finv[ F[a*](u, w) e^{i u.w} ].
-    """
-    if isinstance(a, TrigPolySymbol):
-        return a.adjoint()
-    s = sample_symbol(a.star(), grid)
-    out = s.samples
-    for ax in range(2 * grid.n):
-        d, x0 = s._axis_params(ax)
-        out = axis_transform(out, ax, d, x0)
-    # frequency axes: duals of x slots are the dual grid, duals of xi slots
-    # are the spatial grid
-    freqs = [grid.dual_axis()] * grid.n + [grid.axis()] * grid.n
-    arg = 0.0
-    for d in range(grid.n):
-        u = freqs[d].reshape((-1,) + (1,) * (2 * grid.n - 1 - d))
-        w = freqs[grid.n + d].reshape((-1,) + (1,) * (grid.n - 1 - d))
-        arg = arg + u * w
-    out = out * np.exp(1j * arg)[..., None, None]
-    for ax in range(2 * grid.n):
-        d, x0 = s._axis_params(ax)
-        out = axis_transform(out, ax, d, x0, inverse=True)
-    return GridSymbol(grid, out)
+    """The symbol p with <a(x,D)u, v> = <u, p(x,D)v> (see PhaseSymbol.adjoint)."""
+    return a.adjoint(grid)
 
 
 @dataclass(frozen=True)
@@ -512,7 +561,6 @@ class RightActionOp(OperatorHandle):
         self.J = J
 
     def apply(self, u):
-        from .deformation import right_action
         return right_action(self.G, u, self.J)
 
     def adjoint(self):
@@ -572,13 +620,12 @@ class ComposedOp(OperatorHandle):
 def random_band_limited(grid: GridSpec, algebra_dim: int, rng,
                         band: int = 4) -> ModuleFunction:
     """Random trial function with dual support in the centered band."""
-    from .deformation import _grid_fourier
     hat = np.zeros(grid.shape + (algebra_dim,) * 2, dtype=complex)
     half = grid.points // 2
     sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
     block = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
     hat[sl] = block
-    return ModuleFunction(grid, _grid_fourier(hat, grid, inverse=True))
+    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
 
 
 def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int = 1,

@@ -19,15 +19,13 @@ import numpy as np
 from .algebra import AlgebraElement, cnorm, cnorm_entries, positivity_defect, star
 from .deformation import (SkewForm, approximate_identity, deformed_product,
                           left_action, right_action)
-from .grids import GridSpec
+from .grids import GridSpec, grid_transform, spectral_derivative
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
-                         shifted_symbol, smoothness_probe, weyl_shift,
-                         weyl_shift_inverse)
-from .module_space import (ModuleFunction, fourier, inner_product, module_norm,
-                           translate)
-from .quantization import (CallableSymbol, LeftActionOp, PdoOp, TranslationSymbol,
-                           TrigPolySymbol, constant_symbol, operator_norm_estimate,
-                           pdo_apply, pi_seminorm, sample_symbol, symbol_to_kernel)
+                         shifted_symbol, smoothness_probe, weyl_shift)
+from .module_space import ModuleFunction, fourier, inner_product, module_norm
+from .quantization import (LeftActionOp, PdoOp, TranslationSymbol, TrigPolySymbol,
+                           constant_symbol, operator_norm_estimate, pdo_apply,
+                           pi_seminorm, sample_symbol, symbol_to_kernel)
 from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                 gamma_reconstruct, gamma_reproduce,
                                 poisson_bracket, recover_translation_symbol,
@@ -55,8 +53,7 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.points & (self.points - 1):
             raise ValueError("points must be a power of two")
-        if self.n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
+        self.grid()  # GridSpec's rules on n, points and half_width
 
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.points, self.half_width)
@@ -519,7 +516,6 @@ def _chk_smoothness_order(cfg, rng):
     J = cfg.skew()
     F = matrix_gaussian(g, cfg.algebra_dim, rng)
     u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    from .grids import spectral_derivative
     dF = ModuleFunction(g, spectral_derivative(F.samples, 0, g.spacing,
                                                -g.half_width))
     fam = lambda z, zt: conjugate_operator(LeftActionOp(F, J), z, zt)
@@ -623,14 +619,13 @@ def _chk_coordinate_brackets(cfg, rng):
 
 def _band_limited_F(grid, k, rng, band: int = 3):
     """Random matrix field with compact dual support (recovery test family)."""
-    from .deformation import _grid_fourier
     hat = np.zeros(grid.shape + (k, k), dtype=complex)
     half = grid.points // 2
     sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
     hat[sl] = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
     decay = np.exp(-0.5 * sum(m * m for m in grid.dual_mesh()))
     hat = hat * decay[..., None, None]
-    return ModuleFunction(grid, _grid_fourier(hat, grid, inverse=True))
+    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
 
 
 def _chk_pipeline_recovery(cfg, rng):

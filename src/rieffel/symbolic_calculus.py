@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, cnorm_entries
-from .deformation import SkewForm, _grid_fourier
+from .deformation import SkewForm
 from .errors import CapabilityError, GridMismatchError
-from .grids import GridSpec, axis_transform
+from .grids import GridSpec
 from .module_space import ModuleFunction
 from .quantization import (CallableSymbol, GridSymbol, PhaseSymbol,
-                           TranslationSymbol, TrigPolySymbol, sample_symbol)
+                           TranslationSymbol, sample_symbol)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,16 @@ class _BracketSymbol(PhaseSymbol):
             self.pairs.append((-1.0, a.partial(zero, ej), b.partial(ej, zero)))
 
     def eval(self, x, xi):
+        return self._signed_sum(lambda s: s.eval(x, xi))
+
+    def sample(self, grid):
+        return GridSymbol(grid, self._signed_sum(lambda s: s.sample(grid).samples))
+
+    def _signed_sum(self, values):
+        """sum of sign * values(da) values(db) over the factor pairs."""
         out = None
         for sign, da, db in self.pairs:
-            term = sign * np.einsum("...ab,...bc->...ac",
-                                    da.eval(x, xi), db.eval(x, xi))
+            term = sign * np.einsum("...ab,...bc->...ac", values(da), values(db))
             out = term if out is None else out + term
         return out
 
@@ -177,83 +183,25 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
 def b_transform(a: PhaseSymbol, grid: GridSpec | None = None) -> PhaseSymbol:
     """b = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 a (linear, exact on the
     closed-form backings, spectral on grid backings)."""
-    if isinstance(a, TrigPolySymbol):
-        terms = []
-        for p, w, c in a.terms:
-            fac = np.prod((1.0 + 1j * p) ** 2) * np.prod((1.0 + 1j * w) ** 2)
-            terms.append((p, w, fac * c))
-        return TrigPolySymbol(a.n, a.algebra_dim, terms)
-    if isinstance(a, TranslationSymbol):
-        g = a.F.grid
-        fhat = _grid_fourier(a.F.samples, g)
-        nus = g.dual_mesh()
-        jnu = [sum(a.J.entries[j, e] * nus[e] for e in range(g.n))
-               for j in range(g.n)]
-        mult = np.ones(g.shape, dtype=complex)
-        for j in range(g.n):
-            mult = mult * (1.0 + 1j * nus[j]) ** 2 * (1.0 + 1j * jnu[j]) ** 2
-        out = _grid_fourier(fhat * mult[..., None, None], g, inverse=True)
-        return TranslationSymbol(ModuleFunction(g, out), a.J)
-    if not isinstance(a, GridSymbol):
-        if grid is None:
-            raise CapabilityError("symbol needs a grid for the spectral b transform")
-        a = sample_symbol(a, grid)
-    return _grid_axis_multiplier(a, lambda nu: (1.0 + 1j * nu) ** 2)
+    return a.multiplier(lambda nu: (1.0 + 1j * nu) ** 2, grid)
 
 
 def gamma_reconstruct(b: PhaseSymbol, kernel: GammaKernel,
                       grid: GridSpec | None = None) -> PhaseSymbol:
     """a(x, xi) = integral gammabar(y) gammabar(eta) b(x - y, xi - eta);
     left inverse of b_transform on decaying symbols."""
-    if isinstance(b, TrigPolySymbol):
-        terms = []
-        for p, w, c in b.terms:
-            fac = np.prod(kernel.laplace(p)) * np.prod(kernel.laplace(w))
-            terms.append((p, w, fac * c))
-        return TrigPolySymbol(b.n, b.algebra_dim, terms)
-    if isinstance(b, TranslationSymbol):
-        g = b.F.grid
-        fhat = _grid_fourier(b.F.samples, g)
-        nus = g.dual_mesh()
-        jnu = [sum(b.J.entries[j, e] * nus[e] for e in range(g.n))
-               for j in range(g.n)]
-        mult = np.ones(g.shape, dtype=complex)
-        for j in range(g.n):
-            mult = mult * kernel.laplace(nus[j]) * kernel.laplace(jnu[j])
-        out = _grid_fourier(fhat * mult[..., None, None], g, inverse=True)
-        return TranslationSymbol(ModuleFunction(g, out), b.J)
-    if not isinstance(b, GridSymbol):
-        if grid is None:
-            raise CapabilityError("symbol needs a grid for the spectral reconstruction")
-        b = sample_symbol(b, grid)
-    return _grid_axis_multiplier(b, kernel.laplace)
-
-
-def _grid_axis_multiplier(s: GridSymbol, fac_fn) -> GridSymbol:
-    """Apply the frequency multiplier fac_fn(nu) along every phase-space axis."""
-    out = s.samples
-    for ax in range(2 * s.grid.n):
-        d, x0 = s._axis_params(ax)
-        hat = axis_transform(out, ax, d, x0)
-        m = out.shape[ax]
-        nu = (2.0 * np.pi / (m * d)) * np.arange(-m // 2, m // 2)
-        shape = [1] * out.ndim
-        shape[ax] = m
-        hat = hat * np.asarray(fac_fn(nu)).reshape(shape)
-        out = axis_transform(hat, ax, d, x0, inverse=True)
-    return GridSymbol(s.grid, out)
+    return b.multiplier(kernel.laplace, grid)
 
 
 # ---------------------------------------------------------------------------
 # translation-symbol recovery
 
 
-def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec,
-                               tol: float | None = None):
+def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     """Extract F(z) = a(z, 0) and measure the translation-form residual
     sup cnorm(a(z, zeta) - F(z - J zeta)) over the sample box.
 
-    Returns (F, residual); the caller compares residual against its
+    Returns (F, residual); the caller compares residual against its own
     tolerance to accept or reject the translation-type hypothesis.
     """
     if isinstance(a, TranslationSymbol) and a.F.grid.compatible(grid):

@@ -39,6 +39,10 @@ def test_suite_config_validation():
         SuiteConfig(points=48)
     with pytest.raises(ValueError):
         SuiteConfig(n=3)
+    # GridSpec's rules hold at construction, not first at the first check
+    for bad in ({"points": 4}, {"points": 0}, {"half_width": 0.0}):
+        with pytest.raises(ValueError):
+            SuiteConfig(**bad)
 
 
 def test_run_suite_deterministic_payload():
@@ -126,11 +130,12 @@ def test_cli_product_matches_apply(tmp_path):
     assert np.array_equal(prod.samples, app.samples)
 
 
-def test_cli_product_requires_out(tmp_path, capsys):
-    fp = tmp_path / "F.mgf"
-    stored_field(fp, 3)
-    assert main(["product", str(fp), str(fp)]) == 2
-    assert "requires --out" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["product", "apply"])
+def test_cli_product_requires_out(tmp_path, capsys, command):
+    # the inputs do not exist: --out is rejected before anything is read
+    missing = str(tmp_path / "missing.mgf")
+    assert main([command, missing, missing]) == 2
+    assert f"{command} requires --out" in capsys.readouterr().err
 
 
 def test_cli_recover_accepts_translation_symbol(tmp_path, capsys):

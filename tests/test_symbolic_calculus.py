@@ -162,6 +162,28 @@ def test_b_transform_needs_grid_for_callable():
         b_transform(a)
 
 
+@pytest.mark.parametrize("npts, b_tol", [(16, 1e-11), (32, 1e-9)])
+def test_backings_agree_on_lattice_plane_wave(npts, b_tol):
+    # F = e^{i nu0.x} M with nu0 on the dual lattice; theta = 2L^2/(N pi) makes
+    # J nu0 a multiple of the spacing, so F(x - J xi) is the single trig term
+    # (nu0, J nu0, M) and its grid samples carry no interpolation error
+    g = GridSpec(2, npts, 8.0)
+    Jl = SkewForm.standard(2.0 * g.half_width ** 2 / (npts * np.pi))
+    nu0 = g.dual_spacing * np.array([2.0, -1.0])
+    M = np.array([[1.0, 0.5j], [-0.25, 2.0 - 1.0j]])
+    mesh = g.mesh()
+    F = ModuleFunction(g, np.exp(1j * (nu0[0] * mesh[0] + nu0[1] * mesh[1]))[..., None, None] * M)
+    trig = TrigPolySymbol(2, 2, [(nu0, Jl.apply(nu0), M)])
+    backings = [TranslationSymbol(F, Jl), trig, sample_symbol(trig, g)]
+    ref = sample_symbol(trig, g).samples
+    assert np.abs(sample_symbol(backings[0], g).samples - ref).max() <= 1e-12
+    for op, tol in ((b_transform, b_tol), (lambda a: gamma_reconstruct(a, K), 1e-13)):
+        outs = [sample_symbol(op(a), g).samples for a in backings]
+        scale = np.abs(outs[1]).max()
+        for out in (outs[0], outs[2]):
+            assert np.abs(out - outs[1]).max() <= tol * scale
+
+
 # ---- Poisson brackets
 
 
@@ -209,6 +231,21 @@ def test_bracket_nullity_on_translation_symbols():
     for i in range(2):
         vals = eval_on_box(poisson_bracket(coordinate_symbol(J, i), a), box)
         assert np.abs(vals).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("pair", ["translation_coordinate", "trig"])
+def test_sampled_bracket_matches_eval(pair):
+    # sampling the bracket from sampled factors against pointwise eval
+    g = GridSpec(2, 8, 8.0)
+    if pair == "trig":
+        a, b = trig_symbol(2, 2, 7), trig_symbol(2, 2, 8)
+    else:
+        a = TranslationSymbol(gaussian_field(g, 9, alpha=1.0, k=2), J)
+        b = coordinate_symbol(SkewForm.standard(-0.25), 0, 2)
+    br = poisson_bracket(a, b)
+    ref = eval_on_box(br, g)
+    assert np.abs(ref).max() > 1e-3
+    assert np.abs(sample_symbol(br, g).samples - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---- recovery pipeline
