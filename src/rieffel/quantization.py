@@ -323,6 +323,8 @@ class GridSymbol(PhaseSymbol):
             lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u, chunk)
 
     def multiplier(self, fn, grid=None):
+        if grid is not None and not self.grid.compatible(grid):
+            raise GridMismatchError("grid symbol lives on a different grid")
         out = self.samples
         for ax in range(2 * self.grid.n):
             out = axis_multiplier(out, ax, *self._axis_params(ax), fn)
@@ -420,6 +422,8 @@ class TranslationSymbol(PhaseSymbol):
         # F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi}: the x
         # frequency is nu and the xi frequency is J nu (J antisymmetric)
         g = self.F.grid
+        if grid is not None and not g.compatible(grid):
+            raise GridMismatchError("translation symbol lives on a different grid")
         nus = g.dual_mesh()
         jnu = [sum(self.J.entries[j, e] * nus[e] for e in range(g.n))
                for j in range(g.n)]

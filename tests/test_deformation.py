@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rieffel.algebra import AlgebraElement
 from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
                                  bump_profile, deformed_product, left_action,
                                  mollifier_hat, oscillatory_integral,
-                                 right_action)
+                                 right_action, twisted_coefficients)
 from rieffel.errors import DivergenceError, GridMismatchError, ResolutionError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction, module_norm, translate
@@ -111,6 +112,57 @@ def test_rieffel_convention_rescales():
     a = deformed_product(f, g, J, rieffel_convention=True)
     b = deformed_product(f, g, J.rescaled(2 * np.pi))
     assert (a - b).sup_norm() <= 1e-12 * b.sup_norm()
+
+
+def direct_twisted_sum(fhat, ghat, grid, J):
+    """C^(r) = (2 pi)^(-n/2) dxi^n sum_{p+q=r} e^{-i p.Jq} F^(p) G^(q), one
+    p at a time over every q: index i has frequency (i - N/2) dxi, so p + q
+    lands on index i + j - N/2, wrapped into the band."""
+    n, npts = grid.n, grid.points
+    half = npts // 2
+    xi = grid.dual_axis()
+    qs = np.stack(grid.dual_mesh(), axis=-1)
+    out = np.zeros(fhat.shape[:n] + (fhat.shape[-2], ghat.shape[-1]), dtype=complex)
+    for i in np.ndindex(*fhat.shape[:n]):
+        p = xi[list(i)]
+        twist = np.exp(-1j * (qs @ (J.T @ p)))  # e^{-i p.Jq}
+        term = twist[..., None, None] * np.matmul(fhat[i], ghat)
+        r = np.ix_(*[(i[d] + np.arange(npts) - half) % npts for d in range(n)])
+        out[r] += term
+    return (2 * np.pi) ** (-n / 2) * grid.dual_spacing ** n * out
+
+
+@pytest.mark.parametrize("n, k, theta", [
+    (2, 1, 0.5), (2, 2, 0.5), (2, 3, 0.5),
+    (2, 1, -0.7), (2, 2, -0.7), (2, 3, -0.7),
+    (1, 2, 0.0), (2, 2, 0.0)])
+def test_twisted_coefficients_match_direct_sum(n, k, theta):
+    # random full-band coefficients, so p + q wraps at the band edge
+    g = GridSpec(n, 16, 8.0)
+    r = np.random.default_rng([n, k, int(10 * theta) + 10])
+    shape = g.shape + (k, k)
+    fhat = r.normal(size=shape) + 1j * r.normal(size=shape)
+    ghat = r.normal(size=shape) + 1j * r.normal(size=shape)
+    Jt = SkewForm.standard(theta, n)
+    fast = twisted_coefficients(fhat, ghat, g, Jt.theta)
+    ref = direct_twisted_sum(fhat, ghat, g, Jt.entries)
+    assert fast.shape == ref.shape
+    assert np.abs(fast - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_matrix_order_of_plane_wave_product():
+    # (A e_p) x_J (B e_q) = e^{-i p.Jq} A B e_{p+q}: the left factor's matrix
+    # multiplies from the left, with a and b in their own places
+    A = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    B = np.array([[0.0, 1.0], [3.0, 1.0j]])
+    assert np.abs(A @ B - B @ A).max() > 1.0
+    p = G.dual_spacing * np.array([3, -2])
+    q = G.dual_spacing * np.array([-1, 4])
+    lhs = deformed_product(plane_wave(G, p, k=2).right_multiply(AlgebraElement(A)),
+                           plane_wave(G, q, k=2).right_multiply(AlgebraElement(B)), J)
+    expect = complex(np.exp(-1j * (p @ J.apply(q)))) * \
+        plane_wave(G, p + q, k=2).right_multiply(AlgebraElement(A @ B))
+    assert (lhs - expect).sup_norm() <= 1e-12 * expect.sup_norm()
 
 
 def test_grid_mismatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieffel.deformation import SkewForm
-from rieffel.errors import CapabilityError
+from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
@@ -160,6 +160,20 @@ def test_b_transform_needs_grid_for_callable():
     a = CallableSymbol(1, 1, lambda x, xi: np.asarray(x[0])[..., None, None] + 0j)
     with pytest.raises(CapabilityError):
         b_transform(a)
+
+
+@pytest.mark.parametrize("backing", ["grid", "translation"])
+def test_multiplier_rejects_other_grid(backing):
+    # a symbol that lives on the N=8 grid must not be transformed on N=16
+    g8, g16 = GridSpec(2, 8, 8.0), GridSpec(2, 16, 8.0)
+    a = TranslationSymbol(gaussian_field(g8, 4), J)
+    if backing == "grid":
+        a = sample_symbol(a, g8)
+    with pytest.raises(GridMismatchError):
+        b_transform(a, g16)
+    with pytest.raises(GridMismatchError):
+        gamma_reconstruct(a, K, g16)
+    assert sample_symbol(b_transform(a, g8), g8).samples.shape[0] == 8
 
 
 @pytest.mark.parametrize("npts, b_tol", [(16, 1e-11), (32, 1e-9)])
