@@ -60,10 +60,51 @@ def cnorm(a: AlgebraElement) -> float:
     return float(np.linalg.norm(a.entries, ord=2))
 
 
+# p + r inside this range is computed without overflow or harmful underflow
+_SQUARES_MIN, _SQUARES_MAX = 1e-290, 1e290
+
+
 def cnorm_entries(entries: np.ndarray) -> np.ndarray:
-    """Spectral norm over the trailing (k, k) axes of a stacked array."""
-    if entries.shape[-1] == 1:
+    """Spectral norm over the trailing (k, k) axes of a stacked array.
+
+    k = 1 is the modulus.  k = 2 uses the closed form for the largest
+    eigenvalue of A A* = [[p, q], [conj(q), r]],
+
+        sigma_max^2 = (p + r)/2 + hypot((p - r)/2, |q|),
+
+    with p, r the squared row norms and q = a conj(c) + b conj(d): a sum of
+    non-negative terms, so it stays accurate for scaled unitaries and rank-one
+    matrices, where the discriminant form f^2 - 4|det|^2 cancels.  Matrices
+    whose p + r would overflow or underflow (entries beyond about 1e+-145)
+    go to the SVD, as does every k >= 3.  For k >= 2 a non-finite entry
+    raises LinAlgError.
+    """
+    k = entries.shape[-1]
+    if k == 1:
         return np.abs(entries[..., 0, 0])
+    if k != 2:
+        return _svd_norm(entries)
+    rows = np.ascontiguousarray(entries, dtype=complex).reshape(-1, 2, 2)
+    parts = rows.view(float)                     # (M, 2, 4): re/im of each row
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        p, r = np.einsum("mij,mij->im", parts, parts)
+        q = np.abs(np.einsum("mj,mj->m", rows[:, 0], rows[:, 1].conj()))
+        total = p + r
+        out = np.sqrt(0.5 * total + np.hypot(0.5 * (p - r), q))
+    fallback = ~(total <= _SQUARES_MAX)          # overflow, inf and nan
+    tiny = total < _SQUARES_MIN
+    if tiny.any():
+        fallback |= tiny & rows.any(axis=(1, 2))
+    if fallback.any():
+        out[fallback] = _svd_norm(rows[fallback])
+    return out.reshape(entries.shape[:-2])
+
+
+def _svd_norm(entries: np.ndarray) -> np.ndarray:
+    """Largest singular value by batched SVD; non-finite entries raise (the
+    SVD itself raises on NaN but returns NaN for inf)."""
+    if not np.isfinite(entries).all():
+        raise np.linalg.LinAlgError("matrix entries are not finite")
     return np.linalg.svd(entries, compute_uv=False)[..., 0]
 
 

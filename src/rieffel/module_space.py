@@ -23,7 +23,7 @@ from .grids import (GridSpec, axis_shift, central_derivative, grid_transform,
 class ModuleFunction:
     """A sampled function R^n -> M_k(C) on a uniform periodic grid.
 
-    samples has shape grid.shape + (k, k), complex.
+    samples has shape grid.shape + (k, k), complex and finite.
     """
 
     grid: GridSpec
@@ -35,6 +35,8 @@ class ModuleFunction:
         if arr.shape != self.grid.shape + (k, k):
             raise GridMismatchError(
                 f"samples shape {arr.shape} does not match grid {self.grid.shape} + (k, k)")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples contain NaN or Inf")
         object.__setattr__(self, "samples", arr)
 
     @property

@@ -397,20 +397,32 @@ class TranslationSymbol(PhaseSymbol):
     def sample(self, grid):
         if not self.F.grid.compatible(grid):
             return super().sample(grid)
-        # shear: translate along x-axis d by (J xi)_d, one frequency-phase
-        # multiply per axis over the whole product grid
         n, k = grid.n, self.algebra_dim
-        xim = grid.dual_mesh()
-        out = np.broadcast_to(
-            self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
-            grid.shape * 2 + (k, k)).copy()
-        for d in range(n):
-            t = sum(self.J.entries[d, e] * xim[e] for e in range(n))
-            if np.allclose(t, 0.0):
-                continue
-            t = t.reshape((1,) * n + grid.shape + (1, 1))
-            out = axis_multiplier(out, d, grid.spacing, -grid.half_width,
-                                  lambda nu: np.exp(-1j * nu * t))
+        if not self.J.entries.any():
+            return GridSymbol(grid, np.broadcast_to(
+                self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
+                grid.shape * 2 + (k, k)).copy())
+        # One-pass shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
+        # trigonometric interpolant of F at x - J xi.  Through grid_transform,
+        # c = (dnu / sqrt(2 pi))^n F^(nu) e^{i x0.nu} with nu read in FFT
+        # order (the inverse's (-1)^j sign as a roll by N/2); these phases,
+        # the roll and the scale undo F^'s own, leaving c = fftn(F) / N^n.
+        # One N x N phase table exp(-i J_de nu_d xi_e) per non-zero J_de
+        # spreads c over the (nu, xi) product grid, and one ifftn (which
+        # divides by N^n) over the nu axes lands on x.
+        axes = tuple(range(n))
+        nu = np.fft.ifftshift(grid.dual_axis())
+        xi = grid.dual_axis()
+        out = np.fft.fftn(self.F.samples, axes=axes).reshape(
+            grid.shape + (1,) * n + (k, k))
+        for d in axes:
+            for e in axes:
+                if self.J.entries[d, e]:
+                    nu_d = nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
+                    xi_e = xi.reshape((-1,) + (1,) * (n - 1 - e))
+                    out = out * np.exp(-1j * self.J.entries[d, e] * nu_d * xi_e)[
+                        ..., None, None]
+        np.fft.ifftn(out, axes=axes, out=out)
         return GridSymbol(grid, out)
 
     def quantize(self, u, chunk=64):

@@ -186,3 +186,11 @@ def test_grid_mismatch_rejected():
                                          algebra_dim=2)
     with pytest.raises(GridMismatchError):
         inner_product(f, other)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_samples_rejected(bad):
+    samples = np.ones(G2.shape + (2, 2), dtype=complex)
+    samples[3, 5, 1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        ModuleFunction(G2, samples)

@@ -7,8 +7,9 @@ from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
-                                  IdentityOp, LeftActionOp, PdoOp, RightActionOp,
-                                  TranslationSymbol, TrigPolySymbol, WeylOp,
+                                  IdentityOp, LeftActionOp, PdoOp, PhaseSymbol,
+                                  RightActionOp, TranslationSymbol,
+                                  TrigPolySymbol, WeylOp,
                                   adjoint_symbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
@@ -91,6 +92,23 @@ def test_translation_symbol_shear_sampling():
     coords = np.meshgrid(*([xs] * 2 + [xis] * 2), indexing="ij")
     slow = a.eval(coords[:2], coords[2:])
     assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("n, npts, k, theta", [
+    (n, npts, k, theta) for npts in (8, 16) for k in (1, 2, 3)
+    for n, theta in ((1, 0.0), (2, 0.5), (2, -0.7))])
+def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
+    # full-band random F: the one-pass shear against the Fourier-series mode
+    # loop of TranslationSymbol.eval through the generic PhaseSymbol.sample;
+    # observed <= 4e-15 of the sup
+    g = GridSpec(n, npts, 8.0)
+    r = np.random.default_rng(npts + 10 * k)
+    F = ModuleFunction(g, r.normal(size=g.shape + (k, k))
+                       + 1j * r.normal(size=g.shape + (k, k)))
+    a = TranslationSymbol(F, SkewForm.standard(theta) if n == 2 else SkewForm.zero(1))
+    fast = a.sample(g).samples
+    slow = PhaseSymbol.sample(a, g).samples
+    assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
 
 
 def test_trig_adjoint_pairing():

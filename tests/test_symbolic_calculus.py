@@ -67,6 +67,17 @@ def test_gamma_laplace_closed_form():
     assert np.abs(K.laplace(nus) - 1.0 / (1.0 + 1j * nus) ** 2).max() <= 1e-10
 
 
+def test_gamma_quadrature_cached_read_only():
+    t, w = K.quadrature()
+    t2, w2 = GammaKernel(40.0, 400).quadrature()
+    assert t2 is t and w2 is w
+    with pytest.raises(ValueError):
+        t[0] = 1.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert K.mass() == pytest.approx(1.0, abs=1e-12)
+
+
 # ---- point reproduction
 
 
