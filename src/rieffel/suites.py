@@ -318,7 +318,7 @@ def _chk_associativity(cfg, rng):
         lhs = deformed_product(deformed_product(f, h, J), w, J)
         rhs = deformed_product(f, deformed_product(h, w, J), J)
         worst = max(worst, (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300))
-    return worst, 1e-3
+    return worst, 1e-12
 
 
 def _chk_commutation(cfg, rng):
@@ -329,7 +329,7 @@ def _chk_commutation(cfg, rng):
     u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
     lhs = left_action(f, right_action(h, u, J), J)
     rhs = right_action(h, left_action(f, u, J), J)
-    return (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300), 1e-3
+    return (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300), 1e-12
 
 
 def _chk_unit_factor(cfg, rng):
@@ -394,7 +394,7 @@ def _chk_left_action_adjoint(cfg, rng):
     Fstar = ModuleFunction(g, np.swapaxes(F.samples.conj(), -1, -2))
     lhs = inner_product(left_action(F, u, J), v)
     rhs = inner_product(u, left_action(Fstar, v, J))
-    return cnorm(lhs - rhs) / max(cnorm(lhs), 1e-300), 1e-5
+    return cnorm(lhs - rhs) / max(cnorm(lhs), 1e-300), 1e-12
 
 
 def _chk_kernel_consistency(cfg, rng):
@@ -593,7 +593,7 @@ def _chk_bracket_nullity(cfg, rng):
     b = TranslationSymbol(G, J.rescaled(-1.0))
     vals = sample_symbol(poisson_bracket(a, b), g).samples
     scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return float(cnorm_entries(vals).max()) / max(scale, 1e-300), 1e-6
+    return float(cnorm_entries(vals).max()) / max(scale, 1e-300), 1e-13
 
 
 def _chk_bracket_antisymmetry(cfg, rng):

@@ -4,7 +4,7 @@ import pytest
 from rieffel.algebra import cnorm
 from rieffel.deformation import SkewForm, left_action
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import GridSpec
+from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   IdentityOp, LeftActionOp, PdoOp, PhaseSymbol,
@@ -39,9 +39,10 @@ def trig_symbol(n, k, seed, nterms=4):
 
 
 def test_identity_symbol():
-    u = gaussian_1d(lambda x: 1 + 0.3 * x)
-    r = pdo_apply(constant_symbol(1, np.eye(1)), u)
-    assert (r - u).sup_norm() <= 1e-12
+    # the w = 0 term runs no transform, so the identity is exact
+    for u in (gaussian_1d(lambda x: 1 + 0.3 * x), matrix_field(G2, 14)):
+        r = pdo_apply(constant_symbol(u.grid.n, np.eye(u.algebra_dim)), u)
+        assert np.array_equal(r.samples, u.samples)
 
 
 def test_multiplication_symbol():
@@ -109,6 +110,80 @@ def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
     fast = a.sample(g).samples
     slow = PhaseSymbol.sample(a, g).samples
     assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
+
+
+def trig_variants(n, k, seed):
+    # a random trig symbol, its partial, shift, star and adjoint, and one
+    # with a w = 0 term and a term shifted along the first axis only
+    r = np.random.default_rng(seed)
+    a = trig_symbol(n, k, seed)
+    ones, zeros = (1,) * n, (0,) * n
+    still = (r.uniform(-1, 1, n), np.zeros(n), r.normal(size=(k, k)) + 0j)
+    first = (r.uniform(-1, 1, n), np.eye(n)[0] * 0.6, r.normal(size=(k, k)) + 0j)
+    return [a, a.partial(ones, ones), a.partial(zeros, ones),
+            a.shift(r.uniform(-1, 1, n), r.uniform(-1, 1, n)), a.star(),
+            a.adjoint(), TrigPolySymbol(n, k, a.terms + [still, first])]
+
+
+TRIG_CASES = [(n, npts, k) for n in (1, 2) for npts in (8, 16) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, npts, k", TRIG_CASES)
+def test_trig_sample_matches_generic(n, npts, k):
+    # separable sampling against PhaseSymbol.sample through TrigPolySymbol.eval
+    # on the full product mesh; observed <= 2.5e-15 of the sup
+    g = GridSpec(n, npts, 8.0)
+    for a in trig_variants(n, k, 100 * n + 10 * k + npts):
+        fast = a.sample(g).samples
+        slow = PhaseSymbol.sample(a, g).samples
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("n, npts, k", TRIG_CASES)
+def test_trig_quantize_matches_dense(n, npts, k):
+    # one-transform quantize against the dense frequency loop of
+    # PhaseSymbol.quantize; observed <= 8e-16 of the sup
+    g = GridSpec(n, npts, 8.0)
+    u = matrix_field(g, npts + k, k=k)
+    for a in trig_variants(n, k, 100 * n + 10 * k + npts):
+        fast = a.quantize(u).samples
+        slow = PhaseSymbol.quantize(a, u).samples
+        assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+
+
+def test_trig_fast_paths_do_not_evaluate(monkeypatch):
+    # pi_seminorm, symbol_to_kernel and pdo_apply on a trig symbol must not
+    # fall back to pointwise evaluation
+    def refuse(self, x, xi):
+        raise AssertionError("TrigPolySymbol.eval called")
+    monkeypatch.setattr(TrigPolySymbol, "eval", refuse)
+    g = GridSpec(2, 16, 8.0)
+    a = trig_symbol(2, 2, 12)
+    u = matrix_field(g, 13)
+    assert pi_seminorm(a, g) > 0.0
+    assert np.isfinite(symbol_to_kernel(a, g).samples).all()
+    assert module_norm(pdo_apply(a, u)) > 0.0
+
+
+def test_translation_multiplier_calls_fn_per_distinct_frequency():
+    g = GridSpec(2, 16, 8.0)
+    F = matrix_field(g, 15)
+    a = TranslationSymbol(F, J)
+    seen = []
+
+    def fn(nu):
+        seen.append(np.size(nu))
+        return (1.0 + 1j * nu) ** 2
+    out = a.multiplier(fn).F.samples
+    # x frequencies nu_j and xi frequencies (J nu)_j: N distinct values each
+    assert seen == [g.points] * 4
+    nus = g.dual_mesh()
+    mult = (fn(nus[0]) * fn(J.entries[1, 0] * nus[0])
+            * fn(nus[1]) * fn(J.entries[0, 1] * nus[1]))
+    ref = grid_transform(grid_transform(F.samples, g) * mult[..., None, None],
+                         g, inverse=True)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_trig_adjoint_pairing():

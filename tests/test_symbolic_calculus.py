@@ -302,6 +302,17 @@ def test_recover_rejects_generic_symbol():
     assert residual > 0.1 * scale
 
 
+def test_rejected_recovery_leaves_grid_samples_alone():
+    # GridSymbol.sample returns the symbol itself, so the residual must not
+    # be formed in its samples
+    g = GridSpec(2, 16, 8.0)
+    a = sample_symbol(trig_symbol(2, 2, 9), g)
+    before = a.samples.copy()
+    _, residual = recover_translation_symbol(a, J, g)
+    assert residual > 0.1 * np.abs(before).max()
+    assert np.array_equal(a.samples, before)
+
+
 def test_certificate_discriminates():
     g = GridSpec(2, 16, 8.0)
     good = TranslationSymbol(gaussian_field(g, 10), J)
