@@ -79,34 +79,33 @@ def shifted_symbol(a: PhaseSymbol, z, zeta) -> PhaseSymbol:
 
 def smoothness_probe(family, direction, steps, u: ModuleFunction,
                      derivative: OperatorHandle | None = None,
-                     base=None, centered: bool = False) -> dict:
+                     centered: bool = False) -> dict:
     """Convergence report for the map p -> T_p u along a direction in R^{2n}.
 
     family maps a point p in R^{2n} (z then zeta) to an OperatorHandle.
-    Difference quotients (T_{p + t d} - T_p) / t (or centered) are applied to
-    u; when a derivative handle is given the quotients are compared against
-    it, otherwise successive quotients are compared against the finest one.
-    The observed order is the least-squares slope of log residual vs log t.
+    Difference quotients (T_{t d} - T_0) / t, or centered (T_{t d} -
+    T_{-t d}) / 2t without T_0, are applied to u; when a derivative handle
+    is given the quotients are compared against it, otherwise successive
+    quotients are compared against the finest one.  The observed order is
+    the least-squares slope of log residual vs log t.
     """
     steps = [float(t) for t in steps]
     if len(steps) < 3 or any(steps[i] <= steps[i + 1] for i in range(len(steps) - 1)):
         raise ValueError("steps must be at least 3 decreasing values")
     d = np.asarray(direction, dtype=float)
-    p0 = np.zeros_like(d) if base is None else np.asarray(base, dtype=float)
+    p0 = np.zeros_like(d)
     n = d.size // 2
 
     def handle(p):
         return family(p[:n], p[n:])
 
-    base_u = handle(p0).apply(u)
+    base_u = None if centered else handle(p0).apply(u)
     quotients = []
     for t in steps:
+        hi = handle(p0 + t * d).apply(u)
         if centered:
-            hi = handle(p0 + t * d).apply(u)
-            lo = handle(p0 - t * d).apply(u)
-            quotients.append((1.0 / (2.0 * t)) * (hi - lo))
+            quotients.append((1.0 / (2.0 * t)) * (hi - handle(p0 - t * d).apply(u)))
         else:
-            hi = handle(p0 + t * d).apply(u)
             quotients.append((1.0 / t) * (hi - base_u))
     if derivative is not None:
         ref = derivative.apply(u)

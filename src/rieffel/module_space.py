@@ -44,16 +44,6 @@ class ModuleFunction:
         return self.samples.shape[-1]
 
     @classmethod
-    def from_scalar(cls, grid: GridSpec, values: np.ndarray,
-                    matrix: np.ndarray | None = None) -> "ModuleFunction":
-        """Scalar field times a constant matrix (identity 1x1 by default)."""
-        values = np.asarray(values, dtype=complex)
-        if matrix is None:
-            matrix = np.ones((1, 1), dtype=complex)
-        matrix = np.asarray(matrix, dtype=complex)
-        return cls(grid, values[..., None, None] * matrix)
-
-    @classmethod
     def from_function(cls, grid: GridSpec, fn, algebra_dim: int = 1) -> "ModuleFunction":
         """Sample fn(*coords) -> array broadcastable to grid.shape + (k, k)."""
         vals = np.asarray(fn(*grid.mesh()), dtype=complex)

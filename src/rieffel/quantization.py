@@ -18,7 +18,9 @@ Symbol backings:
   * GridSymbol        -- samples on grid.axis()^n x grid.dual_axis()^n with
                          spectral derivatives
   * TranslationSymbol -- a(x, xi) = F(x - J xi), the symbols of the left
-                         actions L_F
+                         actions L_F; F's Fourier series has x frequency nu
+                         and xi frequency J nu, so partial and multiplier
+                         are one multiplier on F^ and eval is that trig sum
 
 A backing implements eval.  PhaseSymbol gives generic sample, quantize,
 multiplier and adjoint methods built on eval and on the grid backing; a
@@ -89,16 +91,16 @@ class PhaseSymbol:
         return GridSymbol(grid, np.broadcast_to(
             vals, grid.shape * 2 + (self.algebra_dim,) * 2).copy())
 
-    def quantize(self, u: ModuleFunction, chunk: int = 64) -> ModuleFunction:
-        """a(x,D) u by the dense frequency loop, evaluating a chunk of dual
-        nodes at a time."""
+    def quantize(self, u: ModuleFunction) -> ModuleFunction:
+        """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense loop over
+        dual nodes q, 64 at a time (backings override it where exact)."""
         g = u.grid
         xc = [m[None, ...] for m in g.mesh()]
 
         def values(rows, q):
             qc = [q[:, d].reshape((-1,) + (1,) * g.n) for d in range(g.n)]
             return self.eval(xc, qc)
-        return _dense_quantize(values, u, chunk)
+        return _dense_quantize(values, u)
 
     def multiplier(self, fn, grid: GridSpec | None = None) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
@@ -133,14 +135,12 @@ class PhaseSymbol:
             out = axis_transform(out, ax, d, x0, inverse=True)
         return GridSymbol(grid, out)
 
-    def _coords(self, z, zeta):
-        return list(z), list(zeta)
 
-
-def _dense_quantize(values, u: ModuleFunction, chunk: int) -> ModuleFunction:
-    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q); values(rows, q)
-    returns a(x, q) for the dual nodes q = flat node indices rows, shaped
-    (len(q),) + grid.shape + (k, k)."""
+def _dense_quantize(values, u: ModuleFunction) -> ModuleFunction:
+    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), 64 nodes at a
+    time; values(rows, q) returns a(x, q) for the dual nodes q = flat node
+    indices rows, shaped (len(q),) + grid.shape + (k, k)."""
+    chunk = 64
     g = u.grid
     mesh = g.mesh()
     uhat = grid_transform(u.samples, g)
@@ -188,15 +188,12 @@ class CallableSymbol(PhaseSymbol):
     def shift(self, z, zeta):
         z = np.asarray(z, dtype=float)
         zeta = np.asarray(zeta, dtype=float)
-        shifted_partials = {
-            key: (lambda x, xi, f=f: f([x[d] + z[d] for d in range(self.n)],
-                                       [xi[d] + zeta[d] for d in range(self.n)]))
-            for key, f in self.partials.items()}
-        return CallableSymbol(
-            self.n, self.algebra_dim,
-            lambda x, xi: self.fn([x[d] + z[d] for d in range(self.n)],
-                                  [xi[d] + zeta[d] for d in range(self.n)]),
-            shifted_partials)
+
+        def shifted(f):
+            return lambda x, xi: f([x[d] + z[d] for d in range(self.n)],
+                                   [xi[d] + zeta[d] for d in range(self.n)])
+        return CallableSymbol(self.n, self.algebra_dim, shifted(self.fn),
+                              {key: shifted(f) for key, f in self.partials.items()})
 
     def star(self):
         return CallableSymbol(
@@ -216,7 +213,7 @@ class TrigPolySymbol(PhaseSymbol):
                        np.asarray(c, dtype=complex)) for p, w, c in terms]
 
     def eval(self, x, xi):
-        x, xi = self._coords(x, xi)
+        x, xi = list(x), list(xi)
         shape = np.broadcast(*(list(np.atleast_1d(c) for c in x + xi))).shape
         out = np.zeros(shape + (self.algebra_dim,) * 2, dtype=complex)
         for p, w, c in self.terms:
@@ -264,7 +261,7 @@ class TrigPolySymbol(PhaseSymbol):
             np.matmul(rest, first[:, None] * coef, out=slabs[i])
         return GridSymbol(grid, out)
 
-    def quantize(self, u, chunk=64):
+    def quantize(self, u):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w):
         # one forward transform of u, then per shifted term the phase
         # e^{i w.nu} and one inverse transform; w = 0 reuses u as it is
@@ -327,7 +324,7 @@ class GridSymbol(PhaseSymbol):
         return g.dual_spacing, float(g.dual_axis()[0])
 
     def eval(self, x, xi):
-        x, xi = self._coords(x, xi)
+        x, xi = list(x), list(xi)
         g = self.grid
         idx = []
         for ax, coords in enumerate(x + xi):
@@ -362,13 +359,13 @@ class GridSymbol(PhaseSymbol):
             return self
         return super().sample(grid)
 
-    def quantize(self, u, chunk=64):
+    def quantize(self, u):
         g = u.grid
         if not self.grid.compatible(g):
             raise GridMismatchError("grid symbol lives on a different grid")
         sym = self.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
         return _dense_quantize(
-            lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u, chunk)
+            lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u)
 
     def multiplier(self, fn, grid=None):
         if grid is not None and not self.grid.compatible(grid):
@@ -391,46 +388,21 @@ class TranslationSymbol(PhaseSymbol):
         self.algebra_dim = F.algebra_dim
 
     def eval(self, x, xi):
-        x, xi = self._coords(x, xi)
-        # F evaluated by its Fourier series at y = x - J xi
-        g = self.F.grid
-        fhat = grid_transform(self.F.samples, g)
-        dual = g.dual_mesh()
-        y = [np.asarray(x[d]) - sum(self.J.entries[d, e] * np.asarray(xi[e])
-                                    for e in range(self.n)) for d in range(self.n)]
-        shape = np.broadcast(*(np.atleast_1d(c) for c in y)).shape
-        out = np.zeros(shape + (self.algebra_dim,) * 2, dtype=complex)
-        scale = (TWO_PI) ** (-g.n / 2.0) * g.dual_spacing ** g.n
-        flatq = np.stack([d.ravel() for d in dual], axis=-1)
-        fh = fhat.reshape(-1, self.algebra_dim, self.algebra_dim)
-        for t in range(flatq.shape[0]):
-            if not np.any(fh[t]):
-                continue
-            arg = sum(flatq[t, d] * y[d] for d in range(self.n))
-            out += np.exp(1j * arg)[..., None, None] * fh[t]
-        return scale * out
+        """F's Fourier series at x - J xi, summed directly: the trig
+        polynomial with one term (nu, J nu, c_nu) per non-zero mode nu of F^,
+        c = (2 pi)^(-n/2) dnu^n F^(nu) (independent of the one-pass shear)."""
+        g, k = self.F.grid, self.algebra_dim
+        scale = TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
+        c = scale * grid_transform(self.F.samples, g).reshape(-1, k, k)
+        nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
+        terms = [(nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()]
+        return TrigPolySymbol(self.n, k, terms).eval(x, xi)
 
     def partial(self, dx, dxi):
-        g = self.F.grid
-        out = self.F.samples
-        # d/dxi_i = sum_j J_ij d/dy_j; expand the xi-orders into y-derivatives
-        work = [(np.ones((), dtype=complex), out)]
-        for d in range(self.n):
-            for _ in range(dx[d]):
-                work = [(c, spectral_derivative(s, d, g.spacing, -g.half_width))
-                        for c, s in work]
-        for i in range(self.n):
-            for _ in range(dxi[i]):
-                new = []
-                for c, s in work:
-                    for j in range(self.n):
-                        coef = self.J.entries[i, j]
-                        if coef:
-                            new.append((c * coef,
-                                        spectral_derivative(s, j, g.spacing, -g.half_width)))
-                work = new
-        total = sum(c * s for c, s in work) if work else np.zeros_like(out)
-        return TranslationSymbol(ModuleFunction(g, total), self.J)
+        """d^dx_x d^dxi_xi F(x - J xi): F^ times prod_j (i nu_j)^dx_j
+        (i (J nu)_j)^dxi_j, one multiplier on F's own grid."""
+        return self._fourier_side(
+            lambda j, nu, jnu: ((1j * nu) ** dx[j], (1j * jnu) ** dxi[j]))
 
     def shift(self, z, zeta):
         # a(x+z, xi+zeta) = F'(x - J xi) with F'(y) = F(y + z - J zeta)
@@ -473,14 +445,19 @@ class TranslationSymbol(PhaseSymbol):
         np.fft.ifftn(out, axes=axes, out=out)
         return GridSymbol(grid, out)
 
-    def quantize(self, u, chunk=64):
+    def quantize(self, u):
         if not self.F.grid.compatible(u.grid):
             raise GridMismatchError("translation symbol lives on a different grid")
         return left_action(self.F, u, self.J)
 
     def multiplier(self, fn, grid=None):
-        # F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi}: the x
-        # frequency is nu and the xi frequency is J nu (J antisymmetric)
+        return self._fourier_side(
+            lambda j, nu, jnu: (_per_distinct(fn, nu), _per_distinct(fn, jnu)), grid)
+
+    def _fourier_side(self, factors, grid=None) -> "TranslationSymbol":
+        """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
+        antisymmetric), with F^ multiplied by prod_j fx * fxi, where (fx, fxi)
+        = factors(j, nu_j, (J nu)_j) on F's dual mesh."""
         g = self.F.grid
         if grid is not None and not g.compatible(grid):
             raise GridMismatchError("translation symbol lives on a different grid")
@@ -489,7 +466,8 @@ class TranslationSymbol(PhaseSymbol):
                for j in range(g.n)]
         mult = np.ones(g.shape, dtype=complex)
         for j in range(g.n):
-            mult = mult * _per_distinct(fn, nus[j]) * _per_distinct(fn, jnu[j])
+            fx, fxi = factors(j, nus[j], jnu[j])
+            mult = mult * fx * fxi
         fhat = grid_transform(self.F.samples, g)
         out = grid_transform(fhat * mult[..., None, None], g, inverse=True)
         return TranslationSymbol(ModuleFunction(g, out), self.J)
@@ -517,11 +495,11 @@ def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
 # quantization
 
 
-def pdo_apply(a: PhaseSymbol, u: ModuleFunction, chunk: int = 64) -> ModuleFunction:
-    """a(x,D) u: transform u, weight by a(x, xi) on the dual grid, invert."""
+def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
+    """a(x,D) u through the symbol's own quantize (PhaseSymbol.quantize)."""
     if a.n != u.grid.n or a.algebra_dim != u.algebra_dim:
         raise GridMismatchError("symbol and function dimensions do not match")
-    return a.quantize(u, chunk)
+    return a.quantize(u)
 
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
@@ -529,12 +507,15 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     beta, gamma <= (1, ..., 1)."""
     n = a.n
     best = 0.0
+    sampled = None  # a on grid, sampled once if a lacks a partial
     for bx in np.ndindex(*((2,) * n)):
         for gx in np.ndindex(*((2,) * n)):
             try:
                 d = a.partial(bx, gx)
             except CapabilityError:
-                d = sample_symbol(a, grid).partial(bx, gx)
+                if sampled is None:
+                    sampled = sample_symbol(a, grid)
+                d = sampled.partial(bx, gx)
             s = sample_symbol(d, grid)
             best = max(best, float(cnorm_entries(s.samples).max()))
     return best
@@ -574,17 +555,13 @@ def symbol_to_kernel(a: PhaseSymbol, grid: GridSpec) -> KernelField:
         # reads its input on the dual of the spatial axis, t lands on axis()
         out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=True)
     out = out * (TWO_PI) ** (-grid.n / 2.0)
-    # shear: K[i, j] = k[i, t] at t = x_i - y_j, i.e. index (i - j + N/2) mod N
+    # shear as one gather: K[i, j] = k[i, t] at t = x_i - y_j, i.e. index
+    # (i - j + N/2) mod N per dimension, i on the x axes and j on the y axes
     npts = grid.points
     i = np.arange(npts)
-    tidx = (i[:, None] - i[None, :] + npts // 2) % npts
-    if grid.n == 1:
-        out = out[i[:, None], tidx]
-    else:
-        out = out[i[:, None, None, None], i[None, :, None, None],
-                  tidx[:, None, :, None].repeat(npts, axis=1),
-                  tidx[None, :, None, :].repeat(npts, axis=0)]
-        # reorder axes from (x1, x2, y1, y2) -- already in that order
+    xs = [i.reshape((-1,) + (1,) * (2 * grid.n - 1 - d)) for d in range(grid.n)]
+    ys = [i.reshape((-1,) + (1,) * (grid.n - 1 - d)) for d in range(grid.n)]
+    out = out[tuple(xs) + tuple((x - y + npts // 2) % npts for x, y in zip(xs, ys))]
     return KernelField(grid, out)
 
 
@@ -688,12 +665,11 @@ class ComposedOp(OperatorHandle):
         return ComposedOp([p.adjoint() for p in reversed(self.parts)])
 
 
-def random_band_limited(grid: GridSpec, algebra_dim: int, rng,
-                        band: int = 4) -> ModuleFunction:
-    """Random trial function with dual support in the centered band."""
+def random_band_limited(grid: GridSpec, algebra_dim: int, rng) -> ModuleFunction:
+    """Random trial function with dual support on modes -4..4 of each axis."""
     hat = np.zeros(grid.shape + (algebra_dim,) * 2, dtype=complex)
     half = grid.points // 2
-    sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
+    sl = tuple(slice(half - 4, half + 5) for _ in range(grid.n))
     block = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
     hat[sl] = block
     return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
@@ -701,7 +677,7 @@ def random_band_limited(grid: GridSpec, algebra_dim: int, rng,
 
 def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int = 1,
                            trials: int = 8, power_iters: int = 15,
-                           seed: int = 0, band: int = 4):
+                           seed: int = 0):
     """Lower estimate of sup ||T u||_2 / ||u||_2 with a witness record.
 
     Random band-limited trials pick a starting vector; power iteration on
@@ -711,7 +687,7 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
     rng = np.random.default_rng(seed)
     best_ratio, best_u = 0.0, None
     for _ in range(trials):
-        u = random_band_limited(grid, algebra_dim, rng, band=band)
+        u = random_band_limited(grid, algebra_dim, rng)
         nu = module_norm(u)
         if nu == 0.0:
             continue

@@ -369,7 +369,7 @@ def _chk_translation_bridge(cfg, rng):
     F = matrix_gaussian(g, cfg.algebra_dim, rng)
     u = matrix_gaussian(g, cfg.algebra_dim, rng)
     a = sample_symbol(TranslationSymbol(F, J), g)
-    lhs = pdo_apply(a, u, chunk=64)
+    lhs = pdo_apply(a, u)
     rhs = left_action(F, u, J)
     return (lhs - rhs).sup_norm() / max(rhs.sup_norm(), 1e-300), 1e-9
 

@@ -133,16 +133,14 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
                                      for k in range(n))
         return val[..., None, None] * eye
 
+    def const(c):
+        return lambda x, xi: c * np.ones(np.broadcast(
+            *(np.atleast_1d(v) for v in list(x) + list(xi))).shape)[..., None, None] * eye
+
     partials = {}
     for j in range(n):
-        cx = 1.0 if j == i else 0.0
-        cxi = J.entries[i, j]
-        partials[(_unit(n, j), (0,) * n)] = \
-            (lambda x, xi, c=cx: c * np.ones(np.broadcast(
-                *(np.atleast_1d(v) for v in list(x) + list(xi))).shape)[..., None, None] * eye)
-        partials[((0,) * n, _unit(n, j))] = \
-            (lambda x, xi, c=cxi: c * np.ones(np.broadcast(
-                *(np.atleast_1d(v) for v in list(x) + list(xi))).shape)[..., None, None] * eye)
+        partials[(_unit(n, j), (0,) * n)] = const(1.0 if j == i else 0.0)
+        partials[((0,) * n, _unit(n, j))] = const(J.entries[i, j])
     return CallableSymbol(n, algebra_dim, fn, partials)
 
 
@@ -246,17 +244,17 @@ def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> floa
     when a has the translation form F(x - J xi)."""
     n = a.n
     zero = (0,) * n
+    try:
+        dxs = [sample_symbol(a.partial(_unit(n, j), zero), grid).samples
+               for j in range(n)]
+    except CapabilityError:
+        a = sample_symbol(a, grid)
+        dxs = [a.partial(_unit(n, j), zero).samples for j in range(n)]
     worst = 0.0
     for i in range(n):
-        try:
-            dxi = sample_symbol(a.partial(zero, _unit(n, i)), grid).samples
-            dxs = [sample_symbol(a.partial(_unit(n, j), zero), grid).samples
-                   for j in range(n)]
-        except CapabilityError:
-            s = sample_symbol(a, grid)
-            dxi = s.partial(zero, _unit(n, i)).samples
-            dxs = [s.partial(_unit(n, j), zero).samples for j in range(n)]
+        dxi = sample_symbol(a.partial(zero, _unit(n, i)), grid).samples
         worst = max(worst, _sup_by_slab(
             lambda r: dxi[r] - sum(J.entries[i, j] * dxs[j][r] for j in range(n)),
             grid.points))
+        del dxi  # at most n + 1 product-grid arrays alive at once
     return worst

@@ -156,6 +156,21 @@ def test_smoothness_probe_constant_symbol_flat():
     assert max(probe["residuals"]) <= 1e-10 * module_norm(u)
 
 
+@pytest.mark.parametrize("centered, applies", [(True, 8), (False, 5)])
+def test_smoothness_probe_applies_base_only_one_sided(centered, applies):
+    # centered quotients never read T_0 u, so only one-sided probes apply it
+    count = []
+
+    class Counting(IdentityOp):
+        def apply(self, u):
+            count.append(1)
+            return u
+    u = gaussian(GridSpec(2, 8, 8.0), 21)
+    smoothness_probe(lambda z, zeta: Counting(), np.ones(4),
+                     (0.2, 0.1, 0.05, 0.025), u, centered=centered)
+    assert len(count) == applies
+
+
 def test_smoothness_probe_rejects_bad_steps():
     u = gaussian(G, 20)
     fam = make_family(IdentityOp())

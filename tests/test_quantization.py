@@ -78,7 +78,7 @@ def test_translation_symbol_is_left_action():
     direct = pdo_apply(a, u)
     ref = left_action(F, u, J)
     assert (direct - ref).sup_norm() == 0.0  # dispatched to the same code
-    sampled = pdo_apply(sample_symbol(a, G2), u, chunk=64)
+    sampled = pdo_apply(sample_symbol(a, G2), u)
     assert (sampled - ref).sup_norm() <= 1e-9 * ref.sup_norm()
 
 
@@ -203,8 +203,8 @@ def test_grid_adjoint_pairing():
     p = adjoint_symbol(a, G2)
     u = matrix_field(G2, 7)
     v = matrix_field(G2, 8)
-    lhs = inner_product(pdo_apply(a, u, chunk=64), v)
-    rhs = inner_product(u, pdo_apply(p, v, chunk=64))
+    lhs = inner_product(pdo_apply(a, u), v)
+    rhs = inner_product(u, pdo_apply(p, v))
     assert cnorm(lhs - rhs) <= 1e-10 * max(cnorm(lhs), 1e-300)
 
 
@@ -238,6 +238,21 @@ def test_pi_seminorm_plane_wave():
     a = TrigPolySymbol(1, 1, [(np.array([p]), np.array([w]), np.array([[c]]))])
     expect = c * max(abs(p) ** b * abs(w) ** g for b in (0, 1) for g in (0, 1))
     assert pi_seminorm(a, G1) == pytest.approx(expect, rel=1e-10)
+
+
+def test_pi_seminorm_samples_partial_free_symbol_once():
+    # no analytic partials: one sample for the (0, 0) term and one shared by
+    # the 15 spectral partials
+    calls = []
+    tp = trig_symbol(2, 2, 3)
+
+    def fn(x, xi):
+        calls.append(1)
+        return tp.eval(x, xi)
+    g = GridSpec(2, 8, 8.0)
+    value = pi_seminorm(CallableSymbol(2, 2, fn), g)
+    assert len(calls) == 2
+    assert value == pi_seminorm(sample_symbol(CallableSymbol(2, 2, tp.eval), g), g)
 
 
 def test_pi_seminorm_constant():
