@@ -17,6 +17,7 @@ Exit codes: 0 success / all checks pass, 1 check or recovery failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,8 +29,7 @@ from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symbolic_calculus import (GammaKernel, b_transform, gamma_reconstruct,
                                 recover_translation_symbol)
 
-CONFIG_FIELDS = ("suite", "n", "points", "half_width", "algebra_dim", "theta",
-                 "seed", "tolerances", "out", "csv")
+CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SuiteConfig))
 
 
 class UsageError(Exception):
@@ -182,7 +182,9 @@ def _cmd_info(args):
         ver = "unknown"
     print(f"rieffel {ver}")
     print(f"suites: {', '.join(SUITE_NAMES)} (or 'all')")
-    print("defaults: n=2 N=64 L=8.0 k=2 theta=0.5 seed=2024")
+    d = SuiteConfig()
+    print(f"defaults: n={d.n} N={d.points} L={d.half_width} k={d.algebra_dim} "
+          f"theta={d.theta} seed={d.seed}")
     return 0
 
 

@@ -12,9 +12,11 @@ Conventions, written out once and used everywhere:
     because x_j*xi_m = x0*xi_m + 2*pi*j*m/N - pi*j.  The inverse applies the
     conjugate phases with measure dxi = pi/L.  Round trips are exact.
 
-The same helper transforms axes whose nodes start at any offset x0 with any
-spacing dx (used for the frequency slots of phase-space symbols, whose dual
-grid is the spatial grid again).
+axis_transform keeps an arbitrary spacing dx and origin x0 for real
+transforms such as symbol_to_kernel, whose frequency slots have the spatial
+grid as their dual.  A Fourier multiplier (transform, multiply, invert) does
+not depend on the origin: the signs, phases and measures cancel, so
+fourier_multiplier takes only the spacings and works in FFT order.
 """
 from __future__ import annotations
 
@@ -104,36 +106,23 @@ def axis_transform(samples: np.ndarray, axis: int, dx: float, x0: float,
     return (m * dnu / np.sqrt(TWO_PI)) * alt * out
 
 
-def axis_multiplier(samples: np.ndarray, axis: int, dx: float, x0: float,
-                    fn) -> np.ndarray:
-    """Fourier multiplier along one axis: transform, multiply by fn(nu), invert.
+def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
+    """Fourier multiplier over the leading len(spacings) axes: one forward
+    FFT, multiply by fn(nus), one inverse FFT.
 
-    fn receives the dual frequencies nu of axis_transform shaped to broadcast
-    along `axis` (length 1 on every other axis of samples), so it may return
-    a multiplier that also varies along the other axes.
+    nus[ax] = 2*pi*fftfreq(m, spacings[ax]) lists the dual frequencies of
+    axis ax in FFT order, shaped to broadcast along that axis (length 1 on
+    every other axis of samples), so fn may return a multiplier that couples
+    axes.  axis_transform's (-1)^j signs, origin phases and measures cancel
+    between its forward and inverse passes, so the result does not depend on
+    where the nodes start.
     """
-    m = samples.shape[axis]
-    shape = [1] * samples.ndim
-    shape[axis] = m
-    nu = ((TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)).reshape(shape)
-    hat = axis_transform(samples, axis, dx, x0)
-    hat *= fn(nu)  # in place: no second full-size array while inverting
-    return axis_transform(hat, axis, dx, x0, inverse=True)
-
-
-def axis_shift(samples: np.ndarray, axis: int, dx: float, x0: float,
-               t: float) -> np.ndarray:
-    """Samples of f(x - t) along one axis via trigonometric interpolation.
-
-    Exact for band-limited data; exact translation when t is a multiple of dx.
-    """
-    return axis_multiplier(samples, axis, dx, x0, lambda nu: np.exp(-1j * t * nu))
-
-
-def spectral_derivative(samples: np.ndarray, axis: int, dx: float, x0: float,
-                        order: int = 1) -> np.ndarray:
-    """d^order/dx^order along one axis by Fourier multiplier (i*nu)^order."""
-    return axis_multiplier(samples, axis, dx, x0, lambda nu: (1j * nu) ** order)
+    axes = tuple(range(len(spacings)))
+    nus = [TWO_PI * np.fft.fftfreq(samples.shape[ax], dx).reshape(
+        (-1,) + (1,) * (samples.ndim - 1 - ax)) for ax, dx in zip(axes, spacings)]
+    hat = np.fft.fftn(samples, axes=axes)
+    hat *= fn(nus)  # in place: no second full-size array while inverting
+    return np.fft.ifftn(hat, axes=axes, out=hat)
 
 
 def grid_transform(samples: np.ndarray, grid: GridSpec,

@@ -9,14 +9,15 @@ symmetric-normalization Fourier transform, and weighted sup-seminorms
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import AlgebraElement, cnorm, cnorm_entries
 from .errors import CapabilityError, GridMismatchError
-from .grids import (GridSpec, axis_shift, central_derivative, grid_transform,
-                    spectral_derivative)
+from .grids import (GridSpec, central_derivative, fourier_multiplier,
+                    grid_transform)
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,12 @@ def fourier(f: ModuleFunction, inverse: bool = False) -> ModuleFunction:
 def translate(f: ModuleFunction, z) -> ModuleFunction:
     """Samples of x -> f(x - z), trig-interpolated (exact for commensurate z)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = f.samples
     g = f.grid
-    for ax in range(g.n):
-        if z[ax] != 0.0:
-            out = axis_shift(out, ax, g.spacing, -g.half_width, z[ax])
-    return ModuleFunction(g, out)
+    if not z.any():
+        return f
+    return ModuleFunction(g, fourier_multiplier(
+        f.samples, [g.spacing] * g.n,
+        lambda nus: np.exp(-1j * sum(t * nu for t, nu in zip(z, nus)))))
 
 
 def modulate(f: ModuleFunction, zeta, phase: float = 0.0) -> ModuleFunction:
@@ -144,13 +145,13 @@ def schwartz_seminorm(f: ModuleFunction, alpha=(), beta=(),
     if scheme not in ("central4", "spectral"):
         raise CapabilityError(f"unknown derivative scheme {scheme!r}")
     out = f.samples
-    for ax, b in enumerate(beta):
-        if b == 0:
-            continue
-        if scheme == "spectral":
-            out = spectral_derivative(out, ax, g.spacing, -g.half_width, order=b)
-        else:
-            out = central_derivative(out, ax, g.spacing, order=b)
+    if scheme == "spectral" and any(beta):
+        out = fourier_multiplier(out, [g.spacing] * g.n, lambda nus: math.prod(
+            (1j * nu) ** b for nu, b in zip(nus, beta)))
+    else:
+        for ax, b in enumerate(beta):
+            if b:
+                out = central_derivative(out, ax, g.spacing, order=b)
     mesh = g.mesh()
     weight = np.ones(g.shape)
     for ax, a in enumerate(alpha):

@@ -15,8 +15,8 @@ Symbol backings:
   * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited;
                          derivatives, shifts, adjoints and quantized
                          application are all exact and fast)
-  * GridSymbol        -- samples on grid.axis()^n x grid.dual_axis()^n with
-                         spectral derivatives
+  * GridSymbol        -- samples on grid.axis()^n x grid.dual_axis()^n; each
+                         partial, shift or multiplier is one 2n-axis multiplier
   * TranslationSymbol -- a(x, xi) = F(x - J xi), the symbols of the left
                          actions L_F; F's Fourier series has x frequency nu
                          and xi frequency J nu, so partial and multiplier
@@ -40,6 +40,7 @@ the pure phase e^{i u.w}: p = Finv[ F[a*](u, w) * e^{i u.w} ].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,7 @@ import numpy as np
 from .algebra import cnorm_entries
 from .deformation import SkewForm, left_action, right_action
 from .errors import CapabilityError, GridMismatchError
-from .grids import (GridSpec, axis_multiplier, axis_shift, axis_transform,
-                    grid_transform, spectral_derivative)
+from .grids import GridSpec, axis_transform, fourier_multiplier, grid_transform
 from .module_space import ModuleFunction, module_norm, modulate, translate
 
 TWO_PI = 2.0 * np.pi
@@ -117,23 +117,10 @@ class PhaseSymbol:
         by the Fourier-multiplier form p = Finv[ F[a*](u, w) e^{i u.w} ].
         """
         s = self.star().sample(grid)
-        out = s.samples
-        for ax in range(2 * grid.n):
-            d, x0 = s._axis_params(ax)
-            out = axis_transform(out, ax, d, x0)
-        # frequency axes: duals of x slots are the dual grid, duals of xi slots
-        # are the spatial grid
-        freqs = [grid.dual_axis()] * grid.n + [grid.axis()] * grid.n
-        arg = 0.0
-        for d in range(grid.n):
-            u = freqs[d].reshape((-1,) + (1,) * (2 * grid.n - 1 - d))
-            w = freqs[grid.n + d].reshape((-1,) + (1,) * (grid.n - 1 - d))
-            arg = arg + u * w
-        out = out * np.exp(1j * arg)[..., None, None]
-        for ax in range(2 * grid.n):
-            d, x0 = s._axis_params(ax)
-            out = axis_transform(out, ax, d, x0, inverse=True)
-        return GridSymbol(grid, out)
+        n = grid.n
+        return GridSymbol(grid, fourier_multiplier(
+            s.samples, s.spacings(),
+            lambda nus: np.exp(1j * sum(nus[d] * nus[n + d] for d in range(n)))))
 
 
 def _dense_quantize(values, u: ModuleFunction) -> ModuleFunction:
@@ -316,40 +303,38 @@ class GridSymbol(PhaseSymbol):
         self.samples = samples
         self.algebra_dim = k
 
-    def _axis_params(self, ax: int):
-        """(spacing, origin) of sample axis ax (x slots then xi slots)."""
-        g = self.grid
-        if ax < g.n:
-            return g.spacing, -g.half_width
-        return g.dual_spacing, float(g.dual_axis()[0])
+    def spacings(self) -> list:
+        """Node spacing of each sample axis, x slots then xi slots."""
+        return [self.grid.spacing] * self.n + [self.grid.dual_spacing] * self.n
 
     def eval(self, x, xi):
-        x, xi = list(x), list(xi)
-        g = self.grid
+        # both node sets are centered: node j of an axis with spacing d sits
+        # at (j - N/2) d
+        half = self.grid.points // 2
         idx = []
-        for ax, coords in enumerate(x + xi):
-            dx, x0 = self._axis_params(ax)
-            j = np.rint((np.asarray(coords, dtype=float) - x0) / dx).astype(int)
-            if not np.allclose(j * dx + x0, coords, atol=1e-9 * dx):
+        for d, coords in zip(self.spacings(), list(x) + list(xi)):
+            j = np.rint(np.asarray(coords, dtype=float) / d).astype(int)
+            if not np.allclose(j * d, coords, atol=1e-9 * d):
                 raise CapabilityError("grid symbol evaluated off its sample nodes")
-            idx.append(j % g.points)
-        idx = np.broadcast_arrays(*idx)
-        return self.samples[tuple(idx)]
+            idx.append((j + half) % self.grid.points)
+        return self.samples[tuple(np.broadcast_arrays(*idx))]
 
     def partial(self, dx, dxi):
-        out = self.samples
-        for ax, order in enumerate(tuple(dx) + tuple(dxi)):
-            if order:
-                out = spectral_derivative(out, ax, *self._axis_params(ax), order=order)
-        return GridSymbol(self.grid, out)
+        orders = tuple(dx) + tuple(dxi)
+        if not any(orders):
+            return self
+        return GridSymbol(self.grid, fourier_multiplier(
+            self.samples, self.spacings(),
+            lambda nus: math.prod((1j * nu) ** o for nu, o in zip(nus, orders))))
 
     def shift(self, z, zeta):
-        out = self.samples
-        for ax, t in enumerate(tuple(z) + tuple(zeta)):
-            if t:
-                # samples of a(. + t): translate by -t
-                out = axis_shift(out, ax, *self._axis_params(ax), -t)
-        return GridSymbol(self.grid, out)
+        t = np.concatenate([np.asarray(z, float), np.asarray(zeta, float)])
+        if not t.any():
+            return self
+        # samples of a(. + t): the multiplier e^{i t.nu}
+        return GridSymbol(self.grid, fourier_multiplier(
+            self.samples, self.spacings(),
+            lambda nus: np.exp(1j * sum(ti * nu for ti, nu in zip(t, nus)))))
 
     def star(self):
         return GridSymbol(self.grid, np.swapaxes(self.samples.conj(), -1, -2))
@@ -370,10 +355,9 @@ class GridSymbol(PhaseSymbol):
     def multiplier(self, fn, grid=None):
         if grid is not None and not self.grid.compatible(grid):
             raise GridMismatchError("grid symbol lives on a different grid")
-        out = self.samples
-        for ax in range(2 * self.grid.n):
-            out = axis_multiplier(out, ax, *self._axis_params(ax), fn)
-        return GridSymbol(self.grid, out)
+        return GridSymbol(self.grid, fourier_multiplier(
+            self.samples, self.spacings(),
+            lambda nus: math.prod(fn(nu) for nu in nus)))
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -401,8 +385,9 @@ class TranslationSymbol(PhaseSymbol):
     def partial(self, dx, dxi):
         """d^dx_x d^dxi_xi F(x - J xi): F^ times prod_j (i nu_j)^dx_j
         (i (J nu)_j)^dxi_j, one multiplier on F's own grid."""
-        return self._fourier_side(
-            lambda j, nu, jnu: ((1j * nu) ** dx[j], (1j * jnu) ** dxi[j]))
+        orders = tuple(dx) + tuple(dxi)
+        return self._fourier_side(lambda freqs: math.prod(
+            (1j * f) ** o for f, o in zip(freqs, orders)))
 
     def shift(self, z, zeta):
         # a(x+z, xi+zeta) = F'(x - J xi) with F'(y) = F(y + z - J zeta)
@@ -452,25 +437,20 @@ class TranslationSymbol(PhaseSymbol):
 
     def multiplier(self, fn, grid=None):
         return self._fourier_side(
-            lambda j, nu, jnu: (_per_distinct(fn, nu), _per_distinct(fn, jnu)), grid)
+            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs), grid)
 
-    def _fourier_side(self, factors, grid=None) -> "TranslationSymbol":
+    def _fourier_side(self, mult, grid=None) -> "TranslationSymbol":
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
-        antisymmetric), with F^ multiplied by prod_j fx * fxi, where (fx, fxi)
-        = factors(j, nu_j, (J nu)_j) on F's dual mesh."""
+        antisymmetric), with F^ multiplied by mult(freqs), where freqs lists
+        the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n."""
         g = self.F.grid
         if grid is not None and not g.compatible(grid):
             raise GridMismatchError("translation symbol lives on a different grid")
-        nus = g.dual_mesh()
-        jnu = [sum(self.J.entries[j, e] * nus[e] for e in range(g.n))
-               for j in range(g.n)]
-        mult = np.ones(g.shape, dtype=complex)
-        for j in range(g.n):
-            fx, fxi = factors(j, nus[j], jnu[j])
-            mult = mult * fx * fxi
-        fhat = grid_transform(self.F.samples, g)
-        out = grid_transform(fhat * mult[..., None, None], g, inverse=True)
-        return TranslationSymbol(ModuleFunction(g, out), self.J)
+        J = self.J.entries
+        return TranslationSymbol(ModuleFunction(g, fourier_multiplier(
+            self.F.samples, [g.spacing] * g.n, lambda nus: mult(nus + [
+                sum(J[j, e] * nus[e] for e in range(g.n)) for j in range(g.n)]))),
+            self.J)
 
 
 def _per_distinct(fn, values: np.ndarray) -> np.ndarray:

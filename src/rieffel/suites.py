@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import AlgebraElement, cnorm, cnorm_entries, positivity_defect, star
 from .deformation import (SkewForm, approximate_identity, deformed_product,
                           left_action, right_action)
-from .grids import GridSpec, grid_transform, spectral_derivative
+from .grids import GridSpec, fourier_multiplier, grid_transform
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
                          shifted_symbol, smoothness_probe, weyl_shift)
 from .module_space import ModuleFunction, fourier, inner_product, module_norm
@@ -343,7 +343,7 @@ def _chk_unit_factor(cfg, rng):
 
 def _chk_approximate_identity(cfg, rng):
     g = GridSpec(cfg.n, 64, 64.0)
-    J = SkewForm.standard(cfg.theta, cfg.n) if cfg.n == 2 else SkewForm.zero(1)
+    J = cfg.skew()
     mesh = g.mesh()
     f = ModuleFunction(g, np.exp(-sum(m * m for m in mesh) / 9.0)[..., None, None]
                        * np.eye(cfg.algebra_dim))
@@ -516,8 +516,8 @@ def _chk_smoothness_order(cfg, rng):
     J = cfg.skew()
     F = matrix_gaussian(g, cfg.algebra_dim, rng)
     u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    dF = ModuleFunction(g, spectral_derivative(F.samples, 0, g.spacing,
-                                               -g.half_width))
+    dF = ModuleFunction(g, fourier_multiplier(F.samples, [g.spacing] * g.n,
+                                              lambda nus: 1j * nus[0]))
     fam = lambda z, zt: conjugate_operator(LeftActionOp(F, J), z, zt)
     d = np.zeros(2 * g.n)
     d[0] = 1.0

@@ -252,9 +252,9 @@ def test_acceptance_10_heisenberg_laws():
     res = intertwine_check(zc, zetac, gg, J, u)
     assert max(res.values()) <= 1e-8 * module_norm(u)
 
-    from rieffel.grids import spectral_derivative
-    dF = ModuleFunction(GRID, spectral_derivative(F.samples, 0, GRID.spacing,
-                                                  -GRID.half_width))
+    from rieffel.grids import fourier_multiplier
+    dF = ModuleFunction(GRID, fourier_multiplier(F.samples, [GRID.spacing] * GRID.n,
+                                                 lambda nus: 1j * nus[0]))
     fam = lambda zz, zt: conjugate_operator(LeftActionOp(F, J), zz, zt)
     d = np.zeros(4)
     d[0] = 1.0

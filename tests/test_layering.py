@@ -2,7 +2,9 @@
 
 No module imports a private (underscore) name from a sibling module, and
 every relative import sits at module level, so each module's dependencies
-are listed in its header.
+are listed in its header.  numpy's FFT is called only by grids and by the
+two kernels that spread or convolve raw FFT coefficients; every other
+transform goes through grids.
 """
 import ast
 from pathlib import Path
@@ -13,19 +15,45 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rieffel"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def relative_imports(tree):
-    """(node, enclosing function name or None) for each `from .x import ...`."""
+FFT_ALLOWED = {"grids": None,  # anywhere in the module
+               "deformation": "twisted_coefficients",
+               "quantization": "TranslationSymbol.sample"}
+
+
+def find(tree, match):
+    """(node, dotted path of the enclosing classes and functions, or None at
+    module level) for each node where match(node)."""
     found = []
 
-    def visit(node, func):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ImportFrom) and child.level > 0:
-                found.append((child, func))
-            inner = child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if match(child):
+                found.append((child, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
             visit(child, inner)
     visit(tree, None)
     return found
+
+
+def relative_imports(tree):
+    """(node, enclosing scope or None) for each `from .x import ...`."""
+    return find(tree, lambda n: isinstance(n, ast.ImportFrom) and n.level > 0)
+
+
+def fft_uses(tree):
+    """(node, enclosing scope or None) for each `np.fft` / `numpy.fft`."""
+    return find(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "fft"
+                and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy"))
+
+
+def fft_allowed(module, scope):
+    if module not in FFT_ALLOWED:
+        return False
+    where = FFT_ALLOWED[module]
+    return where is None or scope == where or (scope or "").startswith(where + ".")
 
 
 def test_modules_found():
@@ -50,3 +78,36 @@ def test_guard_detects_violations():
     bad = ast.parse("from .a import _x\n\ndef f():\n    from .b import y\n")
     found = relative_imports(bad)
     assert [(n.module, f) for n, f in found] == [("a", None), ("b", "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_fft_only_in_grids_and_raw_coefficient_kernels(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = [f"line {node.lineno}: np.fft in {scope or 'module body'}"
+                for node, scope in fft_uses(tree)
+                if not fft_allowed(path.stem, scope)]
+    assert not problems, "\n".join(problems)
+
+
+def test_fft_guard_detects_violations():
+    bad = ast.parse(
+        "x = np.fft.fft(y)\n"
+        "class TranslationSymbol:\n"
+        "    def sample(self):\n"
+        "        return np.fft.ifftn(np.fft.fftn(a))\n"
+        "    def partial(self):\n"
+        "        return numpy.fft.fft(a)\n"
+        "def twisted_coefficients():\n"
+        "    def inner():\n"
+        "        return np.fft.fft(a)\n")
+    found = [(n.lineno, s) for n, s in fft_uses(bad)]
+    assert found == [(1, None), (4, "TranslationSymbol.sample"),
+                     (4, "TranslationSymbol.sample"),
+                     (6, "TranslationSymbol.partial"),
+                     (9, "twisted_coefficients.inner")]
+    assert [fft_allowed("quantization", s) for _, s in found] == [
+        False, True, True, False, False]
+    assert fft_allowed("deformation", "twisted_coefficients.inner")
+    assert not fft_allowed("deformation", "twisted_coefficients_v2")
+    assert not fft_allowed("suites", None)
+    assert fft_allowed("grids", "fourier_multiplier")

@@ -160,6 +160,12 @@ def test_seminorm_derivative_schemes_agree():
     for scheme in ("central4", "spectral"):
         val = schwartz_seminorm(f, beta=(1,), scheme=scheme)
         assert val == pytest.approx(np.exp(-0.5), abs=1e-8)
+    # sup |dx dy e^{-(x^2+y^2)/2}| = sup |x y| e^{-(x^2+y^2)/2} = e^{-1} at
+    # x = y = 1, a node of this grid
+    g2 = GridSpec(2, 128, 8.0)
+    f2 = ModuleFunction.from_function(g2, lambda x, y: np.exp(-(x * x + y * y) / 2))
+    val = schwartz_seminorm(f2, beta=(1, 1), scheme="spectral")
+    assert val == pytest.approx(np.exp(-1.0), abs=1e-12)  # observed 1.2e-14
 
 
 def test_seminorm_capability_limits():

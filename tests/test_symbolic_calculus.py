@@ -208,6 +208,8 @@ def test_backings_agree_on_lattice_plane_wave(npts, b_tol):
         (lambda a, dx=dx, dxi=dxi: a.partial(dx, dxi), d_tol)
         for dx, dxi in (((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 1), (1, 0)),
                         ((0, 0), (2, 1)))]
+    # an off-node shift a(x + z, xi + zeta): observed <= 3.0e-15
+    ops.append((lambda a: a.shift((0.37, -0.81), (0.23, 0.52)), 1e-13))
     for op, tol in ops:
         outs = [sample_symbol(op(a), g).samples for a in backings]
         scale = np.abs(outs[1]).max()
