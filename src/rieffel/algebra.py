@@ -77,7 +77,7 @@ def cnorm_entries(entries: np.ndarray) -> np.ndarray:
     matrices, where the discriminant form f^2 - 4|det|^2 cancels.  Matrices
     whose p + r would overflow or underflow (entries beyond about 1e+-145)
     go to the SVD, as does every k >= 3.  For k >= 2 a non-finite entry
-    raises LinAlgError.
+    raises LinAlgError.  For the supremum alone use cnorm_sup.
     """
     k = entries.shape[-1]
     if k == 1:
@@ -98,6 +98,24 @@ def cnorm_entries(entries: np.ndarray) -> np.ndarray:
     if fallback.any():
         out[fallback] = _svd_norm(rows[fallback])
     return out.reshape(entries.shape[:-2])
+
+
+def cnorm_sup(entries: np.ndarray) -> float:
+    """float(cnorm_entries(entries).max()), bit for bit, computing the exact
+    norm only for matrices whose squared Frobenius norm is at least m/k, m
+    the largest: ||A||_2^2 >= ||B||_F^2 / k for the maximizer A and every B,
+    and ||C||_2 <= ||C||_F.  Squares outside [1e-290, 1e290] (tiny, huge or
+    non-finite entries) take the full path."""
+    k = entries.shape[-1]
+    rows = np.ascontiguousarray(entries, dtype=complex).reshape(-1, k, k)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        fro = np.einsum("mij,mij->m", rows.view(float), rows.view(float))
+    m = fro.max()
+    if m == 0 and not rows.any():
+        return 0.0
+    if not _SQUARES_MIN <= m <= _SQUARES_MAX:
+        return float(cnorm_entries(rows).max())
+    return float(cnorm_entries(rows[fro >= (m / k) * (1 - 1e-12)]).max())
 
 
 def _svd_norm(entries: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm, cnorm_entries
+from .algebra import AlgebraElement, cnorm, cnorm_entries, cnorm_sup
 from .errors import CapabilityError, GridMismatchError
 from .grids import (GridSpec, central_derivative, fourier_multiplier,
                     grid_transform)
@@ -70,7 +70,7 @@ class ModuleFunction:
         return ModuleFunction(self.grid, self.samples @ a.entries)
 
     def sup_norm(self) -> float:
-        return float(cnorm_entries(self.samples).max())
+        return cnorm_sup(self.samples)
 
 
 def check_compatible(f: ModuleFunction, g: ModuleFunction):

@@ -34,6 +34,10 @@ multiply-adds and no meshgrid.  quantize transforms u forward once; each
 term with w != 0 costs one phase multiply and one inverse transform,
 O(N^n log N k^2), and a term with w = 0 reuses u untransformed.
 
+TranslationSymbol samples by a separable shear: one forward transform of F,
+then per x axis one phase multiply and one inverse transform.  At n = 2 that
+is one pass on N^3 k^2 values plus one full-size pass along axis 1.
+
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
 the pure phase e^{i u.w}: p = Finv[ F[a*](u, w) * e^{i u.w} ].
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cnorm_entries
+from .algebra import cnorm_sup
 from .deformation import SkewForm, left_action, right_action
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec, axis_transform, fourier_multiplier, grid_transform
@@ -407,27 +411,26 @@ class TranslationSymbol(PhaseSymbol):
             return GridSymbol(grid, np.broadcast_to(
                 self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
                 grid.shape * 2 + (k, k)).copy())
-        # One-pass shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
+        # Separable shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
         # trigonometric interpolant of F at x - J xi.  Through grid_transform,
         # c = (dnu / sqrt(2 pi))^n F^(nu) e^{i x0.nu} with nu read in FFT
         # order (the inverse's (-1)^j sign as a roll by N/2); these phases,
         # the roll and the scale undo F^'s own, leaving c = fftn(F) / N^n.
-        # One N x N phase table exp(-i J_de nu_d xi_e) per non-zero J_de
-        # spreads c over the (nu, xi) product grid, and one ifftn (which
-        # divides by N^n) over the nu axes lands on x.
-        axes = tuple(range(n))
+        # The phase factors over the nu axes, e^{-i nu_d (J xi)_d} each, so
+        # axis d takes its factor (on the xi axes e with J_de != 0 only) and
+        # its inverse transform (which divides by N) in turn.  At n = 2 the
+        # axis-0 pass runs on N^3 k^2 values and only the axis-1 pass, whose
+        # stride is N times shorter, on the full product grid.
         nu = np.fft.ifftshift(grid.dual_axis())
         xi = grid.dual_axis()
-        out = np.fft.fftn(self.F.samples, axes=axes).reshape(
+        out = np.fft.fftn(self.F.samples, axes=tuple(range(n))).reshape(
             grid.shape + (1,) * n + (k, k))
-        for d in axes:
-            for e in axes:
-                if self.J.entries[d, e]:
-                    nu_d = nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
-                    xi_e = xi.reshape((-1,) + (1,) * (n - 1 - e))
-                    out = out * np.exp(-1j * self.J.entries[d, e] * nu_d * xi_e)[
-                        ..., None, None]
-        np.fft.ifftn(out, axes=axes, out=out)
+        for d, row in enumerate(self.J.entries):
+            nu_d = nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
+            arg = sum(-1j * row[e] * nu_d * xi.reshape((-1,) + (1,) * (n - 1 - e))
+                      for e in range(n) if row[e])
+            out = out * np.exp(arg)[..., None, None]
+            np.fft.ifft(out, axis=d, out=out)
         return GridSymbol(grid, out)
 
     def quantize(self, u):
@@ -497,7 +500,7 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
                     sampled = sample_symbol(a, grid)
                 d = sampled.partial(bx, gx)
             s = sample_symbol(d, grid)
-            best = max(best, float(cnorm_entries(s.samples).max()))
+            best = max(best, cnorm_sup(s.samples))
     return best
 
 

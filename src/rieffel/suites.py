@@ -640,6 +640,7 @@ def _chk_pipeline_recovery(cfg, rng):
     s1 = sample_symbol(shifted_symbol(b, z, zeta), g).samples
     s2 = sample_symbol(shifted_symbol(b, z - J.apply(zeta), np.zeros(g.n)), g).samples
     inv = float(cnorm_entries(s1 - s2).max())
+    del s1, s2  # recovery samples two more product grids
     rec = gamma_reconstruct(b, GammaKernel())
     Fr, resid = recover_translation_symbol(rec, J, g)
     err = (Fr - F).sup_norm() / max(F.sup_norm(), 1e-300)

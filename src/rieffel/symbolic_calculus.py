@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm_entries
+from .algebra import AlgebraElement, cnorm_sup
 from .deformation import SkewForm
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec
@@ -234,9 +234,9 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
 
 
 def _sup_by_slab(diff, points: int) -> float:
-    """max over i < points of cnorm_entries(diff(i)), diff(i) being one slab
-    of the first axis, so no full product-grid difference is ever formed."""
-    return max(float(cnorm_entries(diff(i)).max()) for i in range(points))
+    """max over i < points of cnorm_sup(diff(i)), diff(i) being one slab of
+    the first axis, so no full product-grid difference is ever formed."""
+    return max(cnorm_sup(diff(i)) for i in range(points))
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:

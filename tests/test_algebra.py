@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rieffel.algebra import AlgebraElement, cnorm, cnorm_entries, positivity_defect, star
+from rieffel.algebra import (AlgebraElement, cnorm, cnorm_entries, cnorm_sup,
+                             positivity_defect, star)
 
 
 def random_matrix(seed, k=2):
@@ -123,6 +126,74 @@ def test_cnorm_entries_rejects_non_finite(k, bad):
     batch[3, 1, 0] = bad
     with pytest.raises(np.linalg.LinAlgError):
         cnorm_entries(batch)
+
+
+def _sup_batch(family, k, rng, m=512):
+    if family == "random":
+        return _complex(rng, m, k, k)
+    if family == "scaled_up":
+        return 1e150 * _complex(rng, m, k, k)
+    if family == "scaled_down":
+        return 1e-150 * _complex(rng, m, k, k)
+    if family == "rank_one":
+        return _complex(rng, m, k, 1) @ _complex(rng, m, 1, k)
+    if family == "phase_copies":
+        # equal Frobenius and spectral norms: every matrix is a candidate
+        return np.exp(1j * rng.uniform(0, 2 * np.pi, m))[:, None, None] * \
+            _complex(rng, k, k)
+    if family == "dominant":
+        batch = 1e-3 * _complex(rng, m, k, k)
+        batch[rng.integers(m)] = _complex(rng, k, k)
+        return batch
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("family", ["random", "scaled_up", "scaled_down",
+                                    "rank_one", "phase_copies", "dominant"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cnorm_sup_equals_full_max(family, k):
+    # the pruned supremum is the full one bit for bit, over 10 batches each
+    rng = np.random.default_rng(17 * k)
+    for _ in range(10):
+        batch = _sup_batch(family, k, rng).reshape(8, -1, k, k)
+        assert cnorm_sup(batch) == float(cnorm_entries(batch).max())
+
+
+def test_cnorm_sup_zero_and_tiny():
+    assert cnorm_sup(np.zeros((4, 16, 2, 2), dtype=complex)) == 0.0
+    # the squares of 1e-200 underflow to 0, yet the field is not zero
+    tiny = np.full((64, 2, 2), 1e-200, dtype=complex)
+    assert cnorm_sup(tiny) == float(cnorm_entries(tiny).max())
+    assert cnorm_sup(tiny) == pytest.approx(2e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_cnorm_sup_rejects_non_finite_in_small_matrix(k, bad):
+    # the bad entry sits in a matrix far below the pruning threshold
+    batch = np.ones((5, k, k), dtype=complex)
+    batch[3] *= 1e-3
+    batch[3, 1, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        cnorm_sup(batch)
+
+
+def _peak_bytes(fn, x):
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cnorm_sup_memory_on_product_grid():
+    # an N = 32, k = 2 product grid (64 MB); observed peak 0.2x the input,
+    # while the full norm field and its temporaries reach about 1x
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((32,) * 4 + (2, 4)).view(complex)
+    assert _peak_bytes(cnorm_sup, x) <= 0.5 * x.nbytes
+    assert _peak_bytes(lambda e: cnorm_entries(e).max(), x) > 0.5 * x.nbytes
 
 
 @given(st.integers(0, 10_000))

@@ -112,6 +112,40 @@ def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
     assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
 
 
+def _two_axis_shear(F, J):
+    # reference shear at n = 2: c = fftn(F) spread over the (nu, xi) grid by
+    # both phase tables at once, then one ifftn over the two nu axes; one
+    # xi_0 slab at a time, so no second full product grid is formed
+    g = F.grid
+    nu = np.fft.ifftshift(g.dual_axis())[:, None, None]
+    xi = g.dual_axis()
+    c = np.fft.fftn(F.samples, axes=(0, 1))[:, :, None]
+    out = np.empty(g.shape * 2 + F.samples.shape[-2:], dtype=complex)
+    for j, xi0 in enumerate(xi):
+        phase = np.exp(-1j * J[0, 1] * nu * xi[None, None, :]) * \
+            np.exp(-1j * J[1, 0] * nu.reshape(1, -1, 1) * xi0)
+        out[:, :, j] = np.fft.ifftn(c * phase[..., None, None], axes=(0, 1))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
+    # N = 32, where the generic eval path is too slow; observed <= 4.5e-16
+    # of the sup.  Negative control: the transposed form (J_10 in the nu_0
+    # pass) samples F(x + J xi) and misses by O(1).
+    g = GridSpec(2, 32, 8.0)
+    r = np.random.default_rng(32 + 10 * k)
+    F = ModuleFunction(g, r.normal(size=g.shape + (k, k))
+                       + 1j * r.normal(size=g.shape + (k, k)))
+    J = SkewForm.standard(theta)
+    fast = TranslationSymbol(F, J).sample(g).samples
+    for entries, agrees in ((J.entries, True), (J.entries.T, False)):
+        slow = _two_axis_shear(F, entries)
+        err = max(np.abs(fast[i] - slow[i]).max() for i in range(g.points))
+        assert (err <= 1e-14 * np.abs(slow).max()) == agrees
+
+
 def trig_variants(n, k, seed):
     # a random trig symbol, its partial, shift, star and adjoint, and one
     # with a w = 0 term and a term shifted along the first axis only
