@@ -1,7 +1,9 @@
 """Named verification suites over the operator-calculus library.
 
-Each check is a pure function of (config, rng) returning a residual and its
-tolerance; the runner times the checks, stamps the environment, and builds a
+Each check is a pure function of (config, rng) returning its residual.  The
+@check decorator registers it in SUITE_CHECKS at its definition, with its
+suite, id, default tolerance and anchor; the runner times the checks, applies
+any tolerance override from the config, stamps the environment, and builds a
 VerificationReport whose canonical payload (runtimes stripped) is
 byte-identical across runs with the same config and seed.  Randomness is
 drawn from a single seed partitioned per check id, so checks stay
@@ -10,6 +12,7 @@ deterministic regardless of execution order.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -34,6 +37,24 @@ from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
 SUITE_NAMES = ("module_axioms", "fourier", "deformation", "quantization",
                "heisenberg", "calculus", "rieffel_pipeline")
 
+# suite -> [(check_id, anchor, default_tolerance, fn)], filled by @check
+SUITE_CHECKS = {suite: [] for suite in SUITE_NAMES}
+
+
+def check(suite: str, tolerance: float, anchor: str):
+    """Register fn(config, rng) -> residual as a check of `suite`; its id is
+    the function name without the `_chk_` prefix.
+
+    The check passes when its residual is at most the tolerance (the default
+    given here, unless the config overrides it); checks of a suite run in
+    the order they are defined.
+    """
+    def register(fn):
+        check_id = fn.__name__.removeprefix("_chk_")
+        SUITE_CHECKS[suite].append((check_id, anchor, tolerance, fn))
+        return fn
+    return register
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -54,9 +75,20 @@ class SuiteConfig:
         if self.points & (self.points - 1):
             raise ValueError("points must be a power of two")
         self.grid()  # GridSpec's rules on n, points and half_width
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("tolerances must map check ids to numbers")
+        known = {f"{suite}.{entry[0]}"
+                 for suite, entries in SUITE_CHECKS.items() for entry in entries}
+        for key, value in self.tolerances.items():
+            if key not in known:
+                raise ValueError(f"tolerances name an unknown check {key!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"tolerance for {key} is not a real number: {value!r}")
 
-    def grid(self) -> GridSpec:
-        return GridSpec(self.n, self.points, self.half_width)
+    def grid(self, points: int | None = None) -> GridSpec:
+        """The configured grid, or one with `points` per axis on the same box."""
+        return GridSpec(self.n, self.points if points is None else points,
+                        self.half_width)
 
     def skew(self) -> SkewForm:
         if self.n == 1:
@@ -140,6 +172,17 @@ def matrix_gaussian(grid: GridSpec, k: int, rng, alpha: float = 0.5) -> ModuleFu
     return ModuleFunction(grid, (np.exp(-alpha * r2 + 1j * ph))[..., None, None] * M)
 
 
+def band_limited_field(grid: GridSpec, k: int, rng, band: int = 3) -> ModuleFunction:
+    """Random matrix field with compact dual support (recovery test family)."""
+    hat = np.zeros(grid.shape + (k, k), dtype=complex)
+    half = grid.points // 2
+    sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
+    hat[sl] = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
+    decay = np.exp(-0.5 * sum(m * m for m in grid.dual_mesh()))
+    hat = hat * decay[..., None, None]
+    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
+
+
 def random_band_symbol(n: int, k: int, rng, nterms: int = 6,
                        freq_cap: float = 1.0) -> TrigPolySymbol:
     terms = []
@@ -157,11 +200,44 @@ def plane_wave(grid: GridSpec, p, k: int = 1) -> ModuleFunction:
     return ModuleFunction(grid, np.exp(1j * arg)[..., None, None] * np.eye(k))
 
 
+def _operands(cfg, rng, count=0, points=None, alpha=0.5):
+    """(grid, J, then `count` matrix Gaussians drawn from rng in order)."""
+    g = cfg.grid(points)
+    fields = [matrix_gaussian(g, cfg.algebra_dim, rng, alpha) for _ in range(count)]
+    return (g, cfg.skew(), *fields)
+
+
+def _draw_pair(n, rng):
+    """Two uniform draws from [-1, 1]^n, in order: (z, zeta) or a wave's (p, w)."""
+    return rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+
+
+def _relative(err, scale):
+    """err / scale, with a zero scale floored at 1e-300."""
+    return err / max(scale, 1e-300)
+
+
+def _shifted_pair(a, J, g, rng):
+    """Samples of a_{z,zeta} and a_{z - J zeta, 0} on g at a random (z, zeta);
+    they agree when a is a translation symbol (or a transform of one)."""
+    z, zeta = _draw_pair(g.n, rng)
+    s1 = sample_symbol(shifted_symbol(a, z, zeta), g).samples
+    s2 = sample_symbol(shifted_symbol(a, z - J.apply(zeta), np.zeros(g.n)), g).samples
+    return s1, s2
+
+
+def _commensurate_pair(grid, rng):
+    p = grid.dual_spacing * rng.integers(-6, 7, size=grid.n)
+    q = grid.dual_spacing * rng.integers(-6, 7, size=grid.n)
+    return p, q
+
+
 # ---------------------------------------------------------------------------
-# checks: each returns (residual, default_tolerance)
+# checks: each returns its residual
 
 
-def _chk_hermitian(cfg, rng):
+@check("module_axioms", 1e-12, "inner product conjugate symmetry <f,g>* = <g,f>")
+def _chk_hermitian_symmetry(cfg, rng):
     g = cfg.grid()
     worst, scale = 0.0, 0.0
     for _ in range(20):
@@ -170,20 +246,22 @@ def _chk_hermitian(cfg, rng):
         ip = inner_product(f, h)
         worst = max(worst, cnorm(star(ip) - inner_product(h, f)))
         scale = max(scale, cnorm(ip))
-    return worst / max(scale, 1e-300), 1e-12
+    return _relative(worst, scale)
 
 
+@check("module_axioms", 1e-10, "Gram element <f,f> positive semidefinite")
 def _chk_positivity(cfg, rng):
     g = cfg.grid()
     worst = 0.0
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         gram = inner_product(f, f)
-        worst = max(worst, positivity_defect(gram) / max(cnorm(gram), 1e-300))
-    return worst, 1e-10
+        worst = max(worst, _relative(positivity_defect(gram), cnorm(gram)))
+    return worst
 
 
-def _chk_right_linear(cfg, rng):
+@check("module_axioms", 1e-13, "<f, g a> = <f,g> a for algebra elements a")
+def _chk_right_linearity(cfg, rng):
     g = cfg.grid()
     worst = 0.0
     for _ in range(20):
@@ -193,10 +271,11 @@ def _chk_right_linear(cfg, rng):
                            + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
         lhs = inner_product(f, h.right_multiply(a))
         rhs = inner_product(f, h) @ a
-        worst = max(worst, cnorm(lhs - rhs) / max(cnorm(rhs), 1e-300))
-    return worst, 1e-13
+        worst = max(worst, _relative(cnorm(lhs - rhs), cnorm(rhs)))
+    return worst
 
 
+@check("module_axioms", 1e-12, "||<f,g>|| <= ||f||_2 ||g||_2")
 def _chk_cauchy_schwarz(cfg, rng):
     g = cfg.grid()
     worst = 0.0
@@ -204,19 +283,21 @@ def _chk_cauchy_schwarz(cfg, rng):
         f = random_smooth(g, cfg.algebra_dim, rng)
         h = random_smooth(g, cfg.algebra_dim, rng)
         gap = cnorm(inner_product(f, h)) - module_norm(f) * module_norm(h)
-        worst = max(worst, gap / max(module_norm(f) * module_norm(h), 1e-300))
-    return max(worst, 0.0), 1e-12
+        worst = max(worst, _relative(gap, module_norm(f) * module_norm(h)))
+    return max(worst, 0.0)
 
 
+@check("module_axioms", 1e-10, "||a* a|| = ||a||^2 in the coefficient algebra")
 def _chk_cstar_identity(cfg, rng):
     worst = 0.0
     for _ in range(50):
         a = AlgebraElement(rng.normal(size=(cfg.algebra_dim,) * 2)
                            + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
         worst = max(worst, abs(cnorm(star(a) @ a) - cnorm(a) ** 2) / cnorm(a) ** 2)
-    return worst, 1e-10
+    return worst
 
 
+@check("module_axioms", 1e-12, "module norm dominated by the L2 norm")
 def _chk_norm_inequality(cfg, rng):
     g = cfg.grid()
     worst = 0.0
@@ -224,66 +305,58 @@ def _chk_norm_inequality(cfg, rng):
         f = random_smooth(g, cfg.algebra_dim, rng)
         l2 = float(np.sqrt((cnorm_entries(f.samples) ** 2).sum()
                            * g.spacing ** g.n))
-        worst = max(worst, (module_norm(f) - l2) / max(l2, 1e-300))
-    return max(worst, 0.0), 1e-12
+        worst = max(worst, _relative(module_norm(f) - l2, l2))
+    return max(worst, 0.0)
 
 
+@check("fourier", 1e-6, "standard Gaussian is a transform fixed point")
 def _chk_gaussian_fixed_point(cfg, rng):
-    g = cfg.grid()
-    f = ModuleFunction.from_function(
-        g, lambda *xs: np.exp(-0.5 * sum(x * x for x in xs)))
+    gauss = lambda *xs: np.exp(-0.5 * sum(x * x for x in xs))
+    f = ModuleFunction.from_function(cfg.grid(), gauss)
     fhat = fourier(f)
-    ref = ModuleFunction.from_function(
-        fhat.grid, lambda *xs: np.exp(-0.5 * sum(x * x for x in xs)))
-    return (fhat - ref).sup_norm(), 1e-6
+    ref = ModuleFunction.from_function(fhat.grid, gauss)
+    return (fhat - ref).sup_norm()
 
 
-def _chk_fourier_unitarity(cfg, rng):
-    g = cfg.grid()
+@check("fourier", 1e-10, "<Fu, Fv> = <u, v> for the symmetric transform")
+def _chk_unitarity(cfg, rng):
     worst = 0.0
     for _ in range(10):
-        f = matrix_gaussian(g, cfg.algebra_dim, rng)
-        h = matrix_gaussian(g, cfg.algebra_dim, rng)
+        _, _, f, h = _operands(cfg, rng, 2)
         lhs = inner_product(fourier(f), fourier(h))
         rhs = inner_product(f, h)
-        worst = max(worst, cnorm(lhs - rhs) / max(cnorm(rhs), 1e-300))
-    return worst, 1e-10
+        worst = max(worst, _relative(cnorm(lhs - rhs), cnorm(rhs)))
+    return worst
 
 
-def _chk_fourier_round_trip(cfg, rng):
-    g = cfg.grid()
-    f = matrix_gaussian(g, cfg.algebra_dim, rng)
+@check("fourier", 1e-12, "inverse transform of transform is the identity")
+def _chk_round_trip(cfg, rng):
+    _, _, f = _operands(cfg, rng, 1)
     back = fourier(fourier(f), inverse=True)
-    return (back - f).sup_norm() / max(f.sup_norm(), 1e-300), 1e-12
+    return _relative((back - f).sup_norm(), f.sup_norm())
 
 
+@check("fourier", 1e-12, "transform preserves the module norm")
 def _chk_parseval(cfg, rng):
-    g = cfg.grid()
-    f = matrix_gaussian(g, cfg.algebra_dim, rng)
-    return abs(module_norm(fourier(f)) - module_norm(f)) / module_norm(f), 1e-12
+    _, _, f = _operands(cfg, rng, 1)
+    return abs(module_norm(fourier(f)) - module_norm(f)) / module_norm(f)
 
 
-def _commensurate_pair(grid, rng):
-    p = grid.dual_spacing * rng.integers(-6, 7, size=grid.n)
-    q = grid.dual_spacing * rng.integers(-6, 7, size=grid.n)
-    return p, q
-
-
+@check("deformation", 1e-9, "e_p x_J e_q = exp(-i p.Jq) e_{p+q}")
 def _chk_plane_wave_law(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
+    g, J = _operands(cfg, rng)
     worst = 0.0
     for _ in range(20):
         p, q = _commensurate_pair(g, rng)
         prod = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
         expect = complex(np.exp(-1j * (p @ J.apply(q)))) * plane_wave(g, p + q)
         worst = max(worst, (prod - expect).sup_norm())
-    return worst, 1e-9
+    return worst
 
 
+@check("deformation", 1e-9, "e_p x_J e_q = exp(-2i p.Jq) e_q x_J e_p")
 def _chk_weyl_exchange(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
+    g, J = _operands(cfg, rng)
     worst = 0.0
     for _ in range(10):
         p, q = _commensurate_pair(g, rng)
@@ -291,56 +364,49 @@ def _chk_weyl_exchange(cfg, rng):
         ba = deformed_product(plane_wave(g, q), plane_wave(g, p), J)
         phase = np.exp(-2j * (p @ J.apply(q)))
         worst = max(worst, (ab - complex(phase) * ba).sup_norm())
-    return worst, 1e-9
+    return worst
 
 
+@check("deformation", 1e-10, "J = 0 reduces the product to pointwise multiplication")
 def _chk_zero_collapse(cfg, rng):
-    g = cfg.grid()
-    J0 = SkewForm.zero(g.n)
+    J0 = SkewForm.zero(cfg.n)
     worst = 0.0
     for _ in range(5):
-        f = matrix_gaussian(g, cfg.algebra_dim, rng)
-        h = matrix_gaussian(g, cfg.algebra_dim, rng)
+        g, _, f, h = _operands(cfg, rng, 2)
         prod = deformed_product(f, h, J0)
         ref = ModuleFunction(g, np.einsum("...ab,...bc->...ac", f.samples, h.samples))
-        worst = max(worst, (prod - ref).sup_norm() / max(ref.sup_norm(), 1e-300))
-    return worst, 1e-10
+        worst = max(worst, _relative((prod - ref).sup_norm(), ref.sup_norm()))
+    return worst
 
 
+@check("deformation", 1e-12, "(f x g) x h = f x (g x h)")
 def _chk_associativity(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
     worst = 0.0
     for _ in range(3):
-        f = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
-        h = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
-        w = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
+        _, J, f, h, w = _operands(cfg, rng, 3, alpha=2.0)
         lhs = deformed_product(deformed_product(f, h, J), w, J)
         rhs = deformed_product(f, deformed_product(h, w, J), J)
-        worst = max(worst, (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300))
-    return worst, 1e-12
+        worst = max(worst, _relative((lhs - rhs).sup_norm(), lhs.sup_norm()))
+    return worst
 
 
-def _chk_commutation(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
-    f = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
-    h = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=2.0)
+@check("deformation", 1e-12, "[L_f, R_h] = 0")
+def _chk_left_right_commute(cfg, rng):
+    _, J, f, h, u = _operands(cfg, rng, 3, alpha=2.0)
     lhs = left_action(f, right_action(h, u, J), J)
     rhs = right_action(h, left_action(f, u, J), J)
-    return (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300), 1e-12
+    return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 
+@check("deformation", 1e-12, "the constant identity function is a left unit")
 def _chk_unit_factor(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
+    g, J, u = _operands(cfg, rng, 1)
     one = ModuleFunction.from_function(g, lambda *xs: np.ones(g.shape),
                                        algebra_dim=cfg.algebra_dim)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    return (deformed_product(one, u, J) - u).sup_norm() / u.sup_norm(), 1e-12
+    return (deformed_product(one, u, J) - u).sup_norm() / u.sup_norm()
 
 
+@check("deformation", 0.25, "||L_{e_k} f - f||_2 decreases along the index ladder")
 def _chk_approximate_identity(cfg, rng):
     g = GridSpec(cfg.n, 64, 64.0)
     J = cfg.skew()
@@ -352,82 +418,77 @@ def _chk_approximate_identity(cfg, rng):
         e = approximate_identity(index, J, g, cfg.algebra_dim)
         resids.append(module_norm(deformed_product(e, f, J) - f))
     if any(resids[i + 1] >= resids[i] for i in range(len(resids) - 1)):
-        return float("inf"), 0.25
-    return resids[-1] / resids[0], 0.25
+        return float("inf")
+    return resids[-1] / resids[0]
 
 
+@check("quantization", 1e-12, "the identity symbol quantizes to the identity")
 def _chk_identity_symbol(cfg, rng):
-    g = cfg.grid()
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, _, u = _operands(cfg, rng, 1)
     r = pdo_apply(constant_symbol(g.n, np.eye(cfg.algebra_dim)), u)
-    return (r - u).sup_norm() / u.sup_norm(), 1e-12
+    return (r - u).sup_norm() / u.sup_norm()
 
 
+@check("quantization", 1e-9, "symbol F(x - J xi) quantizes to the left action L_F")
 def _chk_translation_bridge(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, J, F, u = _operands(cfg, rng, 2, points=32)
     a = sample_symbol(TranslationSymbol(F, J), g)
     lhs = pdo_apply(a, u)
     rhs = left_action(F, u, J)
-    return (lhs - rhs).sup_norm() / max(rhs.sup_norm(), 1e-300), 1e-9
+    return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 
 
+@check("quantization", 1e-10, "<a(x,D)u, v> = <u, p(x,D)v> for the adjoint symbol p")
 def _chk_adjoint_pairing(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    k = cfg.algebra_dim
-    a = random_band_symbol(g.n, k, rng)
-    u = matrix_gaussian(g, k, rng)
-    v = matrix_gaussian(g, k, rng)
+    a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
+    _, _, u, v = _operands(cfg, rng, 2, points=32)
     lhs = inner_product(pdo_apply(a, u), v)
     rhs = inner_product(u, pdo_apply(a.adjoint(), v))
-    return cnorm(lhs - rhs) / max(cnorm(lhs), 1e-300), 1e-10
+    return _relative(cnorm(lhs - rhs), cnorm(lhs))
 
 
+@check("quantization", 1e-12, "(L_F)* = L_{F*} under the module inner product")
 def _chk_left_action_adjoint(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    v = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, J, F, u, v = _operands(cfg, rng, 3)
     Fstar = ModuleFunction(g, np.swapaxes(F.samples.conj(), -1, -2))
     lhs = inner_product(left_action(F, u, J), v)
     rhs = inner_product(u, left_action(Fstar, v, J))
-    return cnorm(lhs - rhs) / max(cnorm(lhs), 1e-300), 1e-12
+    return _relative(cnorm(lhs - rhs), cnorm(lhs))
 
 
+@check("quantization", 1e-10, "integral kernel of a(x,D) reproduces its action")
 def _chk_kernel_consistency(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    a = random_band_symbol(g.n, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
+    a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
+    g, _, u = _operands(cfg, rng, 1, points=32)
     lhs = symbol_to_kernel(a, g).apply(u)
     rhs = pdo_apply(a, u)
-    return (lhs - rhs).sup_norm() / max(rhs.sup_norm(), 1e-300), 1e-10
+    return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 
 
+@check("quantization", 1e-10, "sup-derivative seminorm exact on plane-wave symbols")
 def _chk_pi_seminorm(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    p = rng.uniform(-1.0, 1.0, size=g.n)
-    w = rng.uniform(-1.0, 1.0, size=g.n)
+    g = cfg.grid(32)
+    p, w = _draw_pair(g.n, rng)
     a = TrigPolySymbol(g.n, 1, [(p, w, np.array([[0.7]]))])
     expect = 0.7 * max(
         float(np.prod(np.abs(p) ** np.array(bx)) * np.prod(np.abs(w) ** np.array(gx)))
         for bx in np.ndindex(*((2,) * g.n)) for gx in np.ndindex(*((2,) * g.n)))
-    return abs(pi_seminorm(a, g) - expect) / expect, 1e-10
+    return abs(pi_seminorm(a, g) - expect) / expect
 
 
+@check("quantization", 0.10,
+       "operator norm estimates stable under refinement for pi-normalized symbols")
 def _chk_norm_bound_stability(cfg, rng):
     k = cfg.algebra_dim
     symbols = []
     for i in range(5):
         a = random_band_symbol(cfg.n, k, check_rng(cfg.seed, f"cv_sym_{i}"))
-        pa = pi_seminorm(a, GridSpec(cfg.n, 16, cfg.half_width))
+        pa = pi_seminorm(a, cfg.grid(16))
         symbols.append(TrigPolySymbol(a.n, k, [(p, w, c / pa)
                                                for p, w, c in a.terms]))
     estimates = {}
     for npts in (32, 64):
-        g = GridSpec(cfg.n, npts, cfg.half_width)
+        g = cfg.grid(npts)
         estimates[npts] = [
             operator_norm_estimate(PdoOp(a, g), g, k, trials=4,
                                    power_iters=8, seed=cfg.seed + i)[0]
@@ -437,85 +498,71 @@ def _chk_norm_bound_stability(cfg, rng):
     bound = max(max(v) for v in estimates.values())
     # pass iff estimates are resolution-stable and uniformly bounded
     if bound > 100.0:
-        return float("inf"), 0.10
-    return drift, 0.10
+        return float("inf")
+    return drift
 
 
+@check("heisenberg", 1e-10, "E_{z,zeta,phi} preserves the inner product")
 def _chk_weyl_unitarity(cfg, rng):
-    g = cfg.grid()
-    p = HeisenbergPoint(rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n),
-                        rng.uniform(-np.pi, np.pi))
-    u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
-    v = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
+    p = HeisenbergPoint(*_draw_pair(cfg.n, rng), rng.uniform(-np.pi, np.pi))
+    _, _, u, v = _operands(cfg, rng, 2)
     lhs = inner_product(weyl_shift(u, p), weyl_shift(v, p))
     rhs = inner_product(u, v)
-    return cnorm(lhs - rhs) / max(cnorm(rhs), 1e-300), 1e-10
+    return _relative(cnorm(lhs - rhs), cnorm(rhs))
 
 
+@check("heisenberg", 1e-10, "E_p E_q = E_{p.q} with the commutation phase")
 def _chk_group_law(cfg, rng):
-    g = cfg.grid()
     # alpha = 1 keeps the box-edge tail below the interpolation tolerance
-    u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=1.0)
-    p1 = HeisenbergPoint(rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n), 0.3)
-    p2 = HeisenbergPoint(rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n), -0.8)
+    g, _, u = _operands(cfg, rng, 1, alpha=1.0)
+    p1 = HeisenbergPoint(*_draw_pair(g.n, rng), 0.3)
+    p2 = HeisenbergPoint(*_draw_pair(g.n, rng), -0.8)
     lhs = weyl_shift(weyl_shift(u, p2), p1)
     rhs = weyl_shift(u, p1.compose(p2))
-    return (lhs - rhs).sup_norm() / u.sup_norm(), 1e-10
+    return (lhs - rhs).sup_norm() / u.sup_norm()
 
 
+@check("heisenberg", 1e-12, "conjugation T_{z,zeta} independent of the phase phi")
 def _chk_phi_independence(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    z = rng.uniform(-1, 1, g.n)
-    zeta = rng.uniform(-1, 1, g.n)
+    g, J, F, u = _operands(cfg, rng, 2)
+    z, zeta = _draw_pair(g.n, rng)
     c0 = conjugate_operator(LeftActionOp(F, J), z, zeta, 0.0).apply(u)
     c1 = conjugate_operator(LeftActionOp(F, J), z, zeta, 1.3).apply(u)
-    return (c0 - c1).sup_norm() / max(c0.sup_norm(), 1e-300), 1e-12
+    return _relative((c0 - c1).sup_norm(), c0.sup_norm())
 
 
+@check("heisenberg", 1e-6, "conjugating a(x,D) shifts the symbol arguments")
 def _chk_conjugation_shift(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
-    z = rng.uniform(-1, 1, g.n)
-    zeta = rng.uniform(-1, 1, g.n)
+    g, J, F, u = _operands(cfg, rng, 2)
+    z, zeta = _draw_pair(g.n, rng)
     lhs = conjugate_operator(LeftActionOp(F, J), z, zeta).apply(u)
     rhs = pdo_apply(shifted_symbol(TranslationSymbol(F, J), z, zeta), u)
-    return (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-300), 1e-6
+    return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 
+@check("heisenberg", 1e-9, "translation symbols satisfy a_{z,zeta} = a_{z - J zeta, 0}")
 def _chk_translation_collapse(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    a = TranslationSymbol(F, J)
-    z = rng.uniform(-1, 1, g.n)
-    zeta = rng.uniform(-1, 1, g.n)
-    s1 = sample_symbol(shifted_symbol(a, z, zeta), g).samples
-    s2 = sample_symbol(shifted_symbol(a, z - J.apply(zeta), np.zeros(g.n)), g).samples
+    g, J, F = _operands(cfg, rng, 1, points=32)
+    s1, s2 = _shifted_pair(TranslationSymbol(F, J), J, g, rng)
     scale = float(cnorm_entries(s1).max())
-    return float(cnorm_entries(s1 - s2).max()) / max(scale, 1e-300), 1e-9
+    return _relative(float(cnorm_entries(s1 - s2).max()), scale)
 
 
+@check("heisenberg", 1e-8, "Fourier and right-action intertwining relations")
 def _chk_intertwining(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
+    g, J = _operands(cfg, rng)
     z = g.spacing * rng.integers(-3, 4, size=g.n)
     zeta = g.dual_spacing * rng.integers(-3, 4, size=g.n)
     gg = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
     u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
     res = intertwine_check(z, zeta, gg, J, u)
-    return max(res.values()) / max(module_norm(u), 1e-300), 1e-8
+    return _relative(max(res.values()), module_norm(u))
 
 
+@check("heisenberg", 1.0,
+       "difference quotients of the conjugation family converge at first order")
 def _chk_smoothness_order(cfg, rng):
-    g = cfg.grid()
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    u = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, J, F, u = _operands(cfg, rng, 2)
     dF = ModuleFunction(g, fourier_multiplier(F.samples, [g.spacing] * g.n,
                                               lambda nus: 1j * nus[0]))
     fam = lambda z, zt: conjugate_operator(LeftActionOp(F, J), z, zt)
@@ -525,27 +572,32 @@ def _chk_smoothness_order(cfg, rng):
                            derivative=LeftActionOp(dF, J), centered=True)
     order = rep["order"]
     # centered differences observe order ~2; pass requires order >= 1
-    return (1.0 / order if order > 0 else float("inf")), 1.0
+    return 1.0 / order if order > 0 else float("inf")
 
 
+@check("calculus", 1e-10, "integral of t exp(-t) over the half line is 1")
 def _chk_gamma_mass(cfg, rng):
-    return abs(GammaKernel().mass() - 1.0), 1e-10
+    return abs(GammaKernel().mass() - 1.0)
 
 
+@check("calculus", 1e-8, "gamma reproduction returns constants exactly")
 def _chk_gamma_reproduce_const(cfg, rng):
     k = cfg.algebra_dim
     c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     val = gamma_reproduce(lambda p: np.broadcast_to(c, p.shape[:-1] + (k, k)).copy(),
                           GammaKernel(), n=1, algebra_dim=k)
-    return float(np.abs(val.entries - c).max()) / float(np.abs(c).max()), 1e-8
+    return float(np.abs(val.entries - c).max()) / float(np.abs(c).max())
 
 
+@check("calculus", 1e-6, "gamma reproduction of exp(it) returns 1")
 def _chk_gamma_reproduce_wave(cfg, rng):
     val = gamma_reproduce(lambda p: np.exp(1j * p[..., 0])[..., None, None],
                           GammaKernel(), n=1)
-    return abs(val.entries[0, 0] - 1.0), 1e-6
+    return abs(val.entries[0, 0] - 1.0)
 
 
+@check("calculus", 1e-5,
+       "gamma reproduction of a matrix Gaussian returns its value at zero")
 def _chk_gamma_reproduce_gauss(cfg, rng):
     k = cfg.algebra_dim
     M = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -554,59 +606,58 @@ def _chk_gamma_reproduce_gauss(cfg, rng):
                          / 2.0)[..., None, None] * M
     val = gamma_reproduce(f, GammaKernel(40.0, 200), n=2, algebra_dim=k)
     ref = f(np.zeros((1, 2)))[0]
-    return float(np.abs(val.entries - ref).max()) / float(np.abs(ref).max()), 1e-5
+    return float(np.abs(val.entries - ref).max()) / float(np.abs(ref).max())
 
 
+@check("calculus", 1e-12, "plane waves are eigenvectors of the (1+d)^2 operator")
 def _chk_b_eigenvalue(cfg, rng):
-    p = rng.uniform(-1, 1, size=cfg.n)
-    w = rng.uniform(-1, 1, size=cfg.n)
+    p, w = _draw_pair(cfg.n, rng)
     a = TrigPolySymbol(cfg.n, 1, [(p, w, np.array([[1.0]]))])
     b = b_transform(a)
     expect = np.prod((1 + 1j * p) ** 2) * np.prod((1 + 1j * w) ** 2)
-    return abs(b.terms[0][2][0, 0] - expect) / abs(expect), 1e-12
+    return abs(b.terms[0][2][0, 0] - expect) / abs(expect)
 
 
+@check("calculus", 1e-10, "gamma reconstruction inverts the (1+d)^2 transform")
 def _chk_gamma_round_trip(cfg, rng):
     a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
     rt = gamma_reconstruct(b_transform(a), GammaKernel())
     worst = max(float(np.abs(c1 - c2).max())
                 for (_, _, c1), (_, _, c2) in zip(rt.terms, a.terms))
     scale = max(float(np.abs(c).max()) for _, _, c in a.terms)
-    return worst / scale, 1e-10
+    return worst / scale
 
 
+@check("calculus", 1e-10, "round trip preserves translation symbols")
 def _chk_gamma_round_trip_translation(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
+    _, J, F = _operands(cfg, rng, 1, points=32)
     a = TranslationSymbol(F, J)
     rt = gamma_reconstruct(b_transform(a), GammaKernel())
-    return (rt.F - F).sup_norm() / F.sup_norm(), 1e-10
+    return (rt.F - F).sup_norm() / F.sup_norm()
 
 
+@check("calculus", 1e-13, "{F(x - J xi), G(x + J xi)} = 0")
 def _chk_bracket_nullity(cfg, rng):
-    g = GridSpec(cfg.n, 16, cfg.half_width)
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
-    G = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, J, F, G = _operands(cfg, rng, 2, points=16)
     a = TranslationSymbol(F, J)
     b = TranslationSymbol(G, J.rescaled(-1.0))
     vals = sample_symbol(poisson_bracket(a, b), g).samples
     scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return float(cnorm_entries(vals).max()) / max(scale, 1e-300), 1e-13
+    return _relative(float(cnorm_entries(vals).max()), scale)
 
 
+@check("calculus", 1e-10, "{a, a} = 0 for scalar symbols")
 def _chk_bracket_antisymmetry(cfg, rng):
-    g = GridSpec(cfg.n, 16, cfg.half_width)
+    g = cfg.grid(16)
     a = random_band_symbol(cfg.n, 1, rng)
     vals = sample_symbol(poisson_bracket(a, a), g).samples
-    return float(np.abs(vals).max()), 1e-10
+    return float(np.abs(vals).max())
 
 
+@check("calculus", 1e-6,
+       "translation symbols commute with the sheared coordinate functions")
 def _chk_coordinate_brackets(cfg, rng):
-    g = GridSpec(cfg.n, 16, cfg.half_width)
-    J = cfg.skew()
-    F = matrix_gaussian(g, cfg.algebra_dim, rng)
+    g, J, F = _operands(cfg, rng, 1, points=16)
     a = TranslationSymbol(F, J)
     worst = 0.0
     for i in range(g.n):
@@ -614,53 +665,41 @@ def _chk_coordinate_brackets(cfg, rng):
         vals = sample_symbol(poisson_bracket(a, bi), g).samples
         worst = max(worst, float(cnorm_entries(vals).max()))
     scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return worst / max(scale, 1e-300), 1e-6
+    return _relative(worst, scale)
 
 
-def _band_limited_F(grid, k, rng, band: int = 3):
-    """Random matrix field with compact dual support (recovery test family)."""
-    hat = np.zeros(grid.shape + (k, k), dtype=complex)
-    half = grid.points // 2
-    sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
-    hat[sl] = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
-    decay = np.exp(-0.5 * sum(m * m for m in grid.dual_mesh()))
-    hat = hat * decay[..., None, None]
-    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
-
-
-def _chk_pipeline_recovery(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = _band_limited_F(g, cfg.algebra_dim, rng)
+@check("rieffel_pipeline", 1e-5,
+       "full recovery chain returns the generating function F")
+def _chk_recovery(cfg, rng):
+    g, J = _operands(cfg, rng, points=32)
+    F = band_limited_field(g, cfg.algebra_dim, rng)
     a = TranslationSymbol(F, J)
     b = b_transform(a)
     # shifted-symbol invariance of the transformed symbol
-    z = rng.uniform(-1, 1, g.n)
-    zeta = rng.uniform(-1, 1, g.n)
-    s1 = sample_symbol(shifted_symbol(b, z, zeta), g).samples
-    s2 = sample_symbol(shifted_symbol(b, z - J.apply(zeta), np.zeros(g.n)), g).samples
+    s1, s2 = _shifted_pair(b, J, g, rng)
     inv = float(cnorm_entries(s1 - s2).max())
     del s1, s2  # recovery samples two more product grids
     rec = gamma_reconstruct(b, GammaKernel())
     Fr, resid = recover_translation_symbol(rec, J, g)
-    err = (Fr - F).sup_norm() / max(F.sup_norm(), 1e-300)
-    return max(err, resid / max(F.sup_norm(), 1e-300),
-               inv / max(F.sup_norm(), 1e-300)), 1e-5
+    scale = F.sup_norm()
+    return max(_relative((Fr - F).sup_norm(), scale), _relative(resid, scale),
+               _relative(inv, scale))
 
 
-def _chk_pipeline_certificate(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = _band_limited_F(g, cfg.algebra_dim, rng)
+@check("rieffel_pipeline", 1e-6,
+       "directional derivative certificate vanishes on translation symbols")
+def _chk_certificate(cfg, rng):
+    g, J = _operands(cfg, rng, points=32)
+    F = band_limited_field(g, cfg.algebra_dim, rng)
     cert = translation_certificate(TranslationSymbol(F, J), J, g)
-    return cert / max(F.sup_norm(), 1e-300), 1e-6
+    return _relative(cert, F.sup_norm())
 
 
-def _chk_pipeline_rejection(cfg, rng):
-    g = GridSpec(cfg.n, 16, cfg.half_width)
-    J = cfg.skew()
+@check("rieffel_pipeline", 1.0, "non-translation symbol rejected with large residual")
+def _chk_rejection(cfg, rng):
+    g, J = _operands(cfg, rng, points=16)
     if cfg.n == 1:
-        return 0.0, 1.0
+        return 0.0
     bad = TrigPolySymbol(2, 1, [
         (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([[-0.25]])),
         (np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.array([[0.25]])),
@@ -669,116 +708,16 @@ def _chk_pipeline_rejection(cfg, rng):
     scale = float(cnorm_entries(sample_symbol(bad, g).samples).max())
     _, resid = recover_translation_symbol(bad, J, g)
     # pass iff the rejection residual clears 0.1 * scale
-    return (0.1 * scale) / max(resid, 1e-300), 1.0
+    return _relative(0.1 * scale, resid)
 
 
-def _chk_pipeline_idempotence(cfg, rng):
-    g = GridSpec(cfg.n, 32, cfg.half_width)
-    J = cfg.skew()
-    F = _band_limited_F(g, cfg.algebra_dim, rng)
+@check("rieffel_pipeline", 1e-10, "recovery of a recovered symbol is stable")
+def _chk_idempotence(cfg, rng):
+    g, J = _operands(cfg, rng, points=32)
+    F = band_limited_field(g, cfg.algebra_dim, rng)
     F1, _ = recover_translation_symbol(TranslationSymbol(F, J), J, g)
     F2, _ = recover_translation_symbol(TranslationSymbol(F1, J), J, g)
-    return (F2 - F1).sup_norm() / max(F1.sup_norm(), 1e-300), 1e-10
-
-
-SUITE_CHECKS = {
-    "module_axioms": [
-        ("hermitian_symmetry", "inner product conjugate symmetry <f,g>* = <g,f>",
-         _chk_hermitian),
-        ("positivity", "Gram element <f,f> positive semidefinite", _chk_positivity),
-        ("right_linearity", "<f, g a> = <f,g> a for algebra elements a",
-         _chk_right_linear),
-        ("cauchy_schwarz", "||<f,g>|| <= ||f||_2 ||g||_2", _chk_cauchy_schwarz),
-        ("cstar_identity", "||a* a|| = ||a||^2 in the coefficient algebra",
-         _chk_cstar_identity),
-        ("norm_inequality", "module norm dominated by the L2 norm",
-         _chk_norm_inequality),
-    ],
-    "fourier": [
-        ("gaussian_fixed_point", "standard Gaussian is a transform fixed point",
-         _chk_gaussian_fixed_point),
-        ("unitarity", "<Fu, Fv> = <u, v> for the symmetric transform",
-         _chk_fourier_unitarity),
-        ("round_trip", "inverse transform of transform is the identity",
-         _chk_fourier_round_trip),
-        ("parseval", "transform preserves the module norm", _chk_parseval),
-    ],
-    "deformation": [
-        ("plane_wave_law", "e_p x_J e_q = exp(-i p.Jq) e_{p+q}", _chk_plane_wave_law),
-        ("weyl_exchange", "e_p x_J e_q = exp(-2i p.Jq) e_q x_J e_p",
-         _chk_weyl_exchange),
-        ("zero_collapse", "J = 0 reduces the product to pointwise multiplication",
-         _chk_zero_collapse),
-        ("associativity", "(f x g) x h = f x (g x h)", _chk_associativity),
-        ("left_right_commute", "[L_f, R_h] = 0", _chk_commutation),
-        ("unit_factor", "the constant identity function is a left unit",
-         _chk_unit_factor),
-        ("approximate_identity", "||L_{e_k} f - f||_2 decreases along the index ladder",
-         _chk_approximate_identity),
-    ],
-    "quantization": [
-        ("identity_symbol", "the identity symbol quantizes to the identity",
-         _chk_identity_symbol),
-        ("translation_bridge", "symbol F(x - J xi) quantizes to the left action L_F",
-         _chk_translation_bridge),
-        ("adjoint_pairing", "<a(x,D)u, v> = <u, p(x,D)v> for the adjoint symbol p",
-         _chk_adjoint_pairing),
-        ("left_action_adjoint", "(L_F)* = L_{F*} under the module inner product",
-         _chk_left_action_adjoint),
-        ("kernel_consistency", "integral kernel of a(x,D) reproduces its action",
-         _chk_kernel_consistency),
-        ("pi_seminorm", "sup-derivative seminorm exact on plane-wave symbols",
-         _chk_pi_seminorm),
-        ("norm_bound_stability", "operator norm estimates stable under refinement "
-         "for pi-normalized symbols", _chk_norm_bound_stability),
-    ],
-    "heisenberg": [
-        ("weyl_unitarity", "E_{z,zeta,phi} preserves the inner product",
-         _chk_weyl_unitarity),
-        ("group_law", "E_p E_q = E_{p.q} with the commutation phase", _chk_group_law),
-        ("phi_independence", "conjugation T_{z,zeta} independent of the phase phi",
-         _chk_phi_independence),
-        ("conjugation_shift", "conjugating a(x,D) shifts the symbol arguments",
-         _chk_conjugation_shift),
-        ("translation_collapse", "translation symbols satisfy "
-         "a_{z,zeta} = a_{z - J zeta, 0}", _chk_translation_collapse),
-        ("intertwining", "Fourier and right-action intertwining relations",
-         _chk_intertwining),
-        ("smoothness_order", "difference quotients of the conjugation family "
-         "converge at first order", _chk_smoothness_order),
-    ],
-    "calculus": [
-        ("gamma_mass", "integral of t exp(-t) over the half line is 1",
-         _chk_gamma_mass),
-        ("gamma_reproduce_const", "gamma reproduction returns constants exactly",
-         _chk_gamma_reproduce_const),
-        ("gamma_reproduce_wave", "gamma reproduction of exp(it) returns 1",
-         _chk_gamma_reproduce_wave),
-        ("gamma_reproduce_gauss", "gamma reproduction of a matrix Gaussian "
-         "returns its value at zero", _chk_gamma_reproduce_gauss),
-        ("b_eigenvalue", "plane waves are eigenvectors of the (1+d)^2 operator",
-         _chk_b_eigenvalue),
-        ("gamma_round_trip", "gamma reconstruction inverts the (1+d)^2 transform",
-         _chk_gamma_round_trip),
-        ("gamma_round_trip_translation", "round trip preserves translation symbols",
-         _chk_gamma_round_trip_translation),
-        ("bracket_nullity", "{F(x - J xi), G(x + J xi)} = 0", _chk_bracket_nullity),
-        ("bracket_antisymmetry", "{a, a} = 0 for scalar symbols",
-         _chk_bracket_antisymmetry),
-        ("coordinate_brackets", "translation symbols commute with the sheared "
-         "coordinate functions", _chk_coordinate_brackets),
-    ],
-    "rieffel_pipeline": [
-        ("recovery", "full recovery chain returns the generating function F",
-         _chk_pipeline_recovery),
-        ("certificate", "directional derivative certificate vanishes on "
-         "translation symbols", _chk_pipeline_certificate),
-        ("rejection", "non-translation symbol rejected with large residual",
-         _chk_pipeline_rejection),
-        ("idempotence", "recovery of a recovered symbol is stable",
-         _chk_pipeline_idempotence),
-    ],
-}
+    return _relative((F2 - F1).sup_norm(), F1.sup_norm())
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -786,13 +725,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     checks = []
     all_pass = True
     for suite in names:
-        for check_id, anchor, fn in SUITE_CHECKS[suite]:
+        for check_id, anchor, default_tol, fn in SUITE_CHECKS[suite]:
             full_id = f"{suite}.{check_id}"
             rng = check_rng(config.seed, full_id)
             t0 = time.perf_counter()
-            residual, tol = fn(config, rng)
+            residual = fn(config, rng)
             ms = (time.perf_counter() - t0) * 1e3
-            tol = float(config.tolerances.get(full_id, tol))
+            tol = float(config.tolerances.get(full_id, default_tol))
             passed = bool(residual <= tol)
             all_pass = all_pass and passed
             checks.append(CheckRecord(full_id, anchor, float(residual), tol,

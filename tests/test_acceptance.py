@@ -19,9 +19,9 @@ from rieffel.quantization import (LeftActionOp, PdoOp, TranslationSymbol,
                                   TrigPolySymbol, constant_symbol, IdentityOp,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol)
-from rieffel.suites import (SuiteConfig, check_rng, matrix_gaussian,
-                            plane_wave, random_band_symbol, random_smooth,
-                            run_suite, _band_limited_F)
+from rieffel.suites import (SuiteConfig, band_limited_field, check_rng,
+                            matrix_gaussian, plane_wave, random_band_symbol,
+                            random_smooth, run_suite)
 from rieffel.symbolic_calculus import (GammaKernel, b_transform,
                                        gamma_reconstruct, gamma_reproduce,
                                        poisson_bracket,
@@ -267,7 +267,7 @@ def test_acceptance_10_heisenberg_laws():
 def test_acceptance_11_recovery_pipeline():
     rng = check_rng(11, "acceptance.pipeline")
     g = GridSpec(2, 32, 8.0)
-    F = _band_limited_F(g, K, rng)
+    F = band_limited_field(g, K, rng)
     a = TranslationSymbol(F, J)
     rec = gamma_reconstruct(b_transform(a), GammaKernel())
     Fr, resid = recover_translation_symbol(rec, J, g)

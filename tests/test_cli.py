@@ -7,7 +7,8 @@ from rieffel.cli import main
 from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
 from rieffel.module_space import ModuleFunction
-from rieffel.suites import (SUITE_NAMES, SuiteConfig, check_rng, run_suite)
+from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check_rng,
+                            run_suite)
 
 
 def stored_field(path, seed, npts=32, k=2, alpha=0.5):
@@ -43,6 +44,19 @@ def test_suite_config_validation():
     for bad in ({"points": 4}, {"points": 0}, {"half_width": 0.0}):
         with pytest.raises(ValueError):
             SuiteConfig(**bad)
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"fourier.roundtrip": 1e-300}, "unknown check 'fourier.roundtrip'"),
+    ([1], "tolerances must map check ids to numbers"),
+    ({"fourier.round_trip": "1e-3"}, "not a real number"),
+    ({"fourier.round_trip": True}, "not a real number"),
+], ids=["unknown_check", "not_a_mapping", "not_a_number", "boolean"])
+def test_cli_verify_rejects_bad_tolerances(tmp_path, capsys, tolerances, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"points": 16, "tolerances": tolerances}))
+    assert main(["verify", "fourier", "--config", str(cfgp)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_suite_deterministic_payload():
@@ -165,6 +179,60 @@ def test_cli_no_command(capsys):
     assert main([]) == 2
 
 
-def test_all_suite_names_registered():
-    from rieffel.suites import SUITE_CHECKS
-    assert set(SUITE_NAMES) == set(SUITE_CHECKS)
+# Every registered check and its default tolerance, in run order.  A check
+# that is dropped, renamed, moved or loosened must change this list too.
+CHECK_CATALOGUE = [
+    ("module_axioms.hermitian_symmetry", 1e-12),
+    ("module_axioms.positivity", 1e-10),
+    ("module_axioms.right_linearity", 1e-13),
+    ("module_axioms.cauchy_schwarz", 1e-12),
+    ("module_axioms.cstar_identity", 1e-10),
+    ("module_axioms.norm_inequality", 1e-12),
+    ("fourier.gaussian_fixed_point", 1e-6),
+    ("fourier.unitarity", 1e-10),
+    ("fourier.round_trip", 1e-12),
+    ("fourier.parseval", 1e-12),
+    ("deformation.plane_wave_law", 1e-9),
+    ("deformation.weyl_exchange", 1e-9),
+    ("deformation.zero_collapse", 1e-10),
+    ("deformation.associativity", 1e-12),
+    ("deformation.left_right_commute", 1e-12),
+    ("deformation.unit_factor", 1e-12),
+    ("deformation.approximate_identity", 0.25),
+    ("quantization.identity_symbol", 1e-12),
+    ("quantization.translation_bridge", 1e-9),
+    ("quantization.adjoint_pairing", 1e-10),
+    ("quantization.left_action_adjoint", 1e-12),
+    ("quantization.kernel_consistency", 1e-10),
+    ("quantization.pi_seminorm", 1e-10),
+    ("quantization.norm_bound_stability", 0.1),
+    ("heisenberg.weyl_unitarity", 1e-10),
+    ("heisenberg.group_law", 1e-10),
+    ("heisenberg.phi_independence", 1e-12),
+    ("heisenberg.conjugation_shift", 1e-6),
+    ("heisenberg.translation_collapse", 1e-9),
+    ("heisenberg.intertwining", 1e-8),
+    ("heisenberg.smoothness_order", 1.0),
+    ("calculus.gamma_mass", 1e-10),
+    ("calculus.gamma_reproduce_const", 1e-8),
+    ("calculus.gamma_reproduce_wave", 1e-6),
+    ("calculus.gamma_reproduce_gauss", 1e-5),
+    ("calculus.b_eigenvalue", 1e-12),
+    ("calculus.gamma_round_trip", 1e-10),
+    ("calculus.gamma_round_trip_translation", 1e-10),
+    ("calculus.bracket_nullity", 1e-13),
+    ("calculus.bracket_antisymmetry", 1e-10),
+    ("calculus.coordinate_brackets", 1e-6),
+    ("rieffel_pipeline.recovery", 1e-5),
+    ("rieffel_pipeline.certificate", 1e-6),
+    ("rieffel_pipeline.rejection", 1.0),
+    ("rieffel_pipeline.idempotence", 1e-10),
+]
+
+
+def test_check_catalogue_pinned():
+    assert tuple(SUITE_CHECKS) == SUITE_NAMES
+    registered = [(f"{suite}.{check_id}", tol)
+                  for suite, entries in SUITE_CHECKS.items()
+                  for check_id, _, tol, _ in entries]
+    assert registered == CHECK_CATALOGUE

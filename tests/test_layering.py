@@ -1,10 +1,10 @@
 """Module boundaries of the rieffel package, read from its source with ast.
 
-No module imports a private (underscore) name from a sibling module, and
-every relative import sits at module level, so each module's dependencies
-are listed in its header.  numpy's FFT is called only by grids and by the
-two kernels that spread or convolve raw FFT coefficients; every other
-transform goes through grids.
+No module imports a private (underscore) name from a sibling module, no
+test imports one from rieffel, and every relative import sits at module
+level, so each module's dependencies are listed in its header.  numpy's FFT
+is called only by grids and by the two kernels that spread or convolve raw
+FFT coefficients; every other transform goes through grids.
 """
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rieffel"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 FFT_ALLOWED = {"grids": None,  # anywhere in the module
@@ -41,6 +42,23 @@ def find(tree, match):
 def relative_imports(tree):
     """(node, enclosing scope or None) for each `from .x import ...`."""
     return find(tree, lambda n: isinstance(n, ast.ImportFrom) and n.level > 0)
+
+
+def private_rieffel_imports(tree):
+    """(line, dotted name) for each import of an underscore name from rieffel."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            head, *rest = name.split(".")
+            if head == "rieffel" and any(part.startswith("_") for part in rest):
+                found.append((node.lineno, name))
+    return sorted(found)
 
 
 def fft_uses(tree):
@@ -78,6 +96,29 @@ def test_guard_detects_violations():
     bad = ast.parse("from .a import _x\n\ndef f():\n    from .b import y\n")
     found = relative_imports(bad)
     assert [(n.module, f) for n, f in found] == [("a", None), ("b", "f")]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_tests_import_no_private_rieffel_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = [f"line {line}: private {name}"
+                for line, name in private_rieffel_imports(tree)]
+    assert not problems, "\n".join(problems)
+
+
+def test_private_import_guard_detects_violations():
+    bad = ast.parse("from rieffel.suites import run_suite, _band_limited_F\n"
+                    "import rieffel._impl.core, numpy._core\n"
+                    "from rieffel import _mgf\n"
+                    "from numpy import _globals\n"
+                    "def f():\n"
+                    "    from rieffel.mgf import _HEADER, MAGIC\n")
+    assert private_rieffel_imports(bad) == [
+        (1, "rieffel.suites._band_limited_F"), (2, "rieffel._impl.core"),
+        (3, "rieffel._mgf"), (6, "rieffel.mgf._HEADER")]
+    good = ast.parse("from rieffel.suites import band_limited_field\n"
+                     "from .helpers import _local\n")
+    assert private_rieffel_imports(good) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -84,11 +84,11 @@ def test_expect_dim_mismatch(tmp_path):
 
 def test_invalid_header_fields(tmp_path):
     import struct
-    from rieffel.mgf import _HEADER
+    header = struct.Struct("<4sIIId")  # magic; u32 n, N, k; f64 L
     p = tmp_path / "hdr.mgf"
     for n, npts, k, L in [(3, 16, 1, 8.0), (2, 7, 1, 8.0), (2, 16, 0, 8.0),
                           (2, 16, 1, -1.0), (2, 16, 1, float("inf"))]:
-        p.write_bytes(_HEADER.pack(MAGIC, n, npts, k, L))
+        p.write_bytes(header.pack(MAGIC, n, npts, k, L))
         with pytest.raises(MGFFormatError):
             read_mgf(p)
 
