@@ -20,7 +20,7 @@ from .module_space import (ModuleFunction, boundary_report, fourier,
 from .quantization import (CallableSymbol, ComposedOp, GridSymbol, IdentityOp,
                            KernelField, LeftActionOp, OperatorHandle, PdoOp,
                            PhaseSymbol, RightActionOp, TranslationSymbol,
-                           TrigPolySymbol, WeylOp, adjoint_symbol,
+                           TrigPolySymbol, adjoint_symbol,
                            constant_symbol, operator_norm_estimate, pdo_apply,
                            pi_seminorm, sample_symbol, symbol_to_kernel)
 from .suites import SuiteConfig, VerificationReport, run_suite

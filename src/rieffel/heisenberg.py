@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deformation import SkewForm, right_action
-from .module_space import ModuleFunction, fourier, module_norm, translate
-from .quantization import ComposedOp, OperatorHandle, PhaseSymbol, WeylOp
+from .module_space import ModuleFunction, fourier, modulate, module_norm, translate
+from .quantization import ComposedOp, OperatorHandle, PhaseSymbol
 
 
 @dataclass(frozen=True)
-class HeisenbergPoint:
-    """Group element (z, zeta, phi) acting as e^{i phi} M_zeta T_z."""
+class HeisenbergPoint(OperatorHandle):
+    """Group element (z, zeta, phi) and the operator e^{i phi} M_zeta T_z."""
 
     z: np.ndarray = field(repr=True)
     zeta: np.ndarray = field(repr=True)
@@ -49,8 +49,10 @@ class HeisenbergPoint:
         return HeisenbergPoint(-self.z, -self.zeta,
                                -self.phi - float(self.zeta @ self.z))
 
-    def operator(self) -> WeylOp:
-        return WeylOp(self.z, self.zeta, self.phi)
+    def apply(self, u: ModuleFunction) -> ModuleFunction:
+        return modulate(translate(u, self.z), self.zeta, self.phi)
+
+    adjoint = inverse  # unitary
 
 
 def weyl_shift(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
@@ -59,7 +61,7 @@ def weyl_shift(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
     Exact for z commensurate with the grid spacing; trig-interpolated
     otherwise.  Unitary for the module inner product.
     """
-    return g.operator().apply(f)
+    return g.apply(f)
 
 
 def weyl_shift_inverse(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
@@ -68,8 +70,8 @@ def weyl_shift_inverse(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
 
 def conjugate_operator(T: OperatorHandle, z, zeta, phi: float = 0.0) -> OperatorHandle:
     """T_{z, zeta} = E^{-1}_{z, zeta, phi} T E_{z, zeta, phi}; phi cancels."""
-    E = WeylOp(z, zeta, phi)
-    return ComposedOp([E.adjoint(), T, E])
+    E = HeisenbergPoint(z, zeta, phi)
+    return ComposedOp([E.inverse(), T, E])
 
 
 def shifted_symbol(a: PhaseSymbol, z, zeta) -> PhaseSymbol:

@@ -9,22 +9,22 @@ provides the sup-derivative seminorm pi(a) over multi-indices <= (1,...,1),
 the adjoint symbol p with <a(x,D)u, v> = <u, p(x,D)v>, the symbol-to-kernel
 transform, and a randomized lower estimate of the operator norm.
 
-Symbol backings:
+Symbol backings (each implements eval; PhaseSymbol's generic sample and
+quantize run on it):
 
   * CallableSymbol    -- closed-form evaluator, optional analytic partials
-  * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited;
-                         derivatives, shifts, adjoints and quantized
-                         application are all exact and fast)
-  * GridSymbol        -- samples on grid.axis()^n x grid.dual_axis()^n; each
-                         partial, shift or multiplier is one 2n-axis multiplier
+  * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited)
+  * GridSymbol        -- samples on grid.axis()^n x grid.dual_axis()^n
   * TranslationSymbol -- a(x, xi) = F(x - J xi), the symbols of the left
-                         actions L_F; F's Fourier series has x frequency nu
-                         and xi frequency J nu, so partial and multiplier
-                         are one multiplier on F^ and eval is that trig sum
+                         actions L_F; eval is F's Fourier series as a trig sum
 
-A backing implements eval.  PhaseSymbol gives generic sample, quantize,
-multiplier and adjoint methods built on eval and on the grid backing; a
-backing overrides one only where it has an exact shortcut.
+A partial, a shift a(x + z, xi + zeta), the b/gamma multipliers and the
+adjoint each multiply the phase-space Fourier transform.  A backing states
+that once, as fourier_side(mult, grid), and PhaseSymbol derives all four
+from it.  A trig term is scaled exactly at its (p, w); a grid symbol takes one
+grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
+and stays one (its adjoint is F*(x - J xi)); any other backing samples on
+grid first.
 
 TrigPolySymbol overrides both sample and quantize.  A term C e^{i p.x}
 e^{i w.xi} is separable, so sample tabulates its 2n one-dimensional waves
@@ -53,7 +53,7 @@ from .algebra import cnorm_sup
 from .deformation import SkewForm, left_action, right_action
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec, axis_transform, fourier_multiplier, grid_transform
-from .module_space import ModuleFunction, module_norm, modulate, translate
+from .module_space import ModuleFunction, module_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,13 +74,31 @@ class PhaseSymbol:
         broadcastable against each other; returns broadcast shape + (k, k)."""
         raise NotImplementedError
 
+    def fourier_side(self, mult, grid: GridSpec | None = None) -> "PhaseSymbol":
+        """The symbol whose phase-space Fourier transform is this one's times
+        mult(freqs); freqs are the 2n frequency arrays (x slots, then xi
+        slots), broadcast against each other.  Generic backings sample on
+        grid first."""
+        if grid is None:
+            raise CapabilityError(
+                f"{type(self).__name__} needs a grid for a Fourier multiplier")
+        return self.sample(grid).fourier_side(mult)
+
     def partial(self, dx, dxi) -> "PhaseSymbol":
         """The symbol d^dx_x d^dxi_xi a; dx, dxi are multi-indices."""
-        raise CapabilityError(f"{type(self).__name__} has no derivative capability")
+        orders = tuple(dx) + tuple(dxi)
+        if not any(orders):
+            return self
+        return self.fourier_side(
+            lambda freqs: math.prod((1j * f) ** o for f, o in zip(freqs, orders)))
 
     def shift(self, z, zeta) -> "PhaseSymbol":
-        """The symbol (x, xi) -> a(x + z, xi + zeta)."""
-        raise CapabilityError(f"{type(self).__name__} has no shift capability")
+        """The symbol (x, xi) -> a(x + z, xi + zeta): the multiplier e^{i t.f}."""
+        t = np.concatenate([np.asarray(z, float), np.asarray(zeta, float)])
+        if not t.any():
+            return self
+        return self.fourier_side(
+            lambda freqs: np.exp(1j * sum(ti * f for ti, f in zip(t, freqs))))
 
     def star(self) -> "PhaseSymbol":
         """Pointwise involution (x, xi) -> a(x, xi)*."""
@@ -109,22 +127,18 @@ class PhaseSymbol:
     def multiplier(self, fn, grid: GridSpec | None = None) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
         prod over all 2n axes of fn(nu_axis)."""
-        if grid is None:
-            raise CapabilityError(
-                f"{type(self).__name__} needs a grid for a Fourier multiplier")
-        return self.sample(grid).multiplier(fn)
+        return self.fourier_side(
+            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs), grid)
 
-    def adjoint(self, grid: GridSpec) -> "PhaseSymbol":
-        """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>, on grid.
+    def adjoint(self, grid: GridSpec | None = None) -> "PhaseSymbol":
+        """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>.
 
         p(y, xi) = integral e^{-i z eta} a(y-z, xi-eta)* d/z d/eta, evaluated
         by the Fourier-multiplier form p = Finv[ F[a*](u, w) e^{i u.w} ].
         """
-        s = self.star().sample(grid)
-        n = grid.n
-        return GridSymbol(grid, fourier_multiplier(
-            s.samples, s.spacings(),
-            lambda nus: np.exp(1j * sum(nus[d] * nus[n + d] for d in range(n)))))
+        n = self.n
+        return self.star().fourier_side(
+            lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))), grid)
 
 
 def _dense_quantize(values, u: ModuleFunction) -> ModuleFunction:
@@ -197,11 +211,13 @@ class TrigPolySymbol(PhaseSymbol):
 
     def __init__(self, n, algebra_dim, terms):
         """terms: list of (p, w, coeff) with p, w length-n vectors and coeff
-        a (k, k) matrix."""
+        a (k, k) matrix; row t of the (T, 2n) array freqs is (p_t, w_t)."""
         self.n = n
         self.algebra_dim = algebra_dim
         self.terms = [(np.asarray(p, dtype=float), np.asarray(w, dtype=float),
                        np.asarray(c, dtype=complex)) for p, w, c in terms]
+        self.freqs = np.array([np.concatenate([p, w])
+                               for p, w, _ in self.terms]).reshape(-1, 2 * n)
 
     def eval(self, x, xi):
         x, xi = list(x), list(xi)
@@ -213,18 +229,11 @@ class TrigPolySymbol(PhaseSymbol):
             out += np.exp(1j * arg)[..., None, None] * c
         return out
 
-    def partial(self, dx, dxi):
-        terms = []
-        for p, w, c in self.terms:
-            fac = np.prod([(1j * p[d]) ** dx[d] for d in range(self.n)]) * \
-                np.prod([(1j * w[d]) ** dxi[d] for d in range(self.n)])
-            terms.append((p, w, fac * c))
-        return TrigPolySymbol(self.n, self.algebra_dim, terms)
-
-    def shift(self, z, zeta):
-        z, zeta = np.asarray(z, float), np.asarray(zeta, float)
+    def fourier_side(self, mult, grid=None):
+        # e^{i p.x} e^{i w.xi} is the plane wave at frequencies (p, w)
+        fac = np.broadcast_to(mult(list(self.freqs.T)), len(self.terms))
         return TrigPolySymbol(self.n, self.algebra_dim, [
-            (p, w, np.exp(1j * (p @ z + w @ zeta)) * c) for p, w, c in self.terms])
+            (p, w, f * c) for (p, w, c), f in zip(self.terms, fac)])
 
     def star(self):
         return TrigPolySymbol(self.n, self.algebra_dim, [
@@ -237,11 +246,9 @@ class TrigPolySymbol(PhaseSymbol):
         # (N^(2n-1) x T) @ (T x k^2) product.
         n, k = grid.n, self.algebra_dim
         nodes = [grid.axis()] * n + [grid.dual_axis()] * n
-        freqs = np.array([np.concatenate([p, w])
-                          for p, w, _ in self.terms]).reshape(-1, 2 * n)
         coef = np.array([c for _, _, c in self.terms]).reshape(-1, k * k)
         waves = [np.exp(1j * np.multiply.outer(t, f))             # (N, T) each
-                 for t, f in zip(nodes, freqs.T)]
+                 for t, f in zip(nodes, self.freqs.T)]
         rest = waves[1]
         for wave in waves[2:]:
             rest = rest[..., None, :] * wave
@@ -271,18 +278,6 @@ class TrigPolySymbol(PhaseSymbol):
             cu = np.moveaxis(np.tensordot(c, shifted, axes=(1, g.n)), 0, -2)
             out += _separable_wave(g.axis(), p)[..., None, None] * cu
         return ModuleFunction(g, out)
-
-    def multiplier(self, fn, grid=None):
-        # e^{i p.x} e^{i w.xi} is the plane wave at frequencies (p, w)
-        return TrigPolySymbol(self.n, self.algebra_dim, [
-            (p, w, np.prod(fn(p)) * np.prod(fn(w)) * c) for p, w, c in self.terms])
-
-    def adjoint(self, grid=None) -> "TrigPolySymbol":
-        """Exact adjoint symbol: the term C e^{i(p.x + w.xi)} contributes
-        C* e^{i w.p} e^{-i(p.x + w.xi)} (delta collapse of the twisted
-        double integral)."""
-        return TrigPolySymbol(self.n, self.algebra_dim, [
-            (-p, -w, np.exp(1j * (w @ p)) * c.conj().T) for p, w, c in self.terms])
 
 
 def _separable_wave(nodes: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -323,22 +318,11 @@ class GridSymbol(PhaseSymbol):
             idx.append((j + half) % self.grid.points)
         return self.samples[tuple(np.broadcast_arrays(*idx))]
 
-    def partial(self, dx, dxi):
-        orders = tuple(dx) + tuple(dxi)
-        if not any(orders):
-            return self
+    def fourier_side(self, mult, grid=None):
+        if grid is not None and not self.grid.compatible(grid):
+            raise GridMismatchError("grid symbol lives on a different grid")
         return GridSymbol(self.grid, fourier_multiplier(
-            self.samples, self.spacings(),
-            lambda nus: math.prod((1j * nu) ** o for nu, o in zip(nus, orders))))
-
-    def shift(self, z, zeta):
-        t = np.concatenate([np.asarray(z, float), np.asarray(zeta, float)])
-        if not t.any():
-            return self
-        # samples of a(. + t): the multiplier e^{i t.nu}
-        return GridSymbol(self.grid, fourier_multiplier(
-            self.samples, self.spacings(),
-            lambda nus: np.exp(1j * sum(ti * nu for ti, nu in zip(t, nus)))))
+            self.samples, self.spacings(), mult))
 
     def star(self):
         return GridSymbol(self.grid, np.swapaxes(self.samples.conj(), -1, -2))
@@ -355,13 +339,6 @@ class GridSymbol(PhaseSymbol):
         sym = self.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
         return _dense_quantize(
             lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u)
-
-    def multiplier(self, fn, grid=None):
-        if grid is not None and not self.grid.compatible(grid):
-            raise GridMismatchError("grid symbol lives on a different grid")
-        return GridSymbol(self.grid, fourier_multiplier(
-            self.samples, self.spacings(),
-            lambda nus: math.prod(fn(nu) for nu in nus)))
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -385,18 +362,6 @@ class TranslationSymbol(PhaseSymbol):
         nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
         terms = [(nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()]
         return TrigPolySymbol(self.n, k, terms).eval(x, xi)
-
-    def partial(self, dx, dxi):
-        """d^dx_x d^dxi_xi F(x - J xi): F^ times prod_j (i nu_j)^dx_j
-        (i (J nu)_j)^dxi_j, one multiplier on F's own grid."""
-        orders = tuple(dx) + tuple(dxi)
-        return self._fourier_side(lambda freqs: math.prod(
-            (1j * f) ** o for f, o in zip(freqs, orders)))
-
-    def shift(self, z, zeta):
-        # a(x+z, xi+zeta) = F'(x - J xi) with F'(y) = F(y + z - J zeta)
-        offset = np.asarray(z, float) - self.J.apply(np.asarray(zeta, float))
-        return TranslationSymbol(translate(self.F, -offset), self.J)
 
     def star(self):
         return TranslationSymbol(
@@ -438,14 +403,11 @@ class TranslationSymbol(PhaseSymbol):
             raise GridMismatchError("translation symbol lives on a different grid")
         return left_action(self.F, u, self.J)
 
-    def multiplier(self, fn, grid=None):
-        return self._fourier_side(
-            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs), grid)
-
-    def _fourier_side(self, mult, grid=None) -> "TranslationSymbol":
+    def fourier_side(self, mult, grid=None) -> "TranslationSymbol":
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
         antisymmetric), with F^ multiplied by mult(freqs), where freqs lists
-        the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n."""
+        the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n: one
+        multiplier on F's own grid, so the result is again F'(x - J xi)."""
         g = self.F.grid
         if grid is not None and not g.compatible(grid):
             raise GridMismatchError("translation symbol lives on a different grid")
@@ -612,25 +574,6 @@ class PdoOp(OperatorHandle):
             self._adj = PdoOp(adjoint_symbol(self.symbol, self.grid), self.grid)
             self._adj._adj = self
         return self._adj
-
-
-class WeylOp(OperatorHandle):
-    """E_{z, zeta, phi} = e^{i phi} M_zeta T_z (or its inverse)."""
-
-    def __init__(self, z, zeta, phi: float = 0.0, inverse: bool = False):
-        self.z = np.atleast_1d(np.asarray(z, dtype=float))
-        self.zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        self.phi = float(phi)
-        self.inverse = inverse
-
-    def apply(self, u):
-        if not self.inverse:
-            return modulate(translate(u, self.z), self.zeta, self.phi)
-        return translate(modulate(u, -self.zeta, -self.phi), -self.z)
-
-    def adjoint(self):
-        # unitary: adjoint = inverse
-        return WeylOp(self.z, self.zeta, self.phi, inverse=not self.inverse)
 
 
 class ComposedOp(OperatorHandle):

@@ -217,6 +217,11 @@ def _relative(err, scale):
     return err / max(scale, 1e-300)
 
 
+def _worst(residuals) -> float:
+    """max(0.0, *residuals), but NaN if any residual is NaN."""
+    return float(np.max([0.0, *residuals]))
+
+
 def _shifted_pair(a, J, g, rng):
     """Samples of a_{z,zeta} and a_{z - J zeta, 0} on g at a random (z, zeta);
     they agree when a is a translation symbol (or a transform of one)."""
@@ -239,31 +244,31 @@ def _commensurate_pair(grid, rng):
 @check("module_axioms", 1e-12, "inner product conjugate symmetry <f,g>* = <g,f>")
 def _chk_hermitian_symmetry(cfg, rng):
     g = cfg.grid()
-    worst, scale = 0.0, 0.0
+    errs, scales = [], []
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         h = random_smooth(g, cfg.algebra_dim, rng)
         ip = inner_product(f, h)
-        worst = max(worst, cnorm(star(ip) - inner_product(h, f)))
-        scale = max(scale, cnorm(ip))
-    return _relative(worst, scale)
+        errs.append(cnorm(star(ip) - inner_product(h, f)))
+        scales.append(cnorm(ip))
+    return _relative(_worst(errs), _worst(scales))
 
 
 @check("module_axioms", 1e-10, "Gram element <f,f> positive semidefinite")
 def _chk_positivity(cfg, rng):
     g = cfg.grid()
-    worst = 0.0
+    resids = []
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         gram = inner_product(f, f)
-        worst = max(worst, _relative(positivity_defect(gram), cnorm(gram)))
-    return worst
+        resids.append(_relative(positivity_defect(gram), cnorm(gram)))
+    return _worst(resids)
 
 
 @check("module_axioms", 1e-13, "<f, g a> = <f,g> a for algebra elements a")
 def _chk_right_linearity(cfg, rng):
     g = cfg.grid()
-    worst = 0.0
+    resids = []
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         h = random_smooth(g, cfg.algebra_dim, rng)
@@ -271,42 +276,42 @@ def _chk_right_linearity(cfg, rng):
                            + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
         lhs = inner_product(f, h.right_multiply(a))
         rhs = inner_product(f, h) @ a
-        worst = max(worst, _relative(cnorm(lhs - rhs), cnorm(rhs)))
-    return worst
+        resids.append(_relative(cnorm(lhs - rhs), cnorm(rhs)))
+    return _worst(resids)
 
 
 @check("module_axioms", 1e-12, "||<f,g>|| <= ||f||_2 ||g||_2")
 def _chk_cauchy_schwarz(cfg, rng):
     g = cfg.grid()
-    worst = 0.0
+    resids = []
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         h = random_smooth(g, cfg.algebra_dim, rng)
         gap = cnorm(inner_product(f, h)) - module_norm(f) * module_norm(h)
-        worst = max(worst, _relative(gap, module_norm(f) * module_norm(h)))
-    return max(worst, 0.0)
+        resids.append(_relative(gap, module_norm(f) * module_norm(h)))
+    return _worst(resids)
 
 
 @check("module_axioms", 1e-10, "||a* a|| = ||a||^2 in the coefficient algebra")
 def _chk_cstar_identity(cfg, rng):
-    worst = 0.0
+    resids = []
     for _ in range(50):
         a = AlgebraElement(rng.normal(size=(cfg.algebra_dim,) * 2)
                            + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
-        worst = max(worst, abs(cnorm(star(a) @ a) - cnorm(a) ** 2) / cnorm(a) ** 2)
-    return worst
+        resids.append(abs(cnorm(star(a) @ a) - cnorm(a) ** 2) / cnorm(a) ** 2)
+    return _worst(resids)
 
 
 @check("module_axioms", 1e-12, "module norm dominated by the L2 norm")
 def _chk_norm_inequality(cfg, rng):
     g = cfg.grid()
-    worst = 0.0
+    resids = []
     for _ in range(20):
         f = random_smooth(g, cfg.algebra_dim, rng)
         l2 = float(np.sqrt((cnorm_entries(f.samples) ** 2).sum()
                            * g.spacing ** g.n))
-        worst = max(worst, _relative(module_norm(f) - l2, l2))
-    return max(worst, 0.0)
+        resids.append(_relative(module_norm(f) - l2, l2))
+    return _worst(resids)
 
 
 @check("fourier", 1e-6, "standard Gaussian is a transform fixed point")
@@ -320,13 +325,13 @@ def _chk_gaussian_fixed_point(cfg, rng):
 
 @check("fourier", 1e-10, "<Fu, Fv> = <u, v> for the symmetric transform")
 def _chk_unitarity(cfg, rng):
-    worst = 0.0
+    resids = []
     for _ in range(10):
         _, _, f, h = _operands(cfg, rng, 2)
         lhs = inner_product(fourier(f), fourier(h))
         rhs = inner_product(f, h)
-        worst = max(worst, _relative(cnorm(lhs - rhs), cnorm(rhs)))
-    return worst
+        resids.append(_relative(cnorm(lhs - rhs), cnorm(rhs)))
+    return _worst(resids)
 
 
 @check("fourier", 1e-12, "inverse transform of transform is the identity")
@@ -345,49 +350,49 @@ def _chk_parseval(cfg, rng):
 @check("deformation", 1e-9, "e_p x_J e_q = exp(-i p.Jq) e_{p+q}")
 def _chk_plane_wave_law(cfg, rng):
     g, J = _operands(cfg, rng)
-    worst = 0.0
+    resids = []
     for _ in range(20):
         p, q = _commensurate_pair(g, rng)
         prod = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
         expect = complex(np.exp(-1j * (p @ J.apply(q)))) * plane_wave(g, p + q)
-        worst = max(worst, (prod - expect).sup_norm())
-    return worst
+        resids.append((prod - expect).sup_norm())
+    return _worst(resids)
 
 
 @check("deformation", 1e-9, "e_p x_J e_q = exp(-2i p.Jq) e_q x_J e_p")
 def _chk_weyl_exchange(cfg, rng):
     g, J = _operands(cfg, rng)
-    worst = 0.0
+    resids = []
     for _ in range(10):
         p, q = _commensurate_pair(g, rng)
         ab = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
         ba = deformed_product(plane_wave(g, q), plane_wave(g, p), J)
         phase = np.exp(-2j * (p @ J.apply(q)))
-        worst = max(worst, (ab - complex(phase) * ba).sup_norm())
-    return worst
+        resids.append((ab - complex(phase) * ba).sup_norm())
+    return _worst(resids)
 
 
 @check("deformation", 1e-10, "J = 0 reduces the product to pointwise multiplication")
 def _chk_zero_collapse(cfg, rng):
     J0 = SkewForm.zero(cfg.n)
-    worst = 0.0
+    resids = []
     for _ in range(5):
         g, _, f, h = _operands(cfg, rng, 2)
         prod = deformed_product(f, h, J0)
         ref = ModuleFunction(g, np.einsum("...ab,...bc->...ac", f.samples, h.samples))
-        worst = max(worst, _relative((prod - ref).sup_norm(), ref.sup_norm()))
-    return worst
+        resids.append(_relative((prod - ref).sup_norm(), ref.sup_norm()))
+    return _worst(resids)
 
 
 @check("deformation", 1e-12, "(f x g) x h = f x (g x h)")
 def _chk_associativity(cfg, rng):
-    worst = 0.0
+    resids = []
     for _ in range(3):
         _, J, f, h, w = _operands(cfg, rng, 3, alpha=2.0)
         lhs = deformed_product(deformed_product(f, h, J), w, J)
         rhs = deformed_product(f, deformed_product(h, w, J), J)
-        worst = max(worst, _relative((lhs - rhs).sup_norm(), lhs.sup_norm()))
-    return worst
+        resids.append(_relative((lhs - rhs).sup_norm(), lhs.sup_norm()))
+    return _worst(resids)
 
 
 @check("deformation", 1e-12, "[L_f, R_h] = 0")
@@ -556,7 +561,7 @@ def _chk_intertwining(cfg, rng):
     gg = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
     u = matrix_gaussian(g, cfg.algebra_dim, rng, alpha=0.5)
     res = intertwine_check(z, zeta, gg, J, u)
-    return _relative(max(res.values()), module_norm(u))
+    return _relative(_worst(res.values()), module_norm(u))
 
 
 @check("heisenberg", 1.0,
@@ -622,8 +627,8 @@ def _chk_b_eigenvalue(cfg, rng):
 def _chk_gamma_round_trip(cfg, rng):
     a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
     rt = gamma_reconstruct(b_transform(a), GammaKernel())
-    worst = max(float(np.abs(c1 - c2).max())
-                for (_, _, c1), (_, _, c2) in zip(rt.terms, a.terms))
+    worst = _worst(float(np.abs(c1 - c2).max())
+                   for (_, _, c1), (_, _, c2) in zip(rt.terms, a.terms))
     scale = max(float(np.abs(c).max()) for _, _, c in a.terms)
     return worst / scale
 
@@ -659,13 +664,13 @@ def _chk_bracket_antisymmetry(cfg, rng):
 def _chk_coordinate_brackets(cfg, rng):
     g, J, F = _operands(cfg, rng, 1, points=16)
     a = TranslationSymbol(F, J)
-    worst = 0.0
+    resids = []
     for i in range(g.n):
         bi = coordinate_symbol(J, i, cfg.algebra_dim)
         vals = sample_symbol(poisson_bracket(a, bi), g).samples
-        worst = max(worst, float(cnorm_entries(vals).max()))
+        resids.append(float(cnorm_entries(vals).max()))
     scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return _relative(worst, scale)
+    return _relative(_worst(resids), scale)
 
 
 @check("rieffel_pipeline", 1e-5,

@@ -76,6 +76,31 @@ def test_tolerance_override_can_fail_suite():
     assert len(bad) == 1 and not bad[0].passed
 
 
+def test_nan_trial_residual_fails_its_check(monkeypatch):
+    # negative control: one NaN among the 20 positivity trials must reach
+    # the residual (a max() fold from 0.0 drops it and the check passes)
+    calls = []
+
+    def defect(gram):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else 0.0
+    monkeypatch.setattr("rieffel.suites.positivity_defect", defect)
+    report = run_suite(SuiteConfig(suite="module_axioms", points=16))
+    rec = {c.check_id: c for c in report.checks}["module_axioms.positivity"]
+    assert len(calls) == 20
+    assert np.isnan(rec.residual) and not rec.passed
+    assert not report.passed
+
+
+def test_nan_norm_fails_every_check_that_takes_it(monkeypatch):
+    monkeypatch.setattr("rieffel.suites.cnorm", lambda a: float("nan"))
+    report = run_suite(SuiteConfig(suite="module_axioms", points=16))
+    failed = {c.check_id for c in report.checks if not c.passed}
+    assert failed == {f"module_axioms.{name}" for name in (
+        "hermitian_symmetry", "positivity", "right_linearity", "cauchy_schwarz",
+        "cstar_identity")}
+
+
 def test_report_serialization():
     report = run_suite(SuiteConfig(suite="fourier", points=16, seed=5))
     doc = json.loads(report.to_json())

@@ -5,12 +5,12 @@ from rieffel.algebra import cnorm
 from rieffel.deformation import SkewForm, left_action
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
+from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   IdentityOp, LeftActionOp, PdoOp, PhaseSymbol,
                                   RightActionOp, TranslationSymbol,
-                                  TrigPolySymbol, WeylOp,
-                                  adjoint_symbol, constant_symbol,
+                                  TrigPolySymbol, adjoint_symbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
 
@@ -242,6 +242,20 @@ def test_grid_adjoint_pairing():
     assert cnorm(lhs - rhs) <= 1e-10 * max(cnorm(lhs), 1e-300)
 
 
+def test_translation_adjoint_is_translation_symbol_of_star():
+    # (L_F)* = L_{F*}: the adjoint symbol is F*(x - J xi) on F's own grid,
+    # not a sampled product grid; observed <= 2e-16 of the sup
+    F = matrix_field(G2, 16)
+    p = TranslationSymbol(F, J).adjoint(G2)
+    assert isinstance(p, TranslationSymbol) and p.J is J
+    Fstar = np.swapaxes(F.samples.conj(), -1, -2)
+    assert np.abs(p.F.samples - Fstar).max() <= 1e-14 * np.abs(Fstar).max()
+    u, v = matrix_field(G2, 17), matrix_field(G2, 18)
+    lhs = inner_product(pdo_apply(TranslationSymbol(F, J), u), v)
+    rhs = inner_product(u, pdo_apply(p, v))
+    assert cnorm(lhs - rhs) <= 1e-12 * cnorm(lhs)
+
+
 def test_adjoint_involution_on_trig_symbols():
     a = trig_symbol(2, 2, 9)
     pp = a.adjoint().adjoint()
@@ -295,10 +309,14 @@ def test_pi_seminorm_constant():
 
 
 def test_weyl_operator_unitary_norm():
-    E = WeylOp(np.array([0.7]), np.array([1.3]), 0.4)
+    E = HeisenbergPoint(np.array([0.7]), np.array([1.3]), 0.4)
     est, record = operator_norm_estimate(E, G1, 1, trials=4, power_iters=5, seed=0)
     assert est == pytest.approx(1.0, abs=1e-10)
     assert record["power_iters"] == 5
+    # the handle's adjoint is the group inverse: <E u, v> = <u, E* v>
+    u, v = gaussian_1d(), gaussian_1d(lambda x: np.exp(0.5j * x))
+    lhs = inner_product(E.apply(u), v)
+    assert cnorm(lhs - inner_product(u, E.adjoint().apply(v))) <= 1e-12 * cnorm(lhs)
 
 
 def test_multiplication_norm_bounded_by_sup():

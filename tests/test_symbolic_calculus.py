@@ -184,6 +184,8 @@ def test_multiplier_rejects_other_grid(backing):
         b_transform(a, g16)
     with pytest.raises(GridMismatchError):
         gamma_reconstruct(a, K, g16)
+    with pytest.raises(GridMismatchError):
+        a.adjoint(g16)
     assert sample_symbol(b_transform(a, g8), g8).samples.shape[0] == 8
 
 
@@ -210,6 +212,8 @@ def test_backings_agree_on_lattice_plane_wave(npts, b_tol):
                         ((0, 0), (2, 1)))]
     # an off-node shift a(x + z, xi + zeta): observed <= 3.0e-15
     ops.append((lambda a: a.shift((0.37, -0.81), (0.23, 0.52)), 1e-13))
+    # the adjoint symbol: observed <= 3.3e-15
+    ops.append((lambda a: a.adjoint(g), 1e-13))
     for op, tol in ops:
         outs = [sample_symbol(op(a), g).samples for a in backings]
         scale = np.abs(outs[1]).max()
