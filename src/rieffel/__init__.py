@@ -11,8 +11,7 @@ from .errors import (CapabilityError, DivergenceError, GridMismatchError,
                      MGFFormatError, ResolutionError)
 from .grids import GridSpec
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
-                         shifted_symbol, smoothness_probe, weyl_shift,
-                         weyl_shift_inverse)
+                         shifted_symbol, smoothness_probe, weyl_shift)
 from .mgf import read_mgf, write_mgf
 from .module_space import (ModuleFunction, boundary_report, fourier,
                            inner_product, modulate, module_norm,

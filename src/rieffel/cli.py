@@ -64,14 +64,14 @@ def _build_parser():
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--config", help="JSON file with SuiteConfig fields")
-        sp.add_argument("--grid", help="grid as n,N,L")
         sp.add_argument("--theta", type=float, help="deformation parameter")
-        sp.add_argument("--seed", type=int, help="random seed")
         sp.add_argument("--out", help="output path")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    sp.add_argument("--config", help="JSON file with SuiteConfig fields")
+    sp.add_argument("--grid", help="grid as n,N,L")
+    sp.add_argument("--seed", type=int, help="random seed")
     sp.add_argument("--csv", help="also write a flat CSV of check results")
     sp.add_argument("--algebra-dim", type=int, help="coefficient matrix size k")
     common(sp)
@@ -104,22 +104,11 @@ def _skew_for(f, theta):
 
 
 def _cmd_verify(args):
-    fields = {}
-    if args.config:
-        fields.update(_load_config(args.config))
-    fields["suite"] = args.suite
+    fields = _load_config(args.config) if args.config else {}
+    fields.update((k, v) for k, v in vars(args).items()
+                  if k in CONFIG_FIELDS and v is not None)
     if args.grid:
         fields["n"], fields["points"], fields["half_width"] = _parse_grid(args.grid)
-    if args.theta is not None:
-        fields["theta"] = args.theta
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.algebra_dim is not None:
-        fields["algebra_dim"] = args.algebra_dim
-    if args.out:
-        fields["out"] = args.out
-    if args.csv:
-        fields["csv"] = args.csv
     try:
         cfg = SuiteConfig(**fields)
     except (TypeError, ValueError) as exc:

@@ -149,16 +149,14 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     return _channels_last(np.fft.ifft(acc * sign, axis=-1), n)
 
 
-def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm,
-                     rieffel_convention: bool = False) -> ModuleFunction:
-    """(f x_J g) on the grid; rieffel_convention rescales J by 2*pi."""
+def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:
+    """(f x_J g) on the grid; Rieffel's 2*pi convention is J.rescaled(2*pi)."""
     check_compatible(f, g)
     if J.n != f.grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {f.grid.n}")
-    theta = J.theta * (TWO_PI if rieffel_convention else 1.0)
     fhat = grid_transform(f.samples, f.grid)
     ghat = grid_transform(g.samples, g.grid)
-    chat = twisted_coefficients(fhat, ghat, f.grid, theta)
+    chat = twisted_coefficients(fhat, ghat, f.grid, J.theta)
     return ModuleFunction(f.grid, grid_transform(chat, f.grid, inverse=True))
 
 

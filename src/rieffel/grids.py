@@ -137,15 +137,3 @@ def grid_transform(samples: np.ndarray, grid: GridSpec,
         out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=inverse)
     return out
 
-
-def central_derivative(samples: np.ndarray, axis: int, dx: float,
-                       order: int = 1) -> np.ndarray:
-    """Repeated 4th-order central first differences with periodic wrap."""
-    out = samples
-    for _ in range(order):
-        p1 = np.roll(out, -1, axis=axis)
-        m1 = np.roll(out, 1, axis=axis)
-        p2 = np.roll(out, -2, axis=axis)
-        m2 = np.roll(out, 2, axis=axis)
-        out = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * dx)
-    return out

@@ -64,10 +64,6 @@ def weyl_shift(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
     return g.apply(f)
 
 
-def weyl_shift_inverse(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
-    return weyl_shift(f, g.inverse())
-
-
 def conjugate_operator(T: OperatorHandle, z, zeta, phi: float = 0.0) -> OperatorHandle:
     """T_{z, zeta} = E^{-1}_{z, zeta, phi} T E_{z, zeta, phi}; phi cancels."""
     E = HeisenbergPoint(z, zeta, phi)
@@ -135,8 +131,8 @@ def intertwine_check(z, zeta, g: ModuleFunction, J: SkewForm,
     p = HeisenbergPoint(z, zeta)
     swapped = HeisenbergPoint(-p.zeta, p.z)
     lhs1 = fourier(weyl_shift(u, p))
-    rhs1 = weyl_shift_inverse(fourier(u), swapped)
-    lhs2 = fourier(weyl_shift_inverse(u, p))
+    rhs1 = weyl_shift(fourier(u), swapped.inverse())
+    lhs2 = fourier(weyl_shift(u, p.inverse()))
     rhs2 = weyl_shift(fourier(u), swapped)
     shifted_g = translate(g, p.z + J.apply(p.zeta))
     lhs3 = weyl_shift(right_action(g, u, J), p)

@@ -364,9 +364,7 @@ class TranslationSymbol(PhaseSymbol):
         return TrigPolySymbol(self.n, k, terms).eval(x, xi)
 
     def star(self):
-        return TranslationSymbol(
-            ModuleFunction(self.F.grid, np.swapaxes(self.F.samples.conj(), -1, -2)),
-            self.J)
+        return TranslationSymbol(self.F.star(), self.J)
 
     def sample(self, grid):
         if not self.F.grid.compatible(grid):
@@ -544,8 +542,7 @@ class LeftActionOp(OperatorHandle):
         return left_action(self.F, u, self.J)
 
     def adjoint(self):
-        starred = ModuleFunction(self.F.grid, np.swapaxes(self.F.samples.conj(), -1, -2))
-        return LeftActionOp(starred, self.J)
+        return LeftActionOp(self.F.star(), self.J)
 
 
 class RightActionOp(OperatorHandle):

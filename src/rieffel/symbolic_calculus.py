@@ -149,7 +149,7 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
 
 
 def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
-                    partial=None, fd_step: float = 1e-3) -> AlgebraElement:
+                    partial=None, fd_step: float = 3e-3) -> AlgebraElement:
     """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0,t_max]^n.
 
     f maps points of shape (..., n) to (..., k, k).  partial, when given,

@@ -37,9 +37,9 @@ def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(suite="nope")
     with pytest.raises(ValueError):
-        SuiteConfig(points=48)
-    with pytest.raises(ValueError):
         SuiteConfig(n=3)
+    # GridSpec's rule (any even N >= 8) is the only point-count rule
+    assert SuiteConfig(points=48).grid().points == 48
     # GridSpec's rules hold at construction, not first at the first check
     for bad in ({"points": 4}, {"points": 0}, {"half_width": 0.0}):
         with pytest.raises(ValueError):
@@ -175,6 +175,20 @@ def test_cli_product_requires_out(tmp_path, capsys, command):
     missing = str(tmp_path / "missing.mgf")
     assert main([command, missing, missing]) == 2
     assert f"{command} requires --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["product", "apply", "recover"])
+@pytest.mark.parametrize("flag", [["--grid", "2,16,8.0"], ["--seed", "3"],
+                                  ["--config", "cfg.json"]],
+                         ids=["grid", "seed", "config"])
+def test_cli_rejects_verify_only_flags(tmp_path, capsys, command, flag):
+    # only verify reads --grid, --seed and --config; elsewhere they are usage
+    # errors, raised before the (missing) inputs are read
+    missing = str(tmp_path / "missing.mgf")
+    files = [missing] if command == "recover" else [missing, missing]
+    argv = [command, *files, "--out", str(tmp_path / "out.mgf"), *flag]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_recover_accepts_translation_symbol(tmp_path, capsys):

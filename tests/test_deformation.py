@@ -106,14 +106,6 @@ def test_left_right_actions_commute():
     assert (lhs - rhs).sup_norm() <= 1e-6 * lhs.sup_norm()
 
 
-def test_rieffel_convention_rescales():
-    f = matrix_gaussian(G, 11)
-    g = matrix_gaussian(G, 12)
-    a = deformed_product(f, g, J, rieffel_convention=True)
-    b = deformed_product(f, g, J.rescaled(2 * np.pi))
-    assert (a - b).sup_norm() <= 1e-12 * b.sup_norm()
-
-
 def direct_twisted_sum(fhat, ghat, grid, J):
     """C^(r) = (2 pi)^(-n/2) dxi^n sum_{p+q=r} e^{-i p.Jq} F^(p) G^(q), one
     p at a time over every q: index i has frequency (i - N/2) dxi, so p + q

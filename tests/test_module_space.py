@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rieffel.algebra import AlgebraElement, cnorm, positivity_defect, star
-from rieffel.errors import CapabilityError, GridMismatchError
+from rieffel.errors import GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import (ModuleFunction, boundary_report, fourier,
                                   inner_product, modulate, module_norm,
@@ -157,24 +157,14 @@ def test_seminorm_derivative_schemes_agree():
     g = GridSpec(1, 8192, 8.0)
     f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
     # sup |d/dx e^{-x^2/2}| = e^{-1/2} at x = 1
-    for scheme in ("central4", "spectral"):
-        val = schwartz_seminorm(f, beta=(1,), scheme=scheme)
-        assert val == pytest.approx(np.exp(-0.5), abs=1e-8)
+    val = schwartz_seminorm(f, beta=(1,))
+    assert val == pytest.approx(np.exp(-0.5), abs=1e-8)
     # sup |dx dy e^{-(x^2+y^2)/2}| = sup |x y| e^{-(x^2+y^2)/2} = e^{-1} at
     # x = y = 1, a node of this grid
     g2 = GridSpec(2, 128, 8.0)
     f2 = ModuleFunction.from_function(g2, lambda x, y: np.exp(-(x * x + y * y) / 2))
-    val = schwartz_seminorm(f2, beta=(1, 1), scheme="spectral")
+    val = schwartz_seminorm(f2, beta=(1, 1))
     assert val == pytest.approx(np.exp(-1.0), abs=1e-12)  # observed 1.2e-14
-
-
-def test_seminorm_capability_limits():
-    g = GridSpec(1, 64, 8.0)
-    f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
-    with pytest.raises(CapabilityError):
-        schwartz_seminorm(f, beta=(5,), scheme="central4")
-    with pytest.raises(CapabilityError):
-        schwartz_seminorm(f, beta=(1,), scheme="bogus")
 
 
 def test_boundary_report_flags_wide_function():

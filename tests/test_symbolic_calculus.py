@@ -7,6 +7,7 @@ from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
                                   TrigPolySymbol, sample_symbol)
+from rieffel.suites import SuiteConfig, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                        gamma_reconstruct, gamma_reproduce,
                                        poisson_bracket,
@@ -85,6 +86,15 @@ def test_reproduce_constant():
     f = lambda pts: np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).astype(complex)
     val = gamma_reproduce(f, K, n=1, algebra_dim=2)
     assert np.abs(val.entries - np.eye(2)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed, k", [(1, 2), (21, 1), (7, 3)])
+def test_calculus_suite_passes_off_default_seed(seed, k):
+    # with a 1e-3 finite-difference step these draws put
+    # gamma_reproduce_gauss at 1.1-1.7e-5 against its 1e-5 tolerance
+    report = run_suite(SuiteConfig(suite="calculus", seed=seed, algebra_dim=k))
+    assert report.passed, [(c.check_id, c.residual) for c in report.checks
+                           if not c.passed]
 
 
 def test_reproduce_plane_wave():
