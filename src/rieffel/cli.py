@@ -64,7 +64,8 @@ def _build_parser():
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--theta", type=float, help="deformation parameter")
+        sp.add_argument("--theta", type=float,
+                        help="deformation parameter (default 0.5; 0 on n=1 grids)")
         sp.add_argument("--out", help="output path")
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -95,12 +96,6 @@ def _build_parser():
     sp = sub.add_parser("info", help="package or grid-file information")
     sp.add_argument("path", nargs="?", help="optional MGF1 file to inspect")
     return p
-
-
-def _skew_for(f, theta):
-    if f.grid.n == 1:
-        return SkewForm.zero(1)
-    return SkewForm.standard(theta)
 
 
 def _cmd_verify(args):
@@ -135,8 +130,8 @@ def _cmd_product(args):
         raise UsageError(f"{args.command} requires --out")
     f = read_mgf(args.left)
     g = read_mgf(args.right)
-    theta = 0.5 if args.theta is None else args.theta
-    write_mgf(args.out, deformed_product(f, g, _skew_for(f, theta)))
+    J = SkewForm.standard(args.theta, f.grid.n)
+    write_mgf(args.out, deformed_product(f, g, J))
     what = "product grid" if args.command == "product" else "operator output"
     print(f"wrote {what} to {args.out}")
     return 0
@@ -144,8 +139,7 @@ def _cmd_product(args):
 
 def _cmd_recover(args):
     F = read_mgf(args.symbol_file)
-    theta = 0.5 if args.theta is None else args.theta
-    J = _skew_for(F, theta)
+    J = SkewForm.standard(args.theta, F.grid.n)
     a = gamma_reconstruct(b_transform(TranslationSymbol(F, J)), GammaKernel())
     rec, residual = recover_translation_symbol(a, J, F.grid)
     scale = max(F.sup_norm(), 1e-300)
@@ -173,7 +167,7 @@ def _cmd_info(args):
     print(f"suites: {', '.join(SUITE_NAMES)} (or 'all')")
     d = SuiteConfig()
     print(f"defaults: n={d.n} N={d.points} L={d.half_width} k={d.algebra_dim} "
-          f"theta={d.theta} seed={d.seed}")
+          f"theta={d.skew().theta} seed={d.seed}")
     return 0
 
 

@@ -22,9 +22,11 @@ the product exactly (to roundoff) for band-limited factors.
 
 The kernel stores coefficients channels first, [a, b, p2, p1], so every FFT
 runs along the contiguous last axis; both phase tables are built once, the
-k x k product is k^3 multiply-adds of whole planes, and each q2's product is
-rolled into an accumulator still in the transform domain, so a single
-inverse FFT finishes the sum.  For n = 2 that is 2N + 1 batched FFT passes
+k x k product is k^3 multiply-adds of whole planes, and each q2's products
+are added straight into an accumulator indexed by r2 = p2 + q2 - N/2 and
+still in the transform domain, so a single inverse FFT finishes the sum.
+Every per-q2 multiply and FFT writes into buffers allocated once per call,
+and none is kept between calls.  For n = 2 that is 2N + 1 batched FFT passes
 and O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
@@ -41,6 +43,7 @@ from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction, check_compatible
 
 TWO_PI = 2.0 * np.pi
+DEFAULT_THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,16 @@ class SkewForm:
         return cls(np.zeros((n, n)))
 
     @classmethod
-    def standard(cls, theta: float, n: int = 2) -> "SkewForm":
-        """theta * [[0, 1], [-1, 0]] for n = 2; the zero form for n = 1."""
+    def standard(cls, theta: float | None = None, n: int = 2) -> "SkewForm":
+        """The deformation of an n-dimensional grid: theta * [[0, 1], [-1, 0]]
+        for n = 2, with theta defaulting to DEFAULT_THETA; the zero form for
+        n = 1, where a theta other than None or 0 raises ValueError."""
         if n == 1:
-            if theta != 0.0:
-                raise ValueError("the only antisymmetric 1x1 matrix is zero")
+            if theta:
+                raise ValueError(f"theta = {theta} on an n = 1 grid: the only "
+                                 "antisymmetric 1x1 matrix is zero")
             return cls.zero(1)
+        theta = DEFAULT_THETA if theta is None else theta
         return cls(np.array([[0.0, theta], [-theta, 0.0]]))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -98,17 +105,14 @@ def _channels_last(arr: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(tuple(range(n + 1, 1, -1)) + (0, 1)))
 
 
-def _channel_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise k x k product of channels-first arrays, [a, b, ...] times
-    [b, c, ...] -> [a, c, ...], as k^3 multiply-adds of whole planes."""
-    k = x.shape[0]
-    out = np.empty((k, k) + x.shape[2:], dtype=complex)
-    tmp = np.empty(x.shape[2:], dtype=complex)
-    for a in range(k):
-        for c in range(k):
-            np.multiply(x[a, 0], y[0, c], out=out[a, c])
-            for b in range(1, k):
-                out[a, c] += np.multiply(x[a, b], y[b, c], out=tmp)
+def _channel_entry(x: np.ndarray, y: np.ndarray, a: int, c: int,
+                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Channel (a, c) of the pointwise k x k product of channels-first arrays
+    [a, b, ...] and [b, c, ...]: the k plane products x[a, b] y[b, c], summed
+    over b in order into the caller's `out` (`tmp` is scratch)."""
+    np.multiply(x[a, 0], y[0, c], out=out)
+    for b in range(1, x.shape[1]):
+        out += np.multiply(x[a, b], y[b, c], out=tmp)
     return out
 
 
@@ -122,31 +126,46 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     half = npts // 2
     scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
     ft, gt = _channels_first(fhat, n), _channels_first(ghat, n)
+    k = ft.shape[0]
+    tmp = np.empty(ft.shape[2:], dtype=complex)
     if n == 1 or theta == 0.0:
         # plain cyclic convolution with in-band wrap
         axes = tuple(range(2, n + 2))
         fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
-        prod = _channel_matmul(fa, np.fft.fftn(gt, axes=axes))
+        fb = np.fft.fftn(gt, axes=axes)
+        prod = np.empty(fa.shape, dtype=complex)
+        for a, c in np.ndindex(k, k):
+            _channel_entry(fa, fb, a, c, prod[a, c], tmp)
         return _channels_last(scale * np.fft.ifftn(prod, axes=axes), n)
 
-    # ft is [a, b, p2, p1] and gt is [b, c, q2, q1]
+    # ft is [a, b, p2, p1] and gt is [b, c, q2, q1].  Each q2 adds its
+    # products at r2 = p2 + q2 - N/2, wrapped: indexed by r2, the p2 axis of
+    # ft and of bphase is read through the window [N - s, 2N - s) of a copy
+    # doubled along it, with s = (q2 - N/2) mod N.
     xi = grid.dual_axis()
     txx = theta * np.outer(xi, xi)
     mods = np.exp(-1j * txx)   # [q2, p1]: e^{-i theta xi(p1) xi(q2)}
     bphase = np.exp(1j * txx)  # [p2, q1]: e^{+i theta xi(p2) xi(q1)}
+    ft2 = np.concatenate((ft, ft), axis=2)
+    bphase2 = np.concatenate((bphase, bphase))
+    # every per-q2 result is written into these, allocated once per call
+    fa = np.empty(ft.shape, dtype=complex)  # [a, b, r2, z]
+    fb = np.empty(ft.shape, dtype=complex)  # [b, c, r2, z]
+    plane = np.empty(ft.shape[2:], dtype=complex)
     acc = np.zeros(ft.shape, dtype=complex)  # [a, c, r2, z]
     for q2 in range(npts):
-        fa = np.fft.fft(ft * mods[q2], axis=-1)
-        fb = np.fft.fft(gt[:, :, q2, None, :] * bphase, axis=-1)
-        prod = _channel_matmul(fa, fb)  # [a, c, p2, z]
-        # r2 = p2 + q2 - N/2, wrapped; this roll commutes with the inverse
-        # FFT along z, so one inverse FFT after the loop serves every q2
-        s = (q2 - half) % npts
-        acc[:, :, s:] += prod[:, :, :npts - s]
-        acc[:, :, :s] += prod[:, :, npts - s:]
+        lo = npts - (q2 - half) % npts
+        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fa)
+        np.fft.fft(fa, axis=-1, out=fa)
+        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=fb)
+        np.fft.fft(fb, axis=-1, out=fb)
+        # still in the transform domain along z, so one inverse FFT after
+        # the loop serves every q2
+        for a, c in np.ndindex(k, k):
+            acc[a, c] += _channel_entry(fa, fb, a, c, plane, tmp)
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
-    sign = np.where(np.arange(npts) % 2 == 0, scale, -scale)
-    return _channels_last(np.fft.ifft(acc * sign, axis=-1), n)
+    acc *= np.where(np.arange(npts) % 2 == 0, scale, -scale)
+    return _channels_last(np.fft.ifft(acc, axis=-1, out=acc), n)
 
 
 def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:

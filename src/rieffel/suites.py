@@ -63,7 +63,7 @@ class SuiteConfig:
     points: int = 64
     half_width: float = 8.0
     algebra_dim: int = 2
-    theta: float = 0.5
+    theta: float | None = None   # None: SkewForm.standard's default
     seed: int = 2024
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
@@ -73,6 +73,7 @@ class SuiteConfig:
         if self.suite != "all" and self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}")
         self.grid()  # GridSpec's rules on n, points and half_width
+        self.skew()  # SkewForm's rule on n and theta
         if not isinstance(self.tolerances, dict):
             raise ValueError("tolerances must map check ids to numbers")
         known = {f"{suite}.{entry[0]}"
@@ -89,9 +90,7 @@ class SuiteConfig:
                         self.half_width)
 
     def skew(self) -> SkewForm:
-        if self.n == 1:
-            return SkewForm.zero(1)
-        return SkewForm.standard(self.theta)
+        return SkewForm.standard(self.theta, self.n)
 
 
 @dataclass(frozen=True)
@@ -740,5 +739,5 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                                       passed, ms))
     env = {"n": config.n, "points": config.points,
            "half_width": config.half_width, "algebra_dim": config.algebra_dim,
-           "theta": config.theta, "seed": config.seed}
+           "theta": config.skew().theta, "seed": config.seed}
     return VerificationReport(config.suite, env, tuple(checks), all_pass)

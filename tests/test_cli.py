@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rieffel.cli import main
+from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
 from rieffel.module_space import ModuleFunction
@@ -189,6 +190,51 @@ def test_cli_rejects_verify_only_flags(tmp_path, capsys, command, flag):
     argv = [command, *files, "--out", str(tmp_path / "out.mgf"), *flag]
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def stored_line_field(path, seed, npts=32, k=2):
+    g = GridSpec(1, npts, 8.0)
+    r = np.random.default_rng(seed)
+    x = g.mesh()[0]
+    M = r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))
+    write_mgf(path, ModuleFunction(g, np.exp(-0.5 * x * x)[:, None, None] * M))
+
+
+@pytest.mark.parametrize("command", ["product", "apply", "recover"])
+def test_cli_rejects_theta_on_line_grid(tmp_path, capsys, command):
+    # the only deformation of an n = 1 grid is zero: a non-zero --theta there
+    # is a usage error, not a value silently replaced by 0
+    fp = tmp_path / "F.mgf"
+    stored_line_field(fp, 7)
+    files = [str(fp)] if command == "recover" else [str(fp), str(fp)]
+    out = tmp_path / "out.mgf"
+    assert main([command, *files, "--out", str(out), "--theta", "7.0"]) == 2
+    assert "theta = 7.0 on an n = 1 grid" in capsys.readouterr().err
+    assert not out.exists()
+    # omitted, or given as 0, it is the zero form
+    for theta in ([], ["--theta", "0"]):
+        assert main([command, *files, "--out", str(out), *theta]) == 0
+    if command != "recover":
+        f = read_mgf(fp)
+        assert np.allclose(read_mgf(out).samples, f.samples @ f.samples,
+                           rtol=0.0, atol=1e-12 * np.abs(f.samples).max() ** 2)
+
+
+def test_skew_rule_shared_by_cli_and_suite_config(tmp_path, capsys):
+    # SuiteConfig and the CLI take theta's default and its n = 1 rule from
+    # SkewForm.standard; SuiteConfig() still deforms by 0.5 Omega
+    assert np.array_equal(SuiteConfig().skew().entries,
+                          SkewForm.standard().entries)
+    assert SuiteConfig().skew().theta == 0.5
+    assert SuiteConfig(theta=-0.7).skew().theta == -0.7
+    assert np.array_equal(SuiteConfig(n=1).skew().entries, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="n = 1 grid"):
+        SuiteConfig(n=1, theta=7.0)
+    assert main(["verify", "fourier", "--grid", "1,16,8.0", "--theta", "7"]) == 2
+    assert "theta = 7.0 on an n = 1 grid" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(["verify", "fourier", "--grid", "1,64,8.0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["environment"]["theta"] == 0.0
 
 
 def test_cli_recover_accepts_translation_symbol(tmp_path, capsys):

@@ -142,6 +142,87 @@ def test_twisted_coefficients_match_direct_sum(n, k, theta):
     assert np.abs(fast - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def frozen_twisted_coefficients(fhat, ghat, grid, theta, r2_offset=0):
+    """The n = 2, theta != 0 kernel as it stood before its buffers were
+    allocated once per call: fresh arrays for every q2, and each q2's
+    channel products rolled into the accumulator by two slice-adds.  Kept
+    as the bit-for-bit reference for the rewritten kernel; r2_offset moves
+    the roll, as a negative control."""
+    npts = grid.points
+    half = npts // 2
+    scale = (2 * np.pi) ** -1.0 * grid.dual_spacing ** 2
+    ft = np.ascontiguousarray(fhat.transpose(2, 3, 1, 0))  # [a, b, p2, p1]
+    gt = np.ascontiguousarray(ghat.transpose(2, 3, 1, 0))  # [b, c, q2, q1]
+    k = ft.shape[0]
+    xi = grid.dual_axis()
+    txx = theta * np.outer(xi, xi)
+    mods = np.exp(-1j * txx)
+    bphase = np.exp(1j * txx)
+    acc = np.zeros(ft.shape, dtype=complex)
+    for q2 in range(npts):
+        fa = np.fft.fft(ft * mods[q2], axis=-1)
+        fb = np.fft.fft(gt[:, :, q2, None, :] * bphase, axis=-1)
+        prod = np.empty((k, k) + fa.shape[2:], dtype=complex)
+        tmp = np.empty(fa.shape[2:], dtype=complex)
+        for a in range(k):
+            for c in range(k):
+                np.multiply(fa[a, 0], fb[0, c], out=prod[a, c])
+                for b in range(1, k):
+                    prod[a, c] += np.multiply(fa[a, b], fb[b, c], out=tmp)
+        s = (q2 - half + r2_offset) % npts
+        acc[:, :, s:] += prod[:, :, :npts - s]
+        acc[:, :, :s] += prod[:, :, npts - s:]
+    sign = np.where(np.arange(npts) % 2 == 0, scale, -scale)
+    out = np.fft.ifft(acc * sign, axis=-1)
+    return np.ascontiguousarray(out.transpose(3, 2, 0, 1))
+
+
+def full_band_pair(npts, k, seed):
+    r = np.random.default_rng(seed)
+    shape = (npts, npts, k, k)
+    return tuple(r.normal(size=shape) + 1j * r.normal(size=shape) for _ in range(2))
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("npts", [16, 32])
+def test_twisted_coefficients_bit_identical_to_frozen_kernel(npts, k, theta):
+    # full-band coefficients, so p + q wraps; the same products summed in the
+    # same order give the same bits
+    g = GridSpec(2, npts, 8.0)
+    fhat, ghat = full_band_pair(npts, k, [npts, k, int(10 * theta) + 10])
+    fast = twisted_coefficients(fhat, ghat, g, theta)
+    assert np.array_equal(fast, frozen_twisted_coefficients(fhat, ghat, g, theta))
+    # negative control: the reference with its r2 window off by one differs
+    shifted = frozen_twisted_coefficients(fhat, ghat, g, theta, r2_offset=1)
+    assert not np.array_equal(fast, shifted)
+    assert np.abs(fast - shifted).max() > 1e-3 * np.abs(fast).max()
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.0])
+def test_twisted_coefficients_pure(theta):
+    # the inputs are not written, and no buffer outlives a call: interleaved
+    # calls on different grids and inputs each equal an independent result
+    g1, g2 = GridSpec(2, 16, 8.0), GridSpec(2, 32, 6.0)
+    f1, h1 = full_band_pair(16, 2, 1)
+    f2, h2 = full_band_pair(32, 3, 2)
+    copies = [x.copy() for x in (f1, h1, f2, h2)]
+    ref1 = direct_twisted_sum(f1, h1, g1, SkewForm.standard(theta).entries)
+    ref2 = direct_twisted_sum(f2, h2, g2, SkewForm.standard(theta).entries)
+    first = twisted_coefficients(f1, h1, g1, theta)
+    kept = first.copy()
+    second = twisted_coefficients(f2, h2, g2, theta)
+    again = twisted_coefficients(f1, h1, g1, theta)
+    assert all(np.array_equal(x, c) for x, c in zip((f1, h1, f2, h2), copies))
+    assert np.array_equal(first, kept) and np.array_equal(again, kept)
+    assert np.abs(kept - ref1).max() <= 1e-14 * np.abs(ref1).max()
+    assert np.abs(second - ref2).max() <= 1e-14 * np.abs(ref2).max()
+    assert np.array_equal(second, twisted_coefficients(f2, h2, g2, theta))
+    if theta:
+        assert np.array_equal(kept, frozen_twisted_coefficients(f1, h1, g1, theta))
+        assert np.array_equal(second, frozen_twisted_coefficients(f2, h2, g2, theta))
+
+
 def test_matrix_order_of_plane_wave_product():
     # (A e_p) x_J (B e_q) = e^{-i p.Jq} A B e_{p+q}: the left factor's matrix
     # multiplies from the left, with a and b in their own places
