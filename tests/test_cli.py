@@ -192,11 +192,11 @@ def test_cli_rejects_verify_only_flags(tmp_path, capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def stored_line_field(path, seed, npts=32, k=2):
-    g = GridSpec(1, npts, 8.0)
+def stored_line_field(path, seed):
+    g = GridSpec(1, 32, 8.0)
     r = np.random.default_rng(seed)
     x = g.mesh()[0]
-    M = r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))
+    M = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
     write_mgf(path, ModuleFunction(g, np.exp(-0.5 * x * x)[:, None, None] * M))
 
 

@@ -218,9 +218,6 @@ def test_twisted_coefficients_pure(theta):
     assert np.abs(kept - ref1).max() <= 1e-14 * np.abs(ref1).max()
     assert np.abs(second - ref2).max() <= 1e-14 * np.abs(ref2).max()
     assert np.array_equal(second, twisted_coefficients(f2, h2, g2, theta))
-    if theta:
-        assert np.array_equal(kept, frozen_twisted_coefficients(f1, h1, g1, theta))
-        assert np.array_equal(second, frozen_twisted_coefficients(f2, h2, g2, theta))
 
 
 def test_matrix_order_of_plane_wave_product():
