@@ -2,7 +2,7 @@
 """Alternating benchmark pairs of two source trees.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W[,W...]
-           --pairs P --label L [--seed-base B] [--traced PREFIX]
+           --pairs P --label L [--seed-base B]
 
 For each workload W, runs `perfbench/run.py --workload W --trace 0` from the
 root of each tree, for the `run_seconds` of CHANGE's BENCHMARK.json, P times
@@ -13,10 +13,10 @@ of the run, read as the RUSAGE_CHILDREN delta around it.  It writes
 BENCH_<label>.json in the current directory: per workload every run, and
 per metric the median and quartiles of each tree, the change's wins over
 the pairs (by the metric's `better` direction in CHANGE's BENCHMARK.json)
-and the faults.  With --traced, it also runs `perfbench/run.py --workload
-product --trace 1` once per tree and records the per-layer metrics whose
-names start with PREFIX.  Each summary line prints the faults beside the
-metric, since runs can fall into distinct minor-fault modes.
+and the faults.  It also runs `perfbench/run.py --workload product --trace 1`
+once per tree and records that run's per-layer metrics.  Each summary line
+prints the faults beside the metric, since runs can fall into distinct
+minor-fault modes.
 Standard library only; exits 1 if any run is not correct or has failures.
 """
 import argparse
@@ -39,9 +39,6 @@ def _parse(argv):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--seed-base", type=int, default=2100)
-    p.add_argument("--traced", metavar="PREFIX",
-                   help="also record one traced run per tree, keeping the "
-                        "per-layer metrics named PREFIX*")
     return p.parse_args(argv)
 
 
@@ -71,8 +68,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def traced_once(tree: Path, prefix: str) -> dict:
-    """The per-layer metrics named prefix* of one traced run from tree."""
+def traced_once(tree: Path) -> dict:
+    """The per-layer metrics of one traced product run from tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "product",
            "--trace", "1"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -82,7 +79,7 @@ def traced_once(tree: Path, prefix: str) -> dict:
         raise RuntimeError(f"no traced result from {tree} (exit "
                            f"{proc.returncode}):\n" + proc.stderr[-2000:])
     metrics = json.loads(lines[-1])["metrics"]
-    return {k: v["value"] for k, v in metrics.items() if k.startswith(prefix)}
+    return {k: v["value"] for k, v in metrics.items()}
 
 
 def spread(values) -> dict:
@@ -146,12 +143,11 @@ def main(argv=None) -> int:
                   f" -> change {c['median']:.4g} (IQR {c['iqr']:.3g}){wins};"
                   f" minor faults {faults['parent']['median']:.4g}"
                   f" -> {faults['change']['median']:.4g}")
-    if args.traced:
-        traced = {t: traced_once(trees[t], args.traced) for t in TREES}
-        report["traced"] = traced
-        for name in traced["parent"]:
-            print(f"traced {name}: parent {traced['parent'][name]:.4g}"
-                  f" -> change {traced['change'].get(name, float('nan')):.4g}")
+    traced = {t: traced_once(trees[t]) for t in TREES}
+    report["traced"] = traced
+    for name in traced["parent"]:
+        print(f"traced {name}: parent {traced['parent'][name]:.4g}"
+              f" -> change {traced['change'].get(name, float('nan')):.4g}")
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
 

@@ -2,7 +2,7 @@
 """Run every verification suite and write JSON/CSV reports.
 
 Usage: python scripts/run_all_suites.py [--out-dir reports] [--seed 2024]
-                                        [--points 64] [--theta 0.5]
+                                        [--points 64] [--theta THETA]
 """
 import argparse
 import pathlib
@@ -16,7 +16,8 @@ def main():
     ap.add_argument("--out-dir", default="reports")
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--points", type=int, default=64)
-    ap.add_argument("--theta", type=float, default=0.5)
+    ap.add_argument("--theta", type=float, default=None,
+                    help="default from SkewForm.standard")
     args = ap.parse_args()
 
     out = pathlib.Path(args.out_dir)

@@ -12,8 +12,8 @@ from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check_rng,
                             run_suite)
 
 
-def stored_field(path, seed, npts=32, k=2, alpha=0.5):
-    g = GridSpec(2, npts, 8.0)
+def stored_field(path, seed, npts=32, k=2, alpha=0.5, n=2):
+    g = GridSpec(n, npts, 8.0)
     r = np.random.default_rng(seed)
     mesh = g.mesh()
     r2 = sum(m * m for m in mesh)
@@ -192,20 +192,12 @@ def test_cli_rejects_verify_only_flags(tmp_path, capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def stored_line_field(path, seed):
-    g = GridSpec(1, 32, 8.0)
-    r = np.random.default_rng(seed)
-    x = g.mesh()[0]
-    M = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
-    write_mgf(path, ModuleFunction(g, np.exp(-0.5 * x * x)[:, None, None] * M))
-
-
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])
 def test_cli_rejects_theta_on_line_grid(tmp_path, capsys, command):
     # the only deformation of an n = 1 grid is zero: a non-zero --theta there
     # is a usage error, not a value silently replaced by 0
     fp = tmp_path / "F.mgf"
-    stored_line_field(fp, 7)
+    stored_field(fp, 7, n=1)
     files = [str(fp)] if command == "recover" else [str(fp), str(fp)]
     out = tmp_path / "out.mgf"
     assert main([command, *files, "--out", str(out), "--theta", "7.0"]) == 2
