@@ -5,13 +5,12 @@ pipeline, with batch verification suites."""
 
 from .algebra import AlgebraElement, cnorm, positivity_defect, star
 from .deformation import (CutoffFamily, SkewForm, approximate_identity,
-                          deformed_product, left_action, oscillatory_integral,
-                          right_action)
+                          deformed_product, oscillatory_integral)
 from .errors import (CapabilityError, DivergenceError, GridMismatchError,
                      MGFFormatError, ResolutionError)
 from .grids import GridSpec
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
-                         shifted_symbol, smoothness_probe, weyl_shift)
+                         smoothness_probe)
 from .mgf import read_mgf, write_mgf
 from .module_space import (ModuleFunction, boundary_report, fourier,
                            inner_product, modulate, module_norm,

@@ -1,4 +1,4 @@
-"""The deformed product x_J, its left/right actions, and the mollifier family.
+"""The deformed product x_J and the mollifier family.
 
 The product of F and G induced by an antisymmetric matrix J is
 
@@ -30,10 +30,12 @@ and none is kept between calls.  For n = 2 that is 2N + 1 batched FFT passes
 and O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
+The left action L_F u is deformed_product(F, u, J) and the right action
+R_G u is deformed_product(u, G, J).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,51 +50,46 @@ DEFAULT_THETA = 0.5
 
 @dataclass(frozen=True)
 class SkewForm:
-    """Real antisymmetric n x n matrix defining the deformation."""
+    """The real antisymmetric n x n matrix J defining the deformation, on a
+    grid of dimension n = 1 or 2: theta * [[0, 1], [-1, 0]] for n = 2, the
+    zero 1x1 matrix for n = 1 (where theta must be 0)."""
 
-    entries: np.ndarray = field(repr=False)
+    theta: float
+    n: int = 2
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("J must be square")
-        if not np.array_equal(arr, -arr.T):
-            raise ValueError("J must be exactly antisymmetric")
-        object.__setattr__(self, "entries", arr)
+        if self.n not in (1, 2):
+            raise ValueError(f"J on an n = {self.n} grid: only n = 1 and 2 "
+                             "are supported")
+        if self.n == 1 and self.theta:
+            raise ValueError(f"theta = {self.theta} on an n = 1 grid: the only "
+                             "antisymmetric 1x1 matrix is zero")
+        object.__setattr__(self, "theta", float(self.theta))
 
     @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def theta(self) -> float:
-        """The (1,2) entry; every 2x2 antisymmetric matrix is theta*Omega."""
+    def entries(self) -> np.ndarray:
         if self.n == 1:
-            return 0.0
-        return float(self.entries[0, 1])
+            return np.zeros((1, 1))
+        return np.array([[0.0, self.theta], [-self.theta, 0.0]])
 
     @classmethod
     def zero(cls, n: int) -> "SkewForm":
-        return cls(np.zeros((n, n)))
+        return cls(0.0, n)
 
     @classmethod
     def standard(cls, theta: float | None = None, n: int = 2) -> "SkewForm":
         """The deformation of an n-dimensional grid: theta * [[0, 1], [-1, 0]]
         for n = 2, with theta defaulting to DEFAULT_THETA; the zero form for
         n = 1, where a theta other than None or 0 raises ValueError."""
-        if n == 1:
-            if theta:
-                raise ValueError(f"theta = {theta} on an n = 1 grid: the only "
-                                 "antisymmetric 1x1 matrix is zero")
-            return cls.zero(1)
-        theta = DEFAULT_THETA if theta is None else theta
-        return cls(np.array([[0.0, theta], [-theta, 0.0]]))
+        if theta is None:
+            theta = DEFAULT_THETA if n == 2 else 0.0
+        return cls(theta, n)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(v, dtype=float)
 
     def rescaled(self, factor: float) -> "SkewForm":
-        return SkewForm(self.entries * factor)
+        return SkewForm(self.theta * factor, self.n)
 
 
 def _channels_first(arr: np.ndarray, n: int) -> np.ndarray:
@@ -177,16 +174,6 @@ def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> Modul
     ghat = grid_transform(g.samples, g.grid)
     chat = twisted_coefficients(fhat, ghat, f.grid, J.theta)
     return ModuleFunction(f.grid, grid_transform(chat, f.grid, inverse=True))
-
-
-def left_action(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:
-    """L_f g = f x_J g; a right-module map (commutes with g -> g*a)."""
-    return deformed_product(f, g, J)
-
-
-def right_action(g: ModuleFunction, f: ModuleFunction, J: SkewForm) -> ModuleFunction:
-    """R_g f = f x_J g; not a right-module map for noncommutative coefficients."""
-    return deformed_product(f, g, J)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Heisenberg group action on module functions and operator conjugation.
 
-E_{z, zeta, phi} = e^{i phi} M_zeta T_z with T_z f(x) = f(x - z) and
-M_zeta f(x) = e^{i zeta.x} f(x).  Composition picks up the commutation phase
+E_{z, zeta, phi} = e^{i phi} M_zeta T_z (HeisenbergPoint.apply) with
+T_z f(x) = f(x - z) and M_zeta f(x) = e^{i zeta.x} f(x).  Composition picks
+up the commutation phase
 
     E_{z, zeta} E_{z', zeta'} = e^{-i zeta'.z} E_{z + z', zeta + zeta'},
 
 conjugation T_{z, zeta} = E^{-1} T E is phi-independent, and for quantized
 symbols it shifts the symbol argument: the conjugate of a(x, D) is
-a(x + z, xi + zeta)(x, D).  The module also provides finite-difference
-smoothness probes for the map (z, zeta) -> T_{z, zeta} u and the Fourier /
-right-action intertwining residuals used by the recovery pipeline.
+a(x + z, xi + zeta)(x, D), the quantization of a.shift(z, zeta).  The module
+also provides finite-difference smoothness probes for the map
+(z, zeta) -> T_{z, zeta} u and the Fourier / right-action intertwining
+residuals used by the recovery pipeline.
 """
 from __future__ import annotations
 
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deformation import SkewForm, right_action
+from .deformation import SkewForm, deformed_product
 from .module_space import ModuleFunction, fourier, modulate, module_norm, translate
-from .quantization import ComposedOp, OperatorHandle, PhaseSymbol
+from .quantization import ComposedOp, OperatorHandle
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,11 @@ class HeisenbergPoint(OperatorHandle):
                                -self.phi - float(self.zeta @ self.z))
 
     def apply(self, u: ModuleFunction) -> ModuleFunction:
+        """e^{i phi} e^{i zeta.x} u(x - z): exact for z commensurate with the
+        grid spacing, trig-interpolated otherwise; unitary."""
         return modulate(translate(u, self.z), self.zeta, self.phi)
 
     adjoint = inverse  # unitary
-
-
-def weyl_shift(f: ModuleFunction, g: HeisenbergPoint) -> ModuleFunction:
-    """E_{z, zeta, phi} f = e^{i phi} e^{i zeta.x} f(x - z).
-
-    Exact for z commensurate with the grid spacing; trig-interpolated
-    otherwise.  Unitary for the module inner product.
-    """
-    return g.apply(f)
 
 
 def conjugate_operator(T: OperatorHandle, z, zeta, phi: float = 0.0) -> OperatorHandle:
@@ -70,22 +65,17 @@ def conjugate_operator(T: OperatorHandle, z, zeta, phi: float = 0.0) -> Operator
     return ComposedOp([E.inverse(), T, E])
 
 
-def shifted_symbol(a: PhaseSymbol, z, zeta) -> PhaseSymbol:
-    """The symbol (x, xi) -> a(x + z, xi + zeta) of the conjugated operator."""
-    return a.shift(z, zeta)
-
-
 def smoothness_probe(family, direction, steps, u: ModuleFunction,
-                     derivative: OperatorHandle | None = None,
-                     centered: bool = False) -> dict:
+                     derivative: OperatorHandle | None = None) -> dict:
     """Convergence report for the map p -> T_p u along a direction in R^{2n}.
 
     family maps a point p in R^{2n} (z then zeta) to an OperatorHandle.
-    Difference quotients (T_{t d} - T_0) / t, or centered (T_{t d} -
-    T_{-t d}) / 2t without T_0, are applied to u; when a derivative handle
-    is given the quotients are compared against it, otherwise successive
-    quotients are compared against the finest one.  The observed order is
-    the least-squares slope of log residual vs log t.
+    Centered difference quotients (T_{t d} - T_{-t d}) / 2t are applied to
+    u; T_0 itself is never applied.  When a derivative handle is given the
+    quotients are compared against it, otherwise successive quotients are
+    compared against the finest one.  The observed order is the
+    least-squares slope of log residual vs log t (about 2 for a smooth
+    family).
     """
     steps = [float(t) for t in steps]
     if len(steps) < 3 or any(steps[i] <= steps[i + 1] for i in range(len(steps) - 1)):
@@ -97,14 +87,9 @@ def smoothness_probe(family, direction, steps, u: ModuleFunction,
     def handle(p):
         return family(p[:n], p[n:])
 
-    base_u = None if centered else handle(p0).apply(u)
-    quotients = []
-    for t in steps:
-        hi = handle(p0 + t * d).apply(u)
-        if centered:
-            quotients.append((1.0 / (2.0 * t)) * (hi - handle(p0 - t * d).apply(u)))
-        else:
-            quotients.append((1.0 / t) * (hi - base_u))
+    quotients = [(1.0 / (2.0 * t)) * (handle(p0 + t * d).apply(u)
+                                      - handle(p0 - t * d).apply(u))
+                 for t in steps]
     if derivative is not None:
         ref = derivative.apply(u)
         residuals = [module_norm(q - ref) for q in quotients]
@@ -116,7 +101,7 @@ def smoothness_probe(family, direction, steps, u: ModuleFunction,
     logs_r = np.log(np.maximum(np.asarray(residuals), 1e-300))
     order = float(np.polyfit(logs_t, logs_r, 1)[0]) if len(used) >= 2 else np.nan
     return {"steps": used, "residuals": residuals, "order": order,
-            "centered": centered, "converged": bool(order >= 0.5)}
+            "converged": bool(order >= 0.5)}
 
 
 def intertwine_check(z, zeta, g: ModuleFunction, J: SkewForm,
@@ -130,13 +115,13 @@ def intertwine_check(z, zeta, g: ModuleFunction, J: SkewForm,
     """
     p = HeisenbergPoint(z, zeta)
     swapped = HeisenbergPoint(-p.zeta, p.z)
-    lhs1 = fourier(weyl_shift(u, p))
-    rhs1 = weyl_shift(fourier(u), swapped.inverse())
-    lhs2 = fourier(weyl_shift(u, p.inverse()))
-    rhs2 = weyl_shift(fourier(u), swapped)
+    lhs1 = fourier(p.apply(u))
+    rhs1 = swapped.inverse().apply(fourier(u))
+    lhs2 = fourier(p.inverse().apply(u))
+    rhs2 = swapped.apply(fourier(u))
     shifted_g = translate(g, p.z + J.apply(p.zeta))
-    lhs3 = weyl_shift(right_action(g, u, J), p)
-    rhs3 = right_action(shifted_g, weyl_shift(u, p), J)
+    lhs3 = p.apply(deformed_product(u, g, J))
+    rhs3 = deformed_product(p.apply(u), shifted_g, J)
     return {"fourier_forward": module_norm(lhs1 - rhs1),
             "fourier_inverse": module_norm(lhs2 - rhs2),
             "right_action": module_norm(lhs3 - rhs3)}

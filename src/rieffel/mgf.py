@@ -7,6 +7,7 @@ payload length, and finiteness before any object is constructed.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -33,7 +34,7 @@ def write_mgf(path, f: ModuleFunction) -> None:
         fh.write(payload.tobytes())
 
 
-def read_mgf(path, expect_dim: int | None = None) -> ModuleFunction:
+def read_mgf(path) -> ModuleFunction:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -49,9 +50,10 @@ def read_mgf(path, expect_dim: int | None = None) -> ModuleFunction:
             raise MGFFormatError(f"invalid algebra dimension k={k}")
         if not np.isfinite(half_width) or half_width <= 0:
             raise MGFFormatError(f"invalid half width L={half_width}")
-        if expect_dim is not None and k != expect_dim:
-            raise MGFFormatError(f"algebra dimension {k} != expected {expect_dim}")
         count = (npts ** n) * k * k * 2
+        # checked before reading: the header may claim more than the file holds
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + count * 8:
+            raise MGFFormatError("truncated payload")
         raw = fh.read(count * 8)
         if len(raw) < count * 8:
             raise MGFFormatError("truncated payload")

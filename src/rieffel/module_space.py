@@ -155,14 +155,9 @@ def schwartz_seminorm(f: ModuleFunction, alpha=(), beta=()) -> float:
     return float((np.abs(weight) * cnorm_entries(out)).max())
 
 
-def boundary_report(f: ModuleFunction, layers: int = 2) -> float:
-    """Largest sample norm in the outermost grid layers (decay diagnostic)."""
+def boundary_report(f: ModuleFunction) -> float:
+    """Largest sample norm in the two outermost grid layers at each end of
+    each axis (decay diagnostic)."""
     mags = cnorm_entries(f.samples)
-    best = 0.0
-    for ax in range(f.grid.n):
-        sl_lo = [slice(None)] * f.grid.n
-        sl_hi = [slice(None)] * f.grid.n
-        sl_lo[ax] = slice(0, layers)
-        sl_hi[ax] = slice(-layers, None)
-        best = max(best, float(mags[tuple(sl_lo)].max()), float(mags[tuple(sl_hi)].max()))
-    return best
+    return max(float(np.moveaxis(mags, ax, 0)[[0, 1, -2, -1]].max())
+               for ax in range(f.grid.n))

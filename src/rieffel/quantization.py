@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import cnorm_sup
-from .deformation import SkewForm, left_action, right_action
+from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec, axis_transform, fourier_multiplier, grid_transform
 from .module_space import ModuleFunction, module_norm
@@ -189,16 +189,6 @@ class CallableSymbol(PhaseSymbol):
         if key not in self.partials:
             raise CapabilityError(f"no analytic partial for {key}")
         return CallableSymbol(self.n, self.algebra_dim, self.partials[key])
-
-    def shift(self, z, zeta):
-        z = np.asarray(z, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-
-        def shifted(f):
-            return lambda x, xi: f([x[d] + z[d] for d in range(self.n)],
-                                   [xi[d] + zeta[d] for d in range(self.n)])
-        return CallableSymbol(self.n, self.algebra_dim, shifted(self.fn),
-                              {key: shifted(f) for key, f in self.partials.items()})
 
     def star(self):
         return CallableSymbol(
@@ -399,7 +389,7 @@ class TranslationSymbol(PhaseSymbol):
     def quantize(self, u):
         if not self.F.grid.compatible(u.grid):
             raise GridMismatchError("translation symbol lives on a different grid")
-        return left_action(self.F, u, self.J)
+        return deformed_product(self.F, u, self.J)
 
     def fourier_side(self, mult, grid=None) -> "TranslationSymbol":
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
@@ -534,24 +524,28 @@ class IdentityOp(OperatorHandle):
 
 
 class LeftActionOp(OperatorHandle):
+    """L_F u = F x_J u; a right-module map (commutes with u -> u a)."""
+
     def __init__(self, F: ModuleFunction, J: SkewForm):
         self.F = F
         self.J = J
 
     def apply(self, u):
-        return left_action(self.F, u, self.J)
+        return deformed_product(self.F, u, self.J)
 
     def adjoint(self):
         return LeftActionOp(self.F.star(), self.J)
 
 
 class RightActionOp(OperatorHandle):
+    """R_G u = u x_J G; not a right-module map for noncommutative k."""
+
     def __init__(self, G: ModuleFunction, J: SkewForm):
         self.G = G
         self.J = J
 
     def apply(self, u):
-        return right_action(self.G, u, self.J)
+        return deformed_product(u, self.G, self.J)
 
     def adjoint(self):
         raise CapabilityError("right actions are not adjointable module maps")

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, cnorm, cnorm_entries, positivity_defect, star
-from .deformation import (SkewForm, approximate_identity, deformed_product,
-                          left_action, right_action)
+from .deformation import SkewForm, approximate_identity, deformed_product
 from .grids import GridSpec, fourier_multiplier, grid_transform
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
-                         shifted_symbol, smoothness_probe, weyl_shift)
+                         smoothness_probe)
 from .module_space import ModuleFunction, fourier, inner_product, module_norm
 from .quantization import (LeftActionOp, PdoOp, TranslationSymbol, TrigPolySymbol,
                            constant_symbol, operator_norm_estimate, pdo_apply,
@@ -149,10 +148,10 @@ def check_rng(seed: int, check_id: str) -> np.random.Generator:
 # shared builders
 
 
-def random_smooth(grid: GridSpec, k: int, rng, decay: float = 0.25) -> ModuleFunction:
-    """Random matrix field under a Gaussian envelope (no smoothness needed
-    for pointwise identities)."""
-    env = np.exp(-decay * sum(m * m for m in grid.mesh()))
+def random_smooth(grid: GridSpec, k: int, rng) -> ModuleFunction:
+    """Random matrix field under the Gaussian envelope e^{-|x|^2 / 4} (no
+    smoothness needed for pointwise identities)."""
+    env = np.exp(-0.25 * sum(m * m for m in grid.mesh()))
     z = rng.normal(size=grid.shape + (k, k)) + 1j * rng.normal(size=grid.shape + (k, k))
     return ModuleFunction(grid, env[..., None, None] * z)
 
@@ -169,24 +168,26 @@ def matrix_gaussian(grid: GridSpec, k: int, rng, alpha: float = 0.5) -> ModuleFu
     return ModuleFunction(grid, (np.exp(-alpha * r2 + 1j * ph))[..., None, None] * M)
 
 
-def band_limited_field(grid: GridSpec, k: int, rng, band: int = 3) -> ModuleFunction:
-    """Random matrix field with compact dual support (recovery test family)."""
+def band_limited_field(grid: GridSpec, k: int, rng) -> ModuleFunction:
+    """Random matrix field on dual modes -3..3 of each axis (recovery test
+    family)."""
     hat = np.zeros(grid.shape + (k, k), dtype=complex)
     half = grid.points // 2
-    sl = tuple(slice(half - band, half + band + 1) for _ in range(grid.n))
+    sl = tuple(slice(half - 3, half + 4) for _ in range(grid.n))
     hat[sl] = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
     decay = np.exp(-0.5 * sum(m * m for m in grid.dual_mesh()))
     hat = hat * decay[..., None, None]
     return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
 
 
-def random_band_symbol(n: int, k: int, rng, nterms: int = 6,
-                       freq_cap: float = 1.0) -> TrigPolySymbol:
+def random_band_symbol(n: int, k: int, rng) -> TrigPolySymbol:
+    """Six random trig terms, frequencies uniform in [-1, 1]^n and
+    coefficients of average size 1/6."""
     terms = []
-    for _ in range(nterms):
-        p = rng.uniform(-freq_cap, freq_cap, size=n)
-        w = rng.uniform(-freq_cap, freq_cap, size=n)
-        c = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) / nterms
+    for _ in range(6):
+        p = rng.uniform(-1.0, 1.0, size=n)
+        w = rng.uniform(-1.0, 1.0, size=n)
+        c = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) / 6
         terms.append((p, w, c))
     return TrigPolySymbol(n, k, terms)
 
@@ -223,8 +224,8 @@ def _shifted_pair(a, J, g, rng):
     """Samples of a_{z,zeta} and a_{z - J zeta, 0} on g at a random (z, zeta);
     they agree when a is a translation symbol (or a transform of one)."""
     z, zeta = _draw_pair(g.n, rng)
-    s1 = sample_symbol(shifted_symbol(a, z, zeta), g).samples
-    s2 = sample_symbol(shifted_symbol(a, z - J.apply(zeta), np.zeros(g.n)), g).samples
+    s1 = sample_symbol(a.shift(z, zeta), g).samples
+    s2 = sample_symbol(a.shift(z - J.apply(zeta), np.zeros(g.n)), g).samples
     return s1, s2
 
 
@@ -395,8 +396,8 @@ def _chk_associativity(cfg, rng):
 @check("deformation", 1e-12, "[L_f, R_h] = 0")
 def _chk_left_right_commute(cfg, rng):
     _, J, f, h, u = _operands(cfg, rng, 3, alpha=2.0)
-    lhs = left_action(f, right_action(h, u, J), J)
-    rhs = right_action(h, left_action(f, u, J), J)
+    lhs = deformed_product(f, deformed_product(u, h, J), J)
+    rhs = deformed_product(deformed_product(f, u, J), h, J)
     return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 
@@ -436,7 +437,7 @@ def _chk_translation_bridge(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2, points=32)
     a = sample_symbol(TranslationSymbol(F, J), g)
     lhs = pdo_apply(a, u)
-    rhs = left_action(F, u, J)
+    rhs = deformed_product(F, u, J)
     return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 
 
@@ -452,8 +453,8 @@ def _chk_adjoint_pairing(cfg, rng):
 @check("quantization", 1e-12, "(L_F)* = L_{F*} under the module inner product")
 def _chk_left_action_adjoint(cfg, rng):
     _, J, F, u, v = _operands(cfg, rng, 3)
-    lhs = inner_product(left_action(F, u, J), v)
-    rhs = inner_product(u, left_action(F.star(), v, J))
+    lhs = inner_product(deformed_product(F, u, J), v)
+    rhs = inner_product(u, deformed_product(F.star(), v, J))
     return _relative(cnorm(lhs - rhs), cnorm(lhs))
 
 
@@ -507,7 +508,7 @@ def _chk_norm_bound_stability(cfg, rng):
 def _chk_weyl_unitarity(cfg, rng):
     p = HeisenbergPoint(*_draw_pair(cfg.n, rng), rng.uniform(-np.pi, np.pi))
     _, _, u, v = _operands(cfg, rng, 2)
-    lhs = inner_product(weyl_shift(u, p), weyl_shift(v, p))
+    lhs = inner_product(p.apply(u), p.apply(v))
     rhs = inner_product(u, v)
     return _relative(cnorm(lhs - rhs), cnorm(rhs))
 
@@ -518,8 +519,8 @@ def _chk_group_law(cfg, rng):
     g, _, u = _operands(cfg, rng, 1, alpha=1.0)
     p1 = HeisenbergPoint(*_draw_pair(g.n, rng), 0.3)
     p2 = HeisenbergPoint(*_draw_pair(g.n, rng), -0.8)
-    lhs = weyl_shift(weyl_shift(u, p2), p1)
-    rhs = weyl_shift(u, p1.compose(p2))
+    lhs = p1.apply(p2.apply(u))
+    rhs = p1.compose(p2).apply(u)
     return (lhs - rhs).sup_norm() / u.sup_norm()
 
 
@@ -537,7 +538,7 @@ def _chk_conjugation_shift(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2)
     z, zeta = _draw_pair(g.n, rng)
     lhs = conjugate_operator(LeftActionOp(F, J), z, zeta).apply(u)
-    rhs = pdo_apply(shifted_symbol(TranslationSymbol(F, J), z, zeta), u)
+    rhs = pdo_apply(TranslationSymbol(F, J).shift(z, zeta), u)
     return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 
@@ -570,7 +571,7 @@ def _chk_smoothness_order(cfg, rng):
     d = np.zeros(2 * g.n)
     d[0] = 1.0
     rep = smoothness_probe(fam, d, [0.2, 0.1, 0.05, 0.025], u,
-                           derivative=LeftActionOp(dF, J), centered=True)
+                           derivative=LeftActionOp(dF, J))
     order = rep["order"]
     # centered differences observe order ~2; pass requires order >= 1
     return 1.0 / order if order > 0 else float("inf")
@@ -605,7 +606,7 @@ def _chk_gamma_reproduce_gauss(cfg, rng):
     c = rng.uniform(-0.5, 0.5, size=2)
     f = lambda p: np.exp(-((p[..., 0] - c[0]) ** 2 + (p[..., 1] - c[1]) ** 2)
                          / 2.0)[..., None, None] * M
-    val = gamma_reproduce(f, GammaKernel(40.0, 200), n=2, algebra_dim=k)
+    val = gamma_reproduce(f, GammaKernel(nodes=200), n=2, algebra_dim=k)
     ref = f(np.zeros((1, 2)))[0]
     return float(np.abs(val.entries - ref).max()) / float(np.abs(ref).max())
 

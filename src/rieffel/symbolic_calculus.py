@@ -30,21 +30,22 @@ from .quantization import (CallableSymbol, GridSymbol, PhaseSymbol,
                            TranslationSymbol, sample_symbol)
 
 
+T_MAX = 40.0
+
+
 @dataclass(frozen=True)
 class GammaKernel:
-    """Quadrature model of gamma(t) = t e^{-t} on [0, t_max].
+    """Quadrature model of gamma(t) = t e^{-t} on [0, T_MAX].
 
-    Gauss-Legendre nodes mapped to [0, t_max]; the tail of t e^{-t} beyond
-    t_max = 40 is below 1e-15, so the truncation is invisible at double
-    precision.
+    Gauss-Legendre nodes mapped to [0, T_MAX]; the tail beyond T_MAX = 40 is
+    below 1e-15, so the truncation is invisible at double precision.
     """
 
-    t_max: float = 40.0
     nodes: int = 400
 
     def quadrature(self):
-        """(nodes, weights) on [0, t_max], shared read-only arrays."""
-        return _gauss_legendre(self.t_max, self.nodes)
+        """(nodes, weights) on [0, T_MAX], shared read-only arrays."""
+        return _gauss_legendre(self.nodes)
 
     @staticmethod
     def gamma(t: np.ndarray) -> np.ndarray:
@@ -65,11 +66,11 @@ class GammaKernel:
 
 
 @functools.lru_cache(maxsize=16)
-def _gauss_legendre(t_max: float, nodes: int):
-    """Gauss-Legendre nodes and weights mapped to [0, t_max], computed once
-    per (t_max, nodes): leggauss solves a nodes x nodes eigenproblem."""
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights mapped to [0, T_MAX], computed once
+    per node count: leggauss solves a nodes x nodes eigenproblem."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    half = t_max / 2.0
+    half = T_MAX / 2.0
     t, w = half * (x + 1.0), half * w
     t.flags.writeable = False
     w.flags.writeable = False
@@ -149,13 +150,12 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
 
 
 def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
-                    partial=None, fd_step: float = 3e-3) -> AlgebraElement:
-    """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0,t_max]^n.
+                    fd_step: float = 3e-3) -> AlgebraElement:
+    """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0, T_MAX]^n.
 
-    f maps points of shape (..., n) to (..., k, k).  partial, when given,
-    maps a multi-index in {0,1,2}^n to an evaluator of the same signature
-    (analytic derivatives); otherwise fourth-order central differences with
-    step fd_step are used.  Returns approximately f(0).
+    f maps points of shape (..., n) to (..., k, k); each (1 - d_j)^2 is a
+    fourth-order central difference with step fd_step, so f is evaluated on
+    5^n shifted copies of the nodes.  Returns approximately f(0).
     """
     t, w = kernel.quadrature()
     grids = np.meshgrid(*([t] * n), indexing="ij")
@@ -164,24 +164,17 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
     gw = np.ones(pts.shape[0])
     for d in range(n):
         gw = gw * wgrids[d].ravel() * kernel.gamma(pts[:, d])
-    if partial is not None:
-        coeff = (1.0, -2.0, 1.0)
-        total = np.zeros(pts.shape[:1] + (algebra_dim,) * 2, dtype=complex)
-        for m in np.ndindex(*((3,) * n)):
-            c = float(np.prod([coeff[mj] for mj in m]))
-            total = total + c * np.asarray(partial(m)(pts), dtype=complex)
-    else:
-        h = fd_step
-        d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-        d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-        e0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        wts = e0 - 2.0 * d1 + d2                                  # (1 - d)^2
-        offs = h * np.arange(-2, 3)
-        total = np.zeros(pts.shape[:1] + (algebra_dim,) * 2, dtype=complex)
-        for s in np.ndindex(*((5,) * n)):
-            c = float(np.prod([wts[sj] for sj in s]))
-            shifted = pts + np.array([offs[sj] for sj in s])
-            total = total + c * np.asarray(f(shifted), dtype=complex)
+    h = fd_step
+    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    e0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    wts = e0 - 2.0 * d1 + d2                                      # (1 - d)^2
+    offs = h * np.arange(-2, 3)
+    total = np.zeros(pts.shape[:1] + (algebra_dim,) * 2, dtype=complex)
+    for s in np.ndindex(*((5,) * n)):
+        c = float(np.prod([wts[sj] for sj in s]))
+        shifted = pts + np.array([offs[sj] for sj in s])
+        total = total + c * np.asarray(f(shifted), dtype=complex)
     return AlgebraElement(np.einsum("m,mab->ab", gw, total))
 
 

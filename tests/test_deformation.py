@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from rieffel.algebra import AlgebraElement
 from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
-                                 bump_profile, deformed_product, left_action,
-                                 mollifier_hat, oscillatory_integral,
-                                 right_action, twisted_coefficients)
+                                 bump_profile, deformed_product, mollifier_hat,
+                                 oscillatory_integral, twisted_coefficients)
 from rieffel.errors import DivergenceError, GridMismatchError, ResolutionError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction, module_norm, translate
@@ -32,10 +31,35 @@ def matrix_gaussian(grid, seed, alpha=0.5, k=2):
 
 
 def test_skew_form_validation():
-    with pytest.raises(ValueError):
-        SkewForm(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # J = theta Omega on n = 2, zero on n = 1; no other dimension exists
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="only n = 1 and 2"):
+            SkewForm(0.0, n)
+        with pytest.raises(ValueError, match="only n = 1 and 2"):
+            SkewForm.standard(n=n)
+    with pytest.raises(ValueError, match="n = 1 grid"):
+        SkewForm(0.5, 1)
+    with pytest.raises(ValueError, match="n = 1 grid"):
+        SkewForm.standard(0.5, 1)
     assert SkewForm.standard(0.5).theta == 0.5
     assert SkewForm.zero(1).n == 1
+    assert np.array_equal(SkewForm.zero(1).entries, np.zeros((1, 1)))
+    assert np.array_equal(SkewForm.standard(-0.7).entries,
+                          np.array([[0.0, -0.7], [0.7, 0.0]]))
+
+
+def test_skew_form_equality_hash_and_rescaled():
+    # a form is its (theta, n): equal forms compare and hash equal, so a
+    # form can key a cache
+    assert SkewForm.standard() == SkewForm.standard() == SkewForm(0.5, 2)
+    assert hash(SkewForm.standard()) == hash(SkewForm(0.5))
+    assert SkewForm.standard(0.5) != SkewForm.standard(0.25)
+    assert SkewForm.zero(2) != SkewForm.zero(1)
+    assert len({SkewForm.standard(), SkewForm(0.5), SkewForm.zero(2)}) == 2
+    assert SkewForm.standard(0.5).rescaled(-2.0) == SkewForm(-1.0)
+    assert SkewForm.zero(1).rescaled(3.0) == SkewForm.zero(1)
+    assert np.array_equal(SkewForm.standard(0.5).rescaled(2 * np.pi).entries,
+                          2 * np.pi * SkewForm.standard(0.5).entries)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
@@ -101,8 +125,8 @@ def test_left_right_actions_commute():
     f = matrix_gaussian(g, 8, alpha=1.0)
     h = matrix_gaussian(g, 9, alpha=1.0)
     u = matrix_gaussian(g, 10, alpha=1.0)
-    lhs = left_action(f, right_action(h, u, J), J)
-    rhs = right_action(h, left_action(f, u, J), J)
+    lhs = deformed_product(f, deformed_product(u, h, J), J)
+    rhs = deformed_product(deformed_product(f, u, J), h, J)
     assert (lhs - rhs).sup_norm() <= 1e-6 * lhs.sup_norm()
 
 

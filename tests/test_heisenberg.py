@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rieffel.deformation import SkewForm, left_action
+from rieffel.deformation import SkewForm, deformed_product
 from rieffel.grids import GridSpec
 from rieffel.heisenberg import (HeisenbergPoint, conjugate_operator,
-                                intertwine_check, shifted_symbol,
-                                smoothness_probe, weyl_shift)
+                                intertwine_check, smoothness_probe)
 from rieffel.module_space import ModuleFunction, inner_product, module_norm
 from rieffel.quantization import (IdentityOp, LeftActionOp, PdoOp,
                                   TranslationSymbol, TrigPolySymbol,
@@ -34,7 +33,7 @@ def test_weyl_shift_unitary():
     u = gaussian(G, 0)
     v = gaussian(G, 1)
     p = point(2)
-    lhs = inner_product(weyl_shift(u, p), weyl_shift(v, p))
+    lhs = inner_product(p.apply(u), p.apply(v))
     rhs = inner_product(u, v)
     from rieffel.algebra import cnorm
     assert cnorm(lhs - rhs) <= 1e-10 * max(cnorm(rhs), 1e-300)
@@ -44,15 +43,15 @@ def test_group_law():
     # E_p E_q = e^{-i zeta_q . z_p} E_{p q} realized on samples
     u = gaussian(G, 3)
     p, q = point(4), point(5)
-    lhs = weyl_shift(weyl_shift(u, q), p)
-    rhs = weyl_shift(u, p.compose(q))
+    lhs = p.apply(q.apply(u))
+    rhs = p.compose(q).apply(u)
     assert module_norm(lhs - rhs) <= 1e-10 * module_norm(u)
 
 
 def test_inverse_element():
     u = gaussian(G, 6)
     p = point(7)
-    back = weyl_shift(weyl_shift(u, p), p.inverse())
+    back = p.inverse().apply(p.apply(u))
     assert module_norm(back - u) <= 1e-10 * module_norm(u)
     e = p.compose(p.inverse())
     assert np.abs(e.z).max() == 0.0 and np.abs(e.zeta).max() == 0.0
@@ -79,7 +78,7 @@ def test_conjugation_shifts_symbol():
     u = gaussian(G, 9)
     z, zeta = np.array([0.6, -0.3]), np.array([0.2, 0.5])
     lhs = conjugate_operator(PdoOp(a, G), z, zeta).apply(u)
-    rhs = pdo_apply(shifted_symbol(a, z, zeta), u)
+    rhs = pdo_apply(a.shift(z, zeta), u)
     assert module_norm(lhs - rhs) <= 1e-6 * module_norm(rhs)
 
 
@@ -90,8 +89,8 @@ def test_translation_symbol_collapse():
     F = gaussian(g, 10)
     a = TranslationSymbol(F, J)
     z, zeta = np.array([0.5, -0.25]), np.array([0.75, 0.5])
-    s = shifted_symbol(a, z, zeta)
-    collapsed = shifted_symbol(a, z - J.apply(zeta), np.zeros(2))
+    s = a.shift(z, zeta)
+    collapsed = a.shift(z - J.apply(zeta), np.zeros(2))
     d = sample_symbol(s, g).samples - sample_symbol(collapsed, g).samples
     scale = np.abs(sample_symbol(a, g).samples).max()
     assert np.abs(d).max() <= 1e-9 * scale
@@ -103,9 +102,9 @@ def test_conjugated_left_action_translates_multiplier():
     u = gaussian(g, 12)
     z, zeta = g.spacing * np.array([2.0, -1.0]), np.array([0.4, -0.6])
     lhs = conjugate_operator(LeftActionOp(F, J), z, zeta).apply(u)
-    s = shifted_symbol(TranslationSymbol(F, J), z, zeta)
+    s = TranslationSymbol(F, J).shift(z, zeta)
     assert isinstance(s, TranslationSymbol)
-    rhs = left_action(s.F, u, J)
+    rhs = deformed_product(s.F, u, J)
     assert module_norm(lhs - rhs) <= 1e-8 * module_norm(rhs)
 
 
@@ -126,24 +125,15 @@ def make_family(T):
     return lambda z, zeta: conjugate_operator(T, z, zeta)
 
 
-def test_smoothness_probe_forward_first_order():
-    F = gaussian(G, 15, k=1)
-    u = gaussian(G, 16, k=1)
-    probe = smoothness_probe(make_family(LeftActionOp(F, J)),
-                             np.array([1.0, 0.5, -0.3, 0.2]),
-                             (0.4, 0.2, 0.1, 0.05, 0.025), u)
-    assert probe["converged"]
-    assert 0.6 <= probe["order"] <= 1.5
-    assert probe["residuals"][-1] < probe["residuals"][0]
-
-
 def test_smoothness_probe_centered_second_order():
     F = gaussian(G, 17, k=1)
     u = gaussian(G, 18, k=1)
     probe = smoothness_probe(make_family(LeftActionOp(F, J)),
                              np.array([1.0, 0.5, -0.3, 0.2]),
-                             (0.4, 0.2, 0.1, 0.05, 0.025), u, centered=True)
+                             (0.4, 0.2, 0.1, 0.05, 0.025), u)
+    assert probe["converged"]
     assert probe["order"] >= 1.6
+    assert probe["residuals"][-1] < probe["residuals"][0]
 
 
 def test_smoothness_probe_constant_symbol_flat():
@@ -155,9 +145,8 @@ def test_smoothness_probe_constant_symbol_flat():
     assert max(probe["residuals"]) <= 1e-10 * module_norm(u)
 
 
-@pytest.mark.parametrize("centered, applies", [(True, 8), (False, 5)])
-def test_smoothness_probe_applies_base_only_one_sided(centered, applies):
-    # centered quotients never read T_0 u, so only one-sided probes apply it
+def test_smoothness_probe_never_applies_base():
+    # centered quotients apply T_{td} and T_{-td}, never T_0: 2 per step
     count = []
 
     class Counting(IdentityOp):
@@ -166,8 +155,8 @@ def test_smoothness_probe_applies_base_only_one_sided(centered, applies):
             return u
     u = gaussian(GridSpec(2, 8, 8.0), 21)
     smoothness_probe(lambda z, zeta: Counting(), np.ones(4),
-                     (0.2, 0.1, 0.05, 0.025), u, centered=centered)
-    assert len(count) == applies
+                     (0.2, 0.1, 0.05, 0.025), u)
+    assert len(count) == 8
 
 
 def test_smoothness_probe_rejects_bad_steps():

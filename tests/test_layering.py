@@ -1,12 +1,14 @@
 """Module boundaries of the rieffel package, read from its source with ast.
 
-No module imports a private (underscore) name from a sibling module, no
-test imports one from rieffel, and every relative import sits at module
-level, so each module's dependencies are listed in its header.  numpy's FFT
-is called only by grids and by the two kernels that spread or convolve raw
-FFT coefficients; every other transform goes through grids.
+The package exports a pinned list of names, one per operation.  No module
+imports a private (underscore) name from a sibling module, no test imports
+one from rieffel, and every relative import sits at module level, so each
+module's dependencies are listed in its header.  numpy's FFT is called
+only by grids and by the two kernels that spread or convolve raw FFT
+coefficients; every other transform goes through grids.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,36 @@ def test_fft_guard_detects_violations():
     assert not fft_allowed("deformation", "twisted_coefficients_v2")
     assert not fft_allowed("suites", None)
     assert fft_allowed("grids", "fourier_multiplier")
+
+
+PUBLIC_API = [
+    "AlgebraElement", "CallableSymbol", "CapabilityError", "ComposedOp",
+    "CutoffFamily", "DivergenceError", "GammaKernel", "GridMismatchError",
+    "GridSpec", "GridSymbol", "HeisenbergPoint", "IdentityOp", "KernelField",
+    "LeftActionOp", "MGFFormatError", "ModuleFunction", "OperatorHandle",
+    "PdoOp", "PhaseSymbol", "ResolutionError", "RightActionOp", "SkewForm",
+    "SuiteConfig", "TranslationSymbol", "TrigPolySymbol", "VerificationReport",
+    "adjoint_symbol", "approximate_identity", "b_transform", "boundary_report",
+    "cnorm", "conjugate_operator", "constant_symbol", "coordinate_symbol",
+    "deformed_product", "fourier", "gamma_reconstruct", "gamma_reproduce",
+    "inner_product", "intertwine_check", "modulate", "module_norm",
+    "operator_norm_estimate", "oscillatory_integral", "pdo_apply",
+    "pi_seminorm", "poisson_bracket", "positivity_defect", "read_mgf",
+    "recover_translation_symbol", "run_suite", "sample_symbol",
+    "schwartz_seminorm", "smoothness_probe", "star", "symbol_to_kernel",
+    "translate", "translation_certificate", "write_mgf"]
+
+# one-line aliases of operations that have one name: L_F u and R_G u are
+# deformed_product, E_p u is HeisenbergPoint.apply, a_{z,zeta} is a.shift
+RETIRED_ALIASES = ("left_action", "right_action", "weyl_shift", "shifted_symbol")
+
+
+def test_public_api_pinned():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = sorted(a.asname or a.name for node in ast.walk(init)
+                      if isinstance(node, ast.ImportFrom) for a in node.names)
+    assert exported == PUBLIC_API
+    for path in MODULES:
+        name = "rieffel" if path.stem == "__init__" else f"rieffel.{path.stem}"
+        module = importlib.import_module(name)
+        assert not [a for a in RETIRED_ALIASES if hasattr(module, a)], name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rieffel.cli import main
 from rieffel.errors import MGFFormatError
 from rieffel.grids import GridSpec
 from rieffel.mgf import MAGIC, read_mgf, write_mgf
@@ -73,13 +74,16 @@ def test_nan_payload_rejected(tmp_path):
         read_mgf(p)
 
 
-def test_expect_dim_mismatch(tmp_path):
-    f = sample_field(k=2)
-    p = tmp_path / "k2.mgf"
-    write_mgf(p, f)
-    with pytest.raises(MGFFormatError, match="dimension"):
-        read_mgf(p, expect_dim=3)
-    assert read_mgf(p, expect_dim=2).algebra_dim == 2
+def test_header_claiming_huge_payload_rejected_before_read(tmp_path, capsys):
+    # 24 header bytes claiming n=2, N=65536, k=1024, i.e. 2^56 payload bytes:
+    # the size check rejects it before read() is asked for that many
+    import struct
+    p = tmp_path / "huge.mgf"
+    p.write_bytes(struct.Struct("<4sIIId").pack(MAGIC, 2, 65536, 1024, 8.0))
+    with pytest.raises(MGFFormatError, match="truncated payload"):
+        read_mgf(p)
+    assert main(["info", str(p)]) == 2
+    assert "truncated payload" in capsys.readouterr().err
 
 
 def test_invalid_header_fields(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieffel.algebra import cnorm
-from rieffel.deformation import SkewForm, left_action
+from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.heisenberg import HeisenbergPoint
@@ -76,7 +76,7 @@ def test_translation_symbol_is_left_action():
     u = matrix_field(G2, 2)
     a = TranslationSymbol(F, J)
     direct = pdo_apply(a, u)
-    ref = left_action(F, u, J)
+    ref = deformed_product(F, u, J)
     assert (direct - ref).sup_norm() == 0.0  # dispatched to the same code
     sampled = pdo_apply(sample_symbol(a, G2), u)
     assert (sampled - ref).sup_norm() <= 1e-9 * ref.sup_norm()
@@ -333,7 +333,7 @@ def test_operator_composition_and_adjoint():
     F = matrix_field(G2, 12)
     T = ComposedOp([LeftActionOp(F, J), IdentityOp()])
     u = matrix_field(G2, 13)
-    assert (T.apply(u) - left_action(F, u, J)).sup_norm() <= 1e-14
+    assert (T.apply(u) - deformed_product(F, u, J)).sup_norm() <= 1e-14
     # (L_F)* = L_{F*} through the handle adjoint
     v = matrix_field(G2, 14)
     lhs = inner_product(T.apply(u), v)

@@ -15,7 +15,7 @@ from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symb
                                        translation_certificate)
 
 J = SkewForm.standard(0.5)
-K = GammaKernel(40.0, 400)
+K = GammaKernel(400)
 
 
 def gaussian_field(grid, seed, alpha=0.5, k=2):
@@ -70,7 +70,7 @@ def test_gamma_laplace_closed_form():
 
 def test_gamma_quadrature_cached_read_only():
     t, w = K.quadrature()
-    t2, w2 = GammaKernel(40.0, 400).quadrature()
+    t2, w2 = GammaKernel(400).quadrature()
     assert t2 is t and w2 is w
     with pytest.raises(ValueError):
         t[0] = 1.0
@@ -102,17 +102,6 @@ def test_reproduce_plane_wave():
     f = lambda pts: np.exp(1j * nu * pts[..., 0])[..., None, None]
     val = gamma_reproduce(f, K, n=1)
     assert abs(val.entries[0, 0] - 1.0) <= 1e-6
-
-
-def test_reproduce_plane_wave_analytic_partials():
-    nu = 0.9
-
-    def partial(m):
-        return lambda pts: ((1j * nu) ** m[0]
-                            * np.exp(1j * nu * pts[..., 0]))[..., None, None]
-
-    val = gamma_reproduce(None, K, n=1, partial=partial)
-    assert abs(val.entries[0, 0] - 1.0) <= 1e-9
 
 
 def test_reproduce_2d_matrix_gaussian():
@@ -169,7 +158,7 @@ def test_round_trip_refines_with_quadrature():
     a = trig_symbol(2, 2, 3)
     errs = []
     for nodes in (8, 16, 32):
-        kern = GammaKernel(40.0, nodes)
+        kern = GammaKernel(nodes)
         back = gamma_reconstruct(b_transform(a), kern)
         errs.append(max(np.abs(c1 - c0).max()
                         for (_, _, c1), (_, _, c0) in zip(back.terms, a.terms)))
