@@ -118,6 +118,12 @@ def cnorm_sup(entries: np.ndarray) -> float:
     return float(cnorm_entries(rows[fro >= (m / k) * (1 - 1e-12)]).max())
 
 
+def cnorm_sup_slabs(slabs) -> float:
+    """max of cnorm_sup over the arrays of slabs (0.0 for none), NaN if any is
+    NaN; each is reduced before the next is drawn (PhaseSymbol.slabs)."""
+    return float(np.max([0.0, *map(cnorm_sup, slabs)]))
+
+
 def _svd_norm(entries: np.ndarray) -> np.ndarray:
     """Largest singular value by batched SVD; non-finite entries raise (the
     SVD itself raises on NaN but returns NaN for inf)."""

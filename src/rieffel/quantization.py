@@ -9,8 +9,8 @@ provides the sup-derivative seminorm pi(a) over multi-indices <= (1,...,1),
 the adjoint symbol p with <a(x,D)u, v> = <u, p(x,D)v>, the symbol-to-kernel
 transform, and a randomized lower estimate of the operator norm.
 
-Symbol backings (each implements eval; PhaseSymbol's generic sample and
-quantize run on it):
+Symbol backings (each implements eval; PhaseSymbol's generic sample, slabs
+and quantize run on it):
 
   * CallableSymbol    -- closed-form evaluator, optional analytic partials
   * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited)
@@ -34,9 +34,11 @@ multiply-adds and no meshgrid.  quantize transforms u forward once; each
 term with w != 0 costs one phase multiply and one inverse transform,
 O(N^n log N k^2), and a term with w = 0 reuses u untransformed.
 
-TranslationSymbol samples by a separable shear: one forward transform of F,
-then per x axis one phase multiply and one inverse transform.  At n = 2 that
-is one pass on N^3 k^2 values plus one full-size pass along axis 1.
+slabs(grid) yields the samples one slab of the first x axis at a time, so a
+supremum never holds the product grid whole.  TranslationSymbol samples by a
+separable shear: one forward transform of F, then per x axis one phase
+multiply and one inverse transform.  At n = 2 axis 0 runs once on N^3 k^2
+values and axis 1 per slab, into one reused 2 MB slab (N = 32, k = 2) in slabs.
 
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cnorm_sup
+from .algebra import cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec, axis_transform, fourier_multiplier, grid_transform
@@ -112,6 +114,13 @@ class PhaseSymbol:
         vals = self.eval(coords[:grid.n], coords[grid.n:])
         return GridSymbol(grid, np.broadcast_to(
             vals, grid.shape * 2 + (self.algebra_dim,) * 2).copy())
+
+    def slabs(self, grid: GridSpec):
+        """For each node i of the first x axis, an array equal to
+        sample(grid).samples[i], of shape (N,)^(2n-1) + (k, k).  Each is
+        valid only until the next one is drawn (a backing may reuse one
+        buffer), so reduce it before drawing the next."""
+        yield from self.sample(grid).samples
 
     def quantize(self, u: ModuleFunction) -> ModuleFunction:
         """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense loop over
@@ -364,27 +373,46 @@ class TranslationSymbol(PhaseSymbol):
             return GridSymbol(grid, np.broadcast_to(
                 self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
                 grid.shape * 2 + (k, k)).copy())
-        # Separable shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
-        # trigonometric interpolant of F at x - J xi.  Through grid_transform,
-        # c = (dnu / sqrt(2 pi))^n F^(nu) e^{i x0.nu} with nu read in FFT
-        # order (the inverse's (-1)^j sign as a roll by N/2); these phases,
-        # the roll and the scale undo F^'s own, leaving c = fftn(F) / N^n.
-        # The phase factors over the nu axes, e^{-i nu_d (J xi)_d} each, so
-        # axis d takes its factor (on the xi axes e with J_de != 0 only) and
-        # its inverse transform (which divides by N) in turn.  At n = 2 the
-        # axis-0 pass runs on N^3 k^2 values and only the axis-1 pass, whose
-        # stride is N times shorter, on the full product grid.
+        out = np.empty(grid.shape * 2 + (k, k), dtype=complex)
+        for _ in self._shear(grid, out):
+            pass
+        return GridSymbol(grid, out)
+
+    def slabs(self, grid):
+        if not (self.F.grid.compatible(grid) and self.J.entries.any()):
+            return super().slabs(grid)
+        return self._shear(grid, np.empty(
+            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
+
+    def _shear(self, grid, out):
+        """Write slab i of the samples (own grid, J != 0) into out[i % len(out)]
+        (every slab, or one reused slab) and yield it, i = 0 .. N-1 in turn.
+
+        Separable shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
+        trigonometric interpolant of F at x - J xi.  Through grid_transform,
+        c = (dnu / sqrt(2 pi))^n F^(nu) e^{i x0.nu} with nu read in FFT order
+        (the inverse's (-1)^j sign as a roll by N/2); these phases, the roll
+        and the scale undo F^'s own, leaving c = fftn(F) / N^n.  The phase
+        factors over the nu axes, e^{-i nu_d (J xi)_d} each: axis d takes its
+        factor and its inverse transform (which divides by N) in turn, axis 0
+        once on N^3 k^2 values at n = 2, every later axis slab by slab."""
+        n, k = grid.n, self.algebra_dim
         nu = np.fft.ifftshift(grid.dual_axis())
         xi = grid.dual_axis()
-        out = np.fft.fftn(self.F.samples, axes=tuple(range(n))).reshape(
-            grid.shape + (1,) * n + (k, k))
-        for d, row in enumerate(self.J.entries):
-            nu_d = nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
-            arg = sum(-1j * row[e] * nu_d * xi.reshape((-1,) + (1,) * (n - 1 - e))
-                      for e in range(n) if row[e])
-            out = out * np.exp(arg)[..., None, None]
-            np.fft.ifft(out, axis=d, out=out)
-        return GridSymbol(grid, out)
+        phases = [np.exp(sum(
+            -1j * row[e] * nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
+            * xi.reshape((-1,) + (1,) * (n - 1 - e)) for e in range(n) if row[e]
+        ))[..., None, None] for d, row in enumerate(self.J.entries)]
+        head = np.fft.fftn(self.F.samples, axes=tuple(range(n))).reshape(
+            grid.shape + (1,) * n + (k, k)) * phases[0]
+        np.fft.ifft(head, axis=0, out=head)
+        for i, part in enumerate(head):
+            slab = out[i % len(out)]
+            for d in range(1, n):
+                np.multiply(part, phases[d], out=slab)
+                np.fft.ifft(slab, axis=d - 1, out=slab)
+                part = slab
+            yield slab
 
     def quantize(self, u):
         if not self.F.grid.compatible(u.grid):
@@ -439,7 +467,7 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all
     beta, gamma <= (1, ..., 1)."""
     n = a.n
-    best = 0.0
+    sups = []
     sampled = None  # a on grid, sampled once if a lacks a partial
     for bx in np.ndindex(*((2,) * n)):
         for gx in np.ndindex(*((2,) * n)):
@@ -449,9 +477,8 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
                 if sampled is None:
                     sampled = sample_symbol(a, grid)
                 d = sampled.partial(bx, gx)
-            s = sample_symbol(d, grid)
-            best = max(best, cnorm_sup(s.samples))
-    return best
+            sups.append(cnorm_sup_slabs(d.slabs(grid)))
+    return float(np.max(sups))
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:

@@ -13,6 +13,7 @@ integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.
 recover_translation_symbol extracts F(z) = a(z, 0) and measures how far a
 is from the translation form F(x - J xi); the directional certificate
 d a/d xi_i = sum_j J_ij d a/d x_j vanishes exactly on translation symbols.
+Both fold cnorm_sup over zipped PhaseSymbol.slabs streams, slab by slab.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm_sup
+from .algebra import AlgebraElement, cnorm_sup_slabs
 from .deformation import SkewForm
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec
@@ -221,15 +222,8 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
         vals = a.eval(mesh, zeros)
         F = ModuleFunction(grid, np.broadcast_to(
             vals, grid.shape + (a.algebra_dim,) * 2).copy())
-    sa = sample_symbol(a, grid).samples  # may be a's own samples: read only
-    sf = sample_symbol(TranslationSymbol(F, J), grid).samples
-    return F, _sup_by_slab(lambda i: sa[i] - sf[i], grid.points)
-
-
-def _sup_by_slab(diff, points: int) -> float:
-    """max over i < points of cnorm_sup(diff(i)), diff(i) being one slab of
-    the first axis, so no full product-grid difference is ever formed."""
-    return max(cnorm_sup(diff(i)) for i in range(points))
+    return F, cnorm_sup_slabs(x - y for x, y in zip(
+        a.slabs(grid), TranslationSymbol(F, J).slabs(grid)))
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:
@@ -238,16 +232,16 @@ def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> floa
     n = a.n
     zero = (0,) * n
     try:
-        dxs = [sample_symbol(a.partial(_unit(n, j), zero), grid).samples
-               for j in range(n)]
+        dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
     except CapabilityError:
         a = sample_symbol(a, grid)
-        dxs = [a.partial(_unit(n, j), zero).samples for j in range(n)]
-    worst = 0.0
+        dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
+    worst = []
     for i in range(n):
-        dxi = sample_symbol(a.partial(zero, _unit(n, i)), grid).samples
-        worst = max(worst, _sup_by_slab(
-            lambda r: dxi[r] - sum(J.entries[i, j] * dxs[j][r] for j in range(n)),
-            grid.points))
-        del dxi  # at most n + 1 product-grid arrays alive at once
-    return worst
+        # only x-partials with J_ij != 0: at n = 2, two slab streams at a time
+        js = [j for j in range(n) if J.entries[i, j]]
+        rows = zip(a.partial(zero, _unit(n, i)).slabs(grid),
+                   *(dxs[j].slabs(grid) for j in js))
+        worst.append(cnorm_sup_slabs(
+            r[0] - sum(J.entries[i, j] * s for j, s in zip(js, r[1:])) for r in rows))
+    return float(np.max(worst))

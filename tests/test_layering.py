@@ -20,7 +20,7 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 FFT_ALLOWED = {"grids": None,  # anywhere in the module
                "deformation": "twisted_coefficients",
-               "quantization": "TranslationSymbol.sample"}
+               "quantization": "TranslationSymbol._shear"}
 
 
 def find(tree, match):
@@ -136,7 +136,7 @@ def test_fft_guard_detects_violations():
     bad = ast.parse(
         "x = np.fft.fft(y)\n"
         "class TranslationSymbol:\n"
-        "    def sample(self):\n"
+        "    def _shear(self):\n"
         "        return np.fft.ifftn(np.fft.fftn(a))\n"
         "    def partial(self):\n"
         "        return numpy.fft.fft(a)\n"
@@ -144,8 +144,8 @@ def test_fft_guard_detects_violations():
         "    def inner():\n"
         "        return np.fft.fft(a)\n")
     found = [(n.lineno, s) for n, s in fft_uses(bad)]
-    assert found == [(1, None), (4, "TranslationSymbol.sample"),
-                     (4, "TranslationSymbol.sample"),
+    assert found == [(1, None), (4, "TranslationSymbol._shear"),
+                     (4, "TranslationSymbol._shear"),
                      (6, "TranslationSymbol.partial"),
                      (9, "twisted_coefficients.inner")]
     assert [fft_allowed("quantization", s) for _, s in found] == [

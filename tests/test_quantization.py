@@ -146,6 +146,45 @@ def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
         assert (err <= 1e-14 * np.abs(slow).max()) == agrees
 
 
+def slab_symbol(kind, n, k, g):
+    """A symbol of each backing kind for the slabs test; F of a foreign
+    translation symbol lives on an 8-point grid, so its generic eval stays
+    cheap."""
+    r = np.random.default_rng(10 * n + k + g.points)
+    if kind in ("trig", "grid"):
+        a = trig_symbol(n, k, 5 * n + k)
+        return a if kind == "trig" else sample_symbol(a, g)
+    fg = GridSpec(n, 8, 3.0) if kind == "foreign" else g
+    F = ModuleFunction(fg, r.normal(size=fg.shape + (k, k))
+                       + 1j * r.normal(size=fg.shape + (k, k)))
+    theta = 0.5 if n == 2 and kind != "J0" else 0.0
+    return TranslationSymbol(F, SkewForm.standard(theta, n))
+
+
+@pytest.mark.parametrize("npts", [16, 24])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["trig", "grid", "translation", "J0", "foreign"])
+def test_slabs_equal_samples(kind, n, k, npts):
+    # every slab, drawn in turn from one stream, equals the sampled slab bit
+    # for bit (copied, since a slab may be overwritten by the next one)
+    g = GridSpec(n, npts, 8.0)
+    a = slab_symbol(kind, n, k, g)
+    samples = a.sample(g).samples
+    slabs = [s.copy() for s in a.slabs(g)]
+    assert len(slabs) == npts
+    assert all(np.array_equal(s, samples[i]) for i, s in enumerate(slabs))
+    if kind == "translation" and n == 2:
+        # negative control: the reflected form samples F(x + J xi)
+        other = TranslationSymbol(a.F, a.J.rescaled(-1)).sample(g).samples
+        assert not any(np.array_equal(s, other[i]) for i, s in enumerate(slabs))
+
+
+def test_grid_symbol_slabs_are_views():
+    s = sample_symbol(trig_symbol(2, 2, 6), GridSpec(2, 8, 8.0))
+    assert all(np.shares_memory(x, s.samples) for x in s.slabs(s.grid))
+
+
 def trig_variants(n, k, seed):
     # a random trig symbol, its partial, shift, star and adjoint, and one
     # with a w = 0 term and a term shifted along the first axis only

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
-                                  TrigPolySymbol, sample_symbol)
+                                  TrigPolySymbol, pi_seminorm, sample_symbol)
 from rieffel.suites import SuiteConfig, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                        gamma_reconstruct, gamma_reproduce,
@@ -334,16 +336,71 @@ def test_certificate_discriminates():
 
 
 def test_certificate_samples_each_partial_once(monkeypatch):
-    # n x-partials once, then one xi-partial per i: 4 samplings at n = 2
+    # one xi-partial per i and, at n = 2, the one x-partial with J_ij != 0:
+    # 4 slab streams in all
     calls = []
-    sample = TranslationSymbol.sample
-    monkeypatch.setattr(TranslationSymbol, "sample",
-                        lambda self, grid: calls.append(1) or sample(self, grid))
+    slabs = TranslationSymbol.slabs
+    monkeypatch.setattr(TranslationSymbol, "slabs",
+                        lambda self, grid: calls.append(1) or slabs(self, grid))
     g = GridSpec(2, 8, 8.0)
     # J = 0.5 scales exactly, so the residual of a translation symbol is 0
     a = TranslationSymbol(gaussian_field(g, 10), J)
     assert translation_certificate(a, J, g) == 0.0
     assert len(calls) == 4
+
+
+def nan_grid_symbol(where, k=1):
+    """Samples of TranslationSymbol(exp(-|x|^2) I_k, J) at N = 16 with the
+    single entry where + (0, 0) set to NaN."""
+    g = GridSpec(2, 16, 8.0)
+    F = ModuleFunction.from_function(g, lambda x, y: np.exp(-x * x - y * y), k)
+    s = sample_symbol(TranslationSymbol(F, J), g).samples.copy()
+    s[where + (0, 0)] = np.nan
+    return GridSymbol(g, s), g
+
+
+@pytest.mark.parametrize("where", [(3, 2, 1, 1), (0, 2, 1, 1)])
+def test_recover_propagates_nan(where):
+    # a NaN off xi = 0 leaves F finite; the residual must still be NaN,
+    # whichever slab holds it
+    a, g = nan_grid_symbol(where)
+    F, residual = recover_translation_symbol(a, J, g)
+    assert np.isfinite(F.samples).all()
+    assert np.isnan(residual)
+
+
+def test_certificate_and_pi_seminorm_propagate_nan():
+    a, g = nan_grid_symbol((0, 2, 1, 1))
+    assert np.isnan(translation_certificate(a, J, g))
+    assert np.isnan(pi_seminorm(a, g))
+    # at k = 2 the spectral norm of a non-finite matrix raises
+    a, g = nan_grid_symbol((0, 2, 1, 1), k=2)
+    for fn in (translation_certificate, recover_translation_symbol):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(a, J, g)
+    with pytest.raises(np.linalg.LinAlgError):
+        pi_seminorm(a, g)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("measure", [
+    lambda a, g: recover_translation_symbol(a, J, g),
+    lambda a, g: translation_certificate(a, J, g)], ids=["recover", "certificate"])
+def test_residual_memory_below_one_product_grid(measure):
+    # N = 32, k = 2: one product grid is 67 MB; the residuals stream it one
+    # first-axis slab at a time, where sampling whole grids took 2x or more
+    g = GridSpec(2, 32, 8.0)
+    a = TranslationSymbol(gaussian_field(g, 13), J)
+    grid_bytes = g.points ** 4 * 4 * 16
+    assert _peak_bytes(lambda: measure(a, g)) <= 0.25 * grid_bytes
 
 
 def test_recover_idempotent():
