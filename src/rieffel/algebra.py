@@ -101,27 +101,40 @@ def cnorm_entries(entries: np.ndarray) -> np.ndarray:
 
 
 def cnorm_sup(entries: np.ndarray) -> float:
-    """float(cnorm_entries(entries).max()), bit for bit, computing the exact
-    norm only for matrices whose squared Frobenius norm is at least m/k, m
-    the largest: ||A||_2^2 >= ||B||_F^2 / k for the maximizer A and every B,
-    and ||C||_2 <= ||C||_F.  Squares outside [1e-290, 1e290] (tiny, huge or
-    non-finite entries) take the full path."""
-    k = entries.shape[-1]
-    rows = np.ascontiguousarray(entries, dtype=complex).reshape(-1, k, k)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        fro = np.einsum("mij,mij->m", rows.view(float), rows.view(float))
-    m = fro.max()
-    if m == 0 and not rows.any():
-        return 0.0
-    if not _SQUARES_MIN <= m <= _SQUARES_MAX:
-        return float(cnorm_entries(rows).max())
-    return float(cnorm_entries(rows[fro >= (m / k) * (1 - 1e-12)]).max())
+    """float(cnorm_entries(entries).max()), bit for bit (see cnorm_sup_slabs)."""
+    return cnorm_sup_slabs([entries])
 
 
 def cnorm_sup_slabs(slabs) -> float:
-    """max of cnorm_sup over the arrays of slabs (0.0 for none), NaN if any is
-    NaN; each is reduced before the next is drawn (PhaseSymbol.slabs)."""
-    return float(np.max([0.0, *map(cnorm_sup, slabs)]))
+    """max of float(cnorm_entries(s).max()) over the arrays s of slabs (0.0
+    for none), bit for bit, NaN if any is NaN.  Only matrices with ||A||_F^2
+    at least m/k, m the slab's largest (||A||_2^2 >= m/k at its maximizer),
+    and at least the running floor best^2 (||A||_2 <= ||A||_F), less 1e-12
+    for rounding, are normed; squares outside [1e-290, 1e290] take the full
+    path.  Each slab is dropped before the next is drawn (PhaseSymbol.slabs)."""
+    best = 0.0
+    for s in slabs:
+        k = s.shape[-1]
+        rows = np.ascontiguousarray(s, dtype=complex).reshape(-1, k, k)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            fro = np.einsum("mij,mij->m", rows.view(float), rows.view(float))
+            floor = best * best * (1 - 1e-12)
+        m = fro.max()
+        if not (m < floor or (m == 0 and not rows.any())):
+            if _SQUARES_MIN <= m <= _SQUARES_MAX:
+                rows = rows[fro >= max((m / k) * (1 - 1e-12), floor)]
+            best = float(np.maximum(best, cnorm_entries(rows).max()))
+        del s, rows, fro
+    return best
+
+
+def slab_differences(pairs):
+    """x - y per pair (x, y), in one reused buffer: valid until the next."""
+    buf = None
+    for x, y in pairs:
+        buf = np.subtract(x, y, out=buf)
+        del x, y
+        yield buf
 
 
 def _svd_norm(entries: np.ndarray) -> np.ndarray:

@@ -89,21 +89,23 @@ def axis_transform(samples: np.ndarray, axis: int, dx: float, x0: float,
 
     Input nodes are x_j = x0 + j*dx; output nodes are the ascending dual
     frequencies nu_m = (m - M/2) * 2*pi/(M*dx).  The inverse maps back.
-    """
+    One fresh array takes the signs or phases, the FFT and the scaling, as
+    np.multiply(factor, out, out=out): `out *= factor` swaps the operands of
+    the complex multiply, which changes the last bits."""
     m = samples.shape[axis]
-    nu = (TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)
-    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    shape = [1] * samples.ndim
-    shape[axis] = m
-    alt = alt.reshape(shape)
-    if not inverse:
-        out = np.fft.fft(samples * alt, axis=axis)
-        phase = np.exp(-1j * x0 * nu).reshape(shape)
-        return (dx / np.sqrt(TWO_PI)) * phase * out
-    phase = np.exp(1j * x0 * nu).reshape(shape)
-    out = np.fft.ifft(samples * phase, axis=axis)
     dnu = TWO_PI / (m * dx)
-    return (m * dnu / np.sqrt(TWO_PI)) * alt * out
+    nu = dnu * np.arange(-m // 2, m // 2)
+    shape = [m if d == axis else 1 for d in range(samples.ndim)]
+    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0).reshape(shape)
+    if not inverse:
+        out = np.multiply(samples, alt, out=np.empty(samples.shape, complex))
+        np.fft.fft(out, axis=axis, out=out)
+        factor = (dx / np.sqrt(TWO_PI)) * np.exp(-1j * x0 * nu).reshape(shape)
+    else:
+        out = samples * np.exp(1j * x0 * nu).reshape(shape)
+        np.fft.ifft(out, axis=axis, out=out)
+        factor = (m * dnu / np.sqrt(TWO_PI)) * alt
+    return np.multiply(factor, out, out=out)
 
 
 def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:

@@ -153,25 +153,26 @@ class PhaseSymbol:
 def _dense_quantize(values, u: ModuleFunction) -> ModuleFunction:
     """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), 64 nodes at a
     time; values(rows, q) returns a(x, q) for the dual nodes q = flat node
-    indices rows, shaped (len(q),) + grid.shape + (k, k)."""
+    indices rows, shaped (len(q),) + grid.shape + (k, k).  Per chunk of C
+    nodes one multiply fills a reused (X, k, k, C) buffer (X grid points)
+    with e^{i x.q} a(x, q), and one (X k x k C) @ (k C x k) GEMM adds it."""
     chunk = 64
-    g = u.grid
-    mesh = g.mesh()
-    uhat = grid_transform(u.samples, g)
-    dual = g.dual_mesh()
-    flatq = np.stack([d.ravel() for d in dual], axis=-1)       # (M, n)
-    uh = uhat.reshape(-1, u.algebra_dim, u.algebra_dim)        # (M, k, k)
-    scale = (TWO_PI) ** (-g.n / 2.0) * g.dual_spacing ** g.n
-    out = np.zeros_like(u.samples)
+    g, k = u.grid, u.algebra_dim
+    uh = grid_transform(u.samples, g).reshape(-1, k, k)       # (M, k, k)
+    flatq = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)  # (M, n)
+    acc = np.zeros((u.samples.size // k, k), dtype=complex)   # (X k, k)
+    buf = np.empty(acc.size * min(chunk, len(flatq)), dtype=complex)
     for lo in range(0, flatq.shape[0], chunk):
         rows = slice(lo, lo + chunk)
         q = flatq[rows]                                        # (C, n)
-        avals = values(rows, q)                                # (C,)+shape+(k,k)
-        arg = sum(q[:, d].reshape((-1,) + (1,) * g.n) * mesh[d][None]
-                  for d in range(g.n))
-        term = np.einsum("c...ab,cbd->c...ad", avals, uh[rows])
-        out += (np.exp(1j * arg)[..., None, None] * term).sum(axis=0)
-    return ModuleFunction(g, scale * out)
+        wave = math.prod(np.exp(1j * np.multiply.outer(g.axis(), q[:, d])).reshape(
+            (1,) * d + (-1,) + (1,) * (g.n - 1 - d) + (len(q),)) for d in range(g.n))
+        term = buf[:acc.size * len(q)].reshape(g.shape + (k, k, len(q)))
+        np.multiply(wave[..., None, None, :], np.moveaxis(values(rows, q), 0, -1),
+                    out=term)
+        acc += term.reshape(len(acc), -1) @ uh[rows].transpose(1, 0, 2).reshape(-1, k)
+    return ModuleFunction(g, TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
+                          * acc.reshape(u.samples.shape))
 
 
 class CallableSymbol(PhaseSymbol):
@@ -464,21 +465,19 @@ def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
 
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
-    """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all
-    beta, gamma <= (1, ..., 1)."""
-    n = a.n
-    sups = []
-    sampled = None  # a on grid, sampled once if a lacks a partial
-    for bx in np.ndindex(*((2,) * n)):
-        for gx in np.ndindex(*((2,) * n)):
+    """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all beta,
+    gamma <= (1, ..., 1), as one slab stream (one running floor) over them."""
+    def partial_slabs():
+        sampled = None  # a on grid, sampled once if a lacks a partial
+        for o in np.ndindex(*((2,) * (2 * a.n))):
             try:
-                d = a.partial(bx, gx)
+                d = a.partial(o[:a.n], o[a.n:])
             except CapabilityError:
                 if sampled is None:
                     sampled = sample_symbol(a, grid)
-                d = sampled.partial(bx, gx)
-            sups.append(cnorm_sup_slabs(d.slabs(grid)))
-    return float(np.max(sups))
+                d = sampled.partial(o[:a.n], o[a.n:])
+            yield from d.slabs(grid)
+    return cnorm_sup_slabs(partial_slabs())
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:
@@ -494,27 +493,28 @@ class KernelField:
     samples: np.ndarray = field(repr=False)
 
     def apply(self, v: ModuleFunction) -> ModuleFunction:
+        """sum_y K(x, y) v(y) dy as k^2 GEMMs, K[..., a, b] (copied) @ v[:, b]."""
         if not v.grid.compatible(self.grid):
             raise GridMismatchError("kernel and function grids differ")
         g = self.grid
-        weight = g.spacing ** g.n
-        xa = list(range(g.n))
-        ya = list(range(g.n, 2 * g.n))
-        acc = np.einsum(self.samples, [*xa, *ya, 2 * g.n, 2 * g.n + 1],
-                        v.samples, [*ya, 2 * g.n + 1, 2 * g.n + 2],
-                        [*xa, 2 * g.n, 2 * g.n + 2])
-        return ModuleFunction(g, weight * acc)
+        k = self.samples.shape[-1]
+        m = g.points ** g.n
+        vs = v.samples.reshape(m, k, k)
+        acc = np.zeros((m, k, k), dtype=complex)
+        for a, b in np.ndindex(k, k):
+            acc[:, a] += self.samples[..., a, b].reshape(m, m) @ vs[:, b]
+        return ModuleFunction(g, g.spacing ** g.n * acc.reshape(v.samples.shape))
 
 
 def symbol_to_kernel(a: PhaseSymbol, grid: GridSpec) -> KernelField:
-    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi."""
-    s = sample_symbol(a, grid)
-    out = s.samples
+    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi, with at most
+    two product grids alive (the sample goes after the first transform)."""
+    out = sample_symbol(a, grid).samples
     for ax in range(grid.n, 2 * grid.n):
         # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
         # reads its input on the dual of the spatial axis, t lands on axis()
         out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=True)
-    out = out * (TWO_PI) ** (-grid.n / 2.0)
+    out *= (TWO_PI) ** (-grid.n / 2.0)
     # shear as one gather: K[i, j] = k[i, t] at t = x_i - y_j, i.e. index
     # (i - j + N/2) mod N per dimension, i on the x axes and j on the y axes
     npts = grid.points

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraElement, cnorm, cnorm_entries, cnorm_sup,
-                      cnorm_sup_slabs, positivity_defect, star)
+                      cnorm_sup_slabs, positivity_defect, slab_differences, star)
 from .deformation import SkewForm, approximate_identity, deformed_product
 from .grids import GridSpec, fourier_multiplier, grid_transform
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
@@ -222,11 +222,11 @@ def _worst(residuals) -> float:
 
 
 def _shifted_pair(a, J, g, rng):
-    """Slabs of a_{z,zeta} and a_{z - J zeta, 0} on g at a random (z, zeta);
+    """Slab pairs of a_{z,zeta} and a_{z - J zeta, 0} on g at a random (z, zeta);
     they agree when a is a translation symbol (or a transform of one)."""
     z, zeta = _draw_pair(g.n, rng)
-    return (a.shift(z, zeta).slabs(g),
-            a.shift(z - J.apply(zeta), np.zeros(g.n)).slabs(g))
+    return zip(a.shift(z, zeta).slabs(g),
+               a.shift(z - J.apply(zeta), np.zeros(g.n)).slabs(g))
 
 
 def _commensurate_pair(grid, rng):
@@ -545,8 +545,10 @@ def _chk_conjugation_shift(cfg, rng):
 @check("heisenberg", 1e-9, "translation symbols satisfy a_{z,zeta} = a_{z - J zeta, 0}")
 def _chk_translation_collapse(cfg, rng):
     g, J, F = _operands(cfg, rng, 1, points=32)
-    s1, s2 = _shifted_pair(TranslationSymbol(F, J), J, g, rng)
-    scale, err = np.max([(cnorm_sup(x), cnorm_sup(x - y)) for x, y in zip(s1, s2)], 0)
+    pairs = _shifted_pair(TranslationSymbol(F, J), J, g, rng)
+    buf = np.empty((g.points,) * (2 * g.n - 1) + F.samples.shape[-2:], dtype=complex)
+    scale, err = np.max([(cnorm_sup(x), cnorm_sup(np.subtract(x, y, out=buf)))
+                         for x, y in pairs], 0)
     return _relative(float(err), float(scale))
 
 
@@ -678,7 +680,7 @@ def _chk_recovery(cfg, rng):
     a = TranslationSymbol(F, J)
     b = b_transform(a)
     # shifted-symbol invariance of the transformed symbol
-    inv = cnorm_sup_slabs(x - y for x, y in zip(*_shifted_pair(b, J, g, rng)))
+    inv = cnorm_sup_slabs(slab_differences(_shifted_pair(b, J, g, rng)))
     rec = gamma_reconstruct(b, GammaKernel())
     Fr, resid = recover_translation_symbol(rec, J, g)
     scale = F.sup_norm()

@@ -13,7 +13,7 @@ integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.
 recover_translation_symbol extracts F(z) = a(z, 0) and measures how far a
 is from the translation form F(x - J xi); the directional certificate
 d a/d xi_i = sum_j J_ij d a/d x_j vanishes exactly on translation symbols.
-Both fold cnorm_sup over zipped PhaseSymbol.slabs streams, slab by slab.
+Both fold cnorm_sup over the differences of zipped PhaseSymbol.slabs streams.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm_sup_slabs
+from .algebra import AlgebraElement, cnorm_sup_slabs, slab_differences
 from .deformation import SkewForm
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec
@@ -222,8 +222,8 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
         vals = a.eval(mesh, zeros)
         F = ModuleFunction(grid, np.broadcast_to(
             vals, grid.shape + (a.algebra_dim,) * 2).copy())
-    return F, cnorm_sup_slabs(x - y for x, y in zip(
-        a.slabs(grid), TranslationSymbol(F, J).slabs(grid)))
+    return F, cnorm_sup_slabs(slab_differences(zip(
+        a.slabs(grid), TranslationSymbol(F, J).slabs(grid))))
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:
@@ -236,12 +236,11 @@ def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> floa
     except CapabilityError:
         a = sample_symbol(a, grid)
         dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
-    worst = []
-    for i in range(n):
-        # only x-partials with J_ij != 0: at n = 2, two slab streams at a time
-        js = [j for j in range(n) if J.entries[i, j]]
-        rows = zip(a.partial(zero, _unit(n, i)).slabs(grid),
-                   *(dxs[j].slabs(grid) for j in js))
-        worst.append(cnorm_sup_slabs(
-            r[0] - sum(J.entries[i, j] * s for j, s in zip(js, r[1:])) for r in rows))
-    return float(np.max(worst))
+    def pairs():
+        for i in range(n):
+            # only x-partials with J_ij != 0: at n = 2, two slab streams at a time
+            js = [j for j in range(n) if J.entries[i, j]]
+            for r in zip(a.partial(zero, _unit(n, i)).slabs(grid),
+                         *(dxs[j].slabs(grid) for j in js)):
+                yield r[0], sum(J.entries[i, j] * s for j, s in zip(js, r[1:]))
+    return cnorm_sup_slabs(slab_differences(pairs()))

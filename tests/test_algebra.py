@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rieffel.algebra import (AlgebraElement, cnorm, cnorm_entries, cnorm_sup,
-                             positivity_defect, star)
+                             cnorm_sup_slabs, positivity_defect, slab_differences,
+                             star)
 
 
 def random_matrix(seed, k=2):
@@ -194,6 +196,113 @@ def test_cnorm_sup_memory_on_product_grid():
     x = rng.standard_normal((32,) * 4 + (2, 4)).view(complex)
     assert _peak_bytes(cnorm_sup, x) <= 0.5 * x.nbytes
     assert _peak_bytes(lambda e: cnorm_entries(e).max(), x) > 0.5 * x.nbytes
+
+
+def _stream(where, k, rng, slabs=5):
+    """Slabs of 64 random k x k matrices of norm about 1; the slab at index
+    where (if any) is scaled by 3, so it holds the maximum."""
+    out = [_complex(rng, 64, k, k) for _ in range(slabs)]
+    if where is not None:
+        out[where] = 3 * out[where]
+    return out
+
+
+def _folded(slabs, reference):
+    # every slab is handed over as a fresh copy and overwritten once the
+    # fold has drawn the next one, as a reused slab buffer would be
+    def draw():
+        buf = None
+        for s in slabs:
+            if buf is not None:
+                buf[...] = np.nan
+            buf = s.copy()
+            yield buf
+    got = cnorm_sup_slabs(draw())
+    return got, float(np.max([0.0, *map(reference, slabs)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_cnorm_sup_slabs_equals_max_of_cnorm_sup(where, k):
+    # maximum in the first, a middle or the last slab: bit for bit, also
+    # against the unpruned norms
+    rng = np.random.default_rng(10 * where + k)
+    slabs = _stream(where, k, rng)
+    got, ref = _folded(slabs, cnorm_sup)
+    assert got == ref == float(max(cnorm_entries(s).max() for s in slabs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cnorm_sup_slabs_floor_prunes_whole_slab(k, monkeypatch):
+    # slab 3, far below the running maximum of slabs 0-2, is never normed
+    # (only its Frobenius pass runs); slab 4 still raises the maximum
+    rng = np.random.default_rng(k)
+    slabs = _stream(4, k, rng)
+    slabs[3] = 1e-3 * slabs[3]
+    largest = []
+    real = cnorm_entries
+    monkeypatch.setattr("rieffel.algebra.cnorm_entries",
+                        lambda e: largest.append(np.abs(e).max()) or real(e))
+    got, ref = _folded(slabs, lambda s: float(real(s).max()))
+    assert got == ref
+    assert min(largest) > 1e-2 and max(largest) > 2.0
+
+
+def test_cnorm_sup_slabs_floor_keeps_rank_one_above_it():
+    # slab 0: unitaries (norm 1, ||A||_F^2 = 2); slab 1: rank-one matrices
+    # of norm 1.1 (||A||_F^2 = 1.21), below slab 0's Frobenius maximum but
+    # above the floor 1, so they set the result
+    rng = np.random.default_rng(11)
+    v = _complex(rng, 64, 2, 1)
+    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    slabs = [_unitaries(rng, 64), 1.1 * v @ np.swapaxes(v.conj(), 1, 2)]
+    got, ref = _folded(slabs, cnorm_sup)
+    assert got == ref == pytest.approx(1.1, rel=1e-14)
+
+
+def test_cnorm_sup_slabs_later_nan_at_k1():
+    rng = np.random.default_rng(7)
+    slabs = _stream(0, 1, rng)
+    slabs[3][5] = np.nan
+    got, ref = _folded(slabs, cnorm_sup)
+    assert np.isnan(got) and np.isnan(ref)
+
+
+def test_cnorm_sup_slabs_zero_and_empty_streams():
+    assert cnorm_sup_slabs([np.zeros((8, 2, 2), dtype=complex)] * 3) == 0.0
+    assert cnorm_sup_slabs(iter([])) == 0.0
+
+
+@pytest.mark.parametrize("through_differences", [False, True])
+def test_folds_drop_each_slab_before_drawing_the_next(through_differences):
+    # a stream of temporaries must not hold two slabs at once: the previous
+    # one is gone when the next is made (the slab itself, or the y of a pair)
+    rng = np.random.default_rng(9)
+    xs = _stream(None, 2, rng)
+    alive = []
+
+    def temporaries():
+        for x in xs:
+            t = 0.5 * x
+            ref = weakref.ref(t)
+            yield (x, t) if through_differences else t
+            del t
+            alive.append(ref() is not None)
+    stream = temporaries()
+    if through_differences:
+        stream = slab_differences(stream)
+    assert cnorm_sup_slabs(stream) == cnorm_sup(np.stack([0.5 * x for x in xs]))
+    assert len(alive) == len(xs) and not any(alive)
+
+
+def test_slab_differences_reuse_one_buffer():
+    rng = np.random.default_rng(8)
+    xs, ys = _stream(None, 2, rng), _stream(None, 2, rng)
+    diffs = list(slab_differences(zip(xs, ys)))
+    assert all(d is diffs[0] for d in diffs)
+    # each difference is exact while it is current
+    assert all(np.array_equal(d, x - y)
+               for d, x, y in zip(slab_differences(zip(xs, ys)), xs, ys))
 
 
 @given(st.integers(0, 10_000))

@@ -1,8 +1,9 @@
-"""grids.fourier_multiplier against the per-axis composition it replaces."""
+"""grids.fourier_multiplier against the per-axis composition it replaces, and
+grids.axis_transform against the three-array body it replaced."""
 import numpy as np
 import pytest
 
-from rieffel.grids import GridSpec, axis_transform, fourier_multiplier
+from rieffel.grids import TWO_PI, GridSpec, axis_transform, fourier_multiplier
 
 G = GridSpec(2, 16, 8.0)
 X = (G.spacing, -G.half_width)                   # x slot: (spacing, origin)
@@ -74,3 +75,58 @@ def test_fourier_multiplier_leaves_input_alone():
     before = samples.copy()
     fourier_multiplier(samples, [G.spacing] * 2, adjoint_phase)
     assert np.array_equal(samples, before)
+
+
+def axis_transform_reference(samples, axis, dx, x0, inverse=False, swapped=False):
+    """axis_transform as it was before it ran in one array (three fresh
+    arrays per call), kept as its bit-for-bit reference.  swapped=True is
+    the wrong in-place variant: `out *= factor` swaps the complex multiply's
+    operands."""
+    m = samples.shape[axis]
+    nu = (TWO_PI / (m * dx)) * np.arange(-m // 2, m // 2)
+    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    shape = [1] * samples.ndim
+    shape[axis] = m
+    alt = alt.reshape(shape)
+    if not inverse:
+        out = np.fft.fft(samples * alt, axis=axis)
+        factor = (dx / np.sqrt(TWO_PI)) * np.exp(-1j * x0 * nu).reshape(shape)
+    else:
+        out = np.fft.ifft(samples * np.exp(1j * x0 * nu).reshape(shape), axis=axis)
+        dnu = TWO_PI / (m * dx)
+        factor = (m * dnu / np.sqrt(TWO_PI)) * alt
+    if swapped:
+        out *= factor
+        return out
+    return factor * out
+
+
+AXIS_SHAPES = [(16, 2, 2), (16, 16, 2, 2), (8, 8, 8, 8, 2, 2)]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape, axis", [
+    (shape, axis) for shape in AXIS_SHAPES for axis in range(len(shape) - 2)])
+def test_axis_transform_bit_for_bit(shape, axis, dtype, inverse):
+    # n = 1 and n = 2 fields and a 6-D product grid, each spatial axis; the
+    # input is left byte for byte as it was
+    r = np.random.default_rng(len(shape) + axis)
+    samples = r.normal(size=shape)
+    if dtype is complex:
+        samples = samples + 1j * r.normal(size=shape)
+    before = samples.copy()
+    args = (samples, axis, 0.3, -2.4, inverse)
+    out = axis_transform(*args)
+    assert out.dtype == complex
+    assert np.array_equal(out, axis_transform_reference(*args))
+    assert samples.tobytes() == before.tobytes()
+
+
+def test_axis_transform_operand_order_detected():
+    # negative control: the swapped in-place scaling differs from the
+    # reference in the last bits of a forward transform, so the test above
+    # would catch it
+    samples = random_samples(2)
+    ref = axis_transform_reference(samples, 0, *X)
+    assert not np.array_equal(axis_transform_reference(samples, 0, *X, swapped=True), ref)
