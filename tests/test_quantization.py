@@ -6,7 +6,7 @@ import pytest
 from rieffel.algebra import cnorm
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import GridSpec, grid_transform
+from rieffel.grids import TWO_PI, GridSpec, grid_transform
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
@@ -16,7 +16,6 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
 
-TWO_PI = 2.0 * np.pi
 G1 = GridSpec(1, 64, 8.0)
 G2 = GridSpec(2, 32, 8.0)
 J = SkewForm.standard(0.5)
