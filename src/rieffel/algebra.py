@@ -115,6 +115,10 @@ def cnorm_sup_slabs(slabs) -> float:
     best = 0.0
     for s in slabs:
         k = s.shape[-1]
+        if k == 1:  # the norm is |z|: no Frobenius pass, no floor
+            best = float(np.maximum(best, np.abs(s).max()))
+            del s
+            continue
         rows = np.ascontiguousarray(s, dtype=complex).reshape(-1, k, k)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             fro = np.einsum("mij,mij->m", rows.view(float), rows.view(float))

@@ -26,7 +26,7 @@ grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
 and stays one (its adjoint is F*(x - J xi)); any other backing samples on
 grid first.
 
-TrigPolySymbol overrides both sample and quantize.  A term C e^{i p.x}
+TrigPolySymbol overrides sample, slabs and quantize.  A term C e^{i p.x}
 e^{i w.xi} is separable, so sample tabulates its 2n one-dimensional waves
 (2n N exp calls instead of N^(2n)) and sums the T terms of each slab of the
 first x axis as one (N^(2n-1) x T) @ (T x k^2) product: O(N^(2n) T k^2)
@@ -35,10 +35,10 @@ term with w != 0 costs one phase multiply and one inverse transform,
 O(N^n log N k^2), and a term with w = 0 reuses u untransformed.
 
 slabs(grid) yields the samples one slab of the first x axis at a time, so a
-supremum never holds the product grid whole.  TranslationSymbol samples by a
-separable shear: one forward transform of F, then per x axis one phase
-multiply and one inverse transform.  At n = 2 axis 0 runs once on N^3 k^2
-values and axis 1 per slab, into one reused 2 MB slab (N = 32, k = 2) in slabs.
+supremum never holds the product grid whole, nor symbol_to_kernel beside its
+kernel.  Trig slabs, and translation slabs on F's grid, reuse one 2 MB slab
+(N = 32, k = 2); the latter by a separable shear (a forward transform of F,
+then per x axis a phase multiply and an inverse); off it, by F's trig sum.
 
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
@@ -240,10 +240,18 @@ class TrigPolySymbol(PhaseSymbol):
             (-p, -w, c.conj().T) for p, w, c in self.terms])
 
     def sample(self, grid):
-        # Each term is separable: tabulate its 2n one-dimensional waves
-        # (2n N exp calls), take their outer product over every axis but the
-        # first, and sum the terms of each first-axis slab as one
-        # (N^(2n-1) x T) @ (T x k^2) product.
+        out = np.empty(grid.shape * 2 + (self.algebra_dim,) * 2, dtype=complex)
+        for _ in self._fill(grid, out):
+            pass
+        return GridSymbol(grid, out)
+
+    def slabs(self, grid):
+        return self._fill(grid, np.empty(
+            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
+
+    def _fill(self, grid, out):
+        """Write slab i of the samples into out[i % len(out)] (every slab, or
+        one reused slab) and yield it, i = 0 .. N-1 in turn."""
         n, k = grid.n, self.algebra_dim
         nodes = [grid.axis()] * n + [grid.dual_axis()] * n
         coef = np.array([c for _, _, c in self.terms]).reshape(-1, k * k)
@@ -253,11 +261,10 @@ class TrigPolySymbol(PhaseSymbol):
         for wave in waves[2:]:
             rest = rest[..., None, :] * wave
         rest = rest.reshape(-1, coef.shape[0])
-        out = np.empty(grid.shape * 2 + (k, k), dtype=complex)
-        slabs = out.reshape(grid.points, -1, k * k)
+        flat = out.reshape(len(out), -1, k * k)
         for i, first in enumerate(waves[0]):
-            np.matmul(rest, first[:, None] * coef, out=slabs[i])
-        return GridSymbol(grid, out)
+            np.matmul(rest, first[:, None] * coef, out=flat[i % len(out)])
+            yield out[i % len(out)]
 
     def quantize(self, u):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w):
@@ -352,23 +359,26 @@ class TranslationSymbol(PhaseSymbol):
         self.n = F.grid.n
         self.algebra_dim = F.algebra_dim
 
-    def eval(self, x, xi):
-        """F's Fourier series at x - J xi, summed directly: the trig
-        polynomial with one term (nu, J nu, c_nu) per non-zero mode nu of F^,
-        c = (2 pi)^(-n/2) dnu^n F^(nu) (independent of the one-pass shear)."""
+    def _trig(self) -> TrigPolySymbol:
+        """F's Fourier series at x - J xi as a trig polynomial: one term
+        (nu, J nu, c_nu) per non-zero mode nu of F^, c = (2 pi)^(-n/2) dnu^n
+        F^(nu) (independent of the one-pass shear)."""
         g, k = self.F.grid, self.algebra_dim
         scale = TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
         c = scale * grid_transform(self.F.samples, g).reshape(-1, k, k)
         nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
-        terms = [(nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()]
-        return TrigPolySymbol(self.n, k, terms).eval(x, xi)
+        return TrigPolySymbol(self.n, k, [
+            (nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()])
+
+    def eval(self, x, xi):
+        return self._trig().eval(x, xi)
 
     def star(self):
         return TranslationSymbol(self.F.star(), self.J)
 
     def sample(self, grid):
         if not self.F.grid.compatible(grid):
-            return super().sample(grid)
+            return self._trig().sample(grid)
         n, k = grid.n, self.algebra_dim
         if not self.J.entries.any():
             return GridSymbol(grid, np.broadcast_to(
@@ -507,21 +517,22 @@ class KernelField:
 
 
 def symbol_to_kernel(a: PhaseSymbol, grid: GridSpec) -> KernelField:
-    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi, with at most
-    two product grids alive (the sample goes after the first transform)."""
-    out = sample_symbol(a, grid).samples
-    for ax in range(grid.n, 2 * grid.n):
-        # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
-        # reads its input on the dual of the spatial axis, t lands on axis()
-        out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=True)
-    out *= (TWO_PI) ** (-grid.n / 2.0)
-    # shear as one gather: K[i, j] = k[i, t] at t = x_i - y_j, i.e. index
-    # (i - j + N/2) mod N per dimension, i on the x axes and j on the y axes
-    npts = grid.points
+    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi, one slab of
+    a.slabs(grid) at a time: the kernel is the one product grid it holds."""
+    n, npts = grid.n, grid.points
+    out = np.empty(grid.shape * 2 + (a.algebra_dim,) * 2, dtype=complex)
+    # shear as one gather per slab i0: K[i, j] = k[i, t] at t = x_i - y_j, i.e.
+    # index (i + (N/2 - j)) mod N per dimension, i on the x axes, j on the y axes
     i = np.arange(npts)
-    xs = [i.reshape((-1,) + (1,) * (2 * grid.n - 1 - d)) for d in range(grid.n)]
-    ys = [i.reshape((-1,) + (1,) * (grid.n - 1 - d)) for d in range(grid.n)]
-    out = out[tuple(xs) + tuple((x - y + npts // 2) % npts for x, y in zip(xs, ys))]
+    xs = [i.reshape((-1,) + (1,) * (2 * n - 2 - d)) for d in range(n - 1)]
+    ys = [(npts // 2 - i).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
+    for i0, slab in enumerate(a.slabs(grid)):
+        for ax in range(n - 1, 2 * n - 1):
+            # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
+            # reads its input on the dual of the spatial axis, t lands on axis()
+            slab = axis_transform(slab, ax, grid.spacing, -grid.half_width, inverse=True)
+        slab *= TWO_PI ** (-n / 2.0)
+        out[i0] = slab[tuple(xs) + tuple((x + y) % npts for x, y in zip([i0] + xs, ys))]
     return KernelField(grid, out)
 
 

@@ -235,7 +235,8 @@ def test_cnorm_sup_slabs_equals_max_of_cnorm_sup(where, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cnorm_sup_slabs_floor_prunes_whole_slab(k, monkeypatch):
     # slab 3, far below the running maximum of slabs 0-2, is never normed
-    # (only its Frobenius pass runs); slab 4 still raises the maximum
+    # (only its Frobenius pass runs); slab 4 still raises the maximum.  At
+    # k = 1 the fold takes |z| itself and norms no slab at all
     rng = np.random.default_rng(k)
     slabs = _stream(4, k, rng)
     slabs[3] = 1e-3 * slabs[3]
@@ -245,7 +246,10 @@ def test_cnorm_sup_slabs_floor_prunes_whole_slab(k, monkeypatch):
                         lambda e: largest.append(np.abs(e).max()) or real(e))
     got, ref = _folded(slabs, lambda s: float(real(s).max()))
     assert got == ref
-    assert min(largest) > 1e-2 and max(largest) > 2.0
+    if k == 1:
+        assert largest == []
+    else:
+        assert min(largest) > 1e-2 and max(largest) > 2.0
 
 
 def test_cnorm_sup_slabs_floor_keeps_rank_one_above_it():
@@ -268,6 +272,23 @@ def test_cnorm_sup_slabs_later_nan_at_k1():
     assert np.isnan(got) and np.isnan(ref)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan), 0.0,
+                                 1e-200, 1e200])
+def test_cnorm_sup_slabs_k1_takes_modulus(bad):
+    # k = 1 folds |z| directly: bit for bit the max of the moduli, NaN if
+    # any is NaN, over slabs with one special entry, all-zero slabs and
+    # entries whose squares underflow or overflow
+    rng = np.random.default_rng(12)
+    slabs = _stream(None, 1, rng)
+    slabs[1][3] = bad
+    slabs[2] = np.zeros_like(slabs[2])
+    slabs[4] = 1e-200 * slabs[4]
+    got, ref = _folded(slabs, lambda s: float(cnorm_entries(s).max()))
+    assert got == ref or (np.isnan(got) and np.isnan(ref))
+    assert cnorm_sup_slabs([np.zeros((8, 1, 1), dtype=complex)] * 3) == 0.0
+    assert cnorm_sup_slabs([np.full((8, 1, 1), 1e-200)]) == 1e-200
+
+
 def test_cnorm_sup_slabs_zero_and_empty_streams():
     assert cnorm_sup_slabs([np.zeros((8, 2, 2), dtype=complex)] * 3) == 0.0
     assert cnorm_sup_slabs(iter([])) == 0.0
@@ -276,23 +297,25 @@ def test_cnorm_sup_slabs_zero_and_empty_streams():
 @pytest.mark.parametrize("through_differences", [False, True])
 def test_folds_drop_each_slab_before_drawing_the_next(through_differences):
     # a stream of temporaries must not hold two slabs at once: the previous
-    # one is gone when the next is made (the slab itself, or the y of a pair)
+    # one is gone when the next is made (the slab itself, or the y of a pair),
+    # on the k = 1 path as on the general one
     rng = np.random.default_rng(9)
-    xs = _stream(None, 2, rng)
-    alive = []
+    for k in (1, 2):
+        xs = _stream(None, k, rng)
+        alive = []
 
-    def temporaries():
-        for x in xs:
-            t = 0.5 * x
-            ref = weakref.ref(t)
-            yield (x, t) if through_differences else t
-            del t
-            alive.append(ref() is not None)
-    stream = temporaries()
-    if through_differences:
-        stream = slab_differences(stream)
-    assert cnorm_sup_slabs(stream) == cnorm_sup(np.stack([0.5 * x for x in xs]))
-    assert len(alive) == len(xs) and not any(alive)
+        def temporaries():
+            for x in xs:
+                t = 0.5 * x
+                ref = weakref.ref(t)
+                yield (x, t) if through_differences else t
+                del t
+                alive.append(ref() is not None)
+        stream = temporaries()
+        if through_differences:
+            stream = slab_differences(stream)
+        assert cnorm_sup_slabs(stream) == cnorm_sup(np.stack([0.5 * x for x in xs]))
+        assert len(alive) == len(xs) and not any(alive)
 
 
 def test_slab_differences_reuse_one_buffer():

@@ -6,7 +6,7 @@ import pytest
 from rieffel.algebra import cnorm
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import TWO_PI, GridSpec, grid_transform
+from rieffel.grids import TWO_PI, GridSpec, axis_transform, grid_transform
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
@@ -182,6 +182,19 @@ def test_slabs_equal_samples(kind, n, k, npts):
         assert not any(np.array_equal(s, other[i]) for i, s in enumerate(slabs))
 
 
+@pytest.mark.parametrize("npts", [16, 24])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_foreign_translation_sample_matches_generic(n, k, npts):
+    # F on an 8-point grid, sampled on another through its trig polynomial,
+    # against PhaseSymbol.sample's pointwise eval; observed <= 3.3e-15 of the sup
+    g = GridSpec(n, npts, 8.0)
+    a = slab_symbol("foreign", n, k, g)
+    fast = a.sample(g).samples
+    slow = PhaseSymbol.sample(a, g).samples
+    assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
+
+
 def test_grid_symbol_slabs_are_views():
     s = sample_symbol(trig_symbol(2, 2, 6), GridSpec(2, 8, 8.0))
     assert all(np.shares_memory(x, s.samples) for x in s.slabs(s.grid))
@@ -228,8 +241,9 @@ def test_trig_quantize_matches_dense(n, npts, k):
 
 
 def test_trig_fast_paths_do_not_evaluate(monkeypatch):
-    # pi_seminorm, symbol_to_kernel and pdo_apply on a trig symbol must not
-    # fall back to pointwise evaluation
+    # pi_seminorm, symbol_to_kernel and pdo_apply on a trig symbol, and
+    # sampling a translation symbol off F's grid, must not fall back to
+    # pointwise evaluation
     def refuse(self, x, xi):
         raise AssertionError("TrigPolySymbol.eval called")
     monkeypatch.setattr(TrigPolySymbol, "eval", refuse)
@@ -239,6 +253,7 @@ def test_trig_fast_paths_do_not_evaluate(monkeypatch):
     assert pi_seminorm(a, g) > 0.0
     assert np.isfinite(symbol_to_kernel(a, g).samples).all()
     assert module_norm(pdo_apply(a, u)) > 0.0
+    assert np.isfinite(slab_symbol("foreign", 2, 2, g).sample(g).samples).all()
 
 
 def test_translation_multiplier_calls_fn_per_distinct_frequency():
@@ -364,23 +379,55 @@ def test_kernel_apply_matches_einsum_reference(n, k):
     assert np.abs(K.apply(v).samples - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def symbol_to_kernel_reference(a, grid):
+    """symbol_to_kernel as it was before it streamed slabs: the whole sample
+    transformed along every xi axis, scaled, then sheared by one gather."""
+    out = sample_symbol(a, grid).samples
+    for ax in range(grid.n, 2 * grid.n):
+        out = axis_transform(out, ax, grid.spacing, -grid.half_width, inverse=True)
+    out *= (TWO_PI) ** (-grid.n / 2.0)
+    npts = grid.points
+    i = np.arange(npts)
+    xs = [i.reshape((-1,) + (1,) * (2 * grid.n - 1 - d)) for d in range(grid.n)]
+    ys = [i.reshape((-1,) + (1,) * (grid.n - 1 - d)) for d in range(grid.n)]
+    return out[tuple(xs) + tuple((x - y + npts // 2) % npts for x, y in zip(xs, ys))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["trig", "grid", "translation", "foreign"])
+def test_symbol_to_kernel_matches_whole_grid_reference(kind, n, k):
+    # slab by slab, bit for bit the whole-grid transform and gather
+    g = GridSpec(n, 16, 8.0)
+    a = slab_symbol(kind, n, k, g)
+    ref = symbol_to_kernel_reference(a, g)
+    got = symbol_to_kernel(a, g).samples
+    assert np.array_equal(got, ref)
+    # negative control: each slab gathered into out[i0 + 1]
+    assert not np.array_equal(np.roll(got, 1, axis=0), ref)
+
+
+def peak_bytes(fn):
+    """tracemalloc's peak over one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("backing", ["grid", "translation"])
 def test_symbol_to_kernel_memory_and_inputs(backing):
-    # N = 32, k = 2: one product grid is 64 MiB; the sample goes once the
-    # first xi axis is transformed, so at most two grids are alive (observed
-    # 2.0x; a kept sample makes 3x, and 4x when sampling is counted)
+    # N = 32, k = 2: one product grid is 64 MiB; the kernel is the one grid
+    # held, beside a slab and its transforms (observed about 1.1x; the
+    # whole-grid transform held 2x)
     g = GridSpec(2, 32, 8.0)
     a = TranslationSymbol(matrix_field(g, 52), J)
     if backing == "grid":
         a = sample_symbol(a, g)
         before = a.samples.copy()
-    tracemalloc.start()
-    try:
-        symbol_to_kernel(a, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * g.points ** 4 * 4 * 16
+    assert peak_bytes(lambda: symbol_to_kernel(a, g)) <= 1.25 * g.points ** 4 * 4 * 16
     if backing == "grid":
         # byte for byte: the in-place scaling never reaches the caller's samples
         assert a.samples.tobytes() == before.tobytes()
@@ -423,6 +470,14 @@ def test_pi_seminorm_samples_partial_free_symbol_once():
     value = pi_seminorm(CallableSymbol(2, 2, fn), g)
     assert len(calls) == 2
     assert value == pi_seminorm(sample_symbol(CallableSymbol(2, 2, tp.eval), g), g)
+
+
+def test_pi_seminorm_trig_streams_slabs():
+    # N = 32, k = 2: the 16 partials of a trig symbol stream one reused slab
+    # each, never a 64 MiB product grid
+    g = GridSpec(2, 32, 8.0)
+    a = trig_symbol(2, 2, 19)
+    assert peak_bytes(lambda: pi_seminorm(a, g)) <= 0.25 * g.points ** 4 * 4 * 16
 
 
 def test_pi_seminorm_constant():
