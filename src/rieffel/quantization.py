@@ -37,8 +37,9 @@ O(N^n log N k^2), and a term with w = 0 reuses u untransformed.
 slabs(grid) yields the samples one slab of the first x axis at a time, so a
 supremum never holds the product grid whole, nor symbol_to_kernel beside its
 kernel.  Trig slabs, and translation slabs on F's grid, reuse one 2 MB slab
-(N = 32, k = 2); the latter by a separable shear (a forward transform of F,
-then per x axis a phase multiply and an inverse); off it, by F's trig sum.
+(N = 32, k = 2); the latter by a shear (F's forward transform and one
+phased inverse along x_0, then per slab one GEMM for x_1's phase and
+inverse DFT); off it, by F's trig sum.
 
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
@@ -362,7 +363,7 @@ class TranslationSymbol(PhaseSymbol):
     def _trig(self) -> TrigPolySymbol:
         """F's Fourier series at x - J xi as a trig polynomial: one term
         (nu, J nu, c_nu) per non-zero mode nu of F^, c = (2 pi)^(-n/2) dnu^n
-        F^(nu) (independent of the one-pass shear)."""
+        F^(nu) (independent of _shear)."""
         g, k = self.F.grid, self.algebra_dim
         scale = TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
         c = scale * grid_transform(self.F.samples, g).reshape(-1, k, k)
@@ -396,33 +397,34 @@ class TranslationSymbol(PhaseSymbol):
             (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
 
     def _shear(self, grid, out):
-        """Write slab i of the samples (own grid, J != 0) into out[i % len(out)]
-        (every slab, or one reused slab) and yield it, i = 0 .. N-1 in turn.
+        """Write slab i of the samples (own grid, J != 0, so n = 2) into
+        out[i % len(out)] (every slab, or one reused slab) and yield it,
+        i = 0 .. N-1 in turn.
 
-        Separable shear: a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the
-        trigonometric interpolant of F at x - J xi.  Through grid_transform,
-        c = (dnu / sqrt(2 pi))^n F^(nu) e^{i x0.nu} with nu read in FFT order
-        (the inverse's (-1)^j sign as a roll by N/2); these phases, the roll
-        and the scale undo F^'s own, leaving c = fftn(F) / N^n.  The phase
-        factors over the nu axes, e^{-i nu_d (J xi)_d} each: axis d takes its
-        factor and its inverse transform (which divides by N) in turn, axis 0
-        once on N^3 k^2 values at n = 2, every later axis slab by slab."""
-        n, k = grid.n, self.algebra_dim
+        a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the trigonometric
+        interpolant of F at x - J xi.  Through grid_transform, c = (dnu /
+        sqrt(2 pi))^2 F^(nu) e^{i x0.nu} with nu read in FFT order (the
+        inverse's (-1)^j sign as a roll by N/2); these phases, the roll and
+        the scale undo F^'s own, leaving c = fftn(F) / N^2.  The phase is
+        e^{-i J_01 nu0 xi1} e^{-i J_10 nu1 xi0}.  Axis 0 takes its factor and
+        inverse transform once, on the (nu0, nu1, 1, xi1, k, k) head.  Axis
+        1's factor and inverse DFT act on nu1 as one (N^2 x N) matrix
+        D[(x1, xi0), nu1] = ifft(I)[x1, nu1] e^{-i J_10 nu1 xi0}, so slab i
+        is D @ (head[i] as an N x N k^2 matrix)."""
+        N, k = grid.points, self.algebra_dim
+        J = self.J.entries
         nu = np.fft.ifftshift(grid.dual_axis())
         xi = grid.dual_axis()
-        phases = [np.exp(sum(
-            -1j * row[e] * nu.reshape((-1,) + (1,) * (2 * n - 1 - d))
-            * xi.reshape((-1,) + (1,) * (n - 1 - e)) for e in range(n) if row[e]
-        ))[..., None, None] for d, row in enumerate(self.J.entries)]
-        head = np.fft.fftn(self.F.samples, axes=tuple(range(n))).reshape(
-            grid.shape + (1,) * n + (k, k)) * phases[0]
+        head = np.fft.fftn(self.F.samples, axes=(0, 1)).reshape(
+            (N, N, 1, 1, k, k)) * np.exp(
+            -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi)[..., None, None]
         np.fft.ifft(head, axis=0, out=head)
-        for i, part in enumerate(head):
+        D = (np.fft.ifft(np.eye(N), axis=0)[:, None, :]
+             * np.exp(-1j * J[1, 0] * np.outer(xi, nu))).reshape(N * N, N)
+        H = head.reshape(N, N, N * k * k)
+        for i in range(N):
             slab = out[i % len(out)]
-            for d in range(1, n):
-                np.multiply(part, phases[d], out=slab)
-                np.fft.ifft(slab, axis=d - 1, out=slab)
-                part = slab
+            np.matmul(D, H[i], out=slab.reshape(N * N, -1))
             yield slab
 
     def quantize(self, u):

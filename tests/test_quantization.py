@@ -15,6 +15,7 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   TrigPolySymbol, adjoint_symbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
+from rieffel.suites import SuiteConfig, matrix_gaussian, random_band_symbol
 
 G1 = GridSpec(1, 64, 8.0)
 G2 = GridSpec(2, 32, 8.0)
@@ -101,7 +102,7 @@ def test_translation_symbol_shear_sampling():
     (n, npts, k, theta) for npts in (8, 16) for k in (1, 2, 3)
     for n, theta in ((1, 0.0), (2, 0.5), (2, -0.7))])
 def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
-    # full-band random F: the one-pass shear against the Fourier-series mode
+    # full-band random F: the shear against the Fourier-series mode
     # loop of TranslationSymbol.eval through the generic PhaseSymbol.sample;
     # observed <= 4e-15 of the sup
     g = GridSpec(n, npts, 8.0)
@@ -130,14 +131,11 @@ def _two_axis_shear(F, J):
     return out
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("theta", [0.5, -0.7])
-def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
-    # N = 32, where the generic eval path is too slow; observed <= 4.5e-16
-    # of the sup.  Negative control: the transposed form (J_10 in the nu_0
-    # pass) samples F(x + J xi) and misses by O(1).
-    g = GridSpec(2, 32, 8.0)
-    r = np.random.default_rng(32 + 10 * k)
+def _check_shear_against_oracle(npts, k, theta):
+    # Negative control: the transposed form (J_10 in the nu_0 pass) samples
+    # F(x + J xi) and misses by O(1).
+    g = GridSpec(2, npts, 8.0)
+    r = np.random.default_rng(npts + 10 * k)
     F = ModuleFunction(g, r.normal(size=g.shape + (k, k))
                        + 1j * r.normal(size=g.shape + (k, k)))
     J = SkewForm.standard(theta)
@@ -146,6 +144,22 @@ def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
         slow = _two_axis_shear(F, entries)
         err = max(np.abs(fast[i] - slow[i]).max() for i in range(g.points))
         assert (err <= 1e-14 * np.abs(slow).max()) == agrees
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
+    # N = 32, where the generic eval path is too slow; observed <= 1.9e-15
+    # of the sup
+    _check_shear_against_oracle(32, k, theta)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+def test_shear_matches_two_axis_oracle_n24(k, theta):
+    # N = 24: neither N nor the N^2 rows of the shear's DFT-phase matrix are
+    # a power of two; observed <= 8.9e-16 of the sup
+    _check_shear_against_oracle(24, k, theta)
 
 
 def slab_symbol(kind, n, k, g):
@@ -283,6 +297,32 @@ def test_trig_adjoint_pairing():
     lhs = inner_product(pdo_apply(a, u), v)
     rhs = inner_product(u, pdo_apply(a.adjoint(), v))
     assert cnorm(lhs - rhs) <= 1e-12 * max(cnorm(lhs), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_band_symbol_adjoint_pairing_exact_on_lattice(k):
+    # the quantization.adjoint_pairing inputs at N = 32: random_band_symbol,
+    # then two matrix Gaussians.  With each term's p on the dual lattice and
+    # w on the spatial lattice the trig adjoint pairs at roundoff (observed
+    # <= 2.9e-15 at k = 1, 4.4e-15 at k = 2 over seeds 0-19); off the
+    # lattices the gap is the continuum adjoint's, up to 2.4e-9 (k = 1) and
+    # 1.3e-9 (k = 2), so whether the check's 1e-10 holds depends on the seed
+    def gap(b, u, v):
+        lhs = inner_product(pdo_apply(b, u), v)
+        return cnorm(lhs - inner_product(u, pdo_apply(b.adjoint(), v))) / cnorm(lhs)
+
+    g = SuiteConfig().grid(32)
+    snapped_gaps, gaps = [], []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = random_band_symbol(2, k, rng)
+        u, v = (matrix_gaussian(g, k, rng) for _ in range(2))
+        snapped = TrigPolySymbol(2, k, [
+            (g.dual_spacing * np.round(p / g.dual_spacing),
+             g.spacing * np.round(w / g.spacing), c) for p, w, c in a.terms])
+        snapped_gaps.append(gap(snapped, u, v))
+        gaps.append(gap(a, u, v))
+    assert max(snapped_gaps) <= 1e-13 and max(gaps) > 1e-10
 
 
 def test_grid_adjoint_pairing():
