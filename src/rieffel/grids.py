@@ -16,7 +16,9 @@ axis_transform keeps an arbitrary spacing dx and origin x0 for real
 transforms such as symbol_to_kernel, whose frequency slots have the spatial
 grid as their dual.  A Fourier multiplier (transform, multiply, invert) does
 not depend on the origin: the signs, phases and measures cancel, so
-fourier_multiplier takes only the spacings and works in FFT order.
+fourier_multiplier takes only the spacings and works in FFT order, as
+does translates, which shifts one function by several vectors with one
+forward and one batched inverse FFT.
 """
 from __future__ import annotations
 
@@ -125,6 +127,38 @@ def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
     hat = np.fft.fftn(samples, axes=axes)
     hat *= fn(nus)  # in place: no second full-size array while inverting
     return np.fft.ifftn(hat, axes=axes, out=hat)
+
+
+def separable_wave(nodes: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """e^{i freq.t} on the grid nodes^n, n = len(freq), built as an outer
+    product of n one-dimensional exponentials."""
+    out = np.exp(1j * freq[0] * nodes)
+    for f in freq[1:]:
+        out = out[..., None] * np.exp(1j * f * nodes)
+    return out
+
+
+def translates(samples: np.ndarray, spacing: float, shifts) -> np.ndarray:
+    """Samples of x -> f(x + s_t) for each row s_t of shifts, shape
+    (T,) + samples.shape, trig-interpolated.
+
+    The leading n = shifts.shape[1] axes of samples are the grid axes, of
+    equal length and spacing; the rest are channels.  One forward FFT with the
+    channels first, so the FFT axes are contiguous; T phase multiplies
+    e^{i s_t.nu} with nu in FFT order, as in fourier_multiplier; one in-place
+    inverse FFT over the batch.  Returns a channels-last view of the
+    channels-first (T, channels..., grid...) buffer.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    grid = tuple(range(-shifts.shape[1], 0))
+    nu = TWO_PI * np.fft.fftfreq(samples.shape[0], spacing)
+    hat = np.array(np.moveaxis(samples, range(len(grid)), grid), dtype=complex, order="C")
+    np.fft.fftn(hat, axes=grid, out=hat)
+    out = np.empty((len(shifts),) + hat.shape, dtype=complex)
+    for shift, dest in zip(shifts, out):
+        np.multiply(hat, separable_wave(nu, shift), out=dest)
+    np.fft.ifftn(out, axes=grid, out=out)
+    return np.moveaxis(out, grid, range(1, len(grid) + 1))
 
 
 def grid_transform(samples: np.ndarray, grid: GridSpec,

@@ -111,11 +111,19 @@ class _BracketSymbol(PhaseSymbol):
         return GridSymbol(grid, self._signed_sum(lambda s: s.sample(grid).samples))
 
     def _signed_sum(self, values):
-        """sum of sign * values(da) values(db) over the factor pairs."""
-        out = None
+        """sum of sign * values(da) values(db) over the factor pairs, as k^3
+        plane multiply-adds per pair: channel (a, c) gains or loses
+        x[a, b] y[b, c], b in order."""
+        out = tmp = None
         for sign, da, db in self.pairs:
-            term = sign * np.einsum("...ab,...bc->...ac", values(da), values(db))
-            out = term if out is None else out + term
+            x, y = values(da), values(db)
+            if out is None:
+                out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+                tmp = np.empty(out.shape[:-2], dtype=complex)
+            step, k = (np.add if sign > 0 else np.subtract), out.shape[-1]
+            for a, c, b in np.ndindex(k, k, k):
+                np.multiply(x[..., a, b], y[..., b, c], out=tmp)
+                step(out[..., a, c], tmp, out=out[..., a, c])
         return out
 
 

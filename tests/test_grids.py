@@ -1,9 +1,12 @@
-"""grids.fourier_multiplier against the per-axis composition it replaces, and
-grids.axis_transform against the three-array body it replaced."""
+"""grids.fourier_multiplier against the per-axis composition it replaces,
+grids.axis_transform against the three-array body it replaced, and the
+batched grids.translates against module_space.translate."""
 import numpy as np
 import pytest
 
-from rieffel.grids import TWO_PI, GridSpec, axis_transform, fourier_multiplier
+from rieffel.grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
+                          translates)
+from rieffel.module_space import ModuleFunction, translate
 
 G = GridSpec(2, 16, 8.0)
 X = (G.spacing, -G.half_width)                   # x slot: (spacing, origin)
@@ -130,3 +133,27 @@ def test_axis_transform_operand_order_detected():
     samples = random_samples(2)
     ref = axis_transform_reference(samples, 0, *X)
     assert not np.array_equal(axis_transform_reference(samples, 0, *X, swapped=True), ref)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_translates_matches_translate(n, k):
+    # row t of translates(f, h, shifts) is f(x + s_t), which translate gives
+    # one shift at a time as translate(f, -s_t); observed <= 3.8e-16 relative
+    g = GridSpec(n, 16, 8.0)
+    r = np.random.default_rng(10 * n + k)
+    shape = g.shape + (k, k)
+    f = ModuleFunction(g, r.normal(size=shape) + 1j * r.normal(size=shape))
+    before = f.samples.copy()
+    shifts = np.vstack([r.uniform(-1.5, 1.5, size=(3, n)), np.zeros((1, n))])
+    out = translates(f.samples, g.spacing, shifts)
+    assert out.shape == (len(shifts),) + shape
+    # a channels-last view of one channels-first buffer
+    assert out.transpose((0, n + 1, n + 2) + tuple(range(1, n + 1))).flags.c_contiguous
+    assert np.array_equal(f.samples, before)
+    for s, row in zip(shifts, out):
+        ref = translate(f, -s).samples
+        assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
+    # negative control: a flipped shift sign translates the other way
+    flipped = translates(f.samples, g.spacing, -shifts[:1])[0]
+    ref = translate(f, -shifts[0]).samples
+    assert np.abs(flipped - ref).max() > 1e-2 * np.abs(ref).max()

@@ -254,6 +254,38 @@ def test_trig_quantize_matches_dense(n, npts, k):
         assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_band_symbol_quantize_matches_dense_at_verify_size(k):
+    # the norm_bound_stability operands at n = 2, N = 32: a six-term
+    # random_band_symbol and its adjoint, batched quantize against the dense
+    # frequency loop; observed <= 9.1e-16 of the sup
+    g = SuiteConfig().grid(32)
+    rng = np.random.default_rng(k)
+    a = random_band_symbol(2, k, rng)
+    u = matrix_gaussian(g, k, rng)
+    for b in (a, a.adjoint()):
+        fast = b.quantize(u).samples
+        slow = PhaseSymbol.quantize(b, u).samples
+        assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+
+
+def test_trig_quantize_memory_flat_in_terms():
+    # 256 shifted terms at N = 32, k = 2 are translated 8 at a time: the
+    # peak is about one batch (observed 1.26 MB), where all 256 translates at
+    # once would take 16 MB
+    g = GridSpec(2, 32, 8.0)
+    a = trig_symbol(2, 2, 60, nterms=256)
+    u = matrix_field(g, 61)
+    assert peak_bytes(lambda: a.quantize(u)) <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 3)], ids=["n", "k"])
+def test_trig_quantize_checks_dimensions(n, k):
+    # called directly, not through pdo_apply, on an n = 2, k = 2 function
+    with pytest.raises(GridMismatchError):
+        trig_symbol(n, k, 62).quantize(matrix_field(G2, 63))
+
+
 def test_trig_fast_paths_do_not_evaluate(monkeypatch):
     # pi_seminorm, symbol_to_kernel and pdo_apply on a trig symbol, and
     # sampling a translation symbol off F's grid, must not fall back to

@@ -271,6 +271,42 @@ def test_bracket_nullity_on_translation_symbols():
         assert np.abs(vals).max() <= 1e-6 * scale
 
 
+def bracket_reference(a, b, x, xi, swapped=False):
+    """{a, b} at (x, xi) with one einsum per factor pair; swapped multiplies
+    each pair's matrix factors in the opposite order."""
+    zero = (0,) * a.n
+    out = 0
+    for j in range(a.n):
+        ej = tuple(int(d == j) for d in range(a.n))
+        for sign, da, db in ((1, a.partial(ej, zero), b.partial(zero, ej)),
+                             (-1, a.partial(zero, ej), b.partial(ej, zero))):
+            left, right = da.eval(x, xi), db.eval(x, xi)
+            if swapped:
+                left, right = right, left
+            out = out + sign * np.einsum("...ab,...bc->...ac", left, right)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bracket_products_match_einsum_reference(n, k):
+    # the bracket's plane multiply-adds, evaluated and sampled, against the
+    # einsum reference; observed <= 5.9e-16 (eval) and 1.5e-15 (sample) of
+    # the sup
+    g = GridSpec(n, 8, 8.0)
+    a, b = trig_symbol(n, k, 20 + k), trig_symbol(n, k, 30 + k)
+    xs, xis = g.axis(), g.dual_axis()
+    coords = np.meshgrid(*([xs] * n + [xis] * n), indexing="ij")
+    ref = bracket_reference(a, b, coords[:n], coords[n:])
+    br = poisson_bracket(a, b)
+    for got in (br.eval(coords[:n], coords[n:]), sample_symbol(br, g).samples):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    if k == 2:
+        # negative control: the factors of each product in swapped order
+        swapped = bracket_reference(a, b, coords[:n], coords[n:], swapped=True)
+        assert np.abs(swapped - ref).max() > 1e-2 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("pair", ["translation_coordinate", "trig"])
 def test_sampled_bracket_matches_eval(pair):
     # sampling the bracket from sampled factors against pointwise eval
