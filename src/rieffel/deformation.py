@@ -41,10 +41,9 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import DivergenceError, GridMismatchError, ResolutionError
-from .grids import GridSpec, grid_transform
+from .grids import TWO_PI, GridSpec, grid_transform
 from .module_space import ModuleFunction, check_compatible
 
-TWO_PI = 2.0 * np.pi
 DEFAULT_THETA = 0.5
 
 

@@ -9,8 +9,8 @@ provides the sup-derivative seminorm pi(a) over multi-indices <= (1,...,1),
 the adjoint symbol p with <a(x,D)u, v> = <u, p(x,D)v>, the symbol-to-kernel
 transform, and a randomized lower estimate of the operator norm.
 
-Symbol backings (each implements eval; PhaseSymbol's generic sample, slabs
-and quantize run on it):
+Symbol backings (each implements eval; PhaseSymbol's generic quantize runs
+on it, and every quantize checks the symbol's n and k against u's):
 
   * CallableSymbol    -- closed-form evaluator, optional analytic partials
   * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited)
@@ -26,22 +26,23 @@ grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
 and stays one (its adjoint is F*(x - J xi)); any other backing samples on
 grid first.
 
-TrigPolySymbol overrides sample, slabs and quantize.  A term C e^{i p.x}
-e^{i w.xi} is separable, so sample tabulates its 2n one-dimensional waves
-(2n N exp calls instead of N^(2n)) and sums the T terms of each slab of the
-first x axis as one (N^(2n-1) x T) @ (T x k^2) product: O(N^(2n) T k^2)
-multiply-adds and no meshgrid.  quantize translates u to u(x + w) for the
+Sampling is stated once too: a backing's writer _fill(grid, out) writes
+slab i of the first x axis into out[i % len(out)] and yields it; sample runs
+it into the product grid and slabs into one reused slab, so a supremum never
+holds the product grid whole, nor symbol_to_kernel beside its kernel.  The
+generic writer calls eval once per slab.  A trig writer tabulates each
+term's 2n one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T
+terms of a slab as one (N^(2n-1) x T) @ (T x k^2) product.  A translation
+symbol writes by a shear on F's grid (F's forward transform and one phased
+inverse along x_0, then per slab one GEMM for x_1's phase and inverse DFT),
+by copying F's slabs at J = 0, and by F's trig sum off F's grid.  A bracket
+multiplies its factors' slabs; a grid symbol yields views of its samples.
+
+TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
 and one batched inverse, channels first: O(N^n log N k^2) per term), and a
 term with w = 0 reuses u untransformed; C e^{i p.x} is applied as k^2
 scalar-by-plane multiply-adds on channels-first planes.
-
-slabs(grid) yields the samples one slab of the first x axis at a time, so a
-supremum never holds the product grid whole, nor symbol_to_kernel beside its
-kernel.  Trig slabs, and translation slabs on F's grid, reuse one 2 MB slab
-(N = 32, k = 2); the latter by a shear (F's forward transform and one
-phased inverse along x_0, then per slab one GEMM for x_1's phase and
-inverse DFT); off it, by F's trig sum.
 
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
@@ -57,11 +58,9 @@ import numpy as np
 from .algebra import cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
-from .grids import (GridSpec, axis_transform, fourier_multiplier, grid_transform,
-                    separable_wave, translates)
+from .grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
+                    grid_transform, separable_wave, translates)
 from .module_space import ModuleFunction, module_norm
-
-TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +111,31 @@ class PhaseSymbol:
 
     def sample(self, grid: GridSpec) -> "GridSymbol":
         """Samples on the product grid grid.axis^n x grid.dual_axis^n."""
-        xs = grid.axis()
-        xis = grid.dual_axis()
-        coords = np.meshgrid(*([xs] * grid.n + [xis] * grid.n), indexing="ij")
-        vals = self.eval(coords[:grid.n], coords[grid.n:])
-        return GridSymbol(grid, np.broadcast_to(
-            vals, grid.shape * 2 + (self.algebra_dim,) * 2).copy())
+        out = np.empty(grid.shape * 2 + (self.algebra_dim,) * 2, dtype=complex)
+        for _ in self._fill(grid, out):
+            pass
+        return GridSymbol(grid, out)
 
     def slabs(self, grid: GridSpec):
         """For each node i of the first x axis, an array equal to
         sample(grid).samples[i], of shape (N,)^(2n-1) + (k, k).  Each is
-        valid only until the next one is drawn (a backing may reuse one
-        buffer), so reduce it before drawing the next."""
-        yield from self.sample(grid).samples
+        valid only until the next one is drawn (one slab buffer is reused),
+        so reduce it before drawing the next."""
+        return self._fill(grid, np.empty(
+            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
+
+    def _fill(self, grid: GridSpec, out: np.ndarray):
+        """Write slab i of the samples into out[i % len(out)] (every slab, or
+        one reused slab) and yield it, i = 0 .. N-1 in turn: here by eval
+        with the first x coordinate fixed at node i."""
+        n = grid.n
+        rest = list(np.meshgrid(*([grid.axis()] * (n - 1) + [grid.dual_axis()] * n),
+                                indexing="ij"))
+        for i, x0 in enumerate(grid.axis()):
+            slab = out[i % len(out)]
+            slab[...] = self.eval([np.full_like(rest[0], x0)] + rest[:n - 1],
+                                  rest[n - 1:])
+            yield slab
 
     def quantize(self, u: ModuleFunction) -> ModuleFunction:
         """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense loop over
@@ -135,7 +146,7 @@ class PhaseSymbol:
         def values(rows, q):
             qc = [q[:, d].reshape((-1,) + (1,) * g.n) for d in range(g.n)]
             return self.eval(xc, qc)
-        return _dense_quantize(values, u)
+        return _dense_quantize(self, values, u)
 
     def multiplier(self, fn, grid: GridSpec | None = None) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
@@ -154,12 +165,19 @@ class PhaseSymbol:
             lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))), grid)
 
 
-def _dense_quantize(values, u: ModuleFunction) -> ModuleFunction:
+def _check_dims(a: PhaseSymbol, u: ModuleFunction) -> None:
+    if a.n != u.grid.n or a.algebra_dim != u.algebra_dim:
+        raise GridMismatchError("symbol and function dimensions do not match")
+
+
+def _dense_quantize(a: PhaseSymbol, values, u: ModuleFunction) -> ModuleFunction:
     """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), 64 nodes at a
-    time; values(rows, q) returns a(x, q) for the dual nodes q = flat node
-    indices rows, shaped (len(q),) + grid.shape + (k, k).  Per chunk of C
-    nodes one multiply fills a reused (X, k, k, C) buffer (X grid points)
-    with e^{i x.q} a(x, q), and one (X k x k C) @ (k C x k) GEMM adds it."""
+    time, once a's dimensions match u's; values(rows, q) returns a(x, q) for
+    the dual nodes q = flat node indices rows, shaped (len(q),) + grid.shape
+    + (k, k).  Per chunk of C nodes one multiply fills a reused (X, k, k, C)
+    buffer (X grid points) with e^{i x.q} a(x, q), and one (X k x k C) @
+    (k C x k) GEMM adds it."""
+    _check_dims(a, u)
     chunk = 64
     g, k = u.grid, u.algebra_dim
     uh = grid_transform(u.samples, g).reshape(-1, k, k)       # (M, k, k)
@@ -243,19 +261,7 @@ class TrigPolySymbol(PhaseSymbol):
         return TrigPolySymbol(self.n, self.algebra_dim, [
             (-p, -w, c.conj().T) for p, w, c in self.terms])
 
-    def sample(self, grid):
-        out = np.empty(grid.shape * 2 + (self.algebra_dim,) * 2, dtype=complex)
-        for _ in self._fill(grid, out):
-            pass
-        return GridSymbol(grid, out)
-
-    def slabs(self, grid):
-        return self._fill(grid, np.empty(
-            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
-
     def _fill(self, grid, out):
-        """Write slab i of the samples into out[i % len(out)] (every slab, or
-        one reused slab) and yield it, i = 0 .. N-1 in turn."""
         n, k = grid.n, self.algebra_dim
         nodes = [grid.axis()] * n + [grid.dual_axis()] * n
         coef = np.array([c for _, _, c in self.terms]).reshape(-1, k * k)
@@ -341,13 +347,18 @@ class GridSymbol(PhaseSymbol):
             return self
         return super().sample(grid)
 
+    def slabs(self, grid):
+        if self.grid.compatible(grid):
+            return iter(self.samples)  # views: nothing is copied
+        return super().slabs(grid)
+
     def quantize(self, u):
         g = u.grid
         if not self.grid.compatible(g):
             raise GridMismatchError("grid symbol lives on a different grid")
         sym = self.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
         return _dense_quantize(
-            lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u)
+            self, lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u)
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -378,29 +389,22 @@ class TranslationSymbol(PhaseSymbol):
     def star(self):
         return TranslationSymbol(self.F.star(), self.J)
 
-    def sample(self, grid):
+    def _fill(self, grid, out):
+        # F's trig sum off its grid, else the shear, or F's slabs at J = 0
         if not self.F.grid.compatible(grid):
-            return self._trig().sample(grid)
-        n, k = grid.n, self.algebra_dim
-        if not self.J.entries.any():
-            return GridSymbol(grid, np.broadcast_to(
-                self.F.samples.reshape(grid.shape + (1,) * n + (k, k)),
-                grid.shape * 2 + (k, k)).copy())
-        out = np.empty(grid.shape * 2 + (k, k), dtype=complex)
-        for _ in self._shear(grid, out):
-            pass
-        return GridSymbol(grid, out)
+            return self._trig()._fill(grid, out)
+        if self.J.entries.any():
+            return self._shear(grid, out)
+        F = self.F.samples.reshape(grid.shape + (1,) * grid.n + (self.algebra_dim,) * 2)
 
-    def slabs(self, grid):
-        if not (self.F.grid.compatible(grid) and self.J.entries.any()):
-            return super().slabs(grid)
-        return self._shear(grid, np.empty(
-            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
+        def copies():
+            for i, f in enumerate(F):
+                out[i % len(out)] = f
+                yield out[i % len(out)]
+        return copies()
 
     def _shear(self, grid, out):
-        """Write slab i of the samples (own grid, J != 0, so n = 2) into
-        out[i % len(out)] (every slab, or one reused slab) and yield it,
-        i = 0 .. N-1 in turn.
+        """_fill on F's own grid with J != 0, so n = 2.
 
         a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the trigonometric
         interpolant of F at x - J xi.  Through grid_transform, c = (dnu /
@@ -472,13 +476,7 @@ def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
 
 def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
     """a(x,D) u through the symbol's own quantize (PhaseSymbol.quantize)."""
-    _check_dims(a, u)
     return a.quantize(u)
-
-
-def _check_dims(a: PhaseSymbol, u: ModuleFunction) -> None:
-    if a.n != u.grid.n or a.algebra_dim != u.algebra_dim:
-        raise GridMismatchError("symbol and function dimensions do not match")
 
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:

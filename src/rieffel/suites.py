@@ -645,17 +645,15 @@ def _chk_bracket_nullity(cfg, rng):
     g, J, F, G = _operands(cfg, rng, 2, points=16)
     a = TranslationSymbol(F, J)
     b = TranslationSymbol(G, J.rescaled(-1.0))
-    vals = sample_symbol(poisson_bracket(a, b), g).samples
-    scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return _relative(float(cnorm_entries(vals).max()), scale)
+    return _relative(cnorm_sup_slabs(poisson_bracket(a, b).slabs(g)),
+                     cnorm_sup_slabs(a.slabs(g)))
 
 
 @check("calculus", 1e-10, "{a, a} = 0 for scalar symbols")
 def _chk_bracket_antisymmetry(cfg, rng):
     g = cfg.grid(16)
     a = random_band_symbol(cfg.n, 1, rng)
-    vals = sample_symbol(poisson_bracket(a, a), g).samples
-    return float(np.abs(vals).max())
+    return cnorm_sup_slabs(poisson_bracket(a, a).slabs(g))
 
 
 @check("calculus", 1e-6,
@@ -663,13 +661,9 @@ def _chk_bracket_antisymmetry(cfg, rng):
 def _chk_coordinate_brackets(cfg, rng):
     g, J, F = _operands(cfg, rng, 1, points=16)
     a = TranslationSymbol(F, J)
-    resids = []
-    for i in range(g.n):
-        bi = coordinate_symbol(J, i, cfg.algebra_dim)
-        vals = sample_symbol(poisson_bracket(a, bi), g).samples
-        resids.append(float(cnorm_entries(vals).max()))
-    scale = float(cnorm_entries(sample_symbol(a, g).samples).max())
-    return _relative(_worst(resids), scale)
+    resids = [cnorm_sup_slabs(poisson_bracket(
+        a, coordinate_symbol(J, i, cfg.algebra_dim)).slabs(g)) for i in range(g.n)]
+    return _relative(_worst(resids), cnorm_sup_slabs(a.slabs(g)))
 
 
 @check("rieffel_pipeline", 1e-5,
@@ -707,7 +701,7 @@ def _chk_rejection(cfg, rng):
         (np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.array([[0.25]])),
         (np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([[0.25]])),
         (np.array([-1.0, 0.0]), np.array([0.0, -1.0]), np.array([[-0.25]]))])
-    scale = float(cnorm_entries(sample_symbol(bad, g).samples).max())
+    scale = cnorm_sup_slabs(bad.slabs(g))
     _, resid = recover_translation_symbol(bad, J, g)
     # pass iff the rejection residual clears 0.1 * scale
     return _relative(0.1 * scale, resid)

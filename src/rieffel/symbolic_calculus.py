@@ -27,8 +27,8 @@ from .deformation import SkewForm
 from .errors import CapabilityError, GridMismatchError
 from .grids import GridSpec
 from .module_space import ModuleFunction
-from .quantization import (CallableSymbol, GridSymbol, PhaseSymbol,
-                           TranslationSymbol, sample_symbol)
+from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
+                           sample_symbol)
 
 
 T_MAX = 40.0
@@ -105,20 +105,28 @@ class _BracketSymbol(PhaseSymbol):
             self.pairs.append((-1.0, a.partial(zero, ej), b.partial(ej, zero)))
 
     def eval(self, x, xi):
-        return self._signed_sum(lambda s: s.eval(x, xi))
+        return self._signed_sum(
+            (sign, da.eval(x, xi), db.eval(x, xi)) for sign, da, db in self.pairs)
 
-    def sample(self, grid):
-        return GridSymbol(grid, self._signed_sum(lambda s: s.sample(grid).samples))
+    def _fill(self, grid, out):
+        # slab i from slab i of each of the 4n factor streams
+        streams = [f.slabs(grid) for _, da, db in self.pairs for f in (da, db)]
+        signs = [sign for sign, _, _ in self.pairs]
+        for i, r in enumerate(zip(*streams)):
+            yield self._signed_sum(zip(signs, r[0::2], r[1::2]), out[i % len(out)])
 
-    def _signed_sum(self, values):
-        """sum of sign * values(da) values(db) over the factor pairs, as k^3
-        plane multiply-adds per pair: channel (a, c) gains or loses
-        x[a, b] y[b, c], b in order."""
-        out = tmp = None
-        for sign, da, db in self.pairs:
-            x, y = values(da), values(db)
-            if out is None:
-                out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    @staticmethod
+    def _signed_sum(terms, out=None):
+        """sum of sign * x y over the (sign, x, y) terms, written into out
+        (a new array shaped by the first term if None), as k^3 plane
+        multiply-adds per term: channel (a, c) gains or loses x[a, b]
+        y[b, c], b in order."""
+        tmp = None
+        for sign, x, y in terms:
+            if tmp is None:
+                if out is None:
+                    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+                out[...] = 0
                 tmp = np.empty(out.shape[:-2], dtype=complex)
             step, k = (np.add if sign > 0 else np.subtract), out.shape[-1]
             for a, c, b in np.ndindex(k, k, k):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieffel.algebra import cnorm
+from rieffel.algebra import cnorm, cnorm_sup_slabs
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import TWO_PI, GridSpec, axis_transform, grid_transform
@@ -16,6 +16,7 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
 from rieffel.suites import SuiteConfig, matrix_gaussian, random_band_symbol
+from rieffel.symbolic_calculus import poisson_bracket
 
 G1 = GridSpec(1, 64, 8.0)
 G2 = GridSpec(2, 32, 8.0)
@@ -39,6 +40,14 @@ def trig_symbol(n, k, seed, nterms=4):
         (r.uniform(-1, 1, n), r.uniform(-1, 1, n),
          (r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))) / nterms)
         for _ in range(nterms)])
+
+
+def mesh_sample(a, g):
+    """a sampled by one eval on the full product np.meshgrid: the pointwise
+    reference for the sampling fast paths, independent of PhaseSymbol.sample."""
+    coords = np.meshgrid(*([g.axis()] * g.n + [g.dual_axis()] * g.n), indexing="ij")
+    return np.broadcast_to(a.eval(coords[:g.n], coords[g.n:]),
+                           g.shape * 2 + (a.algebra_dim,) * 2)
 
 
 def test_identity_symbol():
@@ -91,10 +100,7 @@ def test_translation_symbol_shear_sampling():
     F = matrix_field(g, 3)
     a = TranslationSymbol(F, J)
     fast = sample_symbol(a, g).samples
-    xs = g.axis()
-    xis = g.dual_axis()
-    coords = np.meshgrid(*([xs] * 2 + [xis] * 2), indexing="ij")
-    slow = a.eval(coords[:2], coords[2:])
+    slow = mesh_sample(a, g)
     assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
 
 
@@ -103,15 +109,15 @@ def test_translation_symbol_shear_sampling():
     for n, theta in ((1, 0.0), (2, 0.5), (2, -0.7))])
 def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
     # full-band random F: the shear against the Fourier-series mode
-    # loop of TranslationSymbol.eval through the generic PhaseSymbol.sample;
-    # observed <= 4e-15 of the sup
+    # loop of TranslationSymbol.eval on the full mesh; observed <= 4e-15 of
+    # the sup
     g = GridSpec(n, npts, 8.0)
     r = np.random.default_rng(npts + 10 * k)
     F = ModuleFunction(g, r.normal(size=g.shape + (k, k))
                        + 1j * r.normal(size=g.shape + (k, k)))
     a = TranslationSymbol(F, SkewForm.standard(theta) if n == 2 else SkewForm.zero(1))
     fast = a.sample(g).samples
-    slow = PhaseSymbol.sample(a, g).samples
+    slow = mesh_sample(a, g)
     assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
 
 
@@ -165,11 +171,17 @@ def test_shear_matches_two_axis_oracle_n24(k, theta):
 def slab_symbol(kind, n, k, g):
     """A symbol of each backing kind for the slabs test; F of a foreign
     translation symbol lives on an 8-point grid, so its generic eval stays
-    cheap."""
+    cheap.  A callable runs the generic eval writer; a bracket pairs a
+    translation symbol's partials with a trig symbol's."""
     r = np.random.default_rng(10 * n + k + g.points)
-    if kind in ("trig", "grid"):
+    if kind in ("trig", "grid", "callable"):
         a = trig_symbol(n, k, 5 * n + k)
-        return a if kind == "trig" else sample_symbol(a, g)
+        if kind == "grid":
+            return sample_symbol(a, g)
+        return CallableSymbol(n, k, a.eval) if kind == "callable" else a
+    if kind == "bracket":
+        return poisson_bracket(slab_symbol("translation", n, k, g),
+                               trig_symbol(n, k, 7 * n + k))
     fg = GridSpec(n, 8, 3.0) if kind == "foreign" else g
     F = ModuleFunction(fg, r.normal(size=fg.shape + (k, k))
                        + 1j * r.normal(size=fg.shape + (k, k)))
@@ -180,7 +192,8 @@ def slab_symbol(kind, n, k, g):
 @pytest.mark.parametrize("npts", [16, 24])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("kind", ["trig", "grid", "translation", "J0", "foreign"])
+@pytest.mark.parametrize("kind", ["trig", "grid", "translation", "J0", "foreign",
+                                  "bracket", "callable"])
 def test_slabs_equal_samples(kind, n, k, npts):
     # every slab, drawn in turn from one stream, equals the sampled slab bit
     # for bit (copied, since a slab may be overwritten by the next one)
@@ -190,6 +203,10 @@ def test_slabs_equal_samples(kind, n, k, npts):
     slabs = [s.copy() for s in a.slabs(g)]
     assert len(slabs) == npts
     assert all(np.array_equal(s, samples[i]) for i, s in enumerate(slabs))
+    if kind == "callable":
+        # the generic writer, eval per slab with x_0 fixed, against one eval
+        # on the full mesh: the same elementwise arithmetic
+        assert np.array_equal(samples, mesh_sample(a, g))
     if kind == "translation" and n == 2:
         # negative control: the reflected form samples F(x + J xi)
         other = TranslationSymbol(a.F, a.J.rescaled(-1)).sample(g).samples
@@ -201,11 +218,11 @@ def test_slabs_equal_samples(kind, n, k, npts):
 @pytest.mark.parametrize("n", [1, 2])
 def test_foreign_translation_sample_matches_generic(n, k, npts):
     # F on an 8-point grid, sampled on another through its trig polynomial,
-    # against PhaseSymbol.sample's pointwise eval; observed <= 3.3e-15 of the sup
+    # against pointwise eval on the full mesh; observed <= 3.3e-15 of the sup
     g = GridSpec(n, npts, 8.0)
     a = slab_symbol("foreign", n, k, g)
     fast = a.sample(g).samples
-    slow = PhaseSymbol.sample(a, g).samples
+    slow = mesh_sample(a, g)
     assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
 
 
@@ -232,12 +249,12 @@ TRIG_CASES = [(n, npts, k) for n in (1, 2) for npts in (8, 16) for k in (1, 2, 3
 
 @pytest.mark.parametrize("n, npts, k", TRIG_CASES)
 def test_trig_sample_matches_generic(n, npts, k):
-    # separable sampling against PhaseSymbol.sample through TrigPolySymbol.eval
-    # on the full product mesh; observed <= 2.5e-15 of the sup
+    # separable sampling against TrigPolySymbol.eval on the full product
+    # mesh; observed <= 2.5e-15 of the sup
     g = GridSpec(n, npts, 8.0)
     for a in trig_variants(n, k, 100 * n + 10 * k + npts):
         fast = a.sample(g).samples
-        slow = PhaseSymbol.sample(a, g).samples
+        slow = mesh_sample(a, g)
         assert fast.shape == slow.shape
         assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()
 
@@ -279,11 +296,18 @@ def test_trig_quantize_memory_flat_in_terms():
     assert peak_bytes(lambda: a.quantize(u)) <= 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("n, k", [(1, 2), (2, 3)], ids=["n", "k"])
-def test_trig_quantize_checks_dimensions(n, k):
-    # called directly, not through pdo_apply, on an n = 2, k = 2 function
+@pytest.mark.parametrize("backing, n, k", [
+    ("trig", 1, 2), ("trig", 2, 3), ("grid", 2, 3), ("callable", 1, 2),
+    ("callable", 2, 3)], ids=["n", "k", "grid-k", "callable-n", "callable-k"])
+def test_trig_quantize_checks_dimensions(backing, n, k):
+    # called directly, not through pdo_apply, on an n = 2, k = 2 function; a
+    # grid symbol of another n lives on another grid, so only k is tried
+    g = GridSpec(2, 8, 8.0)
+    a = trig_symbol(n, k, 62)
+    if backing != "trig":
+        a = sample_symbol(a, g) if backing == "grid" else CallableSymbol(n, k, a.eval)
     with pytest.raises(GridMismatchError):
-        trig_symbol(n, k, 62).quantize(matrix_field(G2, 63))
+        a.quantize(matrix_field(g, 63))
 
 
 def test_trig_fast_paths_do_not_evaluate(monkeypatch):
@@ -505,6 +529,20 @@ def test_symbol_to_kernel_memory_and_inputs(backing):
         assert a.samples.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("kind, npts, bound", [
+    ("foreign", 32, 1.0), ("J0", 32, 0.25), ("bracket", 16, 2.0)])
+def test_slabs_supremum_memory(kind, npts, bound):
+    # k = 2: the supremum over a slab stream holds a slab and its writer's
+    # tables, never the product grid (bound in product grids; observed
+    # 0.56x, 0.06x and 1.2x, where sampling whole held 1.5x, 1.0x and 5.4x:
+    # a foreign translation symbol's trig table over the other 2n - 1 axes
+    # is half a grid, a bracket holds its 8 factor streams and their tables)
+    g = GridSpec(2, npts, 8.0)
+    a = slab_symbol(kind, 2, 2, g)
+    grid_bytes = g.points ** 4 * 4 * 16
+    assert peak_bytes(lambda: cnorm_sup_slabs(a.slabs(g))) <= bound * grid_bytes
+
+
 def test_kernel_reproduces_action():
     a = trig_symbol(2, 1, 10)
     u = ModuleFunction.from_function(
@@ -531,7 +569,7 @@ def test_pi_seminorm_plane_wave():
 
 def test_pi_seminorm_samples_partial_free_symbol_once():
     # no analytic partials: one sample for the (0, 0) term and one shared by
-    # the 15 spectral partials
+    # the 15 spectral partials, each one eval per slab of the first x axis
     calls = []
     tp = trig_symbol(2, 2, 3)
 
@@ -540,7 +578,7 @@ def test_pi_seminorm_samples_partial_free_symbol_once():
         return tp.eval(x, xi)
     g = GridSpec(2, 8, 8.0)
     value = pi_seminorm(CallableSymbol(2, 2, fn), g)
-    assert len(calls) == 2
+    assert len(calls) == 2 * g.points
     assert value == pi_seminorm(sample_symbol(CallableSymbol(2, 2, tp.eval), g), g)
 
 
