@@ -14,9 +14,10 @@ BENCH_<label>.json in the current directory: per workload every run, and
 per metric the median and quartiles of each tree, the change's wins over
 the pairs (by the metric's `better` direction in CHANGE's BENCHMARK.json)
 and the faults.  It also runs `perfbench/run.py --workload product --trace 1`
-once per tree and records that run's per-layer metrics.  Each summary line
-prints the faults beside the metric, since runs can fall into distinct
-minor-fault modes.
+3 times per tree, alternating the trees, and records each per-layer metric's
+runs with their median and quartiles, since one traced run can read far off
+on a path the change leaves alone.  Each summary line prints the faults
+beside the metric, since runs can fall into distinct minor-fault modes.
 Standard library only; exits 1 if any run is not correct or has failures.
 """
 import argparse
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 TREES = ("parent", "change")
+TRACED_RUNS = 3
 
 
 def _parse(argv):
@@ -143,11 +145,18 @@ def main(argv=None) -> int:
                   f" -> change {c['median']:.4g} (IQR {c['iqr']:.3g}){wins};"
                   f" minor faults {faults['parent']['median']:.4g}"
                   f" -> {faults['change']['median']:.4g}")
-    traced = {t: traced_once(trees[t]) for t in TREES}
+    traced_runs = {t: [] for t in TREES}
+    for i in range(TRACED_RUNS):
+        for t in (TREES if i % 2 == 0 else TREES[::-1]):
+            traced_runs[t].append(traced_once(trees[t]))
+    traced = {}
+    for name in traced_runs["parent"][0]:
+        cols = {t: [r[name] for r in traced_runs[t] if name in r] for t in TREES}
+        traced[name] = {t: dict(spread(cols[t]), runs=cols[t]) for t in TREES if cols[t]}
+        p, c = traced[name]["parent"], traced[name].get("change")
+        print(f"traced {name}: parent {p['median']:.4g} (IQR {p['iqr']:.3g}) -> change "
+              + (f"{c['median']:.4g} (IQR {c['iqr']:.3g})" if c else "absent"))
     report["traced"] = traced
-    for name in traced["parent"]:
-        print(f"traced {name}: parent {traced['parent'][name]:.4g}"
-              f" -> change {traced['change'].get(name, float('nan')):.4g}")
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
 

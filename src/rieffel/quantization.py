@@ -19,12 +19,13 @@ on it, and every quantize checks the symbol's n and k against u's):
                          actions L_F; eval is F's Fourier series as a trig sum
 
 A partial, a shift a(x + z, xi + zeta), the b/gamma multipliers and the
-adjoint each multiply the phase-space Fourier transform.  A backing states
-that once, as fourier_side(mult, grid), and PhaseSymbol derives all four
-from it.  A trig term is scaled exactly at its (p, w); a grid symbol takes one
+adjoint each multiply the symbol's own phase-space Fourier transform; none
+takes a grid.  A backing states that once, as fourier_side(mult), and
+PhaseSymbol derives partial, shift, multiplier(fn) and adjoint() from it.  A
+trig term is scaled exactly at its (p, w); a grid symbol takes one
 grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
-and stays one (its adjoint is F*(x - J xi)); any other backing samples on
-grid first.
+and stays one (its adjoint is F*(x - J xi)).  Any other backing raises
+CapabilityError: sample it first, a.sample(grid).
 
 Sampling is stated once too: a backing's writer _fill(grid, out) writes
 slab i of the first x axis into out[i % len(out)] and yields it; sample runs
@@ -79,15 +80,13 @@ class PhaseSymbol:
         broadcastable against each other; returns broadcast shape + (k, k)."""
         raise NotImplementedError
 
-    def fourier_side(self, mult, grid: GridSpec | None = None) -> "PhaseSymbol":
+    def fourier_side(self, mult) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
         mult(freqs); freqs are the 2n frequency arrays (x slots, then xi
-        slots), broadcast against each other.  Generic backings sample on
-        grid first."""
-        if grid is None:
-            raise CapabilityError(
-                f"{type(self).__name__} needs a grid for a Fourier multiplier")
-        return self.sample(grid).fourier_side(mult)
+        slots), broadcast against each other.  Backings without a spectrum
+        of their own raise: sample them first."""
+        raise CapabilityError(
+            f"{type(self).__name__} has no spectrum: sample it first")
 
     def partial(self, dx, dxi) -> "PhaseSymbol":
         """The symbol d^dx_x d^dxi_xi a; dx, dxi are multi-indices."""
@@ -148,13 +147,13 @@ class PhaseSymbol:
             return self.eval(xc, qc)
         return _dense_quantize(self, values, u)
 
-    def multiplier(self, fn, grid: GridSpec | None = None) -> "PhaseSymbol":
+    def multiplier(self, fn) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
         prod over all 2n axes of fn(nu_axis)."""
         return self.fourier_side(
-            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs), grid)
+            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs))
 
-    def adjoint(self, grid: GridSpec | None = None) -> "PhaseSymbol":
+    def adjoint(self) -> "PhaseSymbol":
         """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>.
 
         p(y, xi) = integral e^{-i z eta} a(y-z, xi-eta)* d/z d/eta, evaluated
@@ -162,7 +161,7 @@ class PhaseSymbol:
         """
         n = self.n
         return self.star().fourier_side(
-            lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))), grid)
+            lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))))
 
 
 def _check_dims(a: PhaseSymbol, u: ModuleFunction) -> None:
@@ -251,7 +250,7 @@ class TrigPolySymbol(PhaseSymbol):
             out += np.exp(1j * arg)[..., None, None] * c
         return out
 
-    def fourier_side(self, mult, grid=None):
+    def fourier_side(self, mult):
         # e^{i p.x} e^{i w.xi} is the plane wave at frequencies (p, w)
         fac = np.broadcast_to(mult(list(self.freqs.T)), len(self.terms))
         return TrigPolySymbol(self.n, self.algebra_dim, [
@@ -333,9 +332,7 @@ class GridSymbol(PhaseSymbol):
             idx.append((j + half) % self.grid.points)
         return self.samples[tuple(np.broadcast_arrays(*idx))]
 
-    def fourier_side(self, mult, grid=None):
-        if grid is not None and not self.grid.compatible(grid):
-            raise GridMismatchError("grid symbol lives on a different grid")
+    def fourier_side(self, mult):
         return GridSymbol(self.grid, fourier_multiplier(
             self.samples, self.spacings(), mult))
 
@@ -437,14 +434,12 @@ class TranslationSymbol(PhaseSymbol):
             raise GridMismatchError("translation symbol lives on a different grid")
         return deformed_product(self.F, u, self.J)
 
-    def fourier_side(self, mult, grid=None) -> "TranslationSymbol":
+    def fourier_side(self, mult) -> "TranslationSymbol":
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
         antisymmetric), with F^ multiplied by mult(freqs), where freqs lists
         the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n: one
         multiplier on F's own grid, so the result is again F'(x - J xi)."""
         g = self.F.grid
-        if grid is not None and not g.compatible(grid):
-            raise GridMismatchError("translation symbol lives on a different grid")
         J = self.J.entries
         return TranslationSymbol(ModuleFunction(g, fourier_multiplier(
             self.F.samples, [g.spacing] * g.n, lambda nus: mult(nus + [
@@ -466,7 +461,7 @@ def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
 
 
 def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
-    """Sample any symbol onto the product grid grid.axis^n x grid.dual_axis^n."""
+    """a.sample(grid); kept only for perfbench."""
     return a.sample(grid)
 
 
@@ -475,29 +470,21 @@ def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
 
 
 def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
-    """a(x,D) u through the symbol's own quantize (PhaseSymbol.quantize)."""
+    """a.quantize(u); kept only for perfbench."""
     return a.quantize(u)
 
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all beta,
-    gamma <= (1, ..., 1), as one slab stream (one running floor) over them."""
-    def partial_slabs():
-        sampled = None  # a on grid, sampled once if a lacks a partial
-        for o in np.ndindex(*((2,) * (2 * a.n))):
-            try:
-                d = a.partial(o[:a.n], o[a.n:])
-            except CapabilityError:
-                if sampled is None:
-                    sampled = sample_symbol(a, grid)
-                d = sampled.partial(o[:a.n], o[a.n:])
-            yield from d.slabs(grid)
-    return cnorm_sup_slabs(partial_slabs())
+    gamma <= (1, ..., 1), as one slab stream (one running floor) over them.
+    Raises CapabilityError if a lacks a partial: pass a.sample(grid)."""
+    return cnorm_sup_slabs(s for o in np.ndindex(*((2,) * (2 * a.n)))
+                           for s in a.partial(o[:a.n], o[a.n:]).slabs(grid))
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:
-    """The symbol p with <a(x,D)u, v> = <u, p(x,D)v> (see PhaseSymbol.adjoint)."""
-    return a.adjoint(grid)
+    """a.adjoint(); kept, with its unused grid, only for perfbench."""
+    return a.adjoint()
 
 
 @dataclass(frozen=True)
@@ -595,17 +582,16 @@ class RightActionOp(OperatorHandle):
 
 
 class PdoOp(OperatorHandle):
-    def __init__(self, symbol: PhaseSymbol, grid: GridSpec):
+    def __init__(self, symbol: PhaseSymbol):
         self.symbol = symbol
-        self.grid = grid
         self._adj = None
 
     def apply(self, u):
-        return pdo_apply(self.symbol, u)
+        return self.symbol.quantize(u)
 
     def adjoint(self):
         if self._adj is None:
-            self._adj = PdoOp(adjoint_symbol(self.symbol, self.grid), self.grid)
+            self._adj = PdoOp(self.symbol.adjoint())
             self._adj._adj = self
         return self._adj
 

@@ -27,8 +27,8 @@ from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
                          smoothness_probe)
 from .module_space import ModuleFunction, fourier, inner_product, module_norm
 from .quantization import (LeftActionOp, PdoOp, TranslationSymbol, TrigPolySymbol,
-                           constant_symbol, operator_norm_estimate, pdo_apply,
-                           pi_seminorm, sample_symbol, symbol_to_kernel)
+                           constant_symbol, operator_norm_estimate, pi_seminorm,
+                           symbol_to_kernel)
 from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                 gamma_reconstruct, gamma_reproduce,
                                 poisson_bracket, recover_translation_symbol,
@@ -428,15 +428,14 @@ def _chk_approximate_identity(cfg, rng):
 @check("quantization", 1e-12, "the identity symbol quantizes to the identity")
 def _chk_identity_symbol(cfg, rng):
     g, _, u = _operands(cfg, rng, 1)
-    r = pdo_apply(constant_symbol(g.n, np.eye(cfg.algebra_dim)), u)
+    r = constant_symbol(g.n, np.eye(cfg.algebra_dim)).quantize(u)
     return (r - u).sup_norm() / u.sup_norm()
 
 
 @check("quantization", 1e-9, "symbol F(x - J xi) quantizes to the left action L_F")
 def _chk_translation_bridge(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2, points=32)
-    a = sample_symbol(TranslationSymbol(F, J), g)
-    lhs = pdo_apply(a, u)
+    lhs = TranslationSymbol(F, J).sample(g).quantize(u)
     rhs = deformed_product(F, u, J)
     return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 
@@ -445,8 +444,8 @@ def _chk_translation_bridge(cfg, rng):
 def _chk_adjoint_pairing(cfg, rng):
     a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
     _, _, u, v = _operands(cfg, rng, 2, points=32)
-    lhs = inner_product(pdo_apply(a, u), v)
-    rhs = inner_product(u, pdo_apply(a.adjoint(), v))
+    lhs = inner_product(a.quantize(u), v)
+    rhs = inner_product(u, a.adjoint().quantize(v))
     return _relative(cnorm(lhs - rhs), cnorm(lhs))
 
 
@@ -463,7 +462,7 @@ def _chk_kernel_consistency(cfg, rng):
     a = random_band_symbol(cfg.n, cfg.algebra_dim, rng)
     g, _, u = _operands(cfg, rng, 1, points=32)
     lhs = symbol_to_kernel(a, g).apply(u)
-    rhs = pdo_apply(a, u)
+    rhs = a.quantize(u)
     return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 
 
@@ -492,7 +491,7 @@ def _chk_norm_bound_stability(cfg, rng):
     for npts in (32, 64):
         g = cfg.grid(npts)
         estimates[npts] = [
-            operator_norm_estimate(PdoOp(a, g), g, k, trials=4,
+            operator_norm_estimate(PdoOp(a), g, k, trials=4,
                                    power_iters=8, seed=cfg.seed + i)[0]
             for i, a in enumerate(symbols)]
     drift = max(abs(a - b) / max(a, b)
@@ -538,7 +537,7 @@ def _chk_conjugation_shift(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2)
     z, zeta = _draw_pair(g.n, rng)
     lhs = conjugate_operator(LeftActionOp(F, J), z, zeta).apply(u)
-    rhs = pdo_apply(TranslationSymbol(F, J).shift(z, zeta), u)
+    rhs = TranslationSymbol(F, J).shift(z, zeta).quantize(u)
     return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 

@@ -24,14 +24,14 @@ import numpy as np
 
 from .algebra import AlgebraElement, cnorm_sup_slabs, slab_differences
 from .deformation import SkewForm
-from .errors import CapabilityError, GridMismatchError
+from .errors import GridMismatchError
 from .grids import GridSpec
 from .module_space import ModuleFunction
-from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
-                           sample_symbol)
+from .quantization import CallableSymbol, PhaseSymbol, TranslationSymbol
 
 
 T_MAX = 40.0
+FD_STEP = 3e-3  # gamma_reproduce's central-difference step
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,12 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
 # gamma reproduction
 
 
-def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
-                    fd_step: float = 3e-3) -> AlgebraElement:
+def gamma_reproduce(f, kernel: GammaKernel, n: int = 1,
+                    algebra_dim: int = 1) -> AlgebraElement:
     """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0, T_MAX]^n.
 
     f maps points of shape (..., n) to (..., k, k); each (1 - d_j)^2 is a
-    fourth-order central difference with step fd_step, so f is evaluated on
+    fourth-order central difference with step FD_STEP, so f is evaluated on
     5^n shifted copies of the nodes.  Returns approximately f(0).
     """
     t, w = kernel.quadrature()
@@ -181,7 +181,7 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
     gw = np.ones(pts.shape[0])
     for d in range(n):
         gw = gw * wgrids[d].ravel() * kernel.gamma(pts[:, d])
-    h = fd_step
+    h = FD_STEP
     d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     e0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -199,7 +199,7 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1, algebra_dim: int = 1,
 # the b transform and its gamma inverse
 
 
-def b_transform(a: PhaseSymbol, grid: GridSpec | None = None) -> PhaseSymbol:
+def b_transform(a: PhaseSymbol) -> PhaseSymbol:
     """b = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 a (linear, exact on the
     closed-form backings, spectral on grid backings).
 
@@ -209,14 +209,13 @@ def b_transform(a: PhaseSymbol, grid: GridSpec | None = None) -> PhaseSymbol:
     result only to about 1e-10 relative (1.6e-12 at N = 16);
     gamma_reconstruct divides the amplification back out.
     """
-    return a.multiplier(lambda nu: (1.0 + 1j * nu) ** 2, grid)
+    return a.multiplier(lambda nu: (1.0 + 1j * nu) ** 2)
 
 
-def gamma_reconstruct(b: PhaseSymbol, kernel: GammaKernel,
-                      grid: GridSpec | None = None) -> PhaseSymbol:
+def gamma_reconstruct(b: PhaseSymbol, kernel: GammaKernel) -> PhaseSymbol:
     """a(x, xi) = integral gammabar(y) gammabar(eta) b(x - y, xi - eta);
     left inverse of b_transform on decaying symbols."""
-    return b.multiplier(kernel.laplace, grid)
+    return b.multiplier(kernel.laplace)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +242,11 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:
-    """sup_i sup-box cnorm(d a/d xi_i - sum_j J_ij d a/d x_j); zero exactly
-    when a has the translation form F(x - J xi)."""
+    """sup_i sup-box cnorm(d a/d xi_i - sum_j J_ij d a/d x_j), from a's own
+    partials; zero exactly when a has the translation form F(x - J xi)."""
     n = a.n
     zero = (0,) * n
-    try:
-        dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
-    except CapabilityError:
-        a = sample_symbol(a, grid)
-        dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
+    dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
     def pairs():
         for i in range(n):
             # only x-partials with J_ij != 0: at n = 2, two slab streams at a time

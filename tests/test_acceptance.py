@@ -147,7 +147,7 @@ def test_acceptance_06_adjointness():
 
 def test_acceptance_07_norm_bound_stability():
     est_id, _ = operator_norm_estimate(
-        PdoOp(constant_symbol(2, np.eye(K)), GRID), GRID, K,
+        PdoOp(constant_symbol(2, np.eye(K))), GRID, K,
         trials=4, power_iters=6, seed=7)
     assert abs(est_id - 1.0) <= 1e-10
     symbols = []
@@ -160,7 +160,7 @@ def test_acceptance_07_norm_bound_stability():
     for npts in (32, 64):
         g = GridSpec(2, npts, 8.0)
         estimates[npts] = [
-            operator_norm_estimate(PdoOp(a, g), g, K, trials=4,
+            operator_norm_estimate(PdoOp(a), g, K, trials=4,
                                    power_iters=8, seed=100 + i)[0]
             for i, a in enumerate(symbols)]
     bound = max(max(v) for v in estimates.values())
@@ -190,10 +190,10 @@ def test_acceptance_09_gamma_calculus():
     c = np.random.default_rng(9).normal(size=(K, K)) + 0j
     val = gamma_reproduce(
         lambda p: np.broadcast_to(c, p.shape[:-1] + (K, K)).copy(),
-        kern, n=1, algebra_dim=K, fd_step=1e-2)
+        kern, n=1, algebra_dim=K)
     assert np.abs(val.entries - c).max() <= 1e-6 * np.abs(c).max()
     val = gamma_reproduce(lambda p: np.exp(1j * p[..., 0])[..., None, None],
-                          kern, n=1, fd_step=1e-2)
+                          kern, n=1)
     assert abs(val.entries[0, 0] - 1.0) <= 1e-6
     ctr = np.array([0.4, -0.3])
     M = np.array([[1.0, 0.2 + 0.1j], [0.3, 0.7]])
@@ -202,7 +202,7 @@ def test_acceptance_09_gamma_calculus():
         r2 = ((p - ctr) ** 2).sum(axis=-1)
         return np.exp(-r2)[..., None, None] * M
 
-    val = gamma_reproduce(gauss, kern, n=2, algebra_dim=K, fd_step=1e-2)
+    val = gamma_reproduce(gauss, kern, n=2, algebra_dim=K)
     ref = np.exp(-(ctr ** 2).sum()) * M
     assert np.abs(val.entries - ref).max() <= 1e-6
     a = random_band_symbol(2, K, check_rng(9, "acceptance.gamma_rt"))

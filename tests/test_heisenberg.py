@@ -61,7 +61,7 @@ def test_inverse_element():
 def test_conjugation_phi_independent():
     a = TrigPolySymbol(2, 2, [(np.array([0.3, -0.2]), np.array([0.5, 0.1]),
                                np.array([[1.0, 0.2j], [0.1, 0.7]]))])
-    T = PdoOp(a, G)
+    T = PdoOp(a)
     u = gaussian(G, 8)
     z, zeta = np.array([0.4, -0.7]), np.array([0.3, 0.9])
     r0 = conjugate_operator(T, z, zeta, phi=0.0).apply(u)
@@ -77,7 +77,7 @@ def test_conjugation_shifts_symbol():
                                np.array([[0.3, 0.0], [0.1j, 0.5]]))])
     u = gaussian(G, 9)
     z, zeta = np.array([0.6, -0.3]), np.array([0.2, 0.5])
-    lhs = conjugate_operator(PdoOp(a, G), z, zeta).apply(u)
+    lhs = conjugate_operator(PdoOp(a), z, zeta).apply(u)
     rhs = pdo_apply(a.shift(z, zeta), u)
     assert module_norm(lhs - rhs) <= 1e-6 * module_norm(rhs)
 
@@ -139,7 +139,7 @@ def test_smoothness_probe_centered_second_order():
 def test_smoothness_probe_constant_symbol_flat():
     # conjugation leaves a constant symbol fixed, so every quotient vanishes
     u = gaussian(G, 19)
-    fam = make_family(PdoOp(constant_symbol(2, np.eye(2)), G))
+    fam = make_family(PdoOp(constant_symbol(2, np.eye(2))))
     probe = smoothness_probe(fam, np.array([1.0, 0.0, 0.0, 1.0]),
                              (0.4, 0.2, 0.1), u)
     assert max(probe["residuals"]) <= 1e-10 * module_norm(u)

@@ -12,7 +12,7 @@ from rieffel.module_space import ModuleFunction, inner_product, module_norm, tra
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   IdentityOp, KernelField, LeftActionOp, PdoOp,
                                   PhaseSymbol, RightActionOp, TranslationSymbol,
-                                  TrigPolySymbol, adjoint_symbol, constant_symbol,
+                                  TrigPolySymbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
 from rieffel.suites import SuiteConfig, matrix_gaussian, random_band_symbol
@@ -385,8 +385,9 @@ def test_grid_adjoint_pairing():
     def afun(x, xi):
         e = np.exp(-(x[0] ** 2 + x[1] ** 2) / 4.0 - (xi[0] ** 2 + xi[1] ** 2) / 1.28)
         return e[..., None, None] * np.array([[1.0, 0.3 + 0.1j], [0.2, 0.8]])
+    # a callable has no spectrum of its own: its adjoint is its sample's
     a = CallableSymbol(2, 2, afun)
-    p = adjoint_symbol(a, G2)
+    p = a.sample(G2).adjoint()
     u = matrix_field(G2, 7)
     v = matrix_field(G2, 8)
     lhs = inner_product(pdo_apply(a, u), v)
@@ -398,7 +399,7 @@ def test_translation_adjoint_is_translation_symbol_of_star():
     # (L_F)* = L_{F*}: the adjoint symbol is F*(x - J xi) on F's own grid,
     # not a sampled product grid; observed <= 2e-16 of the sup
     F = matrix_field(G2, 16)
-    p = TranslationSymbol(F, J).adjoint(G2)
+    p = TranslationSymbol(F, J).adjoint()
     assert isinstance(p, TranslationSymbol) and p.J is J
     Fstar = np.swapaxes(F.samples.conj(), -1, -2)
     assert np.abs(p.F.samples - Fstar).max() <= 1e-14 * np.abs(Fstar).max()
@@ -568,8 +569,8 @@ def test_pi_seminorm_plane_wave():
 
 
 def test_pi_seminorm_samples_partial_free_symbol_once():
-    # no analytic partials: one sample for the (0, 0) term and one shared by
-    # the 15 spectral partials, each one eval per slab of the first x axis
+    # no analytic partials: the bare callable raises, and its explicit sample
+    # (one eval per slab of the first x axis) serves all 16 partials
     calls = []
     tp = trig_symbol(2, 2, 3)
 
@@ -577,8 +578,11 @@ def test_pi_seminorm_samples_partial_free_symbol_once():
         calls.append(1)
         return tp.eval(x, xi)
     g = GridSpec(2, 8, 8.0)
-    value = pi_seminorm(CallableSymbol(2, 2, fn), g)
-    assert len(calls) == 2 * g.points
+    with pytest.raises(CapabilityError):
+        pi_seminorm(CallableSymbol(2, 2, fn), g)
+    calls.clear()
+    value = pi_seminorm(CallableSymbol(2, 2, fn).sample(g), g)
+    assert len(calls) == g.points
     assert value == pi_seminorm(sample_symbol(CallableSymbol(2, 2, tp.eval), g), g)
 
 
@@ -610,7 +614,7 @@ def test_multiplication_norm_bounded_by_sup():
     # m(x) = 1.2 cos(0.4 x): operator norm equals sup |m| = 1.2
     a = TrigPolySymbol(1, 1, [(np.array([0.4]), np.zeros(1), np.array([[0.6]])),
                               (np.array([-0.4]), np.zeros(1), np.array([[0.6]]))])
-    est, _ = operator_norm_estimate(PdoOp(a, G1), G1, 1, trials=6,
+    est, _ = operator_norm_estimate(PdoOp(a), G1, 1, trials=6,
                                     power_iters=12, seed=1)
     assert est <= 1.2 + 1e-9
     assert est >= 1.0

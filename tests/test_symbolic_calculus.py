@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieffel.deformation import SkewForm
-from rieffel.errors import CapabilityError, GridMismatchError
+from rieffel.errors import CapabilityError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
@@ -168,26 +168,64 @@ def test_round_trip_refines_with_quadrature():
     assert errs[2] <= 1e-8
 
 
-def test_b_transform_needs_grid_for_callable():
-    a = CallableSymbol(1, 1, lambda x, xi: np.asarray(x[0])[..., None, None] + 0j)
-    with pytest.raises(CapabilityError):
-        b_transform(a)
-
-
 @pytest.mark.parametrize("backing", ["grid", "translation"])
-def test_multiplier_rejects_other_grid(backing):
-    # a symbol that lives on the N=8 grid must not be transformed on N=16
-    g8, g16 = GridSpec(2, 8, 8.0), GridSpec(2, 16, 8.0)
+def test_multiplier_stays_on_symbol_grid(backing):
+    # spectral operations take no grid: a symbol that lives on the N=8 grid
+    # is transformed there, and so is each result
+    g8 = GridSpec(2, 8, 8.0)
     a = TranslationSymbol(gaussian_field(g8, 4), J)
     if backing == "grid":
         a = sample_symbol(a, g8)
-    with pytest.raises(GridMismatchError):
-        b_transform(a, g16)
-    with pytest.raises(GridMismatchError):
-        gamma_reconstruct(a, K, g16)
-    with pytest.raises(GridMismatchError):
-        a.adjoint(g16)
-    assert sample_symbol(b_transform(a, g8), g8).samples.shape[0] == 8
+    for b in (b_transform(a), gamma_reconstruct(a, K), a.adjoint()):
+        assert type(b) is type(a)
+        assert (b.grid if backing == "grid" else b.F.grid) is g8
+    assert sample_symbol(b_transform(a), g8).samples.shape[0] == 8
+
+
+def lattice_trig_symbol(g, k, seed, nterms=3):
+    """Trig terms with p on the dual lattice and w on the spatial lattice,
+    inside the band: g's samples determine the symbol exactly."""
+    r = np.random.default_rng(seed)
+    return TrigPolySymbol(g.n, k, [
+        (g.dual_spacing * r.integers(-2, 3, g.n), g.spacing * r.integers(-2, 3, g.n),
+         (r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))) / nterms)
+        for _ in range(nterms)])
+
+
+SPECTRAL_OPS = {
+    "partial": lambda a, g: a.partial((1, 0), (0, 1)),
+    "shift": lambda a, g: a.shift((0.37, -0.81), (0.23, 0.52)),
+    "multiplier": lambda a, g: a.multiplier(lambda nu: 1.0 / (1.0 + nu * nu)),
+    "adjoint": lambda a, g: a.adjoint(),
+    "b_transform": lambda a, g: b_transform(a),
+    "gamma_reconstruct": lambda a, g: gamma_reconstruct(a, K),
+    "pi_seminorm": pi_seminorm,
+    "translation_certificate": lambda a, g: translation_certificate(a, J, g)}
+
+
+@pytest.mark.parametrize("op", list(SPECTRAL_OPS))
+@pytest.mark.parametrize("backing", ["callable", "bracket"])
+def test_spectral_ops_need_explicit_sample(backing, op):
+    # a symbol without a spectrum of its own raises; sampled on g, a lattice
+    # trig symbol gives the exact trig result (observed <= 7.7e-15 relative)
+    g = GridSpec(2, 8, 8.0)
+    tp = lattice_trig_symbol(g, 2, 23)
+    if backing == "callable":
+        a, exact = CallableSymbol(2, 2, tp.eval), tp
+    else:
+        # {tp, b_0} = sum_j J_0j d_x_j tp - d_xi_0 tp, b_0 = x_0 + (J xi)_0
+        a = poisson_bracket(tp, coordinate_symbol(J, 0, 2))
+        exact = tp.fourier_side(lambda f: 1j * (
+            J.entries[0, 0] * f[0] + J.entries[0, 1] * f[1] - f[2]))
+    fn = SPECTRAL_OPS[op]
+    with pytest.raises(CapabilityError):
+        fn(a, g)
+    got, ref = fn(a.sample(g), g), fn(exact, g)
+    if isinstance(ref, float):
+        assert abs(got - ref) <= 1e-12 * ref
+    else:
+        ref = ref.sample(g).samples
+        assert np.abs(got.sample(g).samples - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("npts, b_tol", [(16, 1e-11), (32, 1e-9)])
@@ -214,7 +252,7 @@ def test_backings_agree_on_lattice_plane_wave(npts, b_tol):
     # an off-node shift a(x + z, xi + zeta): observed <= 3.0e-15
     ops.append((lambda a: a.shift((0.37, -0.81), (0.23, 0.52)), 1e-13))
     # the adjoint symbol: observed <= 3.3e-15
-    ops.append((lambda a: a.adjoint(g), 1e-13))
+    ops.append((lambda a: a.adjoint(), 1e-13))
     for op, tol in ops:
         outs = [sample_symbol(op(a), g).samples for a in backings]
         scale = np.abs(outs[1]).max()
