@@ -18,9 +18,13 @@ and the faults.  It also runs `perfbench/run.py --workload product --trace 1`
 runs with their median and quartiles, since one traced run can read far off
 on a path the change leaves alone.  Each summary line prints the faults
 beside the metric, since runs can fall into distinct minor-fault modes.
-Standard library only; exits 1 if any run is not correct or has failures.
+Each tree is named by `git describe` and by a sha256 of its src/ (sorted
+relative paths and their bytes, build outputs left out), which names a tree
+that is not a git checkout too.  Standard library only; exits 1 if any run
+is not correct or has failures.
 """
 import argparse
+import hashlib
 import json
 import resource
 import statistics
@@ -48,6 +52,20 @@ def revision(tree: Path) -> str:
     proc = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
                           capture_output=True, text=True, check=False)
     return proc.stdout.strip() or "unknown"
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 over the sorted relative paths of tree's src/ files and their
+    bytes, leaving out __pycache__ and *.egg-info."""
+    src = tree / "src"
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*")
+                      if p.is_file() and not any(
+                          part == "__pycache__" or part.endswith(".egg-info")
+                          for part in p.relative_to(src).parts)):
+        digest.update(rel.encode() + b"\0")
+        digest.update((src / rel).read_bytes())
+    return digest.hexdigest()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +136,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     report = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
               "revisions": {t: revision(trees[t]) for t in TREES},
+              "src_sha256": {t: source_digest(trees[t]) for t in TREES},
               "workloads": {}}
     ok = True
     for workload in args.workload.split(","):

@@ -155,7 +155,7 @@ def _check_shear_against_oracle(npts, k, theta):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("theta", [0.5, -0.7])
 def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
-    # N = 32, where the generic eval path is too slow; observed <= 1.9e-15
+    # N = 32, where the generic eval path is too slow; observed <= 2.2e-15
     # of the sup
     _check_shear_against_oracle(32, k, theta)
 
@@ -163,9 +163,18 @@ def test_separable_shear_matches_two_axis_oracle_n32(k, theta):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("theta", [0.5, -0.7])
 def test_shear_matches_two_axis_oracle_n24(k, theta):
-    # N = 24: neither N nor the N^2 rows of the shear's DFT-phase matrix are
-    # a power of two; observed <= 8.9e-16 of the sup
+    # N = 24: neither N nor the N^2 rows of the shear's real GEMM matrix are
+    # a power of two; observed <= 1.3e-15 of the sup
     _check_shear_against_oracle(24, k, theta)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+def test_shear_matches_two_axis_oracle_n18(k, theta):
+    # N = 18: N/2 = 9 is odd, so the real GEMM's conjugate pairs (nu, -nu)
+    # and its unpaired Nyquist column nu = -N/2 meet a parity that N = 16,
+    # 24 and 32 never give; observed <= 8.9e-16 of the sup
+    _check_shear_against_oracle(18, k, theta)
 
 
 def slab_symbol(kind, n, k, g):

@@ -9,7 +9,7 @@ from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
                                   TrigPolySymbol, pi_seminorm, sample_symbol)
-from rieffel.suites import SuiteConfig, run_suite
+from rieffel.suites import SuiteConfig, band_limited_field, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                        gamma_reconstruct, gamma_reproduce,
                                        poisson_bracket,
@@ -379,6 +379,20 @@ def test_recover_from_grid_backing():
     scale = np.abs(F.samples).max()
     assert residual <= 1e-5 * scale
     assert np.abs(Fr.samples - F.samples).max() <= 1e-5 * scale
+
+
+def test_recover_residual_sees_a_slightly_wrong_form():
+    # negative control for the residual the two shears feed: F(x - J' xi)
+    # tested against J with theta' = theta (1 + 1e-3) must clear 100 times
+    # the CLI's 1e-5 tolerance of sup F (observed 3.03e-3); at theta' = theta
+    # both streams run the same shear of the same F and agree exactly
+    g = GridSpec(2, 32, 8.0)
+    F = band_limited_field(g, 2, np.random.default_rng(3))
+    off = SkewForm.standard(0.5 * (1 + 1e-3))
+    _, residual = recover_translation_symbol(TranslationSymbol(F, off), J, g)
+    assert residual >= 100 * 1e-5 * F.sup_norm()
+    _, residual = recover_translation_symbol(TranslationSymbol(F, J), J, g)
+    assert residual == 0.0
 
 
 def test_recover_rejects_generic_symbol():
