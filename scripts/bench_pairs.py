@@ -59,12 +59,11 @@ def source_digest(tree: Path) -> str:
     bytes, leaving out __pycache__ and *.egg-info."""
     src = tree / "src"
     digest = hashlib.sha256()
-    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*")
-                      if p.is_file() and not any(
-                          part == "__pycache__" or part.endswith(".egg-info")
-                          for part in p.relative_to(src).parts)):
-        digest.update(rel.encode() + b"\0")
-        digest.update((src / rel).read_bytes())
+    for path in sorted(src.rglob("*")):
+        rel = path.relative_to(src)
+        if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info")
+                                      for part in rel.parts):
+            digest.update(rel.as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
