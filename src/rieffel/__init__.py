@@ -3,7 +3,7 @@ matrix-algebra-valued functions: Kohn-Nirenberg quantization, the Heisenberg
 group action, the gamma symbol calculus, and the translation-symbol recovery
 pipeline, with batch verification suites."""
 
-from .algebra import AlgebraElement, cnorm, positivity_defect, star
+from .algebra import cnorm, positivity_defect
 from .deformation import (CutoffFamily, SkewForm, approximate_identity,
                           deformed_product, oscillatory_integral)
 from .errors import (CapabilityError, DivergenceError, GridMismatchError,

@@ -1,63 +1,18 @@
-"""The coefficient C*-algebra: k x k complex matrices with the spectral norm.
+"""The coefficient C*-algebra M_k(C): plain complex (k, k) ndarrays.
 
-Elements carry the involution a -> a* (conjugate transpose), the C*-norm
-(largest singular value), and a positivity diagnostic.  The algebra is unital,
-so any approximate unit collapses to the identity matrix.
+ndarray's +, -, @ and scalar * are the algebra's, and the involution a -> a*
+is a.conj().T.  This module adds the C*-norm (largest singular value), also
+batched over stacked arrays, and a positivity diagnostic.  The algebra is
+unital, so any approximate unit collapses to the identity matrix.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A k x k complex matrix viewed as an element of M_k(C)."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be square, got shape {arr.shape}")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "AlgebraElement":
-        return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def zero(cls, dim: int) -> "AlgebraElement":
-        return cls(np.zeros((dim, dim), dtype=complex))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.entries + other.entries)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.entries - other.entries)
-
-    def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.entries @ other.entries)
-
-    def __mul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.entries * scalar)
-
-    __rmul__ = __mul__
-
-
-def star(a: AlgebraElement) -> AlgebraElement:
-    """Conjugate transpose, the involution of M_k(C)."""
-    return AlgebraElement(a.entries.conj().T)
-
-
-def cnorm(a: AlgebraElement) -> float:
-    """C*-norm of a: the largest singular value."""
-    return float(np.linalg.norm(a.entries, ord=2))
+def cnorm(a: np.ndarray) -> float:
+    """C*-norm of a (k, k) array, its largest singular value; raises on inf/NaN."""
+    return float(_svd_norm(a))
 
 
 # p + r inside this range is computed without overflow or harmful underflow
@@ -149,14 +104,14 @@ def _svd_norm(entries: np.ndarray) -> np.ndarray:
     return np.linalg.svd(entries, compute_uv=False)[..., 0]
 
 
-def positivity_defect(a: AlgebraElement) -> float:
+def positivity_defect(a: np.ndarray) -> float:
     """Distance-to-positivity diagnostic.
 
     Returns max(0, -lambda_min((a + a*)/2)) plus the norm of the
     anti-Hermitian part; zero (to tolerance) iff a is positive
     semidefinite Hermitian.
     """
-    h = (a.entries + a.entries.conj().T) / 2.0
+    h = (a + a.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(h)[0])
-    skew = a.entries - a.entries.conj().T
+    skew = a - a.conj().T
     return max(0.0, -lam_min) + float(np.linalg.norm(skew, ord=2))

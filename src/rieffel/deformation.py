@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
 from .errors import DivergenceError, GridMismatchError, ResolutionError
 from .grids import TWO_PI, GridSpec, grid_transform
 from .module_space import ModuleFunction, check_compatible
@@ -226,7 +225,7 @@ def oscillatory_integral(amplitude, n: int, cutoffs: CutoffFamily,
 
     amplitude(u, v) takes arrays of shape (..., n) and returns (..., k, k).
     Walks the radius ladder until successive values are Cauchy within tol;
-    returns (AlgebraElement, report dict).  This is the slow reference path
+    returns ((k, k) array, report dict).  This is the slow reference path
     that the fast product is validated against.
     """
     values = []
@@ -252,13 +251,13 @@ def oscillatory_integral(amplitude, n: int, cutoffs: CutoffFamily,
         if m > 0:
             gap = float(np.linalg.norm(values[-1] - values[-2], ord=2))
             if gap <= tol:
-                return AlgebraElement(values[-1]), {
+                return values[-1], {
                     "converged": True, "rungs_used": m + 1, "cauchy_gap": gap}
     gap = float(np.linalg.norm(values[-1] - values[-2], ord=2)) if len(values) > 1 else np.inf
     if gap > tol:
         raise DivergenceError(
             f"oscillatory integral Cauchy gap {gap:.3e} above {tol:.3e} at max radius")
-    return AlgebraElement(values[-1]), {
+    return values[-1], {
         "converged": True, "rungs_used": cutoffs.rungs, "cauchy_gap": gap}
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm, cnorm_entries, cnorm_sup
+from .algebra import cnorm, cnorm_entries, cnorm_sup
 from .errors import GridMismatchError
 from .grids import GridSpec, fourier_multiplier, grid_transform
 
@@ -68,9 +68,9 @@ class ModuleFunction:
         """The pointwise adjoint x -> f(x)*."""
         return ModuleFunction(self.grid, np.swapaxes(self.samples.conj(), -1, -2))
 
-    def right_multiply(self, a: AlgebraElement) -> "ModuleFunction":
-        """The module action f -> f*a (pointwise right matrix multiplication)."""
-        return ModuleFunction(self.grid, self.samples @ a.entries)
+    def right_multiply(self, a: np.ndarray) -> "ModuleFunction":
+        """The module action f -> f a, pointwise times the (k, k) array a."""
+        return ModuleFunction(self.grid, self.samples @ a)
 
     def sup_norm(self) -> float:
         return cnorm_sup(self.samples)
@@ -82,15 +82,15 @@ def check_compatible(f: ModuleFunction, g: ModuleFunction):
         raise GridMismatchError("module functions on different grids or algebra dims")
 
 
-def inner_product(f: ModuleFunction, g: ModuleFunction) -> AlgebraElement:
-    """<f, g> = integral f(x)* g(x) dx, conjugate-linear in f, linear in g."""
+def inner_product(f: ModuleFunction, g: ModuleFunction) -> np.ndarray:
+    """<f, g> = integral f(x)* g(x) dx, a (k, k) array; antilinear in f, linear in g."""
     check_compatible(f, g)
     weight = f.grid.spacing ** f.grid.n
     axes = tuple(range(f.grid.n))
     acc = np.einsum(f.samples.conj(), [*axes, f.grid.n + 1, f.grid.n],
                     g.samples, [*axes, f.grid.n + 1, f.grid.n + 2],
                     [f.grid.n, f.grid.n + 2])
-    return AlgebraElement(weight * acc)
+    return weight * acc
 
 
 def module_norm(f: ModuleFunction) -> float:

@@ -560,9 +560,6 @@ class OperatorHandle:
     def adjoint(self) -> "OperatorHandle":
         raise NotImplementedError
 
-    def __matmul__(self, other: "OperatorHandle") -> "OperatorHandle":
-        return ComposedOp([self, other])
-
 
 class IdentityOp(OperatorHandle):
     def apply(self, u):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, cnorm_sup_slabs, slab_differences
+from .algebra import cnorm_sup_slabs, slab_differences
 from .deformation import SkewForm
 from .errors import GridMismatchError
 from .grids import GridSpec
@@ -167,7 +167,7 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
 
 
 def gamma_reproduce(f, kernel: GammaKernel, n: int = 1,
-                    algebra_dim: int = 1) -> AlgebraElement:
+                    algebra_dim: int = 1) -> np.ndarray:
     """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0, T_MAX]^n.
 
     f maps points of shape (..., n) to (..., k, k); each (1 - d_j)^2 is a
@@ -192,7 +192,7 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1,
         c = float(np.prod([wts[sj] for sj in s]))
         shifted = pts + np.array([offs[sj] for sj in s])
         total = total + c * np.asarray(f(shifted), dtype=complex)
-    return AlgebraElement(np.einsum("m,mab->ab", gw, total))
+    return np.einsum("m,mab->ab", gw, total)
 
 
 # ---------------------------------------------------------------------------

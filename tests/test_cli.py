@@ -7,7 +7,7 @@ from rieffel.cli import main
 from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
-from rieffel.module_space import ModuleFunction
+from rieffel.module_space import ModuleFunction, inner_product
 from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check_rng,
                             run_suite)
 
@@ -100,6 +100,16 @@ def test_nan_norm_fails_every_check_that_takes_it(monkeypatch):
     assert failed == {f"module_axioms.{name}" for name in (
         "hermitian_symmetry", "positivity", "right_linearity", "cauchy_schwarz",
         "cstar_identity")}
+
+
+def test_hermitian_symmetry_fails_without_the_conjugate(monkeypatch):
+    # negative control: an inner product that drops the conjugate on f
+    unconjugated = lambda f, g: inner_product(
+        ModuleFunction(f.grid, f.samples.conj()), g)
+    monkeypatch.setattr("rieffel.suites.inner_product", unconjugated)
+    report = run_suite(SuiteConfig(suite="module_axioms", points=16))
+    rec = {c.check_id: c for c in report.checks}["module_axioms.hermitian_symmetry"]
+    assert rec.residual > 0.1 and not rec.passed
 
 
 def test_report_serialization():

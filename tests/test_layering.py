@@ -157,9 +157,9 @@ def test_fft_guard_detects_violations():
 
 
 PUBLIC_API = [
-    "AlgebraElement", "CallableSymbol", "CapabilityError", "ComposedOp",
-    "CutoffFamily", "DivergenceError", "GammaKernel", "GridMismatchError",
-    "GridSpec", "GridSymbol", "HeisenbergPoint", "IdentityOp", "KernelField",
+    "CallableSymbol", "CapabilityError", "ComposedOp", "CutoffFamily",
+    "DivergenceError", "GammaKernel", "GridMismatchError", "GridSpec",
+    "GridSymbol", "HeisenbergPoint", "IdentityOp", "KernelField",
     "LeftActionOp", "MGFFormatError", "ModuleFunction", "OperatorHandle",
     "PdoOp", "PhaseSymbol", "ResolutionError", "RightActionOp", "SkewForm",
     "SuiteConfig", "TranslationSymbol", "TrigPolySymbol", "VerificationReport",
@@ -170,12 +170,14 @@ PUBLIC_API = [
     "operator_norm_estimate", "oscillatory_integral", "pdo_apply",
     "pi_seminorm", "poisson_bracket", "positivity_defect", "read_mgf",
     "recover_translation_symbol", "run_suite", "sample_symbol",
-    "schwartz_seminorm", "smoothness_probe", "star", "symbol_to_kernel",
+    "schwartz_seminorm", "smoothness_probe", "symbol_to_kernel",
     "translate", "translation_certificate", "write_mgf"]
 
 # one-line aliases of operations that have one name: L_F u and R_G u are
-# deformed_product, E_p u is HeisenbergPoint.apply, a_{z,zeta} is a.shift
-RETIRED_ALIASES = ("left_action", "right_action", "weyl_shift", "shifted_symbol")
+# deformed_product, E_p u is HeisenbergPoint.apply, a_{z,zeta} is a.shift;
+# and the wrapper of M_k(C), whose elements are (k, k) arrays with a* = a.conj().T
+RETIRED_NAMES = ("left_action", "right_action", "weyl_shift", "shifted_symbol",
+                   "AlgebraElement", "star")
 
 
 def test_public_api_pinned():
@@ -186,4 +188,4 @@ def test_public_api_pinned():
     for path in MODULES:
         name = "rieffel" if path.stem == "__init__" else f"rieffel.{path.stem}"
         module = importlib.import_module(name)
-        assert not [a for a in RETIRED_ALIASES if hasattr(module, a)], name
+        assert not [a for a in RETIRED_NAMES if hasattr(module, a)], name

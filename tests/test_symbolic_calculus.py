@@ -87,7 +87,7 @@ def test_gamma_quadrature_cached_read_only():
 def test_reproduce_constant():
     f = lambda pts: np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).astype(complex)
     val = gamma_reproduce(f, K, n=1, algebra_dim=2)
-    assert np.abs(val.entries - np.eye(2)).max() <= 1e-8
+    assert np.abs(val - np.eye(2)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed, k", [(1, 2), (21, 1), (7, 3)])
@@ -103,7 +103,7 @@ def test_reproduce_plane_wave():
     nu = 0.9
     f = lambda pts: np.exp(1j * nu * pts[..., 0])[..., None, None]
     val = gamma_reproduce(f, K, n=1)
-    assert abs(val.entries[0, 0] - 1.0) <= 1e-6
+    assert abs(val[0, 0] - 1.0) <= 1e-6
 
 
 def test_reproduce_2d_matrix_gaussian():
@@ -116,7 +116,7 @@ def test_reproduce_2d_matrix_gaussian():
 
     val = gamma_reproduce(f, K, n=2, algebra_dim=2)
     expect = np.exp(-(c ** 2).sum()) * M
-    assert np.abs(val.entries - expect).max() <= 1e-5
+    assert np.abs(val - expect).max() <= 1e-5
 
 
 # ---- the b transform and its inverse
