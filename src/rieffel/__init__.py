@@ -15,10 +15,9 @@ from .mgf import read_mgf, write_mgf
 from .module_space import (ModuleFunction, boundary_report, fourier,
                            inner_product, modulate, module_norm,
                            schwartz_seminorm, translate)
-from .quantization import (CallableSymbol, ComposedOp, GridSymbol, IdentityOp,
-                           KernelField, LeftActionOp, OperatorHandle, PdoOp,
-                           PhaseSymbol, RightActionOp, TranslationSymbol,
-                           TrigPolySymbol, adjoint_symbol,
+from .quantization import (CallableSymbol, ComposedOp, GridSymbol, KernelField,
+                           LeftActionOp, OperatorHandle, PdoOp, PhaseSymbol,
+                           TranslationSymbol, TrigPolySymbol, adjoint_symbol,
                            constant_symbol, operator_norm_estimate, pdo_apply,
                            pi_seminorm, sample_symbol, symbol_to_kernel)
 from .suites import SuiteConfig, VerificationReport, run_suite

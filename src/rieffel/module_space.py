@@ -111,10 +111,18 @@ def fourier(f: ModuleFunction, inverse: bool = False) -> ModuleFunction:
                                             inverse=inverse))
 
 
+def _grid_vector(v, grid: GridSpec) -> np.ndarray:
+    """v as a float vector of length grid.n; GridMismatchError otherwise."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (grid.n,):
+        raise GridMismatchError(f"shift of shape {v.shape} on an n = {grid.n} grid")
+    return v
+
+
 def translate(f: ModuleFunction, z) -> ModuleFunction:
     """Samples of x -> f(x - z), trig-interpolated (exact for commensurate z)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     g = f.grid
+    z = _grid_vector(z, g)
     if not z.any():
         return f
     return ModuleFunction(g, fourier_multiplier(
@@ -124,7 +132,7 @@ def translate(f: ModuleFunction, z) -> ModuleFunction:
 
 def modulate(f: ModuleFunction, zeta, phase: float = 0.0) -> ModuleFunction:
     """Samples of x -> e^{i*phase} e^{i zeta.x} f(x)."""
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+    zeta = _grid_vector(zeta, f.grid)
     mesh = f.grid.mesh()
     arg = sum(zeta[ax] * mesh[ax] for ax in range(f.grid.n)) + phase
     return ModuleFunction(f.grid, np.exp(1j * arg)[..., None, None] * f.samples)

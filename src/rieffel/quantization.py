@@ -49,6 +49,10 @@ scalar-by-plane multiply-adds on channels-first planes.
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
 the pure phase e^{i u.w}: p = Finv[ F[a*](u, w) * e^{i u.w} ].
+
+Operator handles: LeftActionOp (L_F, adjoint L_{F*}), PdoOp (a(x, D), adjoint
+PdoOp(a.adjoint())), ComposedOp and heisenberg.HeisenbergPoint.  One without
+an adjoint raises CapabilityError; R_G u is deformed_product(u, G, J).
 """
 from __future__ import annotations
 
@@ -107,7 +111,7 @@ class PhaseSymbol:
 
     def star(self) -> "PhaseSymbol":
         """Pointwise involution (x, xi) -> a(x, xi)*."""
-        raise CapabilityError(f"{type(self).__name__} has no star capability")
+        raise CapabilityError(f"{type(self).__name__} has no star: sample it first")
 
     def sample(self, grid: GridSpec) -> "GridSymbol":
         """Samples on the product grid grid.axis^n x grid.dual_axis^n."""
@@ -222,11 +226,6 @@ class CallableSymbol(PhaseSymbol):
             raise CapabilityError(f"no analytic partial for {key}")
         return CallableSymbol(self.n, self.algebra_dim, self.partials[key])
 
-    def star(self):
-        return CallableSymbol(
-            self.n, self.algebra_dim,
-            lambda x, xi: np.swapaxes(np.conj(self.fn(x, xi)), -1, -2))
-
 
 class TrigPolySymbol(PhaseSymbol):
     """Finite trigonometric polynomial  sum_t C_t e^{i p_t.x} e^{i w_t.xi}."""
@@ -328,7 +327,7 @@ class GridSymbol(PhaseSymbol):
         idx = []
         for d, coords in zip(self.spacings(), list(x) + list(xi)):
             j = np.rint(np.asarray(coords, dtype=float) / d).astype(int)
-            if not np.allclose(j * d, coords, atol=1e-9 * d):
+            if not np.allclose(j * d, coords, rtol=0, atol=1e-9 * d):
                 raise CapabilityError("grid symbol evaluated off its sample nodes")
             idx.append((j + half) % self.grid.points)
         return self.samples[tuple(np.broadcast_arrays(*idx))]
@@ -449,8 +448,6 @@ class TranslationSymbol(PhaseSymbol):
             yield slab
 
     def quantize(self, u):
-        if not self.F.grid.compatible(u.grid):
-            raise GridMismatchError("translation symbol lives on a different grid")
         return deformed_product(self.F, u, self.J)
 
     def fourier_side(self, mult) -> "TranslationSymbol":
@@ -558,15 +555,7 @@ class OperatorHandle:
         raise NotImplementedError
 
     def adjoint(self) -> "OperatorHandle":
-        raise NotImplementedError
-
-
-class IdentityOp(OperatorHandle):
-    def apply(self, u):
-        return u
-
-    def adjoint(self):
-        return self
+        raise CapabilityError(f"{type(self).__name__} has no adjoint")
 
 
 class LeftActionOp(OperatorHandle):
@@ -583,33 +572,15 @@ class LeftActionOp(OperatorHandle):
         return LeftActionOp(self.F.star(), self.J)
 
 
-class RightActionOp(OperatorHandle):
-    """R_G u = u x_J G; not a right-module map for noncommutative k."""
-
-    def __init__(self, G: ModuleFunction, J: SkewForm):
-        self.G = G
-        self.J = J
-
-    def apply(self, u):
-        return deformed_product(u, self.G, self.J)
-
-    def adjoint(self):
-        raise CapabilityError("right actions are not adjointable module maps")
-
-
 class PdoOp(OperatorHandle):
     def __init__(self, symbol: PhaseSymbol):
         self.symbol = symbol
-        self._adj = None
 
     def apply(self, u):
         return self.symbol.quantize(u)
 
     def adjoint(self):
-        if self._adj is None:
-            self._adj = PdoOp(self.symbol.adjoint())
-            self._adj._adj = self
-        return self._adj
+        return PdoOp(self.symbol.adjoint())
 
 
 class ComposedOp(OperatorHandle):
@@ -643,8 +614,8 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
     """Lower estimate of sup ||T u||_2 / ||u||_2 with a witness record.
 
     Random band-limited trials pick a starting vector; power iteration on
-    T*T (adjoint applied through the handle) refines it.  The returned value
-    is a lower bound by construction.
+    T*T (T.adjoint(): CapabilityError if T has none) refines it.  The
+    returned value is a lower bound by construction.
     """
     rng = np.random.default_rng(seed)
     best_ratio, best_u = 0.0, None
@@ -658,10 +629,7 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
             best_ratio, best_u = r, u
     record = {"trials": trials, "seed": seed, "trial_best": best_ratio,
               "power_iters": 0}
-    try:
-        Tadj = T.adjoint()
-    except CapabilityError:
-        return best_ratio, record
+    Tadj = T.adjoint()
     u = best_u
     for it in range(power_iters):
         v = T.apply(u)

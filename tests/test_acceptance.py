@@ -14,7 +14,7 @@ from rieffel.heisenberg import (HeisenbergPoint, conjugate_operator,
 from rieffel.module_space import (ModuleFunction, fourier, inner_product,
                                   module_norm)
 from rieffel.quantization import (LeftActionOp, PdoOp, TranslationSymbol,
-                                  TrigPolySymbol, constant_symbol, IdentityOp,
+                                  TrigPolySymbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol)
 from rieffel.suites import (SuiteConfig, band_limited_field, check_rng,

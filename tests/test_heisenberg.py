@@ -6,7 +6,7 @@ from rieffel.grids import GridSpec
 from rieffel.heisenberg import (HeisenbergPoint, conjugate_operator,
                                 intertwine_check, smoothness_probe)
 from rieffel.module_space import ModuleFunction, inner_product, module_norm
-from rieffel.quantization import (IdentityOp, LeftActionOp, PdoOp,
+from rieffel.quantization import (LeftActionOp, OperatorHandle, PdoOp,
                                   TranslationSymbol, TrigPolySymbol,
                                   constant_symbol, pdo_apply, sample_symbol)
 
@@ -145,11 +145,19 @@ def test_smoothness_probe_constant_symbol_flat():
     assert max(probe["residuals"]) <= 1e-10 * module_norm(u)
 
 
+class Identity(OperatorHandle):
+    def apply(self, u):
+        return u
+
+    def adjoint(self):
+        return self
+
+
 def test_smoothness_probe_never_applies_base():
     # centered quotients apply T_{td} and T_{-td}, never T_0: 2 per step
     count = []
 
-    class Counting(IdentityOp):
+    class Counting(Identity):
         def apply(self, u):
             count.append(1)
             return u
@@ -161,7 +169,7 @@ def test_smoothness_probe_never_applies_base():
 
 def test_smoothness_probe_rejects_bad_steps():
     u = gaussian(G, 20)
-    fam = make_family(IdentityOp())
+    fam = make_family(Identity())
     with pytest.raises(ValueError):
         smoothness_probe(fam, np.ones(4), (0.1, 0.2, 0.4), u)
     with pytest.raises(ValueError):

@@ -159,9 +159,9 @@ def test_fft_guard_detects_violations():
 PUBLIC_API = [
     "CallableSymbol", "CapabilityError", "ComposedOp", "CutoffFamily",
     "DivergenceError", "GammaKernel", "GridMismatchError", "GridSpec",
-    "GridSymbol", "HeisenbergPoint", "IdentityOp", "KernelField",
-    "LeftActionOp", "MGFFormatError", "ModuleFunction", "OperatorHandle",
-    "PdoOp", "PhaseSymbol", "ResolutionError", "RightActionOp", "SkewForm",
+    "GridSymbol", "HeisenbergPoint", "KernelField", "LeftActionOp",
+    "MGFFormatError", "ModuleFunction", "OperatorHandle", "PdoOp",
+    "PhaseSymbol", "ResolutionError", "SkewForm",
     "SuiteConfig", "TranslationSymbol", "TrigPolySymbol", "VerificationReport",
     "adjoint_symbol", "approximate_identity", "b_transform", "boundary_report",
     "cnorm", "conjugate_operator", "constant_symbol", "coordinate_symbol",
@@ -175,9 +175,11 @@ PUBLIC_API = [
 
 # one-line aliases of operations that have one name: L_F u and R_G u are
 # deformed_product, E_p u is HeisenbergPoint.apply, a_{z,zeta} is a.shift;
-# and the wrapper of M_k(C), whose elements are (k, k) arrays with a* = a.conj().T
+# the wrapper of M_k(C), whose elements are (k, k) arrays with a* = a.conj().T;
+# and the handles no library path applied: the identity, and R_G, which is
+# deformed_product(u, G, J)
 RETIRED_NAMES = ("left_action", "right_action", "weyl_shift", "shifted_symbol",
-                   "AlgebraElement", "star")
+                 "AlgebraElement", "star", "IdentityOp", "RightActionOp")
 
 
 def test_public_api_pinned():

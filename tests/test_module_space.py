@@ -119,6 +119,15 @@ def test_translate_round_trip():
     assert (translate(translate(f, z), -z) - f).sup_norm() <= 1e-10 * f.sup_norm()
 
 
+@pytest.mark.parametrize("op", [translate, modulate])
+@pytest.mark.parametrize("v", [[0.5], [0.0], [0.5, -0.25, 1.0], [0.0, 0.0, 0.0]])
+def test_shift_length_must_match_grid(op, v):
+    # n = 2: a shift of any other length is rejected, a zero one too
+    f, _ = random_pair(7)
+    with pytest.raises(GridMismatchError):
+        op(f, v)
+
+
 def test_modulate_phase():
     f, _ = random_pair(8)
     m = modulate(f, np.zeros(2), phase=np.pi)

@@ -10,8 +10,8 @@ from rieffel.grids import TWO_PI, GridSpec, axis_transform, grid_transform
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
-                                  IdentityOp, KernelField, LeftActionOp, PdoOp,
-                                  PhaseSymbol, RightActionOp, TranslationSymbol,
+                                  KernelField, LeftActionOp, OperatorHandle,
+                                  PdoOp, PhaseSymbol, TranslationSymbol,
                                   TrigPolySymbol, constant_symbol,
                                   operator_norm_estimate, pdo_apply, pi_seminorm,
                                   sample_symbol, symbol_to_kernel)
@@ -629,9 +629,34 @@ def test_multiplication_norm_bounded_by_sup():
     assert est >= 1.0
 
 
+class ApplyOnly(OperatorHandle):
+    def apply(self, u):
+        return u
+
+
+def test_norm_estimate_needs_an_adjoint():
+    # a callable symbol has no adjoint: the estimate raises rather than
+    # return the trials' lower bound; its sample runs every power step
+    tp = trig_symbol(1, 1, 11)
+    a = CallableSymbol(1, 1, tp.eval)
+    with pytest.raises(CapabilityError, match="sample it first"):
+        operator_norm_estimate(PdoOp(a), G1, 1, trials=2, power_iters=3, seed=0)
+    with pytest.raises(CapabilityError, match="ApplyOnly has no adjoint"):
+        operator_norm_estimate(ApplyOnly(), G1, 1, trials=2, power_iters=3, seed=0)
+    est, record = operator_norm_estimate(PdoOp(a.sample(G1)), G1, 1, trials=2,
+                                         power_iters=3, seed=0)
+    assert record["power_iters"] == 3
+    assert est >= record["trial_best"] > 0.0
+
+
+class Identity(ApplyOnly):
+    def adjoint(self):
+        return self
+
+
 def test_operator_composition_and_adjoint():
     F = matrix_field(G2, 12)
-    T = ComposedOp([LeftActionOp(F, J), IdentityOp()])
+    T = ComposedOp([LeftActionOp(F, J), Identity()])
     u = matrix_field(G2, 13)
     assert (T.apply(u) - deformed_product(F, u, J)).sup_norm() <= 1e-14
     # (L_F)* = L_{F*} through the handle adjoint
@@ -641,16 +666,16 @@ def test_operator_composition_and_adjoint():
     assert cnorm(lhs - rhs) <= 1e-5 * max(cnorm(lhs), 1e-300)
 
 
-def test_right_action_not_adjointable():
-    Gf = matrix_field(G2, 15)
-    with pytest.raises(CapabilityError):
-        RightActionOp(Gf, J).adjoint()
-
-
 def test_grid_symbol_off_node_rejected():
     s = sample_symbol(trig_symbol(1, 1, 16), G1)
     with pytest.raises(CapabilityError):
         s.eval([np.array([0.123456])], [np.array([0.0])])
+    # the bound is 1e-9 of a spacing (2.5e-10 here), relative to nothing:
+    # 3e-5 off the node at x = 4 is rejected, 1e-10 off it is read as the node
+    with pytest.raises(CapabilityError):
+        s.eval([np.array([4.0 + 3e-5])], [np.array([0.0])])
+    assert np.array_equal(s.eval([np.array([4.0 + 1e-10])], [np.array([0.0])]),
+                          s.eval([np.array([4.0])], [np.array([0.0])]))
 
 
 def test_symbol_grid_mismatch():
