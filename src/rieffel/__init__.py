@@ -13,13 +13,12 @@ from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
                          smoothness_probe)
 from .mgf import read_mgf, write_mgf
 from .module_space import (ModuleFunction, boundary_report, fourier,
-                           inner_product, modulate, module_norm,
-                           schwartz_seminorm, translate)
+                           inner_product, modulate, module_norm, translate)
 from .quantization import (CallableSymbol, ComposedOp, GridSymbol, KernelField,
                            LeftActionOp, OperatorHandle, PdoOp, PhaseSymbol,
-                           TranslationSymbol, TrigPolySymbol, adjoint_symbol,
-                           constant_symbol, operator_norm_estimate, pdo_apply,
-                           pi_seminorm, sample_symbol, symbol_to_kernel)
+                           TranslationSymbol, TrigPolySymbol, constant_symbol,
+                           operator_norm_estimate, pi_seminorm,
+                           symbol_to_kernel)
 from .suites import SuiteConfig, VerificationReport, run_suite
 from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                 gamma_reconstruct, gamma_reproduce,

@@ -138,6 +138,8 @@ def _cmd_product(args):
 
 
 def _cmd_recover(args):
+    if not 0 <= args.tol < float("inf"):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     F = read_mgf(args.symbol_file)
     J = SkewForm.standard(args.theta, F.grid.n)
     a = gamma_reconstruct(b_transform(TranslationSymbol(F, J)), GammaKernel())

@@ -59,20 +59,18 @@ class SkewForm:
         if self.n not in (1, 2):
             raise ValueError(f"J on an n = {self.n} grid: only n = 1 and 2 "
                              "are supported")
+        object.__setattr__(self, "theta", float(self.theta))
+        if not np.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.n == 1 and self.theta:
             raise ValueError(f"theta = {self.theta} on an n = 1 grid: the only "
                              "antisymmetric 1x1 matrix is zero")
-        object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def entries(self) -> np.ndarray:
         if self.n == 1:
             return np.zeros((1, 1))
         return np.array([[0.0, self.theta], [-self.theta, 0.0]])
-
-    @classmethod
-    def zero(cls, n: int) -> "SkewForm":
-        return cls(0.0, n)
 
     @classmethod
     def standard(cls, theta: float | None = None, n: int = 2) -> "SkewForm":
@@ -218,8 +216,7 @@ class CutoffFamily:
 
 
 def oscillatory_integral(amplitude, n: int, cutoffs: CutoffFamily,
-                         nodes_per_unit: float = 4.0, tol: float = 1e-4,
-                         algebra_dim: int = 1):
+                         nodes_per_unit: float = 4.0, tol: float = 1e-4):
     """Cutoff-regularized evaluation of
     integral amplitude(u, v) e^{i u.v} d/u d/v over R^{2n}.
 
@@ -238,7 +235,7 @@ def oscillatory_integral(amplitude, n: int, cutoffs: CutoffFamily,
         psi_u = cutoffs.evaluate(m, ugrid)
         keep = psi_u > 1e-300
         ugrid, psi_u = ugrid[keep], psi_u[keep]
-        total = np.zeros((algebra_dim, algebra_dim), dtype=complex)
+        total = 0
         chunk = max(1, 2_000_000 // max(len(ugrid), 1))
         for lo in range(0, len(ugrid), chunk):
             ub = ugrid[lo:lo + chunk]
@@ -285,15 +282,13 @@ def mollifier_hat(index: int, grid: GridSpec) -> np.ndarray:
     return raw / mass
 
 
-def approximate_identity(index: int, J: SkewForm, grid: GridSpec,
+def approximate_identity(index: int, grid: GridSpec,
                          algebra_dim: int = 1) -> ModuleFunction:
     """The mollifier e_index with L_{e_index} f -> f as index grows.
 
     Built by inverse transform of the normalized frequency bump tensored
     with the identity matrix (the approximate unit of a unital algebra).
     """
-    if J.n != grid.n:
-        raise GridMismatchError("J dimension does not match grid")
     psi = mollifier_hat(index, grid)
     hat = (TWO_PI ** (grid.n / 2.0)) * psi[..., None, None] * np.eye(algebra_dim)
     return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))

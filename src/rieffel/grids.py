@@ -42,8 +42,8 @@ class GridSpec:
             raise ValueError(f"spatial dimension must be 1 or 2, got {self.n}")
         if self.points < 8 or self.points % 2 != 0:
             raise ValueError(f"points must be even and >= 8, got {self.points}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
 
     @property
     def spacing(self) -> float:

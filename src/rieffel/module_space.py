@@ -4,12 +4,11 @@ A ModuleFunction samples a map R^n -> M_k(C) on a GridSpec.  The space
 carries the algebra-valued inner product <f, g> = integral f(x)* g(x) dx,
 realized as the plain Riemann sum (spectrally accurate for smooth decayed
 integrands on the periodic box), the norm ||f||_2 = ||<f, f>||^(1/2), the
-symmetric-normalization Fourier transform, and weighted sup-seminorms
-||x^alpha D^beta f||_inf.
+symmetric-normalization Fourier transform, and boundary_report, the decay
+of f at the box edge.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,31 +135,6 @@ def modulate(f: ModuleFunction, zeta, phase: float = 0.0) -> ModuleFunction:
     mesh = f.grid.mesh()
     arg = sum(zeta[ax] * mesh[ax] for ax in range(f.grid.n)) + phase
     return ModuleFunction(f.grid, np.exp(1j * arg)[..., None, None] * f.samples)
-
-
-def schwartz_seminorm(f: ModuleFunction, alpha=(), beta=()) -> float:
-    """sup over the grid of ||x^alpha * D^beta f(x)||.
-
-    alpha and beta are multi-indices of length n.  D^beta is the exact
-    Fourier multiplier prod_j (i nu_j)^beta_j of the periodic grid
-    (grids.fourier_multiplier), so any order is supported; it is accurate
-    when f is resolved and decayed at the box edge.
-    """
-    g = f.grid
-    alpha = tuple(alpha) if alpha else (0,) * g.n
-    beta = tuple(beta) if beta else (0,) * g.n
-    if len(alpha) != g.n or len(beta) != g.n:
-        raise ValueError("multi-index length must equal grid dimension")
-    out = f.samples
-    if any(beta):
-        out = fourier_multiplier(out, [g.spacing] * g.n, lambda nus: math.prod(
-            (1j * nu) ** b for nu, b in zip(nus, beta)))
-    mesh = g.mesh()
-    weight = np.ones(g.shape)
-    for ax, a in enumerate(alpha):
-        if a:
-            weight = weight * mesh[ax] ** a
-    return float((np.abs(weight) * cnorm_entries(out)).max())
 
 
 def boundary_report(f: ModuleFunction) -> float:

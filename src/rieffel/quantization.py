@@ -155,8 +155,7 @@ class PhaseSymbol:
     def multiplier(self, fn) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
         prod over all 2n axes of fn(nu_axis)."""
-        return self.fourier_side(
-            lambda freqs: math.prod(_per_distinct(fn, f) for f in freqs))
+        return self.fourier_side(lambda freqs: math.prod(fn(f) for f in freqs))
 
     def adjoint(self) -> "PhaseSymbol":
         """The symbol p with <a(x,D)u, v> = <u, p(x,D)v>.
@@ -454,20 +453,15 @@ class TranslationSymbol(PhaseSymbol):
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
         antisymmetric), with F^ multiplied by mult(freqs), where freqs lists
         the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n: one
-        multiplier on F's own grid, so the result is again F'(x - J xi)."""
+        multiplier on F's own grid, so the result is again F'(x - J xi).  (J
+        nu)_j skips J's zero diagonal, so, like nu_j, it holds N values."""
         g = self.F.grid
         J = self.J.entries
         return TranslationSymbol(ModuleFunction(g, fourier_multiplier(
             self.F.samples, [g.spacing] * g.n, lambda nus: mult(nus + [
-                sum(J[j, e] * nus[e] for e in range(g.n)) for j in range(g.n)]))),
+                sum(J[j, e] * nus[e] for e in range(g.n) if e != j)
+                for j in range(g.n)]))),
             self.J)
-
-
-def _per_distinct(fn, values: np.ndarray) -> np.ndarray:
-    """fn(values) for an elementwise fn, calling fn once on the distinct
-    values and scattering the results back."""
-    distinct, where = np.unique(values, return_inverse=True)
-    return np.broadcast_to(fn(distinct), distinct.shape)[where.reshape(values.shape)]
 
 
 def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
@@ -477,7 +471,7 @@ def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
 
 
 def sample_symbol(a: PhaseSymbol, grid: GridSpec) -> GridSymbol:
-    """a.sample(grid); kept only for perfbench."""
+    """a.sample(grid); unexported, kept only for perfbench."""
     return a.sample(grid)
 
 

@@ -88,6 +88,9 @@ class SuiteConfig:
                 raise ValueError(f"tolerances name an unknown check {key!r}")
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"tolerance for {key} is not a real number: {value!r}")
+            # inf passes every residual, nan fails all, an int >= 2**1024 breaks float()
+            if not 0 <= value < 2.0 ** 1023:
+                raise ValueError(f"tolerance for {key} must be in [0, inf): {value!r}")
 
     def grid(self, points: int | None = None) -> GridSpec:
         """The configured grid, or one with `points` per axis on the same box."""
@@ -378,7 +381,7 @@ def _chk_weyl_exchange(cfg, rng):
 
 @check("deformation", 1e-10, "J = 0 reduces the product to pointwise multiplication")
 def _chk_zero_collapse(cfg, rng):
-    J0 = SkewForm.zero(cfg.n)
+    J0 = SkewForm(0.0, cfg.n)
     resids = []
     for _ in range(5):
         g, _, f, h = _operands(cfg, rng, 2)
@@ -424,7 +427,7 @@ def _chk_approximate_identity(cfg, rng):
                        * np.eye(cfg.algebra_dim))
     resids = []
     for index in (1, 2, 4, 8):
-        e = approximate_identity(index, J, g, cfg.algebra_dim)
+        e = approximate_identity(index, g, cfg.algebra_dim)
         resids.append(module_norm(deformed_product(e, f, J) - f))
     if any(resids[i + 1] >= resids[i] for i in range(len(resids) - 1)):
         return float("inf")
@@ -593,8 +596,7 @@ def _chk_gamma_mass(cfg, rng):
 def _chk_gamma_reproduce_const(cfg, rng):
     k = cfg.algebra_dim
     c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    val = gamma_reproduce(lambda p: np.broadcast_to(c, p.shape[:-1] + (k, k)).copy(),
-                          GammaKernel(), n=1, algebra_dim=k)
+    val = gamma_reproduce(lambda p: np.broadcast_to(c, (len(p), k, k)), GammaKernel())
     return float(np.abs(val - c).max()) / float(np.abs(c).max())
 
 
@@ -613,7 +615,7 @@ def _chk_gamma_reproduce_gauss(cfg, rng):
     c = rng.uniform(-0.5, 0.5, size=2)
     f = lambda p: np.exp(-((p[..., 0] - c[0]) ** 2 + (p[..., 1] - c[1]) ** 2)
                          / 2.0)[..., None, None] * M
-    val = gamma_reproduce(f, GammaKernel(nodes=200), n=2, algebra_dim=k)
+    val = gamma_reproduce(f, GammaKernel(nodes=200), n=2)
     ref = f(np.zeros((1, 2)))[0]
     return float(np.abs(val - ref).max()) / float(np.abs(ref).max())
 

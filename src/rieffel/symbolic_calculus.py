@@ -166,13 +166,12 @@ def coordinate_symbol(J: SkewForm, i: int, algebra_dim: int = 1) -> CallableSymb
 # gamma reproduction
 
 
-def gamma_reproduce(f, kernel: GammaKernel, n: int = 1,
-                    algebra_dim: int = 1) -> np.ndarray:
+def gamma_reproduce(f, kernel: GammaKernel, n: int = 1) -> np.ndarray:
     """Quadrature of gammabar(t) * prod_j (1 - d_j)^2 f(t) over [0, T_MAX]^n.
 
     f maps points of shape (..., n) to (..., k, k); each (1 - d_j)^2 is a
     fourth-order central difference with step FD_STEP, so f is evaluated on
-    5^n shifted copies of the nodes.  Returns approximately f(0).
+    5^n shifted copies of the nodes.  Returns approximately f(0), (k, k).
     """
     t, w = kernel.quadrature()
     grids = np.meshgrid(*([t] * n), indexing="ij")
@@ -187,7 +186,7 @@ def gamma_reproduce(f, kernel: GammaKernel, n: int = 1,
     e0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     wts = e0 - 2.0 * d1 + d2                                      # (1 - d)^2
     offs = h * np.arange(-2, 3)
-    total = np.zeros(pts.shape[:1] + (algebra_dim,) * 2, dtype=complex)
+    total = 0
     for s in np.ndindex(*((5,) * n)):
         c = float(np.prod([wts[sj] for sj in s]))
         shifted = pts + np.array([offs[sj] for sj in s])

@@ -96,7 +96,7 @@ def test_acceptance_03_plane_wave_oracle():
 
 def test_acceptance_04_zero_collapse():
     rng = check_rng(4, "acceptance.zero_collapse")
-    J0 = SkewForm.zero(2)
+    J0 = SkewForm(0.0, 2)
     for _ in range(5):
         f = matrix_gaussian(GRID, K, rng)
         g = matrix_gaussian(GRID, K, rng)
@@ -190,7 +190,7 @@ def test_acceptance_09_gamma_calculus():
     c = np.random.default_rng(9).normal(size=(K, K)) + 0j
     val = gamma_reproduce(
         lambda p: np.broadcast_to(c, p.shape[:-1] + (K, K)).copy(),
-        kern, n=1, algebra_dim=K)
+        kern, n=1)
     assert np.abs(val - c).max() <= 1e-6 * np.abs(c).max()
     val = gamma_reproduce(lambda p: np.exp(1j * p[..., 0])[..., None, None],
                           kern, n=1)
@@ -202,7 +202,7 @@ def test_acceptance_09_gamma_calculus():
         r2 = ((p - ctr) ** 2).sum(axis=-1)
         return np.exp(-r2)[..., None, None] * M
 
-    val = gamma_reproduce(gauss, kern, n=2, algebra_dim=K)
+    val = gamma_reproduce(gauss, kern, n=2)
     ref = np.exp(-(ctr ** 2).sum()) * M
     assert np.abs(val - ref).max() <= 1e-6
     a = random_band_symbol(2, K, check_rng(9, "acceptance.gamma_rt"))
@@ -291,7 +291,7 @@ def test_acceptance_12_approximate_identity():
                        * np.eye(K))
     resids = []
     for index in (1, 2, 4, 8):
-        e = approximate_identity(index, J, g, K)
+        e = approximate_identity(index, g, K)
         resids.append(module_norm(deformed_product(e, f, J) - f))
     assert all(resids[i + 1] < resids[i] for i in range(3))
     assert resids[-1] <= resids[0] / 4

@@ -60,8 +60,8 @@ def test_algebra_values_are_plain_arrays():
     gauss = lambda u, v: np.exp(-(u[..., 0] ** 2 + v[..., 0] ** 2))[..., None, None] * M
     values = [inner_product(f, f),
               gamma_reproduce(lambda p: np.broadcast_to(M, p.shape[:-1] + (k, k)),
-                              GammaKernel(), n=1, algebra_dim=k),
-              oscillatory_integral(gauss, 1, CutoffFamily(4.0, 3), algebra_dim=k)[0]]
+                              GammaKernel(), n=1),
+              oscillatory_integral(gauss, 1, CutoffFamily(4.0, 3))[0]]
     for val in values:
         assert type(val) is np.ndarray
         assert val.shape == (k, k) and val.dtype == complex

@@ -52,12 +52,37 @@ def test_suite_config_validation():
     ([1], "tolerances must map check ids to numbers"),
     ({"fourier.round_trip": "1e-3"}, "not a real number"),
     ({"fourier.round_trip": True}, "not a real number"),
-], ids=["unknown_check", "not_a_mapping", "not_a_number", "boolean"])
+    # json reads Infinity and NaN: inf would pass the check whatever its
+    # residual, and nan would fail it
+    ({"fourier.round_trip": float("inf")}, "must be in [0, inf): inf"),
+    ({"fourier.round_trip": float("nan")}, "must be in [0, inf): nan"),
+    ({"fourier.round_trip": -1e-3}, "must be in [0, inf): -0.001"),
+    ({"fourier.round_trip": 10 ** 400}, "must be in [0, inf): 1000"),
+], ids=["unknown_check", "not_a_mapping", "not_a_number", "boolean",
+        "infinite", "nan", "negative", "beyond_float"])
 def test_cli_verify_rejects_bad_tolerances(tmp_path, capsys, tolerances, message):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"points": 16, "tolerances": tolerances}))
     assert main(["verify", "fourier", "--config", str(cfgp)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_zero_tolerance_override_is_allowed():
+    cfg = SuiteConfig(suite="fourier", tolerances={"fourier.round_trip": 0})
+    assert cfg.tolerances["fourier.round_trip"] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "2,16,nan"], "half_width must be finite and > 0, got nan"),
+    (["--grid", "2,16,inf"], "half_width must be finite and > 0, got inf"),
+    (["--theta", "nan"], "theta must be finite, got nan"),
+    (["--theta", "inf"], "theta must be finite, got inf"),
+], ids=["nan_width", "inf_width", "nan_theta", "inf_theta"])
+def test_cli_verify_rejects_non_finite_grid_and_theta(capsys, argv, message):
+    # refused where the grid and J are built, not later as non-finite samples
+    assert main(["verify", "fourier", *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "NaN" not in err
 
 
 def test_run_suite_deterministic_payload():
@@ -252,6 +277,27 @@ def test_cli_recover_tight_tolerance_fails(tmp_path):
     fp = tmp_path / "F.mgf"
     stored_field(fp, 5, alpha=1.0)
     assert main(["recover", str(fp), "--tol", "1e-300"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.001"])
+def test_cli_recover_rejects_tolerance_that_switches_it_off(tmp_path, capsys, tol):
+    # --tol inf accepted every recovery and nan rejected every one
+    fp = tmp_path / "F.mgf"
+    stored_field(fp, 5, alpha=1.0)
+    assert main(["recover", str(fp), "--tol", tol]) == 2
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert main(["recover", str(fp), "--tol", "0"]) == 1
+
+
+@pytest.mark.parametrize("command", ["product", "apply", "recover"])
+def test_cli_rejects_non_finite_theta(tmp_path, capsys, command):
+    fp = tmp_path / "F.mgf"
+    stored_field(fp, 7, npts=16)
+    files = [str(fp)] if command == "recover" else [str(fp), str(fp)]
+    out = tmp_path / "out.mgf"
+    assert main([command, *files, "--out", str(out), "--theta", "nan"]) == 2
+    assert "theta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_truncated_file(tmp_path, capsys):

@@ -40,9 +40,15 @@ def test_skew_form_validation():
         SkewForm(0.5, 1)
     with pytest.raises(ValueError, match="n = 1 grid"):
         SkewForm.standard(0.5, 1)
+    # a non-finite theta is refused where J is built, on either grid dimension
+    for theta, n in [(np.nan, 2), (np.inf, 2), (-np.inf, 2), (np.nan, 1)]:
+        with pytest.raises(ValueError, match="theta must be finite"):
+            SkewForm(theta, n)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        SkewForm.standard(np.inf)
     assert SkewForm.standard(0.5).theta == 0.5
-    assert SkewForm.zero(1).n == 1
-    assert np.array_equal(SkewForm.zero(1).entries, np.zeros((1, 1)))
+    assert SkewForm(0.0, 1).n == 1
+    assert np.array_equal(SkewForm(0.0, 1).entries, np.zeros((1, 1)))
     assert np.array_equal(SkewForm.standard(-0.7).entries,
                           np.array([[0.0, -0.7], [0.7, 0.0]]))
 
@@ -53,10 +59,10 @@ def test_skew_form_equality_hash_and_rescaled():
     assert SkewForm.standard() == SkewForm.standard() == SkewForm(0.5, 2)
     assert hash(SkewForm.standard()) == hash(SkewForm(0.5))
     assert SkewForm.standard(0.5) != SkewForm.standard(0.25)
-    assert SkewForm.zero(2) != SkewForm.zero(1)
-    assert len({SkewForm.standard(), SkewForm(0.5), SkewForm.zero(2)}) == 2
+    assert SkewForm(0.0, 2) != SkewForm(0.0, 1)
+    assert len({SkewForm.standard(), SkewForm(0.5), SkewForm(0.0, 2)}) == 2
     assert SkewForm.standard(0.5).rescaled(-2.0) == SkewForm(-1.0)
-    assert SkewForm.zero(1).rescaled(3.0) == SkewForm.zero(1)
+    assert SkewForm(0.0, 1).rescaled(3.0) == SkewForm(0.0, 1)
     assert np.array_equal(SkewForm.standard(0.5).rescaled(2 * np.pi).entries,
                           2 * np.pi * SkewForm.standard(0.5).entries)
 
@@ -83,7 +89,7 @@ def test_weyl_exchange_relation():
 def test_zero_form_collapses_to_pointwise():
     f = matrix_gaussian(G, 1)
     g = matrix_gaussian(G, 2)
-    prod = deformed_product(f, g, SkewForm.zero(2))
+    prod = deformed_product(f, g, SkewForm(0.0, 2))
     ref = ModuleFunction(G, np.einsum("...ab,...bc->...ac", f.samples, g.samples))
     assert (prod - ref).sup_norm() <= 1e-10 * ref.sup_norm()
 
@@ -264,7 +270,7 @@ def test_grid_mismatch():
     with pytest.raises(GridMismatchError):
         deformed_product(f, g, J)
     with pytest.raises(GridMismatchError):
-        deformed_product(f, f, SkewForm.zero(1))
+        deformed_product(f, f, SkewForm(0.0, 1))
 
 
 # ---- oscillatory integral oracle
@@ -296,7 +302,7 @@ def test_oscillatory_matches_fast_product_at_point():
     g = GridSpec(1, 64, 8.0)
     f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
     h = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 3) * (1 + 0.2 * x))
-    prod = deformed_product(f, h, SkewForm.zero(1))
+    prod = deformed_product(f, h, SkewForm(0.0, 1))
     x0 = g.axis()[32]
     amp = lambda u, v: (np.exp(-(x0 + 0 * u[..., 0]) ** 2 / 2)
                         * np.exp(-(x0 + v[..., 0]) ** 2 / 3)
@@ -332,5 +338,5 @@ def test_approximate_identity_converges():
     f = ModuleFunction(g, np.exp(-sum(m * m for m in mesh) / 9.0)[..., None, None]
                        * np.eye(2))
     resids = [module_norm(deformed_product(
-        approximate_identity(idx, Jg, g, 2), f, Jg) - f) for idx in (1, 2, 4)]
+        approximate_identity(idx, g, 2), f, Jg) - f) for idx in (1, 2, 4)]
     assert resids[0] > resids[1] > resids[2]

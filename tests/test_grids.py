@@ -14,6 +14,12 @@ XI = (G.dual_spacing, float(G.dual_axis()[0]))   # xi slot
 ODD = (0.3, 0.37)                                # an origin off every lattice
 
 
+@pytest.mark.parametrize("half_width", [np.nan, np.inf])
+def test_grid_rejects_half_width_that_is_not_positive_and_finite(half_width):
+    with pytest.raises(ValueError, match="half_width must be finite and > 0"):
+        GridSpec(2, 16, half_width)
+
+
 def oracle(samples, axes, fn):
     """axis_transform forward along each (spacing, origin) axis, multiply by
     fn at the ascending frequencies of axis_transform, then invert."""

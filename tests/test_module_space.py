@@ -8,7 +8,7 @@ from rieffel.errors import GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import (ModuleFunction, boundary_report, fourier,
                                   inner_product, modulate, module_norm,
-                                  schwartz_seminorm, translate)
+                                  translate)
 
 G1 = GridSpec(1, 256, 10.0)
 G2 = GridSpec(2, 32, 8.0)
@@ -145,35 +145,7 @@ def test_modulation_translation_commutation_phase():
     assert (out - expect).sup_norm() <= 1e-10 * f.sup_norm()
 
 
-# ---- seminorms and diagnostics
-
-
-def test_seminorm_sup_only():
-    g = GridSpec(1, 64, 8.0)
-    f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
-    assert schwartz_seminorm(f) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_seminorm_weighted():
-    # sup |x| e^{-x^2/2} = e^{-1/2}; fine grid so the sup point is resolved
-    g = GridSpec(1, 8192, 8.0)
-    f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
-    val = schwartz_seminorm(f, alpha=(1,))
-    assert val == pytest.approx(np.exp(-0.5), abs=1e-6)
-
-
-def test_seminorm_derivative_schemes_agree():
-    g = GridSpec(1, 8192, 8.0)
-    f = ModuleFunction.from_function(g, lambda x: np.exp(-x * x / 2))
-    # sup |d/dx e^{-x^2/2}| = e^{-1/2} at x = 1
-    val = schwartz_seminorm(f, beta=(1,))
-    assert val == pytest.approx(np.exp(-0.5), abs=1e-8)
-    # sup |dx dy e^{-(x^2+y^2)/2}| = sup |x y| e^{-(x^2+y^2)/2} = e^{-1} at
-    # x = y = 1, a node of this grid
-    g2 = GridSpec(2, 128, 8.0)
-    f2 = ModuleFunction.from_function(g2, lambda x, y: np.exp(-(x * x + y * y) / 2))
-    val = schwartz_seminorm(f2, beta=(1, 1))
-    assert val == pytest.approx(np.exp(-1.0), abs=1e-12)  # observed 1.2e-14
+# ---- diagnostics
 
 
 def test_boundary_report_flags_wide_function():

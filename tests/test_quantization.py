@@ -115,7 +115,7 @@ def test_one_pass_shear_matches_generic_sampling(n, npts, k, theta):
     r = np.random.default_rng(npts + 10 * k)
     F = ModuleFunction(g, r.normal(size=g.shape + (k, k))
                        + 1j * r.normal(size=g.shape + (k, k)))
-    a = TranslationSymbol(F, SkewForm.standard(theta) if n == 2 else SkewForm.zero(1))
+    a = TranslationSymbol(F, SkewForm.standard(theta) if n == 2 else SkewForm(0.0, 1))
     fast = a.sample(g).samples
     slow = mesh_sample(a, g)
     assert np.abs(fast - slow).max() <= 2e-14 * np.abs(slow).max()

@@ -86,7 +86,7 @@ def test_gamma_quadrature_cached_read_only():
 
 def test_reproduce_constant():
     f = lambda pts: np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).astype(complex)
-    val = gamma_reproduce(f, K, n=1, algebra_dim=2)
+    val = gamma_reproduce(f, K, n=1)
     assert np.abs(val - np.eye(2)).max() <= 1e-8
 
 
@@ -97,6 +97,16 @@ def test_calculus_suite_passes_off_default_seed(seed, k):
     report = run_suite(SuiteConfig(suite="calculus", seed=seed, algebra_dim=k))
     assert report.passed, [(c.check_id, c.residual) for c in report.checks
                            if not c.passed]
+
+
+def test_reproduce_reads_k_off_the_integrand():
+    # no algebra_dim argument: a k = 3 integrand gives a 3 x 3 value, and a
+    # scalar one a 1 x 1 value rather than one broadcast to k x k
+    M = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
+    val = gamma_reproduce(lambda p: np.broadcast_to(M, p.shape[:-1] + (3, 3)), K, n=1)
+    assert val.shape == (3, 3) and np.abs(val - M).max() <= 1e-8 * np.abs(M).max()
+    wave = gamma_reproduce(lambda p: np.exp(1j * p[..., 0])[..., None, None], K, n=1)
+    assert wave.shape == (1, 1)
 
 
 def test_reproduce_plane_wave():
@@ -114,7 +124,7 @@ def test_reproduce_2d_matrix_gaussian():
         r2 = ((pts - c) ** 2).sum(axis=-1)
         return np.exp(-r2)[..., None, None] * M
 
-    val = gamma_reproduce(f, K, n=2, algebra_dim=2)
+    val = gamma_reproduce(f, K, n=2)
     expect = np.exp(-(c ** 2).sum()) * M
     assert np.abs(val - expect).max() <= 1e-5
 
@@ -273,7 +283,7 @@ def eval_on_box(sym, grid):
 def test_canonical_bracket():
     # {x_1, xi_1} = 1
     g = GridSpec(1, 16, 8.0)
-    a = coordinate_symbol(SkewForm.zero(1), 0)
+    a = coordinate_symbol(SkewForm(0.0, 1), 0)
     b = xi_symbol(1, 0)
     vals = eval_on_box(poisson_bracket(a, b), g)
     assert np.abs(vals - 1.0).max() <= 1e-12
