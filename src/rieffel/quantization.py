@@ -10,7 +10,7 @@ the adjoint symbol p with <a(x,D)u, v> = <u, p(x,D)v>, the symbol-to-kernel
 transform, and a randomized lower estimate of the operator norm.
 
 Symbol backings (each implements eval; PhaseSymbol's generic quantize runs
-on it, and every quantize checks the symbol's n and k against u's):
+on its slabs, and every quantize checks the symbol's n and k against u's):
 
   * CallableSymbol    -- closed-form evaluator, optional analytic partials
   * TrigPolySymbol    -- finite sum  C e^{i p.x} e^{i w.xi}  (band-limited)
@@ -29,11 +29,12 @@ CapabilityError: sample it first, a.sample(grid).
 
 Sampling is stated once too: a backing's writer _fill(grid, out) writes
 slab i of the first x axis into out[i % len(out)] and yields it; sample runs
-it into the product grid and slabs into one reused slab, so a supremum never
-holds the product grid whole, nor symbol_to_kernel beside its kernel.  The
-generic writer calls eval once per slab.  A trig writer tabulates each
-term's 2n one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T
-terms of a slab as one (N^(2n-1) x T) @ (T x k^2) product.  A translation
+it into the product grid and slabs into one reused slab, so a supremum, the
+dense quantize and a kernel's apply never hold the product grid whole: row
+x_0 = x_i of a(x,D) u, or of K u, reads only slab i.  The generic writer
+calls eval once per slab.  A trig writer tabulates each term's 2n
+one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
+a slab as one (N^(2n-1) x T) @ (T x k^2) product.  A translation
 symbol writes by a shear on F's grid (F's forward transform and one phased
 inverse along x_0, then per slab one real GEMM for x_1's phase and inverse
 DFT, whose conjugate columns it folds),
@@ -57,7 +58,7 @@ an adjoint raises CapabilityError; R_G u is deformed_product(u, G, J).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,15 +143,9 @@ class PhaseSymbol:
             yield slab
 
     def quantize(self, u: ModuleFunction) -> ModuleFunction:
-        """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense loop over
-        dual nodes q, 64 at a time (backings override it where exact)."""
-        g = u.grid
-        xc = [m[None, ...] for m in g.mesh()]
-
-        def values(rows, q):
-            qc = [q[:, d].reshape((-1,) + (1,) * g.n) for d in range(g.n)]
-            return self.eval(xc, qc)
-        return _dense_quantize(self, values, u)
+        """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense sum over dual
+        nodes q, one slab at a time (backings override it where exact)."""
+        return _dense_quantize(self, u)
 
     def multiplier(self, fn) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
@@ -173,31 +168,39 @@ def _check_dims(a: PhaseSymbol, u: ModuleFunction) -> None:
         raise GridMismatchError("symbol and function dimensions do not match")
 
 
-def _dense_quantize(a: PhaseSymbol, values, u: ModuleFunction) -> ModuleFunction:
-    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), 64 nodes at a
-    time, once a's dimensions match u's; values(rows, q) returns a(x, q) for
-    the dual nodes q = flat node indices rows, shaped (len(q),) + grid.shape
-    + (k, k).  Per chunk of C nodes one multiply fills a reused (X, k, k, C)
-    buffer (X grid points) with e^{i x.q} a(x, q), and one (X k x k C) @
-    (k C x k) GEMM adds it."""
+def _block_rhs(w: np.ndarray) -> np.ndarray:
+    """V[(m, a', b), (a, c)] = delta(a, a') w[m, b, c] for w of shape (M, k, k):
+    an (X x M k^2) matrix of entries s[x, m, a, b] times V is sum_{m, b}
+    s[x, m, a, b] w[m, b, c], so a slab is contracted in its own layout."""
+    m, k = len(w), w.shape[-1]
+    V = np.zeros((m, k, k, k, k), dtype=complex)
+    for a in range(k):
+        V[:, a, :, a, :] = w
+    return V.reshape(m * k * k, k * k)
+
+
+def _dense_quantize(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
+    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), once a's dimensions
+    match u's, one slab of a.slabs(grid) at a time: row x_0 = x_i of the
+    result reads only slab i.  Each slab, in its own (x', q, k, k) layout (x'
+    the other n - 1 x axes), is multiplied by e^{i x'.q'} into one reused
+    buffer, and one (N^(n-1) x M k^2) @ (M k^2 x k^2) GEMM (M dual nodes)
+    contracts it with _block_rhs of e^{i x_i q_0} u^(q)."""
     _check_dims(a, u)
-    chunk = 64
     g, k = u.grid, u.algebra_dim
     uh = grid_transform(u.samples, g).reshape(-1, k, k)       # (M, k, k)
-    flatq = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)  # (M, n)
-    acc = np.zeros((u.samples.size // k, k), dtype=complex)   # (X k, k)
-    buf = np.empty(acc.size * min(chunk, len(flatq)), dtype=complex)
-    for lo in range(0, flatq.shape[0], chunk):
-        rows = slice(lo, lo + chunk)
-        q = flatq[rows]                                        # (C, n)
-        wave = math.prod(np.exp(1j * np.multiply.outer(g.axis(), q[:, d])).reshape(
-            (1,) * d + (-1,) + (1,) * (g.n - 1 - d) + (len(q),)) for d in range(g.n))
-        term = buf[:acc.size * len(q)].reshape(g.shape + (k, k, len(q)))
-        np.multiply(wave[..., None, None, :], np.moveaxis(values(rows, q), 0, -1),
-                    out=term)
-        acc += term.reshape(len(acc), -1) @ uh[rows].transpose(1, 0, 2).reshape(-1, k)
-    return ModuleFunction(g, TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
-                          * acc.reshape(u.samples.shape))
+    axes = np.meshgrid(*([g.axis()] * (g.n - 1) + [g.dual_axis()] * g.n),
+                       indexing="ij", sparse=True)
+    rest = np.exp(1j * sum(axes[d] * axes[g.n + d] for d in range(g.n - 1)))
+    first = np.exp(1j * np.multiply.outer(g.axis(), g.dual_mesh()[0].ravel()))
+    out = np.empty(u.samples.shape, dtype=complex)
+    rows = out.reshape(g.points, -1, k * k)                    # (N, N^(n-1), k^2)
+    buf = None
+    for i, slab in enumerate(a.slabs(g)):
+        buf = np.multiply(slab, rest[..., None, None], out=buf)
+        np.matmul(buf.reshape(rows.shape[1], -1),
+                  _block_rhs(first[i, :, None, None] * uh), out=rows[i])
+    return ModuleFunction(g, TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out)
 
 
 class CallableSymbol(PhaseSymbol):
@@ -349,12 +352,9 @@ class GridSymbol(PhaseSymbol):
         return super().slabs(grid)
 
     def quantize(self, u):
-        g = u.grid
-        if not self.grid.compatible(g):
+        if not self.grid.compatible(u.grid):
             raise GridMismatchError("grid symbol lives on a different grid")
-        sym = self.samples.reshape(g.shape + (-1, u.algebra_dim, u.algebra_dim))
-        return _dense_quantize(
-            self, lambda rows, q: np.moveaxis(sym[..., rows, :, :], g.n, 0), u)
+        return _dense_quantize(self, u)
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -499,43 +499,61 @@ def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:
 
 @dataclass(frozen=True)
 class KernelField:
-    """Integral-kernel samples K(x, y) on grid.axis^n x grid.axis^n."""
+    """The integral kernel K(x, y) of symbol(x, D) on grid.axis^n x
+    grid.axis^n, made one row K[i0] (x_0 at node i0) at a time from
+    symbol.slabs(grid); nothing is computed until rows() is drawn."""
 
     grid: GridSpec
-    samples: np.ndarray = field(repr=False)
+    symbol: PhaseSymbol
+
+    def rows(self):
+        """For each node i0 of the first x axis, K[i0] of shape
+        (N,)^(2n-1) + (k, k): slab i0 transformed along its n xi axes,
+        scaled in place, then sheared by one gather."""
+        g = self.grid
+        n, npts = g.n, g.points
+        # K[i, j] = k[i, t] at t = x_i - y_j, i.e. index (i + (N/2 - j)) mod N
+        # per dimension, i on the x axes, j on the y axes
+        i = np.arange(npts)
+        xs = [i.reshape((-1,) + (1,) * (2 * n - 2 - d)) for d in range(n - 1)]
+        ys = [(npts // 2 - i).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
+        for i0, slab in enumerate(self.symbol.slabs(g)):
+            for ax in range(n - 1, 2 * n - 1):
+                # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
+                # reads its input on the dual of the spatial axis, t lands on axis()
+                slab = axis_transform(slab, ax, g.spacing, -g.half_width, inverse=True)
+            slab *= TWO_PI ** (-n / 2.0)
+            yield slab[tuple(xs) + tuple((x + y) % npts for x, y in zip([i0] + xs, ys))]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every row at once, made anew on each access: the kernel on the
+        whole product grid."""
+        out = np.empty(self.grid.shape * 2 + (self.symbol.algebra_dim,) * 2,
+                       dtype=complex)
+        for i0, row in enumerate(self.rows()):
+            out[i0] = row
+        return out
 
     def apply(self, v: ModuleFunction) -> ModuleFunction:
-        """sum_y K(x, y) v(y) dy as k^2 GEMMs, K[..., a, b] (copied) @ v[:, b]."""
+        """sum_y K(x, y) v(y) dy, row by row: one (N^(n-1) x N^n k^2) @
+        (N^n k^2 x k^2) GEMM of K[i0] against _block_rhs of v's samples."""
         if not v.grid.compatible(self.grid):
             raise GridMismatchError("kernel and function grids differ")
-        g = self.grid
-        k = self.samples.shape[-1]
-        m = g.points ** g.n
-        vs = v.samples.reshape(m, k, k)
-        acc = np.zeros((m, k, k), dtype=complex)
-        for a, b in np.ndindex(k, k):
-            acc[:, a] += self.samples[..., a, b].reshape(m, m) @ vs[:, b]
-        return ModuleFunction(g, g.spacing ** g.n * acc.reshape(v.samples.shape))
+        _check_dims(self.symbol, v)
+        g, k = self.grid, v.algebra_dim
+        V = _block_rhs(v.samples.reshape(-1, k, k))
+        out = np.empty(v.samples.shape, dtype=complex)
+        rows = out.reshape(g.points, -1, k * k)
+        for i0, row in enumerate(self.rows()):
+            np.matmul(row.reshape(rows.shape[1], -1), V, out=rows[i0])
+        return ModuleFunction(g, g.spacing ** g.n * out)
 
 
 def symbol_to_kernel(a: PhaseSymbol, grid: GridSpec) -> KernelField:
-    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi, one slab of
-    a.slabs(grid) at a time: the kernel is the one product grid it holds."""
-    n, npts = grid.n, grid.points
-    out = np.empty(grid.shape * 2 + (a.algebra_dim,) * 2, dtype=complex)
-    # shear as one gather per slab i0: K[i, j] = k[i, t] at t = x_i - y_j, i.e.
-    # index (i + (N/2 - j)) mod N per dimension, i on the x axes, j on the y axes
-    i = np.arange(npts)
-    xs = [i.reshape((-1,) + (1,) * (2 * n - 2 - d)) for d in range(n - 1)]
-    ys = [(npts // 2 - i).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
-    for i0, slab in enumerate(a.slabs(grid)):
-        for ax in range(n - 1, 2 * n - 1):
-            # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
-            # reads its input on the dual of the spatial axis, t lands on axis()
-            slab = axis_transform(slab, ax, grid.spacing, -grid.half_width, inverse=True)
-        slab *= TWO_PI ** (-n / 2.0)
-        out[i0] = slab[tuple(xs) + tuple((x + y) % npts for x, y in zip([i0] + xs, ys))]
-    return KernelField(grid, out)
+    """K(x, y) = (2*pi)^(-n) integral e^{i (x-y).xi} a(x, xi) dxi, as a
+    KernelField that makes its rows from a.slabs(grid) when drawn."""
+    return KernelField(grid, a)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from .grids import GridSpec, fourier_multiplier, grid_transform
 from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
                          smoothness_probe)
 from .module_space import ModuleFunction, fourier, inner_product, module_norm
-from .quantization import (LeftActionOp, PdoOp, TranslationSymbol, TrigPolySymbol,
-                           constant_symbol, operator_norm_estimate, pi_seminorm,
-                           symbol_to_kernel)
+from .quantization import (LeftActionOp, PdoOp, PhaseSymbol, TranslationSymbol,
+                           TrigPolySymbol, constant_symbol, operator_norm_estimate,
+                           pi_seminorm, symbol_to_kernel)
 from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                 gamma_reconstruct, gamma_reproduce,
                                 poisson_bracket, recover_translation_symbol,
@@ -444,7 +444,8 @@ def _chk_identity_symbol(cfg, rng):
 @check("quantization", 1e-9, "symbol F(x - J xi) quantizes to the left action L_F")
 def _chk_translation_bridge(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2, points=32)
-    lhs = TranslationSymbol(F, J).sample(g).quantize(u)
+    # the generic dense sum over the shear's slabs: its own quantize is L_F
+    lhs = PhaseSymbol.quantize(TranslationSymbol(F, J), u)
     rhs = deformed_product(F, u, J)
     return _relative((lhs - rhs).sup_norm(), rhs.sup_norm())
 

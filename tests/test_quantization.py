@@ -10,12 +10,13 @@ from rieffel.grids import TWO_PI, GridSpec, axis_transform, grid_transform
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
-                                  KernelField, LeftActionOp, OperatorHandle,
-                                  PdoOp, PhaseSymbol, TranslationSymbol,
-                                  TrigPolySymbol, constant_symbol,
-                                  operator_norm_estimate, pdo_apply, pi_seminorm,
-                                  sample_symbol, symbol_to_kernel)
-from rieffel.suites import SuiteConfig, matrix_gaussian, random_band_symbol
+                                  LeftActionOp, OperatorHandle, PdoOp,
+                                  PhaseSymbol, TranslationSymbol, TrigPolySymbol,
+                                  constant_symbol, operator_norm_estimate,
+                                  pdo_apply, pi_seminorm, sample_symbol,
+                                  symbol_to_kernel)
+from rieffel.suites import (SUITE_CHECKS, SuiteConfig, check_rng, matrix_gaussian,
+                            random_band_symbol)
 from rieffel.symbolic_calculus import poisson_bracket
 
 G1 = GridSpec(1, 64, 8.0)
@@ -455,31 +456,52 @@ def kernel_apply_reference(K, v):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("backing", ["grid", "callable"])
+@pytest.mark.parametrize("backing", ["grid", "callable", "translation", "foreign", "J0"])
 def test_dense_quantize_matches_einsum_reference(backing, n, k):
-    # observed <= 6.6e-16 relative: the GEMM sums in another order, and
-    # e^{i x.q} is a product of per-axis factors
+    # observed <= 1.8e-15 relative (4.6e-16 on the grid and eval writers):
+    # the GEMM sums in another order, e^{i x.q} is a product of per-axis
+    # factors, and eval is F's trig sum.  The dense path reads the
+    # slabs of the grid, eval, shear, trig and copy writers (a translation
+    # symbol at n = 1 is J = 0); the reference evaluates pointwise
     g = GridSpec(n, 16, 8.0)
-    tp = trig_symbol(n, k, 40 + k)
-    a = sample_symbol(tp, g) if backing == "grid" else CallableSymbol(n, k, tp.eval)
+    if backing in ("grid", "callable"):
+        tp = trig_symbol(n, k, 40 + k)
+        a = sample_symbol(tp, g) if backing == "grid" else CallableSymbol(n, k, tp.eval)
+    else:
+        a = slab_symbol(backing, n, k, g)
     u = matrix_field(g, 41, k)
     ref = dense_quantize_reference(a, u)
-    got = pdo_apply(a, u).samples
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    got = PhaseSymbol.quantize(a, u) if backing in ("translation", "foreign", "J0") \
+        else pdo_apply(a, u)
+    assert np.abs(got.samples - ref).max() <= 1e-14 * np.abs(ref).max()
     # negative control: the transposed symbol a(x, q)^T acts differently
     if k > 1:
-        at = GridSymbol(g, np.swapaxes(sample_symbol(tp, g).samples, -1, -2))
+        at = GridSymbol(g, np.swapaxes(a.sample(g).samples, -1, -2))
         assert np.abs(pdo_apply(at, u).samples - ref).max() > 1e-3 * np.abs(ref).max()
+
+
+def test_dense_quantize_of_translation_symbol_is_left_action():
+    # the generic dense sum over the shear's slabs against the twisted
+    # product at N = 16 (observed 6e-16 relative); the transposed J, that is
+    # -J, is another operator on this off-center u (on two centered
+    # Gaussians the product reads only theta^2)
+    g = GridSpec(2, 16, 8.0)
+    F, u = matrix_field(g, 42), translate(matrix_field(g, 43), [1.0, -0.5])
+    rhs = deformed_product(F, u, J)
+    for Jt, fails in ((J, False), (SkewForm.standard(-J.theta), True)):
+        lhs = PhaseSymbol.quantize(TranslationSymbol(F, Jt), u)
+        assert ((lhs - rhs).sup_norm() > 1e-12 * rhs.sup_norm()) == fails
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_apply_matches_einsum_reference(n, k):
-    # observed <= 1.8e-15 relative: k^2 GEMMs against one einsum
+    # observed <= 1.9e-15 relative: one block GEMM per row against one
+    # einsum over the materialized kernel of a random grid symbol
     g = GridSpec(n, 16, 8.0)
     r = np.random.default_rng(50 + k)
-    K = KernelField(g, r.normal(size=g.shape * 2 + (k, k))
-                    + 1j * r.normal(size=g.shape * 2 + (k, k)))
+    K = symbol_to_kernel(GridSymbol(g, r.normal(size=g.shape * 2 + (k, k))
+                                     + 1j * r.normal(size=g.shape * 2 + (k, k))), g)
     v = matrix_field(g, 51, k)
     ref = kernel_apply_reference(K, v)
     assert np.abs(K.apply(v).samples - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -525,18 +547,36 @@ def peak_bytes(fn):
 
 @pytest.mark.parametrize("backing", ["grid", "translation"])
 def test_symbol_to_kernel_memory_and_inputs(backing):
-    # N = 32, k = 2: one product grid is 64 MiB; the kernel is the one grid
-    # held, beside a slab and its transforms (observed about 1.1x; the
-    # whole-grid transform held 2x)
+    # N = 32, k = 2: one product grid is 64 MiB.  Applying the kernel holds
+    # a row, its transforms and the symbol's slab stream, never the grid
+    # (observed 0.10x and 0.17x; about 1.1x when the kernel was built
+    # whole); the materialized samples are the one grid held beside them
+    # (observed 1.10x and 1.17x)
     g = GridSpec(2, 32, 8.0)
+    grid_bytes = g.points ** 4 * 4 * 16
     a = TranslationSymbol(matrix_field(g, 52), J)
+    u = matrix_field(g, 53)
     if backing == "grid":
         a = sample_symbol(a, g)
         before = a.samples.copy()
-    assert peak_bytes(lambda: symbol_to_kernel(a, g)) <= 1.25 * g.points ** 4 * 4 * 16
+    assert peak_bytes(lambda: symbol_to_kernel(a, g).apply(u)) <= 0.25 * grid_bytes
+    assert peak_bytes(lambda: symbol_to_kernel(a, g).samples) <= 1.25 * grid_bytes
     if backing == "grid":
         # byte for byte: the in-place scaling never reaches the caller's samples
         assert a.samples.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("check_id", ["translation_bridge", "kernel_consistency"])
+def test_operator_checks_memory(check_id):
+    # the two default-config checks that apply a phase-space operator at
+    # N = 32, k = 2, the generic dense quantize of TranslationSymbol(F, J)
+    # and symbol_to_kernel(a, g).apply(u), stream the symbol's slabs: each
+    # peaks at a fraction of one 64 MiB product grid (observed 0.12x and
+    # 0.18x), where sampling the symbol or building the kernel whole held 1.1x
+    fn = {cid: f for cid, _, _, f in SUITE_CHECKS["quantization"]}[check_id]
+    cfg = SuiteConfig()
+    rng = check_rng(cfg.seed, f"quantization.{check_id}")
+    assert peak_bytes(lambda: fn(cfg, rng)) <= 0.25 * 32 ** 4 * 4 * 16
 
 
 @pytest.mark.parametrize("kind, npts, bound", [
