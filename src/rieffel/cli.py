@@ -27,7 +27,7 @@ from .mgf import read_mgf, write_mgf
 from .quantization import TranslationSymbol
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symbolic_calculus import (GammaKernel, b_transform, gamma_reconstruct,
-                                recover_translation_symbol)
+                                recover)
 
 CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SuiteConfig))
 
@@ -56,6 +56,29 @@ def _load_config(path):
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
     return doc
+
+
+def _join_negative_values(argv):
+    """argparse takes "-1e-3" after an option for another option (it reads
+    only "-1"- and "-0.001"-style strings as negative numbers), so a
+    negative number after a long option is joined to it: "--tol -1e-3"
+    becomes "--tol=-1e-3"."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _build_parser():
@@ -143,10 +166,10 @@ def _cmd_recover(args):
     F = read_mgf(args.symbol_file)
     J = SkewForm.standard(args.theta, F.grid.n)
     a = gamma_reconstruct(b_transform(TranslationSymbol(F, J)), GammaKernel())
-    rec, residual = recover_translation_symbol(a, J, F.grid)
+    rec, residual = recover(a, J, F.grid)
     scale = max(F.sup_norm(), 1e-300)
     err = (rec - F).sup_norm() / scale
-    print(f"recovery sup error {err:.3e}, translation residual "
+    print(f"recovery sup error {err:.3e}, operator residual "
           f"{residual / scale:.3e}, tolerance {args.tol:.1e}")
     if args.out:
         write_mgf(args.out, rec)
@@ -176,7 +199,8 @@ def _cmd_info(args):
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if not args.command:

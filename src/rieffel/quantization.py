@@ -41,6 +41,12 @@ DFT, whose conjugate columns it folds),
 by copying F's slabs at J = 0, and by F's trig sum off F's grid.  A bracket
 multiplies its factors' slabs; a grid symbol yields views of its samples.
 
+The generic quantize is dense_quantize(a, grid, rhs) on raw samples of
+shape grid.shape + (k, C).  a(x, D) acts on the left matrix index only, so
+the right index is a batch axis: m fields side by side (C = m k) run as one
+pass over a.slabs(grid), one GEMM per slab, and column block j of the result
+is a(x, D) of field j.  PhaseSymbol.quantize is its m = 1 case.
+
 TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
 and one batched inverse, channels first: O(N^n log N k^2) per term), and a
@@ -145,7 +151,7 @@ class PhaseSymbol:
     def quantize(self, u: ModuleFunction) -> ModuleFunction:
         """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense sum over dual
         nodes q, one slab at a time (backings override it where exact)."""
-        return _dense_quantize(self, u)
+        return ModuleFunction(u.grid, dense_quantize(self, u.grid, u.samples))
 
     def multiplier(self, fn) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
@@ -163,44 +169,51 @@ class PhaseSymbol:
             lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))))
 
 
-def _check_dims(a: PhaseSymbol, u: ModuleFunction) -> None:
-    if a.n != u.grid.n or a.algebra_dim != u.algebra_dim:
+def _check_dims(a: PhaseSymbol, grid: GridSpec, samples: np.ndarray) -> None:
+    """samples must be grid.shape + (k, c), with a's n and k."""
+    if a.n != grid.n or samples.shape[:-1] != grid.shape + (a.algebra_dim,):
         raise GridMismatchError("symbol and function dimensions do not match")
 
 
 def _block_rhs(w: np.ndarray) -> np.ndarray:
-    """V[(m, a', b), (a, c)] = delta(a, a') w[m, b, c] for w of shape (M, k, k):
+    """V[(m, a', b), (a, c)] = delta(a, a') w[m, b, c] for w of shape (M, k, C):
     an (X x M k^2) matrix of entries s[x, m, a, b] times V is sum_{m, b}
     s[x, m, a, b] w[m, b, c], so a slab is contracted in its own layout."""
-    m, k = len(w), w.shape[-1]
-    V = np.zeros((m, k, k, k, k), dtype=complex)
+    m, k, cols = w.shape
+    V = np.zeros((m, k, k, k, cols), dtype=complex)
     for a in range(k):
         V[:, a, :, a, :] = w
-    return V.reshape(m * k * k, k * k)
+    return V.reshape(m * k * k, k * cols)
 
 
-def _dense_quantize(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
-    """Sum over dual nodes q of e^{i x.q} a(x, q) u^(q), once a's dimensions
-    match u's, one slab of a.slabs(grid) at a time: row x_0 = x_i of the
-    result reads only slab i.  Each slab, in its own (x', q, k, k) layout (x'
-    the other n - 1 x axes), is multiplied by e^{i x'.q'} into one reused
-    buffer, and one (N^(n-1) x M k^2) @ (M k^2 x k^2) GEMM (M dual nodes)
-    contracts it with _block_rhs of e^{i x_i q_0} u^(q)."""
-    _check_dims(a, u)
-    g, k = u.grid, u.algebra_dim
-    uh = grid_transform(u.samples, g).reshape(-1, k, k)       # (M, k, k)
+def dense_quantize(a: PhaseSymbol, grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
+    """Samples of sum over dual nodes q of e^{i x.q} a(x, q) rhs^(q) for rhs
+    of shape grid.shape + (k, C), C = m k for m fields side by side: a(x, D)
+    acts on the left index only, so the right one is a batch axis and column
+    block j of the result is a(x, D) of block j.
+
+    One slab of a.slabs(grid) at a time: row x_0 = x_i of the result reads
+    only slab i.  Each slab, in its own (x', q, k^2) layout (x' the other
+    n - 1 x axes), is multiplied by e^{i x'.q'}, stored once per channel so
+    that no inner loop broadcasts, into one reused buffer, and one
+    (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM (M dual nodes) contracts it with
+    _block_rhs of e^{i x_i q_0} rhs^(q)."""
+    _check_dims(a, grid, rhs)
+    g, k, cols = grid, rhs.shape[-2], rhs.shape[-1]
+    uh = grid_transform(rhs, g).reshape(-1, k, cols)          # (M, k, C)
     axes = np.meshgrid(*([g.axis()] * (g.n - 1) + [g.dual_axis()] * g.n),
                        indexing="ij", sparse=True)
     rest = np.exp(1j * sum(axes[d] * axes[g.n + d] for d in range(g.n - 1)))
+    rest = np.repeat(rest[..., None], k * k, axis=-1)
     first = np.exp(1j * np.multiply.outer(g.axis(), g.dual_mesh()[0].ravel()))
-    out = np.empty(u.samples.shape, dtype=complex)
-    rows = out.reshape(g.points, -1, k * k)                    # (N, N^(n-1), k^2)
+    out = np.empty(rhs.shape, dtype=complex)
+    rows = out.reshape(g.points, -1, k * cols)                 # (N, N^(n-1), k C)
     buf = None
     for i, slab in enumerate(a.slabs(g)):
-        buf = np.multiply(slab, rest[..., None, None], out=buf)
+        buf = np.multiply(slab.reshape(slab.shape[:-2] + (-1,)), rest, out=buf)
         np.matmul(buf.reshape(rows.shape[1], -1),
                   _block_rhs(first[i, :, None, None] * uh), out=rows[i])
-    return ModuleFunction(g, TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out)
+    return TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out
 
 
 class CallableSymbol(PhaseSymbol):
@@ -281,7 +294,7 @@ class TrigPolySymbol(PhaseSymbol):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w).
         # Shifted terms are translated 8 at a time, so memory does not grow
         # with T; w = 0 reuses u as it is, which keeps the identity exact.
-        _check_dims(self, u)
+        _check_dims(self, u.grid, u.samples)
         g, k = u.grid, u.algebra_dim
         acc = np.zeros((k, k) + g.shape, dtype=complex)
         tmp = np.empty((k,) + g.shape, dtype=complex)
@@ -354,7 +367,7 @@ class GridSymbol(PhaseSymbol):
     def quantize(self, u):
         if not self.grid.compatible(u.grid):
             raise GridMismatchError("grid symbol lives on a different grid")
-        return _dense_quantize(self, u)
+        return super().quantize(u)
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -540,7 +553,7 @@ class KernelField:
         (N^n k^2 x k^2) GEMM of K[i0] against _block_rhs of v's samples."""
         if not v.grid.compatible(self.grid):
             raise GridMismatchError("kernel and function grids differ")
-        _check_dims(self.symbol, v)
+        _check_dims(self.symbol, v.grid, v.samples)
         g, k = self.grid, v.algebra_dim
         V = _block_rhs(v.samples.reshape(-1, k, k))
         out = np.empty(v.samples.shape, dtype=complex)

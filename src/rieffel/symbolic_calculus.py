@@ -14,6 +14,11 @@ recover_translation_symbol extracts F(z) = a(z, 0) and measures how far a
 is from the translation form F(x - J xi); the directional certificate
 d a/d xi_i = sum_j J_ij d a/d x_j vanishes exactly on translation symbols.
 Both fold cnorm_sup over the differences of zipped PhaseSymbol.slabs streams.
+
+recover works on the operator T = a(x, D) instead: an operator that commutes
+with the right action is left multiplication by T(1), so it returns F = T(1)
+and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u,
+both from one dense pass over the stacked [1 | u] (one slab stream of a).
 """
 from __future__ import annotations
 
@@ -22,16 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cnorm_sup_slabs, slab_differences
-from .deformation import SkewForm
+from .algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
+from .deformation import SkewForm, deformed_product
 from .errors import GridMismatchError
 from .grids import GridSpec
 from .module_space import ModuleFunction
-from .quantization import CallableSymbol, PhaseSymbol, TranslationSymbol
+from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
+                           dense_quantize, random_band_limited)
 
 
 T_MAX = 40.0
 FD_STEP = 3e-3  # gamma_reproduce's central-difference step
+PROBE_SEED = 1993  # seeds recover's band-limited probe u
 
 
 @dataclass(frozen=True)
@@ -254,3 +261,26 @@ def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> floa
                          *(dxs[j].slabs(grid) for j in js)):
                 yield r[0], sum(J.entries[i, j] * s for j, s in zip(js, r[1:]))
     return cnorm_sup_slabs(slab_differences(pairs()))
+
+
+def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
+    """F = T(1) and the operator residual sup ||T u - F x_J u|| / sup ||u||
+    of T = a(x, D), for one seeded band-limited probe u.
+
+    An operator that commutes with the right action R_G u = u x_J G is left
+    multiplication by T(1): T(G) = T(R_G 1) = R_G T(1) = T(1) x_J G.  So the
+    residual vanishes, to roundoff, on a translation symbol F(x - J xi) and
+    measures how far T is from L_F otherwise.  T runs once, on the stacked right-hand side [1 | u],
+    through the generic dense quantize (never TranslationSymbol.quantize,
+    which is L_F itself and would compare the product with itself).
+
+    Returns (F, residual); the caller compares residual against its own
+    tolerance to accept or reject the translation-type hypothesis.
+    """
+    k = a.algebra_dim
+    u = random_band_limited(grid, k, np.random.default_rng(PROBE_SEED))
+    one = np.broadcast_to(np.eye(k), grid.shape + (k, k))
+    out = dense_quantize(a, grid, np.concatenate([one, u.samples], axis=-1))
+    F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
+    Tu = out[..., k:]
+    return F, cnorm_sup(Tu - deformed_product(F, u, J).samples) / u.sup_norm()

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from rieffel import quantization, symbolic_calculus
 from rieffel.cli import main
 from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
 from rieffel.module_space import ModuleFunction, inner_product
+from rieffel.quantization import TranslationSymbol
 from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check_rng,
                             run_suite)
 
@@ -287,6 +289,48 @@ def test_cli_recover_rejects_tolerance_that_switches_it_off(tmp_path, capsys, to
     assert main(["recover", str(fp), "--tol", tol]) == 2
     assert "--tol must be finite and >= 0" in capsys.readouterr().err
     assert main(["recover", str(fp), "--tol", "0"]) == 1
+
+
+def test_cli_recover_takes_negative_theta_in_exponent_form(tmp_path, capsys):
+    # argparse alone reads "-1e-3" as an option and exits 2 with "expected
+    # one argument"
+    fp = tmp_path / "F.mgf"
+    stored_field(fp, 5, npts=16, alpha=1.0)
+    assert main(["recover", str(fp), "--theta", "-1e-3"]) == 0
+    assert "recovery sup error" in capsys.readouterr().out
+
+
+def test_cli_recover_range_checks_negative_tol_in_exponent_form(tmp_path, capsys):
+    fp = tmp_path / "F.mgf"
+    stored_field(fp, 5, npts=16, alpha=1.0)
+    assert main(["recover", str(fp), "--tol", "-1e-3"]) == 2
+    assert "--tol must be finite and >= 0, got -0.001" in capsys.readouterr().err
+
+
+def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch):
+    # the work of one accepted N = 32 recovery, counted: T runs once on the
+    # stacked [1 | u], so one stream of N slabs from the chain's symbol and
+    # one deformed product, T(1) x_J u (two shears of one F before)
+    streams, slabs, products = [], [], []
+    stream = TranslationSymbol.slabs
+
+    def counted_slabs(self, grid):
+        streams.append(1)
+        for s in stream(self, grid):
+            slabs.append(1)
+            yield s
+
+    def counted(product):
+        return lambda *args: products.append(1) or product(*args)
+
+    monkeypatch.setattr(TranslationSymbol, "slabs", counted_slabs)
+    for module in (quantization, symbolic_calculus):
+        monkeypatch.setattr(module, "deformed_product",
+                            counted(module.deformed_product))
+    fp = tmp_path / "F.mgf"
+    stored_field(fp, 4, alpha=1.0)
+    assert main(["recover", str(fp)]) == 0
+    assert (len(streams), len(slabs), len(products)) == (1, 32, 1)
 
 
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])

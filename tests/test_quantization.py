@@ -12,7 +12,8 @@ from rieffel.module_space import ModuleFunction, inner_product, module_norm, tra
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
                                   PhaseSymbol, TranslationSymbol, TrigPolySymbol,
-                                  constant_symbol, operator_norm_estimate,
+                                  constant_symbol, dense_quantize,
+                                  operator_norm_estimate,
                                   pdo_apply, pi_seminorm, sample_symbol,
                                   symbol_to_kernel)
 from rieffel.suites import (SUITE_CHECKS, SuiteConfig, check_rng, matrix_gaussian,
@@ -478,6 +479,30 @@ def test_dense_quantize_matches_einsum_reference(backing, n, k):
     if k > 1:
         at = GridSymbol(g, np.swapaxes(a.sample(g).samples, -1, -2))
         assert np.abs(pdo_apply(at, u).samples - ref).max() > 1e-3 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("backing", ["grid", "translation", "J0"])
+def test_stacked_dense_quantize_equals_separate(backing, n, k):
+    # the right index is a batch axis: one pass over [1 | u] equals the
+    # passes over 1 and over u, and m = 1 is quantize.  At k = 2, the CLI's
+    # and the benchmark's size, bit for bit: the GEMM's 8 columns run the
+    # same kernel as its 4.  At k = 1 one column is a GEMV and at k = 3, 9
+    # and 18 columns end in different edge kernels, so only the last bits
+    # agree (observed <= 7.3e-16 relative)
+    g = GridSpec(n, 16, 8.0)
+    a = slab_symbol(backing, n, k, g)
+    u = matrix_field(g, 44, k)
+    one = np.broadcast_to(np.eye(k), g.shape + (k, k))
+    both = dense_quantize(a, g, np.concatenate([one, u.samples], axis=-1))
+    for got, ref in ((both[..., :k], dense_quantize(a, g, one)),
+                     (both[..., k:], PhaseSymbol.quantize(a, u).samples)):
+        if k == 2:
+            assert np.array_equal(got, ref)
+        assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+    with pytest.raises(GridMismatchError):
+        dense_quantize(a, g, both[..., :k - 1, :])
 
 
 def test_dense_quantize_of_translation_symbol_is_left_action():
