@@ -4,9 +4,10 @@
 Usage: python scripts/payload_diff.py OLD.json NEW.json
 
 Prints every check whose residual, tolerance or passed flag differs (and
-every check found in only one report), with full float precision.  Exits 1
-if any check present in both reports flips between pass and fail, 0
-otherwise.  Standard library only.
+every check found in only one report), with full float precision, then the
+number of checks in both reports whose residual moved and of those that
+flip between pass and fail.  Exits 1 if any check flips, 0 otherwise.
+Standard library only.
 """
 import json
 import sys
@@ -24,7 +25,7 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old, new = (load_checks(p) for p in argv)
-    flips = 0
+    moved = flips = 0
     for cid in sorted(old.keys() | new.keys()):
         if cid not in new or cid not in old:
             print(f"{cid}: only in {'OLD' if cid in old else 'NEW'}")
@@ -33,9 +34,9 @@ def main(argv):
         if changed:
             print(f"{cid}: " + "; ".join(
                 f"{f} {old[cid][f]!r} -> {new[cid][f]!r}" for f in changed))
-        if "passed" in changed:
-            flips += 1
-    print(f"{flips} pass/fail flip(s)")
+        moved += "residual" in changed
+        flips += "passed" in changed
+    print(f"{moved} residual(s) moved, {flips} pass/fail flip(s)")
     return 1 if flips else 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -81,6 +82,7 @@ def _is_number(text):
     return True
 
 
+@functools.cache  # once per process: parse_args keeps no state
 def _build_parser():
     p = argparse.ArgumentParser(prog="rieffel",
                                 description="deformed-product operator calculus")

@@ -10,10 +10,11 @@ gamma x gamma inverts exactly: on a plane wave e^{i nu t} the operator
 contributes (1 + i nu)^2 per axis while the gamma Laplace factor
 integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.
 
-recover_translation_symbol extracts F(z) = a(z, 0) and measures how far a
-is from the translation form F(x - J xi); the directional certificate
-d a/d xi_i = sum_j J_ij d a/d x_j vanishes exactly on translation symbols.
-Both fold cnorm_sup over the differences of zipped PhaseSymbol.slabs streams.
+recover_translation_symbol reads F(z) = a(z, 0) off a's slabs, whatever the
+backing, and measures how far a is from the translation form F(x - J xi);
+the directional certificate d a/d xi_i = sum_j J_ij d a/d x_j vanishes
+exactly on translation symbols.  Both fold cnorm_sup over the differences
+of zipped PhaseSymbol.slabs streams: symbols are never read through eval.
 
 recover works on the operator T = a(x, D) instead: an operator that commutes
 with the right action is left multiplication by T(1), so it returns F = T(1)
@@ -232,17 +233,16 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     """Extract F(z) = a(z, 0) and measure the translation-form residual
     sup cnorm(a(z, zeta) - F(z - J zeta)) over the sample box.
 
-    Returns (F, residual); the caller compares residual against its own
-    tolerance to accept or reject the translation-type hypothesis.
+    Row i of F is copied from the xi = 0 entry (N/2 on each xi axis) of
+    slab i of a.  Returns (F, residual); the caller compares residual
+    against its own tolerance to accept or reject the translation-type
+    hypothesis.
     """
-    if isinstance(a, TranslationSymbol) and a.F.grid.compatible(grid):
-        F = a.F
-    else:
-        mesh = grid.mesh()
-        zeros = [np.zeros(grid.shape)] * grid.n
-        vals = a.eval(mesh, zeros)
-        F = ModuleFunction(grid, np.broadcast_to(
-            vals, grid.shape + (a.algebra_dim,) * 2).copy())
+    F = np.empty(grid.shape + (a.algebra_dim,) * 2, dtype=complex)
+    at_zero = (slice(None),) * (grid.n - 1) + (grid.points // 2,) * grid.n
+    for row, slab in zip(F, a.slabs(grid)):
+        row[...] = slab[at_zero]
+    F = ModuleFunction(grid, F)
     return F, cnorm_sup_slabs(slab_differences(zip(
         a.slabs(grid), TranslationSymbol(F, J).slabs(grid))))
 
@@ -270,12 +270,10 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     An operator that commutes with the right action R_G u = u x_J G is left
     multiplication by T(1): T(G) = T(R_G 1) = R_G T(1) = T(1) x_J G.  So the
     residual vanishes, to roundoff, on a translation symbol F(x - J xi) and
-    measures how far T is from L_F otherwise.  T runs once, on the stacked right-hand side [1 | u],
-    through the generic dense quantize (never TranslationSymbol.quantize,
-    which is L_F itself and would compare the product with itself).
-
-    Returns (F, residual); the caller compares residual against its own
-    tolerance to accept or reject the translation-type hypothesis.
+    measures how far T is from L_F otherwise.  T runs once, on the stacked
+    [1 | u], through the generic dense quantize (never
+    TranslationSymbol.quantize, which is L_F itself).  Returns (F, residual)
+    as recover_translation_symbol does.
     """
     k = a.algebra_dim
     u = random_band_limited(grid, k, np.random.default_rng(PROBE_SEED))

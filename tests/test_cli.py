@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from rieffel import quantization, symbolic_calculus
+from rieffel import cli, quantization, symbolic_calculus
 from rieffel.cli import main
 from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
@@ -137,6 +138,28 @@ def test_hermitian_symmetry_fails_without_the_conjugate(monkeypatch):
     report = run_suite(SuiteConfig(suite="module_axioms", points=16))
     rec = {c.check_id: c for c in report.checks}["module_axioms.hermitian_symmetry"]
     assert rec.residual > 0.1 and not rec.passed
+
+
+def idempotence_record():
+    report = run_suite(SuiteConfig(suite="rieffel_pipeline"))
+    return {c.check_id: c for c in report.checks}["rieffel_pipeline.idempotence"]
+
+
+def test_idempotence_measures_two_operator_recoveries():
+    # two CLI recoveries of a translation symbol differ, and their operator
+    # residuals read, at roundoff (observed 5.3e-16), not at a structural 0
+    rec = idempotence_record()
+    assert 0.0 < rec.residual <= 1e-14 and rec.passed
+
+
+def test_idempotence_fails_when_recovery_drifts(monkeypatch):
+    # negative control: each recovery returns F scaled by 1 + 1e-9
+    def drifting(a, J, grid):
+        F, residual = symbolic_calculus.recover(a, J, grid)
+        return F * (1 + 1e-9), residual
+    monkeypatch.setattr("rieffel.suites.recover", drifting)
+    rec = idempotence_record()
+    assert rec.residual > rec.tolerance == 1e-10 and not rec.passed
 
 
 def test_report_serialization():
@@ -350,6 +373,20 @@ def test_cli_truncated_file(tmp_path, capsys):
     fp.write_bytes(fp.read_bytes()[:-8])
     assert main(["info", str(fp)]) == 2
     assert "grid file error" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["info"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    assert main(["info"]) == 0
+    assert main(["verify", "nonsense"]) == 2
+    assert built == []
+    # the control: building the tree constructs the root and five subparsers
+    cli._build_parser.__wrapped__()
+    assert len(built) == 6
 
 
 def test_cli_no_command(capsys):

@@ -5,7 +5,9 @@ imports a private (underscore) name from a sibling module, no test imports
 one from rieffel, and every relative import sits at module level, so each
 module's dependencies are listed in its header.  numpy's FFT is called
 only by grids and by the two kernels that spread or convolve raw FFT
-coefficients; every other transform goes through grids.
+coefficients; every other transform goes through grids.  No module tests
+a symbol's class, and symbols are evaluated point by point only inside
+eval methods and the generic slab writer PhaseSymbol._fill.
 """
 import ast
 import importlib
@@ -154,6 +156,83 @@ def test_fft_guard_detects_violations():
     assert not fft_allowed("deformation", "twisted_coefficients_v2")
     assert not fft_allowed("suites", None)
     assert fft_allowed("grids", "fourier_multiplier")
+
+
+def phase_symbol_classes(trees):
+    """Names of PhaseSymbol and of every class deriving from it, directly or
+    through another, across the parsed modules."""
+    classes = [n for tree in trees for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)]
+    names = {"PhaseSymbol"}
+    while True:
+        more = {c.name for c in classes if any(
+            getattr(b, "id", getattr(b, "attr", None)) in names for b in c.bases)}
+        if more <= names:
+            return names
+        names |= more
+
+
+def symbol_class_checks(tree, symbol_classes):
+    """(node, scope) for each isinstance call whose class argument names one
+    of symbol_classes (alone or in a tuple)."""
+    def named(arg):
+        parts = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+        return {getattr(p, "id", getattr(p, "attr", None)) for p in parts}
+    return find(tree, lambda n: isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+                and len(n.args) == 2 and named(n.args[1]) & symbol_classes)
+
+
+def eval_calls(tree):
+    """(node, scope) for each `<expr>.eval(...)` call."""
+    return find(tree, lambda n: isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == "eval")
+
+
+def eval_allowed(scope):
+    # an eval implementation, or the generic writer behind sample and slabs
+    return scope is not None and (scope.split(".")[-1] == "eval"
+                                  or scope == "PhaseSymbol._fill")
+
+
+def test_symbols_are_read_through_one_protocol():
+    # no module branches on a symbol's class, and outside the eval methods
+    # and the generic writer symbols are read through sample / slabs only
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    symbol_classes = phase_symbol_classes(trees.values())
+    assert {"GridSymbol", "TranslationSymbol", "TrigPolySymbol",
+            "CallableSymbol"} < symbol_classes
+    problems = []
+    for module, tree in trees.items():
+        problems += [f"{module}.py:{node.lineno}: isinstance on a symbol class"
+                     for node, _ in symbol_class_checks(tree, symbol_classes)]
+        problems += [f"{module}.py:{node.lineno}: .eval( in {scope or 'module body'}"
+                     for node, scope in eval_calls(tree) if not eval_allowed(scope)]
+    assert not problems, "\n".join(problems)
+
+
+def test_symbol_protocol_guard_detects_violations():
+    bad = ast.parse(
+        "class PhaseSymbol:\n"
+        "    def _fill(self, grid, out):\n"
+        "        yield self.eval(x, xi)\n"
+        "class GridSymbol(PhaseSymbol):\n"
+        "    def eval(self, x, xi):\n"
+        "        return [s.eval(x, xi) for s in self.parts]\n"
+        "class Sheared(quantization.GridSymbol):\n"
+        "    pass\n"
+        "def recover(a):\n"
+        "    if isinstance(a, (int, Sheared)):\n"
+        "        return a.eval(x, 0)\n"
+        "    return isinstance(a, dict) or isinstance(a, GridSymbol)\n")
+    classes = phase_symbol_classes([bad])
+    assert classes == {"PhaseSymbol", "GridSymbol", "Sheared"}
+    assert [n.lineno for n, _ in symbol_class_checks(bad, classes)] == [10, 12]
+    found = [(n.lineno, s) for n, s in eval_calls(bad)]
+    assert found == [(3, "PhaseSymbol._fill"), (6, "GridSymbol.eval"),
+                     (11, "recover")]
+    assert [eval_allowed(s) for _, s in found] == [True, True, False]
+    assert not eval_allowed(None) and not eval_allowed("GridSymbol._fill")
 
 
 PUBLIC_API = [
