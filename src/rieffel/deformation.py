@@ -20,14 +20,21 @@ p2 q1)} splits into separate (p1,q2) and (p2,q1) factors; sweeping q2 turns
 the remaining q1-sum into a cyclic convolution done by FFT.  This evaluates
 the product exactly (to roundoff) for band-limited factors.
 
-The kernel stores coefficients channels first, [a, b, p2, p1], so every FFT
-runs along the contiguous last axis; both phase tables are built once, the
-k x k product is k^3 multiply-adds of whole planes, and each q2's products
-are added straight into an accumulator indexed by r2 = p2 + q2 - N/2 and
-still in the transform domain, so a single inverse FFT finishes the sum.
-Every per-q2 multiply and FFT writes into buffers allocated once per call,
-and none is kept between calls.  For n = 2 that is 2N + 1 batched FFT passes
-and O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
+deformed_product works channels first end to end: each factor is
+transposed once to [a, b, x2, x1], its grid transform runs along the
+contiguous x1 axis, then x2, the kernel takes and returns [a, b, p2, p1]
+coefficients, the inverse transform runs in that layout too, and one
+transpose returns (N,)*n + (k, k) samples.  twisted_coefficients is the
+channels-last wrapper around the same kernel.  Both phase tables are built
+once; for each q2 the two modulated factors share one (2, k, k, N, N)
+buffer, so one batched FFT call along the contiguous last axis transforms
+both; the k x k product is k^3 multiply-adds of whole planes, through views
+built once per call, and each q2's products are added straight into an
+accumulator indexed by r2 = p2 + q2 - N/2 and still in the transform
+domain, so a single inverse FFT finishes the sum.  Every per-q2 multiply
+and FFT writes into buffers allocated once per call, and none is kept
+between calls.  For n = 2 that is N + 1 FFT calls over both factors and
+O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
 The left action L_F u is deformed_product(F, u, J) and the right action
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GridMismatchError, ResolutionError
-from .grids import TWO_PI, GridSpec, grid_transform
+from .grids import TWO_PI, GridSpec, axis_transform, grid_transform
 from .module_space import ModuleFunction, check_compatible
 
 DEFAULT_THETA = 0.5
@@ -89,37 +96,35 @@ class SkewForm:
 
 
 def _channels_first(arr: np.ndarray, n: int) -> np.ndarray:
-    """(N,)*n + (k, k) -> [k, k, x_n, ..., x_1], contiguous: x_1 is last."""
-    return np.ascontiguousarray(arr.transpose((n, n + 1) + tuple(range(n - 1, -1, -1))))
+    """(N,)*n + (k, k) -> [k, k, x_n, ..., x_1], a view: x_1 is last."""
+    return arr.transpose((n, n + 1) + tuple(range(n - 1, -1, -1)))
 
 
 def _channels_last(arr: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _channels_first."""
+    """Inverse of _channels_first, contiguous."""
     return np.ascontiguousarray(arr.transpose(tuple(range(n + 1, 1, -1)) + (0, 1)))
 
 
-def _channel_entry(x: np.ndarray, y: np.ndarray, a: int, c: int,
-                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Channel (a, c) of the pointwise k x k product of channels-first arrays
-    [a, b, ...] and [b, c, ...]: the k plane products x[a, b] y[b, c], summed
-    over b in order into the caller's `out` (`tmp` is scratch)."""
-    np.multiply(x[a, 0], y[0, c], out=out)
-    for b in range(1, x.shape[1]):
-        out += np.multiply(x[a, b], y[b, c], out=tmp)
-    return out
+def _transform_channels_first(arr: np.ndarray, grid: GridSpec,
+                              inverse: bool = False) -> np.ndarray:
+    """grid_transform of channels-first [a, b, x_n, ..., x_1] data: the same
+    axis_transform per grid axis, x_1 (the last, contiguous axis) first.
+    Returns a fresh array in the input's axis order, C-contiguous when
+    the input is or the transform is forward."""
+    for ax in range(grid.n):
+        arr = axis_transform(arr, arr.ndim - 1 - ax, grid.spacing,
+                             -grid.half_width, inverse=inverse)
+    return arr
 
 
-def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
-                         theta: float) -> np.ndarray:
-    """Fourier coefficients of the deformed product from factor coefficients.
-
-    fhat, ghat and the result are (N,)*n + (k, k) arrays on dual_axis().
-    """
+def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
+                    theta: float) -> np.ndarray:
+    """twisted_coefficients on channels-first data: ft is [a, b, p_n, ..,
+    p_1], gt is [b, c, q_n, .., q_1], and so is the returned [a, c, r_n, ..,
+    r_1].  Neither input is written."""
     n, npts = grid.n, grid.points
     half = npts // 2
     scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
-    ft, gt = _channels_first(fhat, n), _channels_first(ghat, n)
-    k = ft.shape[0]
     tmp = np.empty(ft.shape[2:], dtype=complex)
     if n == 1 or theta == 0.0:
         # plain cyclic convolution with in-band wrap
@@ -127,9 +132,9 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
         fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
         fb = np.fft.fftn(gt, axes=axes)
         prod = np.empty(fa.shape, dtype=complex)
-        for a, c in np.ndindex(k, k):
-            _channel_entry(fa, fb, a, c, prod[a, c], tmp)
-        return _channels_last(scale * np.fft.ifftn(prod, axes=axes), n)
+        for dest, pairs in _channel_plan(fa, fb, prod):
+            _channel_entry(pairs, dest, tmp)
+        return scale * np.fft.ifftn(prod, axes=axes)
 
     # ft is [a, b, p2, p1] and gt is [b, c, q2, q1].  Each q2 adds its
     # products at r2 = p2 + q2 - N/2, wrapped: indexed by r2, the p2 axis of
@@ -141,35 +146,69 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     bphase = np.exp(1j * txx)  # [p2, q1]: e^{+i theta xi(p2) xi(q1)}
     ft2 = np.concatenate((ft, ft), axis=2)
     bphase2 = np.concatenate((bphase, bphase))
-    # every per-q2 result is written into these, allocated once per call
-    fa = np.empty(ft.shape, dtype=complex)  # [a, b, r2, z]
-    fb = np.empty(ft.shape, dtype=complex)  # [b, c, r2, z]
+    # both modulated factors of a q2 share one buffer, so one FFT call
+    # transforms them; every per-q2 result is written into buffers
+    # allocated once per call
+    fab = np.empty((2,) + ft.shape, dtype=complex)  # [factor, ., ., r2, z]
     plane = np.empty(ft.shape[2:], dtype=complex)
     acc = np.zeros(ft.shape, dtype=complex)  # [a, c, r2, z]
+    plan = _channel_plan(fab[0], fab[1], acc)
     for q2 in range(npts):
         lo = npts - (q2 - half) % npts
-        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fa)
-        np.fft.fft(fa, axis=-1, out=fa)
-        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=fb)
-        np.fft.fft(fb, axis=-1, out=fb)
+        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fab[0])
+        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=fab[1])
+        np.fft.fft(fab, axis=-1, out=fab)
         # still in the transform domain along z, so one inverse FFT after
         # the loop serves every q2
-        for a, c in np.ndindex(k, k):
-            acc[a, c] += _channel_entry(fa, fb, a, c, plane, tmp)
+        for dest, pairs in plan:
+            dest += _channel_entry(pairs, plane, tmp)
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
     acc *= np.where(np.arange(npts) % 2 == 0, scale, -scale)
-    return _channels_last(np.fft.ifft(acc, axis=-1, out=acc), n)
+    return np.fft.ifft(acc, axis=-1, out=acc)
+
+
+def _channel_plan(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> list:
+    """The pointwise k x k product of channels-first arrays [a, b, ...] and
+    [b, c, ...] as views: (out[a, c], [(x[a, b], y[b, c]) for b in order])
+    for each channel (a, c) in row-major order."""
+    k = x.shape[1]
+    return [(out[a, c], [(x[a, b], y[b, c]) for b in range(k)])
+            for a, c in np.ndindex(out.shape[:2])]
+
+
+def _channel_entry(pairs: list, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum of x * y over pairs, in order, written into out (tmp is scratch)."""
+    (x, y), *rest = pairs
+    np.multiply(x, y, out=out)
+    for x, y in rest:
+        out += np.multiply(x, y, out=tmp)
+    return out
+
+
+def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
+                         theta: float) -> np.ndarray:
+    """Fourier coefficients of the deformed product from factor coefficients.
+
+    fhat, ghat and the result are (N,)*n + (k, k) arrays on dual_axis().
+    """
+    n = grid.n
+    chat = _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),
+                           np.ascontiguousarray(_channels_first(ghat, n)),
+                           grid, theta)
+    return _channels_last(chat, n)
 
 
 def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:
     """(f x_J g) on the grid; Rieffel's 2*pi convention is J.rescaled(2*pi)."""
     check_compatible(f, g)
-    if J.n != f.grid.n:
-        raise GridMismatchError(f"J dimension {J.n} != grid dimension {f.grid.n}")
-    fhat = grid_transform(f.samples, f.grid)
-    ghat = grid_transform(g.samples, g.grid)
-    chat = twisted_coefficients(fhat, ghat, f.grid, J.theta)
-    return ModuleFunction(f.grid, grid_transform(chat, f.grid, inverse=True))
+    grid = f.grid
+    if J.n != grid.n:
+        raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
+    ft, gt = (_transform_channels_first(_channels_first(h.samples, grid.n), grid)
+              for h in (f, g))
+    chat = _twisted_kernel(ft, gt, grid, J.theta)
+    return ModuleFunction(grid, _channels_last(
+        _transform_channels_first(chat, grid, inverse=True), grid.n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Layout: magic bytes "MGF1"; little-endian u32 fields n, N, k; f64 L; then
 N^n * k^2 complex values as (re, im) f64 pairs, row-major over the grid with
-matrix entries innermost row-major.  Reads validate the magic, dimensions,
+matrix entries innermost row-major.  That payload is exactly the bytes of a
+C-ordered little-endian complex128 (`<c16`) array, so both directions move it
+as one: no (re, im) temporaries.  Reads validate the magic, dimensions,
 payload length, and finiteness before any object is constructed.
 """
 from __future__ import annotations
@@ -26,12 +28,10 @@ MAX_DIM = 1 << 10
 def write_mgf(path, f: ModuleFunction) -> None:
     g = f.grid
     k = f.algebra_dim
-    payload = np.empty(g.shape + (k, k, 2), dtype="<f8")
-    payload[..., 0] = f.samples.real
-    payload[..., 1] = f.samples.imag
+    payload = np.ascontiguousarray(f.samples, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, g.n, g.points, k, g.half_width))
-        fh.write(payload.tobytes())
+        fh.write(payload.data)
 
 
 def read_mgf(path) -> ModuleFunction:
@@ -54,14 +54,13 @@ def read_mgf(path) -> ModuleFunction:
         # checked before reading: the header may claim more than the file holds
         if os.fstat(fh.fileno()).st_size < _HEADER.size + count * 8:
             raise MGFFormatError("truncated payload")
-        raw = fh.read(count * 8)
-        if len(raw) < count * 8:
+        # a bytearray, so the samples viewing it are writable
+        raw = bytearray(count * 8)
+        if fh.readinto(raw) < count * 8:
             raise MGFFormatError("truncated payload")
         if fh.read(1):
             raise MGFFormatError("trailing bytes after payload")
-    flat = np.frombuffer(raw, dtype="<f8")
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(np.frombuffer(raw, dtype="<f8"))):
         raise MGFFormatError("payload contains NaN or Inf")
-    arr = flat.reshape((npts,) * n + (k, k, 2))
-    samples = arr[..., 0] + 1j * arr[..., 1]
+    samples = np.frombuffer(raw, dtype="<c16").reshape((npts,) * n + (k, k))
     return ModuleFunction(GridSpec(n, npts, float(half_width)), samples)

@@ -704,11 +704,10 @@ def _chk_rejection(cfg, rng):
     g, J = _operands(cfg, rng, points=16)
     if cfg.n == 1:
         return 0.0
-    bad = TrigPolySymbol(2, 1, [
-        (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([[-0.25]])),
-        (np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.array([[0.25]])),
-        (np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([[0.25]])),
-        (np.array([-1.0, 0.0]), np.array([0.0, -1.0]), np.array([[-0.25]]))])
+    # a translation symbol for the form J' = (theta + 0.25) Omega: F(x - J' xi)
+    # has no translation form for J, so recovery against J must reject it
+    bad = TranslationSymbol(band_limited_field(g, cfg.algebra_dim, rng),
+                            SkewForm(J.theta + 0.25))
     scale = cnorm_sup_slabs(bad.slabs(g))
     _, resid = recover_translation_symbol(bad, J, g)
     # pass iff the rejection residual clears 0.1 * scale

@@ -162,6 +162,31 @@ def test_idempotence_fails_when_recovery_drifts(monkeypatch):
     assert rec.residual > rec.tolerance == 1e-10 and not rec.passed
 
 
+def rejection_residual(**config):
+    cfg = SuiteConfig(suite="rieffel_pipeline", **config)
+    fn = {check_id: fn for check_id, _, _, fn in SUITE_CHECKS["rieffel_pipeline"]}
+    return fn["rejection"](cfg, check_rng(cfg.seed, "rieffel_pipeline.rejection"))
+
+
+@pytest.mark.parametrize("theta, k", [(0.5, 2), (0.0, 1), (-0.7, 3), (1.0, 2)])
+def test_rejection_rejects_a_translation_symbol_of_another_form(theta, k):
+    # F(x - J' xi) with J' = (theta + 0.25) Omega is no translation symbol for
+    # J: 0.1 sup|a| / residual reads 0.136-0.166, under the tolerance 1.0
+    assert 0.1 < rejection_residual(theta=theta, algebra_dim=k) < 0.2
+
+
+def test_rejection_fails_on_a_translation_symbol_of_its_own_form(monkeypatch):
+    # negative control: with J' = J the symbol is accepted, its residual is
+    # at roundoff, and the check reads about 1e14, far above 1.0
+    own_form = lambda F, J: TranslationSymbol(F, SkewForm(J.theta - 0.25))
+    monkeypatch.setattr("rieffel.suites.TranslationSymbol", own_form)
+    assert rejection_residual() > 1e12
+
+
+def test_rejection_keeps_its_n1_return():
+    assert rejection_residual(n=1, points=64) == 0.0
+
+
 def test_report_serialization():
     report = run_suite(SuiteConfig(suite="fourier", points=16, seed=5))
     doc = json.loads(report.to_json())

@@ -7,7 +7,7 @@ from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
                                  bump_profile, deformed_product, mollifier_hat,
                                  oscillatory_integral, twisted_coefficients)
 from rieffel.errors import DivergenceError, GridMismatchError, ResolutionError
-from rieffel.grids import GridSpec
+from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction, module_norm, translate
 
 G = GridSpec(2, 32, 8.0)
@@ -173,12 +173,30 @@ def test_twisted_coefficients_match_direct_sum(n, k, theta):
 
 def frozen_twisted_coefficients(fhat, ghat, grid, theta, r2_offset=0):
     """The n = 2, theta != 0 kernel as it stood before its buffers were
-    allocated once per call: fresh arrays for every q2, and each q2's
-    channel products rolled into the accumulator by two slice-adds.  Kept
-    as the bit-for-bit reference for the rewritten kernel; r2_offset moves
-    the roll, as a negative control."""
+    allocated once per call: fresh arrays for every q2, two FFT calls per
+    q2, and each q2's channel products rolled into the accumulator by two
+    slice-adds; for n = 1 or theta = 0 the plain cyclic convolution as it
+    stood before the kernel took channels-first input.  Kept as the
+    bit-for-bit reference for the rewritten kernel; r2_offset moves the
+    roll, as a negative control."""
     npts = grid.points
     half = npts // 2
+    if grid.n == 1 or theta == 0.0:
+        n = grid.n
+        axes = tuple(range(2, n + 2))
+        order = (n, n + 1) + tuple(range(n - 1, -1, -1))
+        ft = np.ascontiguousarray(fhat.transpose(order))
+        gt = np.ascontiguousarray(ghat.transpose(order))
+        fa = np.fft.fftn(np.roll(ft, (r2_offset - half,) * n, axis=axes), axes=axes)
+        fb = np.fft.fftn(gt, axes=axes)
+        prod = np.empty(fa.shape, dtype=complex)
+        tmp = np.empty(fa.shape[2:], dtype=complex)
+        for a, c in np.ndindex(prod.shape[:2]):
+            np.multiply(fa[a, 0], fb[0, c], out=prod[a, c])
+            for b in range(1, fa.shape[1]):
+                prod[a, c] += np.multiply(fa[a, b], fb[b, c], out=tmp)
+        out = (2 * np.pi) ** (-n / 2) * grid.dual_spacing ** n * np.fft.ifftn(prod, axes=axes)
+        return np.ascontiguousarray(out.transpose(tuple(range(n + 1, 1, -1)) + (0, 1)))
     scale = (2 * np.pi) ** -1.0 * grid.dual_spacing ** 2
     ft = np.ascontiguousarray(fhat.transpose(2, 3, 1, 0))  # [a, b, p2, p1]
     gt = np.ascontiguousarray(ghat.transpose(2, 3, 1, 0))  # [b, c, q2, q1]
@@ -206,9 +224,9 @@ def frozen_twisted_coefficients(fhat, ghat, grid, theta, r2_offset=0):
     return np.ascontiguousarray(out.transpose(3, 2, 0, 1))
 
 
-def full_band_pair(npts, k, seed):
+def full_band_pair(npts, k, seed, n=2):
     r = np.random.default_rng(seed)
-    shape = (npts, npts, k, k)
+    shape = (npts,) * n + (k, k)
     return tuple(r.normal(size=shape) + 1j * r.normal(size=shape) for _ in range(2))
 
 
@@ -226,6 +244,49 @@ def test_twisted_coefficients_bit_identical_to_frozen_kernel(npts, k, theta):
     shifted = frozen_twisted_coefficients(fhat, ghat, g, theta, r2_offset=1)
     assert not np.array_equal(fast, shifted)
     assert np.abs(fast - shifted).max() > 1e-3 * np.abs(fast).max()
+
+
+PRODUCT_CASES = [(n, k, theta, npts) for n in (1, 2) for k in (1, 2, 3)
+                 for theta in ((0.5, -0.7, 0.0) if n == 2 else (0.0,))
+                 for npts in (16, 32)]
+
+
+@pytest.mark.parametrize("n, k, theta, npts", PRODUCT_CASES)
+def test_deformed_product_bit_identical_to_frozen_path(n, k, theta, npts):
+    # channels-first end to end gives the bits of the channels-last path:
+    # grid_transform, the frozen kernel, inverse grid_transform
+    g = GridSpec(n, npts, 8.0)
+    f, h = (ModuleFunction(g, x) for x in
+            full_band_pair(npts, k, [n, k, npts, int(10 * theta) + 10], n))
+
+    def frozen(r2_offset):
+        chat = frozen_twisted_coefficients(grid_transform(f.samples, g),
+                                           grid_transform(h.samples, g),
+                                           g, theta, r2_offset)
+        return grid_transform(chat, g, inverse=True)
+    prod = deformed_product(f, h, SkewForm(theta, n)).samples
+    assert prod.flags.c_contiguous
+    assert np.array_equal(prod, frozen(0))
+    # negative control: the reference with its r2 window off by one differs
+    assert np.abs(prod - frozen(1)).max() > 1e-3 * np.abs(prod).max()
+
+
+def test_product_fft_calls_pinned(monkeypatch):
+    # n = 2, theta != 0: two forward axis transforms per factor, one FFT call
+    # per q2 over both modulated factors, then the kernel's inverse and two
+    # inverse axis transforms; every call transforms length-N lines
+    calls = {"fft": [], "ifft": []}
+    for name, lengths in calls.items():
+        def counted(a, n=None, axis=-1, *args, _fn=getattr(np.fft, name),
+                    _lengths=lengths, **kwargs):
+            _lengths.append(np.shape(a)[axis] if n is None else n)
+            return _fn(a, n, axis, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    npts = 16
+    g = GridSpec(2, npts, 8.0)
+    f, h = (ModuleFunction(g, x) for x in full_band_pair(npts, 2, 3))
+    deformed_product(f, h, SkewForm.standard(0.5))
+    assert calls == {"fft": [npts] * (npts + 4), "ifft": [npts] * 3}
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.0])

@@ -104,3 +104,24 @@ def test_one_dimensional_round_trip(tmp_path):
     back = read_mgf(p)
     assert back.grid.n == 1
     assert np.array_equal(back.samples, f.samples)
+
+
+@pytest.mark.parametrize("n, npts, k", [(2, 8, 3), (1, 16, 2)])
+def test_layout_is_header_and_interleaved_pairs(tmp_path, n, npts, k):
+    # the file is the header, then one little-endian (re, im) float64 pair
+    # per value, grid row-major with the matrix entries innermost; signed
+    # zeros keep their sign both ways
+    import struct
+    f = sample_field(seed=4, n=n, npts=npts, k=k)
+    f.samples.flat[:3] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)]
+    p = tmp_path / "layout.mgf"
+    write_mgf(p, f)
+    values = [f.samples[idx] for idx in np.ndindex(f.samples.shape)]
+    expect = struct.pack("<4sIIId", b"MGF1", n, npts, k, 8.0) + b"".join(
+        struct.pack("<dd", z.real, z.imag) for z in values)
+    assert p.read_bytes() == expect
+    back = read_mgf(p)
+    assert back.samples.flags.writeable
+    assert np.array_equal(back.samples, f.samples)
+    assert np.array_equal(np.signbit(back.samples.view(float)),
+                          np.signbit(f.samples.view(float)))
