@@ -27,25 +27,31 @@ grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
 and stays one (its adjoint is F*(x - J xi)).  Any other backing raises
 CapabilityError: sample it first, a.sample(grid).
 
-Sampling is stated once too: a backing's writer _fill(grid, out) writes
-slab i of the first x axis into out[i % len(out)] and yields it; sample runs
-it into the product grid and slabs into one reused slab, so a supremum, the
-dense quantize and a kernel's apply never hold the product grid whole: row
-x_0 = x_i of a(x,D) u, or of K u, reads only slab i.  The generic writer
-calls eval once per slab.  A trig writer tabulates each term's 2n
+Sampling is stated once too: a backing's writer _fill(grid, out, box)
+writes slab i of the first x axis on a dual box (n slices of the dual axes)
+into out[i % len(out)] and yields it; sample runs it on the full box into
+the product grid and slabs(grid, box) into one reused slab, so a supremum,
+the dense quantize and a kernel's apply never hold the product grid whole:
+row x_0 = x_i of a(x,D) u, or of K u, reads only slab i.  The generic
+writer calls eval once per slab.  A trig writer tabulates each term's 2n
 one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
-a slab as one (N^(2n-1) x T) @ (T x k^2) product.  A translation
-symbol writes by a shear on F's grid (F's forward transform and one phased
-inverse along x_0, then per slab one real GEMM for x_1's phase and inverse
-DFT, whose conjugate columns it folds),
-by copying F's slabs at J = 0, and by F's trig sum off F's grid.  A bracket
-multiplies its factors' slabs; a grid symbol yields views of its samples.
+a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box.  A
+translation symbol writes by a shear on F's grid (F's forward transform and
+one phased inverse along x_0 for the box's xi_1 columns, then per slab one
+real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose conjugate
+columns it folds), by broadcasting F's slabs at J = 0, and by F's trig sum
+off F's grid.  A bracket multiplies its factors' slabs; a grid symbol
+yields basic-slice views of its samples.
 
-The generic quantize is dense_quantize(a, grid, rhs) on raw samples of
-shape grid.shape + (k, C).  a(x, D) acts on the left matrix index only, so
-the right index is a batch axis: m fields side by side (C = m k) run as one
-pass over a.slabs(grid), one GEMM per slab, and column block j of the result
-is a(x, D) of field j.  PhaseSymbol.quantize is its m = 1 case.
+The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
+coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
+a(x, D) acts on the left matrix index only, so the right index is a batch
+axis: m fields side by side (C = m k) run as one pass over a's slabs, one
+GEMM per slab, and column block j of the result is a(x, D) of field j.
+Only the coefficients' dual_box enters the sum, read as a.slabs(grid, box):
+a full-band input gets the full box, recover's probe on modes -4..4 and
+the constant's delta at xi = 0 a 9 x 9 box (of 32 x 32 at N = 32).
+PhaseSymbol.quantize is the m = 1 case and transforms u itself.
 
 TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
@@ -123,24 +129,27 @@ class PhaseSymbol:
     def sample(self, grid: GridSpec) -> "GridSymbol":
         """Samples on the product grid grid.axis^n x grid.dual_axis^n."""
         out = np.empty(grid.shape * 2 + (self.algebra_dim,) * 2, dtype=complex)
-        for _ in self._fill(grid, out):
+        for _ in self._fill(grid, out, full_box(grid)):
             pass
         return GridSymbol(grid, out)
 
-    def slabs(self, grid: GridSpec):
+    def slabs(self, grid: GridSpec, box=None):
         """For each node i of the first x axis, an array equal to
-        sample(grid).samples[i], of shape (N,)^(2n-1) + (k, k).  Each is
+        sample(grid).samples[i] on the dual box (n slices of the dual axes,
+        all of them if None), of shape (N,)^(n-1) + box + (k, k).  Each is
         valid only until the next one is drawn (one slab buffer is reused),
         so reduce it before drawing the next."""
+        box = box or full_box(grid)
         return self._fill(grid, np.empty(
-            (1,) + (grid.shape * 2)[1:] + (self.algebra_dim,) * 2, dtype=complex))
+            (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
+            + (self.algebra_dim,) * 2, dtype=complex), box)
 
-    def _fill(self, grid: GridSpec, out: np.ndarray):
-        """Write slab i of the samples into out[i % len(out)] (every slab, or
-        one reused slab) and yield it, i = 0 .. N-1 in turn: here by eval
-        with the first x coordinate fixed at node i."""
+    def _fill(self, grid: GridSpec, out: np.ndarray, box):
+        """Write slab i of the samples on the dual box into out[i % len(out)]
+        (every slab, or one reused slab) and yield it, i = 0 .. N-1 in turn:
+        here by eval with the first x coordinate fixed at node i."""
         n = grid.n
-        rest = list(np.meshgrid(*([grid.axis()] * (n - 1) + [grid.dual_axis()] * n),
+        rest = list(np.meshgrid(*([grid.axis()] * (n - 1) + box_nodes(grid, box)),
                                 indexing="ij"))
         for i, x0 in enumerate(grid.axis()):
             slab = out[i % len(out)]
@@ -151,7 +160,8 @@ class PhaseSymbol:
     def quantize(self, u: ModuleFunction) -> ModuleFunction:
         """a(x,D) u = sum_q e^{i x.q} a(x, q) u^(q) by the dense sum over dual
         nodes q, one slab at a time (backings override it where exact)."""
-        return ModuleFunction(u.grid, dense_quantize(self, u.grid, u.samples))
+        return ModuleFunction(u.grid, dense_quantize(
+            self, u.grid, grid_transform(u.samples, u.grid)))
 
     def multiplier(self, fn) -> "PhaseSymbol":
         """The symbol whose phase-space Fourier transform is this one's times
@@ -186,31 +196,55 @@ def _block_rhs(w: np.ndarray) -> np.ndarray:
     return V.reshape(m * k * k, k * cols)
 
 
-def dense_quantize(a: PhaseSymbol, grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
-    """Samples of sum over dual nodes q of e^{i x.q} a(x, q) rhs^(q) for rhs
-    of shape grid.shape + (k, C), C = m k for m fields side by side: a(x, D)
-    acts on the left index only, so the right one is a batch axis and column
-    block j of the result is a(x, D) of block j.
+def full_box(grid: GridSpec) -> tuple:
+    """The box of every dual node: one whole slice per dual axis."""
+    return (slice(None),) * grid.n
 
-    One slab of a.slabs(grid) at a time: row x_0 = x_i of the result reads
-    only slab i.  Each slab, in its own (x', q, k^2) layout (x' the other
-    n - 1 x axes), is multiplied by e^{i x'.q'}, stored once per channel so
-    that no inner loop broadcasts, into one reused buffer, and one
-    (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM (M dual nodes) contracts it with
-    _block_rhs of e^{i x_i q_0} rhs^(q)."""
-    _check_dims(a, grid, rhs)
-    g, k, cols = grid, rhs.shape[-2], rhs.shape[-1]
-    uh = grid_transform(rhs, g).reshape(-1, k, cols)          # (M, k, C)
-    axes = np.meshgrid(*([g.axis()] * (g.n - 1) + [g.dual_axis()] * g.n),
-                       indexing="ij", sparse=True)
+
+def dual_box(grid: GridSpec, coeffs: np.ndarray) -> tuple:
+    """The dual box of coefficients laid out on grid.shape + (...): per dual
+    axis, the smallest contiguous index range that holds every non-zero
+    coefficient (empty if there is none), as n slices."""
+    nodes = np.nonzero(coeffs.reshape(grid.shape + (-1,)).any(axis=-1))
+    return tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
+                 for i in nodes)
+
+
+def box_nodes(grid: GridSpec, box) -> list:
+    """The dual axis nodes of each slice of box."""
+    return [grid.dual_axis()[b] for b in box]
+
+
+def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of sum over dual nodes q of e^{i x.q} a(x, q) coeffs(q) for
+    the Fourier coefficients coeffs = grid_transform(rhs) of an rhs of shape
+    grid.shape + (k, C), C = m k for m fields side by side: a(x, D) acts on
+    the left index only, so the right one is a batch axis and column block j
+    of the result is a(x, D) of block j.
+
+    Only the nodes of the coefficients' dual_box enter the sum (the others
+    add exact zeros), so a is read through a.slabs(grid, box).  Row
+    x_0 = x_i of the result reads only slab i.  Each slab, in its own
+    (x', q, k^2) layout (x' the other n - 1 x axes), is multiplied by
+    e^{i x'.q'}, stored once per channel so that no inner loop broadcasts,
+    into one reused buffer, and one (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM (M
+    nodes in the box) contracts it with _block_rhs of e^{i x_i q_0}
+    coeffs(q)."""
+    _check_dims(a, grid, coeffs)
+    g, k, cols = grid, coeffs.shape[-2], coeffs.shape[-1]
+    box = dual_box(g, coeffs)
+    qs = box_nodes(g, box)
+    uh = coeffs[box].reshape(-1, k, cols)                     # (M, k, C)
+    axes = np.meshgrid(*([g.axis()] * (g.n - 1) + qs), indexing="ij", sparse=True)
     rest = np.exp(1j * sum(axes[d] * axes[g.n + d] for d in range(g.n - 1)))
     rest = np.repeat(rest[..., None], k * k, axis=-1)
-    first = np.exp(1j * np.multiply.outer(g.axis(), g.dual_mesh()[0].ravel()))
-    out = np.empty(rhs.shape, dtype=complex)
+    first = np.exp(1j * np.multiply.outer(
+        g.axis(), np.meshgrid(*qs, indexing="ij")[0].ravel()))
+    out = np.empty(coeffs.shape, dtype=complex)
     rows = out.reshape(g.points, -1, k * cols)                 # (N, N^(n-1), k C)
     buf = None
-    for i, slab in enumerate(a.slabs(g)):
-        buf = np.multiply(slab.reshape(slab.shape[:-2] + (-1,)), rest, out=buf)
+    for i, slab in enumerate(a.slabs(g, box)):
+        buf = np.multiply(slab.reshape(slab.shape[:-2] + (k * k,)), rest, out=buf)
         np.matmul(buf.reshape(rows.shape[1], -1),
                   _block_rhs(first[i, :, None, None] * uh), out=rows[i])
     return TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out
@@ -275,9 +309,9 @@ class TrigPolySymbol(PhaseSymbol):
         return TrigPolySymbol(self.n, self.algebra_dim, [
             (-p, -w, c.conj().T) for p, w, c in self.terms])
 
-    def _fill(self, grid, out):
+    def _fill(self, grid, out, box):
         n, k = grid.n, self.algebra_dim
-        nodes = [grid.axis()] * n + [grid.dual_axis()] * n
+        nodes = [grid.axis()] * n + box_nodes(grid, box)
         coef = np.array([c for _, _, c in self.terms]).reshape(-1, k * k)
         waves = [np.exp(1j * np.multiply.outer(t, f))             # (N, T) each
                  for t, f in zip(nodes, self.freqs.T)]
@@ -359,10 +393,12 @@ class GridSymbol(PhaseSymbol):
             return self
         return super().sample(grid)
 
-    def slabs(self, grid):
+    def slabs(self, grid, box=None):
         if self.grid.compatible(grid):
-            return iter(self.samples)  # views: nothing is copied
-        return super().slabs(grid)
+            # basic-slice views: nothing is copied
+            at = (slice(None),) * (self.n - 1) + (box or full_box(grid))
+            return (s[at] for s in self.samples)
+        return super().slabs(grid, box)
 
     def quantize(self, u):
         if not self.grid.compatible(u.grid):
@@ -398,12 +434,13 @@ class TranslationSymbol(PhaseSymbol):
     def star(self):
         return TranslationSymbol(self.F.star(), self.J)
 
-    def _fill(self, grid, out):
+    def _fill(self, grid, out, box):
         # F's trig sum off its grid, else the shear, or F's slabs at J = 0
+        # (constant along xi, so they broadcast into any box)
         if not self.F.grid.compatible(grid):
-            return self._trig()._fill(grid, out)
+            return self._trig()._fill(grid, out, box)
         if self.J.entries.any():
-            return self._shear(grid, out)
+            return self._shear(grid, out, box)
         F = self.F.samples.reshape(grid.shape + (1,) * grid.n + (self.algebra_dim,) * 2)
 
         def copies():
@@ -412,7 +449,7 @@ class TranslationSymbol(PhaseSymbol):
                 yield out[i % len(out)]
         return copies()
 
-    def _shear(self, grid, out):
+    def _shear(self, grid, out, box):
         """_fill on F's own grid with J != 0, so n = 2.
 
         a(x, xi) = sum_nu c(nu) e^{i nu.(x - J xi)}, the trigonometric
@@ -421,34 +458,35 @@ class TranslationSymbol(PhaseSymbol):
         inverse's (-1)^j sign as a roll by N/2); these phases, the roll and
         the scale undo F^'s own, leaving c = fftn(F) / N^2.  The phase is
         e^{-i J_01 nu0 xi1} e^{-i J_10 nu1 xi0}.  Axis 0 takes its factor and
-        inverse transform once, on the (nu0, nu1, 1, xi1, k, k) head H.  Axis
-        1's factor and inverse DFT act on nu1 as one (N^2 x N) matrix
-        D[(x1, xi0), nu1] = e^{i (2 pi x1 nu1 / N - J_10 nu1 xi0)} / N (nu1
-        the FFT index), whose columns nu1 and N - nu1 are conjugate.  So
-        D @ H_i = R @ S_i with the real R = [Re D[:, :N/2+1], Im D[:, 1:N/2+1]]
-        (N + 1 columns, from cos and sin tables) and the rows of S_i: H_0,
-        H_j + H_{N-j}, H_{N/2}, i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).
-        Slab i is one real GEMM of 4 N^3 (N + 1) k^2 flops, about half the
-        complex one's 8 N^4 k^2, with S_i built in one reused (N + 1) x N k^2
+        inverse transform once, on the (nu0, nu1, 1, xi1, k, k) head H, xi1
+        in the box.  Axis 1's factor and inverse DFT act on nu1 as one
+        (N B0 x N) matrix D[(x1, xi0), nu1] = e^{i (2 pi x1 nu1 / N - J_10
+        nu1 xi0)} / N (nu1 the FFT index, xi0 the box's B0 nodes), whose
+        columns nu1 and N - nu1 are conjugate.  So D @ H_i = R @ S_i with the
+        real R = [Re D[:, :N/2+1], Im D[:, 1:N/2+1]] (N + 1 columns, from cos
+        and sin tables) and the rows of S_i: H_0, H_j + H_{N-j}, H_{N/2},
+        i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).  Slab i is one real
+        GEMM of 4 N^2 B0 (N + 1) B1 k^2 flops (B0 x B1 the box), about half
+        the complex one's, with S_i built in one reused (N + 1) x B1 k^2
         buffer."""
         N, k = grid.points, self.algebra_dim
         h = N // 2
         J = self.J.entries
         nu = np.fft.ifftshift(grid.dual_axis())
-        xi = grid.dual_axis()
+        xi0, xi1 = box_nodes(grid, box)
         head = np.fft.fftn(self.F.samples, axes=(0, 1)).reshape(
             (N, N, 1, 1, k, k)) * np.exp(
-            -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi)[..., None, None]
+            -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi1)[..., None, None]
         np.fft.ifft(head, axis=0, out=head)
         angle = (TWO_PI / N) * (np.arange(N)[:, None, None] * np.arange(h + 1) % N) \
-            - J[1, 0] * np.multiply.outer(xi, nu[:h + 1])
-        R = np.empty((N, N, N + 1))
+            - J[1, 0] * np.multiply.outer(xi0, nu[:h + 1])
+        R = np.empty((N, len(xi0), N + 1))
         np.cos(angle, out=R[..., :h + 1])
         np.sin(angle[..., 1:], out=R[..., h + 1:])
-        R = R.reshape(N * N, N + 1)
+        R = R.reshape(N * len(xi0), N + 1)
         R /= N
-        H = head.reshape(N, N, N * k * k)
-        S = np.empty((N + 1, N * k * k), dtype=complex)
+        H = head.reshape(N, N, len(xi1) * k * k)
+        S = np.empty((N + 1, len(xi1) * k * k), dtype=complex)
         for i in range(N):
             Hi = H[i]
             S[0], S[h], S[N] = Hi[0], Hi[h], Hi[h]
@@ -456,7 +494,7 @@ class TranslationSymbol(PhaseSymbol):
             np.subtract(Hi[1:h], Hi[:h:-1], out=S[h + 1:N])
             S[h + 1:] *= 1j
             slab = out[i % len(out)]
-            np.matmul(R, S.view(float), out=slab.reshape(N * N, -1).view(float))
+            np.matmul(R, S.view(float), out=slab.reshape(R.shape[0], S.shape[1]).view(float))
             yield slab
 
     def quantize(self, u):
@@ -623,14 +661,21 @@ class ComposedOp(OperatorHandle):
         return ComposedOp([p.adjoint() for p in reversed(self.parts)])
 
 
-def random_band_limited(grid: GridSpec, algebra_dim: int, rng) -> ModuleFunction:
-    """Random trial function with dual support on modes -4..4 of each axis."""
+def random_band_coefficients(grid: GridSpec, algebra_dim: int, rng) -> np.ndarray:
+    """Fourier coefficients of a random trial function, non-zero on modes
+    -4..4 of each axis only."""
     hat = np.zeros(grid.shape + (algebra_dim,) * 2, dtype=complex)
     half = grid.points // 2
     sl = tuple(slice(half - 4, half + 5) for _ in range(grid.n))
     block = rng.normal(size=hat[sl].shape) + 1j * rng.normal(size=hat[sl].shape)
     hat[sl] = block
-    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
+    return hat
+
+
+def random_band_limited(grid: GridSpec, algebra_dim: int, rng) -> ModuleFunction:
+    """Random trial function with dual support on modes -4..4 of each axis."""
+    return ModuleFunction(grid, grid_transform(
+        random_band_coefficients(grid, algebra_dim, rng), grid, inverse=True))
 
 
 def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int = 1,

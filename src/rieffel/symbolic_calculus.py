@@ -10,8 +10,9 @@ gamma x gamma inverts exactly: on a plane wave e^{i nu t} the operator
 contributes (1 + i nu)^2 per axis while the gamma Laplace factor
 integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.
 
-recover_translation_symbol reads F(z) = a(z, 0) off a's slabs, whatever the
-backing, and measures how far a is from the translation form F(x - J xi);
+recover_translation_symbol reads F(z) = a(z, 0) off a's slabs on the
+one-node dual box xi = 0, whatever the backing, and measures how far a is
+from the translation form F(x - J xi);
 the directional certificate d a/d xi_i = sum_j J_ij d a/d x_j vanishes
 exactly on translation symbols.  Both fold cnorm_sup over the differences
 of zipped PhaseSymbol.slabs streams: symbols are never read through eval.
@@ -19,7 +20,9 @@ of zipped PhaseSymbol.slabs streams: symbols are never read through eval.
 recover works on the operator T = a(x, D) instead: an operator that commutes
 with the right action is left multiplication by T(1), so it returns F = T(1)
 and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u,
-both from one dense pass over the stacked [1 | u] (one slab stream of a).
+both from one dense pass over the stacked coefficients of [1 | u] (one slab
+stream of a, on the 9 x 9 dual box that u's modes -4..4 and the constant's
+delta at xi = 0 occupy).
 """
 from __future__ import annotations
 
@@ -31,10 +34,10 @@ import numpy as np
 from .algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
 from .deformation import SkewForm, deformed_product
 from .errors import GridMismatchError
-from .grids import GridSpec
+from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
 from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
-                           dense_quantize, random_band_limited)
+                           dense_quantize, random_band_coefficients)
 
 
 T_MAX = 40.0
@@ -116,9 +119,9 @@ class _BracketSymbol(PhaseSymbol):
         return self._signed_sum(
             (sign, da.eval(x, xi), db.eval(x, xi)) for sign, da, db in self.pairs)
 
-    def _fill(self, grid, out):
+    def _fill(self, grid, out, box):
         # slab i from slab i of each of the 4n factor streams
-        streams = [f.slabs(grid) for _, da, db in self.pairs for f in (da, db)]
+        streams = [f.slabs(grid, box) for _, da, db in self.pairs for f in (da, db)]
         signs = [sign for sign, _, _ in self.pairs]
         for i, r in enumerate(zip(*streams)):
             yield self._signed_sum(zip(signs, r[0::2], r[1::2]), out[i % len(out)])
@@ -233,15 +236,15 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     """Extract F(z) = a(z, 0) and measure the translation-form residual
     sup cnorm(a(z, zeta) - F(z - J zeta)) over the sample box.
 
-    Row i of F is copied from the xi = 0 entry (N/2 on each xi axis) of
-    slab i of a.  Returns (F, residual); the caller compares residual
+    Row i of F is slab i of a on the one-node dual box at xi = 0 (N/2 on
+    each xi axis).  Returns (F, residual); the caller compares residual
     against its own tolerance to accept or reject the translation-type
     hypothesis.
     """
     F = np.empty(grid.shape + (a.algebra_dim,) * 2, dtype=complex)
-    at_zero = (slice(None),) * (grid.n - 1) + (grid.points // 2,) * grid.n
-    for row, slab in zip(F, a.slabs(grid)):
-        row[...] = slab[at_zero]
+    half = grid.points // 2
+    for row, slab in zip(F, a.slabs(grid, (slice(half, half + 1),) * grid.n)):
+        row[...] = slab.reshape(row.shape)
     F = ModuleFunction(grid, F)
     return F, cnorm_sup_slabs(slab_differences(zip(
         a.slabs(grid), TranslationSymbol(F, J).slabs(grid))))
@@ -270,15 +273,21 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     An operator that commutes with the right action R_G u = u x_J G is left
     multiplication by T(1): T(G) = T(R_G 1) = R_G T(1) = T(1) x_J G.  So the
     residual vanishes, to roundoff, on a translation symbol F(x - J xi) and
-    measures how far T is from L_F otherwise.  T runs once, on the stacked
-    [1 | u], through the generic dense quantize (never
-    TranslationSymbol.quantize, which is L_F itself).  Returns (F, residual)
-    as recover_translation_symbol does.
+    measures how far T is from L_F otherwise.  T runs once, through the
+    generic dense quantize (never TranslationSymbol.quantize, which is L_F
+    itself), on the stacked coefficients of [1 | u] as made: u's draw and
+    the constant's exact delta.  Returns (F, residual) as
+    recover_translation_symbol does.
     """
     k = a.algebra_dim
-    u = random_band_limited(grid, k, np.random.default_rng(PROBE_SEED))
-    one = np.broadcast_to(np.eye(k), grid.shape + (k, k))
-    out = dense_quantize(a, grid, np.concatenate([one, u.samples], axis=-1))
+    uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
+    u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
+    # the constant's coefficients are a delta at xi = 0, kept exact (its
+    # height is the transform's own) so that they add no node to u's box
+    one = np.zeros_like(uh)
+    centre = (grid.points // 2,) * grid.n
+    one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
+    out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
     Tu = out[..., k:]
     return F, cnorm_sup(Tu - deformed_product(F, u, J).samples) / u.sup_norm()

@@ -358,14 +358,16 @@ def test_cli_recover_range_checks_negative_tol_in_exponent_form(tmp_path, capsys
 def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch):
     # the work of one accepted N = 32 recovery, counted: T runs once on the
     # stacked [1 | u], so one stream of N slabs from the chain's symbol and
-    # one deformed product, T(1) x_J u (two shears of one F before)
+    # one deformed product, T(1) x_J u (two shears of one F before).  The
+    # slabs cover only the 9 x 9 dual box of u's modes -4..4, which holds
+    # the constant's delta at xi = 0 (the whole 32 x 32 dual grid before)
     streams, slabs, products = [], [], []
     stream = TranslationSymbol.slabs
 
-    def counted_slabs(self, grid):
+    def counted_slabs(self, grid, box=None):
         streams.append(1)
-        for s in stream(self, grid):
-            slabs.append(1)
+        for s in stream(self, grid, box):
+            slabs.append(s.shape)
             yield s
 
     def counted(product):
@@ -378,7 +380,8 @@ def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch
     fp = tmp_path / "F.mgf"
     stored_field(fp, 4, alpha=1.0)
     assert main(["recover", str(fp)]) == 0
-    assert (len(streams), len(slabs), len(products)) == (1, 32, 1)
+    assert (len(streams), len(products)) == (1, 1)
+    assert slabs == [(32, 9, 9, 2, 2)] * 32
 
 
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])

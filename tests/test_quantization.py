@@ -13,8 +13,9 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
                                   PhaseSymbol, TranslationSymbol, TrigPolySymbol,
                                   constant_symbol, dense_quantize,
-                                  operator_norm_estimate,
-                                  pdo_apply, pi_seminorm, sample_symbol,
+                                  dual_box, operator_norm_estimate,
+                                  pdo_apply, pi_seminorm,
+                                  random_band_coefficients, sample_symbol,
                                   symbol_to_kernel)
 from rieffel.suites import (SUITE_CHECKS, SuiteConfig, check_rng, matrix_gaussian,
                             random_band_symbol)
@@ -240,6 +241,65 @@ def test_foreign_translation_sample_matches_generic(n, k, npts):
 def test_grid_symbol_slabs_are_views():
     s = sample_symbol(trig_symbol(2, 2, 6), GridSpec(2, 8, 8.0))
     assert all(np.shares_memory(x, s.samples) for x in s.slabs(s.grid))
+
+
+def sample_boxes(g):
+    """The full box, a 9 x 9 box placed differently on the two dual axes (so
+    that swapping them shows) and the one-node box at xi = 0."""
+    h = g.points // 2
+    return [None, (slice(h - 4, h + 5), slice(h - 6, h + 3))[:g.n],
+            (slice(h, h + 1),) * g.n]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["trig", "grid", "translation", "J0", "foreign",
+                                  "bracket", "callable"])
+def test_slabs_on_a_dual_box_equal_the_sampled_box(kind, n, k):
+    # slabs(grid, box) is sample(grid).samples[i] on the box.  A GEMM or a
+    # vectorized exp may take another kernel for a smaller box (the trig,
+    # shear and bracket writers, and eval at n = 1), so the last bits can
+    # move: observed <= 4.1e-16 of the sup at N = 16 and 32
+    g = GridSpec(n, 16, 8.0)
+    a = slab_symbol(kind, n, k, g)
+    samples = a.sample(g).samples
+    scale = np.abs(samples).max()
+    for box in sample_boxes(g):
+        at = (slice(None),) * (n - 1) + (box or (slice(None),) * n)
+        slabs = [s.copy() for s in a.slabs(g, box)]
+        assert len(slabs) == g.points
+        for s, ref in zip(slabs, samples):
+            assert s.shape == ref[at].shape
+            assert np.abs(s - ref[at]).max() <= 2e-15 * scale
+        if kind == "grid":
+            assert all(np.shares_memory(x, a.samples) for x in a.slabs(g, box))
+    if kind == "translation" and n == 2:
+        # negative control: a shear whose box is offset by one node
+        box = sample_boxes(g)[1]
+        moved = (box[0], slice(box[1].start + 1, box[1].stop + 1))
+        at = (slice(None), *box)
+        assert all(np.abs(s - ref[at]).max() > 1e-3 * scale
+                   for s, ref in zip(a.slabs(g, moved), samples))
+
+
+def test_dual_box_holds_every_nonzero_coefficient():
+    # the probe's coefficients fill modes -4..4, the constant's transform is
+    # an exact delta at xi = 0, and an all-zero input has the empty box, on
+    # which the dense quantize returns zeros
+    g = GridSpec(2, 32, 8.0)
+    c = random_band_coefficients(g, 2, np.random.default_rng(0))
+    assert dual_box(g, c) == (slice(12, 21),) * 2
+    one = grid_transform(np.ones(g.shape), g)
+    delta = np.zeros_like(one)
+    delta[16, 16] = one[16, 16]
+    assert np.array_equal(one, delta) and dual_box(g, one) == (slice(16, 17),) * 2
+    c[:, 20] = 0
+    c[13, 12] = 0
+    assert dual_box(g, c) == (slice(12, 21), slice(12, 20))
+    a = slab_symbol("translation", 2, 2, g)
+    zero = np.zeros(g.shape + (2, 4), dtype=complex)
+    assert dual_box(g, zero) == (slice(0, 0),) * 2
+    assert np.array_equal(dense_quantize(a, g, zero), zero)
 
 
 def trig_variants(n, k, seed):
@@ -479,6 +539,11 @@ def test_dense_quantize_matches_einsum_reference(backing, n, k):
     if k > 1:
         at = GridSymbol(g, np.swapaxes(a.sample(g).samples, -1, -2))
         assert np.abs(pdo_apply(at, u).samples - ref).max() > 1e-3 * np.abs(ref).max()
+    # band-limited coefficients read the slabs on their 9 x 9 dual box only
+    c = random_band_coefficients(g, k, np.random.default_rng(45))
+    ref = dense_quantize_reference(a, ModuleFunction(g, grid_transform(c, g, inverse=True)))
+    got = dense_quantize(a, g, c)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -494,8 +559,9 @@ def test_stacked_dense_quantize_equals_separate(backing, n, k):
     g = GridSpec(n, 16, 8.0)
     a = slab_symbol(backing, n, k, g)
     u = matrix_field(g, 44, k)
-    one = np.broadcast_to(np.eye(k), g.shape + (k, k))
-    both = dense_quantize(a, g, np.concatenate([one, u.samples], axis=-1))
+    one = grid_transform(np.broadcast_to(np.eye(k), g.shape + (k, k)), g)
+    both = dense_quantize(a, g, np.concatenate([one, grid_transform(u.samples, g)],
+                                               axis=-1))
     for got, ref in ((both[..., :k], dense_quantize(a, g, one)),
                      (both[..., k:], PhaseSymbol.quantize(a, u).samples)):
         if k == 2:
