@@ -99,7 +99,7 @@ def smoothness_probe(family, direction, steps, u: ModuleFunction,
     used = steps[:len(residuals)]
     logs_t = np.log(np.asarray(used))
     logs_r = np.log(np.maximum(np.asarray(residuals), 1e-300))
-    order = float(np.polyfit(logs_t, logs_r, 1)[0]) if len(used) >= 2 else np.nan
+    order = float(np.polyfit(logs_t, logs_r, 1)[0])
     return {"steps": used, "residuals": residuals, "order": order,
             "converged": bool(order >= 0.5)}
 

@@ -1,13 +1,15 @@
 """Named verification suites over the operator-calculus library.
 
-Each check is a pure function of (config, rng) returning its residual.  The
-@check decorator registers it in SUITE_CHECKS at its definition, with its
-suite, id, default tolerance and anchor; the runner times the checks, applies
-any tolerance override from the config, stamps the environment, and builds a
-VerificationReport whose canonical payload (runtimes stripped) is
-byte-identical across runs with the same config and seed.  Randomness is
-drawn from a single seed partitioned per check id, so checks stay
-deterministic regardless of execution order.
+Each check is a pure function of (config, rng) returning the residual of one
+trial.  The @check decorator registers it in SUITE_CHECKS at its definition,
+with its suite, id, default tolerance, anchor and trial count; the registry
+runs the trials in turn on the check's one rng and folds them into the
+check's residual, their worst (NaN if any trial reads NaN).  The runner times
+the checks, applies any tolerance override from the config, stamps the
+environment, and builds a VerificationReport whose canonical payload
+(runtimes stripped) is byte-identical across runs with the same config and
+seed.  Randomness is drawn from a single seed partitioned per check id, so
+checks stay deterministic regardless of execution order.
 
 Checks on (N,)^4 phase-space grids pin N, whatever the config's points: 32 in
 translation_bridge, translation_collapse, gamma_round_trip_translation,
@@ -42,22 +44,26 @@ from .symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
 SUITE_NAMES = ("module_axioms", "fourier", "deformation", "quantization",
                "heisenberg", "calculus", "rieffel_pipeline")
 
-# suite -> [(check_id, anchor, default_tolerance, fn)], filled by @check
+# suite -> [(check_id, anchor, default_tolerance, trials, fn)], filled by
+# @check; fn(config, rng) runs the trials and returns their worst residual
 SUITE_CHECKS = {suite: [] for suite in SUITE_NAMES}
 
 
-def check(suite: str, tolerance: float, anchor: str):
-    """Register fn(config, rng) -> residual as a check of `suite`; its id is
-    the function name without the `_chk_` prefix.
+def check(suite: str, tolerance: float, anchor: str, trials: int = 1):
+    """Register trial(config, rng) -> residual as a check of `suite`; its id
+    is the function name without the `_chk_` prefix.
 
-    The check passes when its residual is at most the tolerance (the default
-    given here, unless the config overrides it); checks of a suite run in
-    the order they are defined.
+    The check's residual is the worst of 0.0 and `trials` calls, made in turn
+    on one rng, so each trial draws after the one before it; a NaN from any
+    call makes it NaN.  The check passes when that residual is at most the
+    tolerance (the default given here, unless the config overrides it);
+    checks of a suite run in the order they are defined.
     """
-    def register(fn):
-        check_id = fn.__name__.removeprefix("_chk_")
-        SUITE_CHECKS[suite].append((check_id, anchor, tolerance, fn))
-        return fn
+    def register(trial):
+        check_id = trial.__name__.removeprefix("_chk_")
+        fold = lambda cfg, rng: _worst([trial(cfg, rng) for _ in range(trials)])
+        SUITE_CHECKS[suite].append((check_id, anchor, tolerance, trials, fold))
+        return trial
     return register
 
 
@@ -261,64 +267,48 @@ def _chk_hermitian_symmetry(cfg, rng):
     return _relative(_worst(errs), _worst(scales))
 
 
-@check("module_axioms", 1e-10, "Gram element <f,f> positive semidefinite")
+@check("module_axioms", 1e-10, "Gram element <f,f> positive semidefinite", 20)
 def _chk_positivity(cfg, rng):
-    g = cfg.grid()
-    resids = []
-    for _ in range(20):
-        f = random_smooth(g, cfg.algebra_dim, rng)
-        gram = inner_product(f, f)
-        resids.append(_relative(positivity_defect(gram), cnorm(gram)))
-    return _worst(resids)
+    f = random_smooth(cfg.grid(), cfg.algebra_dim, rng)
+    gram = inner_product(f, f)
+    return _relative(positivity_defect(gram), cnorm(gram))
 
 
-@check("module_axioms", 1e-13, "<f, g a> = <f,g> a for algebra elements a")
+@check("module_axioms", 1e-13, "<f, g a> = <f,g> a for algebra elements a", 20)
 def _chk_right_linearity(cfg, rng):
     g = cfg.grid()
-    resids = []
-    for _ in range(20):
-        f = random_smooth(g, cfg.algebra_dim, rng)
-        h = random_smooth(g, cfg.algebra_dim, rng)
-        a = (rng.normal(size=(cfg.algebra_dim,) * 2)
-             + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
-        lhs = inner_product(f, h.right_multiply(a))
-        rhs = inner_product(f, h) @ a
-        resids.append(_relative(cnorm(lhs - rhs), cnorm(rhs)))
-    return _worst(resids)
+    f = random_smooth(g, cfg.algebra_dim, rng)
+    h = random_smooth(g, cfg.algebra_dim, rng)
+    a = (rng.normal(size=(cfg.algebra_dim,) * 2)
+         + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
+    lhs = inner_product(f, h.right_multiply(a))
+    rhs = inner_product(f, h) @ a
+    return _relative(cnorm(lhs - rhs), cnorm(rhs))
 
 
-@check("module_axioms", 1e-12, "||<f,g>|| <= ||f||_2 ||g||_2")
+@check("module_axioms", 1e-12, "||<f,g>|| <= ||f||_2 ||g||_2", 20)
 def _chk_cauchy_schwarz(cfg, rng):
     g = cfg.grid()
-    resids = []
-    for _ in range(20):
-        f = random_smooth(g, cfg.algebra_dim, rng)
-        h = random_smooth(g, cfg.algebra_dim, rng)
-        gap = cnorm(inner_product(f, h)) - module_norm(f) * module_norm(h)
-        resids.append(_relative(gap, module_norm(f) * module_norm(h)))
-    return _worst(resids)
+    f = random_smooth(g, cfg.algebra_dim, rng)
+    h = random_smooth(g, cfg.algebra_dim, rng)
+    gap = cnorm(inner_product(f, h)) - module_norm(f) * module_norm(h)
+    return _relative(gap, module_norm(f) * module_norm(h))
 
 
-@check("module_axioms", 1e-10, "||a* a|| = ||a||^2 in the coefficient algebra")
+@check("module_axioms", 1e-10, "||a* a|| = ||a||^2 in the coefficient algebra", 50)
 def _chk_cstar_identity(cfg, rng):
-    resids = []
-    for _ in range(50):
-        a = (rng.normal(size=(cfg.algebra_dim,) * 2)
-             + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
-        resids.append(abs(cnorm(a.conj().T @ a) - cnorm(a) ** 2) / cnorm(a) ** 2)
-    return _worst(resids)
+    a = (rng.normal(size=(cfg.algebra_dim,) * 2)
+         + 1j * rng.normal(size=(cfg.algebra_dim,) * 2))
+    return abs(cnorm(a.conj().T @ a) - cnorm(a) ** 2) / cnorm(a) ** 2
 
 
-@check("module_axioms", 1e-12, "module norm dominated by the L2 norm")
+@check("module_axioms", 1e-12, "module norm dominated by the L2 norm", 20)
 def _chk_norm_inequality(cfg, rng):
     g = cfg.grid()
-    resids = []
-    for _ in range(20):
-        f = random_smooth(g, cfg.algebra_dim, rng)
-        l2 = float(np.sqrt((cnorm_entries(f.samples) ** 2).sum()
-                           * g.spacing ** g.n))
-        resids.append(_relative(module_norm(f) - l2, l2))
-    return _worst(resids)
+    f = random_smooth(g, cfg.algebra_dim, rng)
+    l2 = float(np.sqrt((cnorm_entries(f.samples) ** 2).sum()
+                       * g.spacing ** g.n))
+    return _relative(module_norm(f) - l2, l2)
 
 
 @check("fourier", 1e-6, "standard Gaussian is a transform fixed point")
@@ -330,15 +320,12 @@ def _chk_gaussian_fixed_point(cfg, rng):
     return (fhat - ref).sup_norm()
 
 
-@check("fourier", 1e-10, "<Fu, Fv> = <u, v> for the symmetric transform")
+@check("fourier", 1e-10, "<Fu, Fv> = <u, v> for the symmetric transform", 10)
 def _chk_unitarity(cfg, rng):
-    resids = []
-    for _ in range(10):
-        _, _, f, h = _operands(cfg, rng, 2)
-        lhs = inner_product(fourier(f), fourier(h))
-        rhs = inner_product(f, h)
-        resids.append(_relative(cnorm(lhs - rhs), cnorm(rhs)))
-    return _worst(resids)
+    _, _, f, h = _operands(cfg, rng, 2)
+    lhs = inner_product(fourier(f), fourier(h))
+    rhs = inner_product(f, h)
+    return _relative(cnorm(lhs - rhs), cnorm(rhs))
 
 
 @check("fourier", 1e-12, "inverse transform of transform is the identity")
@@ -354,52 +341,40 @@ def _chk_parseval(cfg, rng):
     return abs(module_norm(fourier(f)) - module_norm(f)) / module_norm(f)
 
 
-@check("deformation", 1e-9, "e_p x_J e_q = exp(-i p.Jq) e_{p+q}")
+@check("deformation", 1e-9, "e_p x_J e_q = exp(-i p.Jq) e_{p+q}", 20)
 def _chk_plane_wave_law(cfg, rng):
     g, J = _operands(cfg, rng)
-    resids = []
-    for _ in range(20):
-        p, q = _commensurate_pair(g, rng)
-        prod = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
-        expect = complex(np.exp(-1j * (p @ J.apply(q)))) * plane_wave(g, p + q)
-        resids.append((prod - expect).sup_norm())
-    return _worst(resids)
+    p, q = _commensurate_pair(g, rng)
+    prod = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
+    expect = complex(np.exp(-1j * (p @ J.apply(q)))) * plane_wave(g, p + q)
+    return (prod - expect).sup_norm()
 
 
-@check("deformation", 1e-9, "e_p x_J e_q = exp(-2i p.Jq) e_q x_J e_p")
+@check("deformation", 1e-9, "e_p x_J e_q = exp(-2i p.Jq) e_q x_J e_p", 10)
 def _chk_weyl_exchange(cfg, rng):
     g, J = _operands(cfg, rng)
-    resids = []
-    for _ in range(10):
-        p, q = _commensurate_pair(g, rng)
-        ab = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
-        ba = deformed_product(plane_wave(g, q), plane_wave(g, p), J)
-        phase = np.exp(-2j * (p @ J.apply(q)))
-        resids.append((ab - complex(phase) * ba).sup_norm())
-    return _worst(resids)
+    p, q = _commensurate_pair(g, rng)
+    ab = deformed_product(plane_wave(g, p), plane_wave(g, q), J)
+    ba = deformed_product(plane_wave(g, q), plane_wave(g, p), J)
+    phase = np.exp(-2j * (p @ J.apply(q)))
+    return (ab - complex(phase) * ba).sup_norm()
 
 
-@check("deformation", 1e-10, "J = 0 reduces the product to pointwise multiplication")
+@check("deformation", 1e-10, "J = 0 reduces the product to pointwise multiplication", 5)
 def _chk_zero_collapse(cfg, rng):
     J0 = SkewForm(0.0, cfg.n)
-    resids = []
-    for _ in range(5):
-        g, _, f, h = _operands(cfg, rng, 2)
-        prod = deformed_product(f, h, J0)
-        ref = ModuleFunction(g, np.einsum("...ab,...bc->...ac", f.samples, h.samples))
-        resids.append(_relative((prod - ref).sup_norm(), ref.sup_norm()))
-    return _worst(resids)
+    g, _, f, h = _operands(cfg, rng, 2)
+    prod = deformed_product(f, h, J0)
+    ref = ModuleFunction(g, np.einsum("...ab,...bc->...ac", f.samples, h.samples))
+    return _relative((prod - ref).sup_norm(), ref.sup_norm())
 
 
-@check("deformation", 1e-12, "(f x g) x h = f x (g x h)")
+@check("deformation", 1e-12, "(f x g) x h = f x (g x h)", 3)
 def _chk_associativity(cfg, rng):
-    resids = []
-    for _ in range(3):
-        _, J, f, h, w = _operands(cfg, rng, 3, alpha=2.0)
-        lhs = deformed_product(deformed_product(f, h, J), w, J)
-        rhs = deformed_product(f, deformed_product(h, w, J), J)
-        resids.append(_relative((lhs - rhs).sup_norm(), lhs.sup_norm()))
-    return _worst(resids)
+    _, J, f, h, w = _operands(cfg, rng, 3, alpha=2.0)
+    lhs = deformed_product(deformed_product(f, h, J), w, J)
+    rhs = deformed_product(f, deformed_product(h, w, J), J)
+    return _relative((lhs - rhs).sup_norm(), lhs.sup_norm())
 
 
 @check("deformation", 1e-12, "[L_f, R_h] = 0")
@@ -685,9 +660,7 @@ def _chk_recovery(cfg, rng):
     inv = cnorm_sup_slabs(slab_differences(_shifted_pair(b, J, g, rng)))
     rec = gamma_reconstruct(b, GammaKernel())
     Fr, resid = recover_translation_symbol(rec, J, g)
-    scale = F.sup_norm()
-    return max(_relative((Fr - F).sup_norm(), scale), _relative(resid, scale),
-               _relative(inv, scale))
+    return _relative(_worst([(Fr - F).sup_norm(), resid, inv]), F.sup_norm())
 
 
 @check("rieffel_pipeline", 1e-6,
@@ -728,7 +701,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     checks = []
     all_pass = True
     for suite in names:
-        for check_id, anchor, default_tol, fn in SUITE_CHECKS[suite]:
+        for check_id, anchor, default_tol, _, fn in SUITE_CHECKS[suite]:
             full_id = f"{suite}.{check_id}"
             rng = check_rng(config.seed, full_id)
             t0 = time.perf_counter()

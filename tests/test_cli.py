@@ -11,8 +11,8 @@ from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
 from rieffel.module_space import ModuleFunction, inner_product
 from rieffel.quantization import TranslationSymbol
-from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check_rng,
-                            run_suite)
+from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check,
+                            check_rng, run_suite)
 
 
 def stored_field(path, seed, npts=32, k=2, alpha=0.5, n=2):
@@ -121,6 +121,22 @@ def test_nan_trial_residual_fails_its_check(monkeypatch):
     assert not report.passed
 
 
+def test_registry_folds_its_trials_in_turn(monkeypatch):
+    # a check registered with 4 trials runs 4 times on its one rng, each
+    # trial drawing after the one before, and reads their worst
+    monkeypatch.setitem(SUITE_CHECKS, "fourier", [])
+    draws = []
+
+    @check("fourier", 1.0, "four draws", 4)
+    def _chk_draws(cfg, rng):
+        draws.append(rng.uniform())
+        return draws[-1]
+    [(check_id, _, _, trials, fold)] = SUITE_CHECKS["fourier"]
+    assert (check_id, trials) == ("draws", 4)
+    assert fold(None, check_rng(1, "x")) == max(draws)
+    assert draws == list(check_rng(1, "x").uniform(size=4))
+
+
 def test_nan_norm_fails_every_check_that_takes_it(monkeypatch):
     monkeypatch.setattr("rieffel.suites.cnorm", lambda a: float("nan"))
     report = run_suite(SuiteConfig(suite="module_axioms", points=16))
@@ -162,17 +178,27 @@ def test_idempotence_fails_when_recovery_drifts(monkeypatch):
     assert rec.residual > rec.tolerance == 1e-10 and not rec.passed
 
 
-def rejection_residual(**config):
+def pipeline_residual(check_id, **config):
     cfg = SuiteConfig(suite="rieffel_pipeline", **config)
-    fn = {check_id: fn for check_id, _, _, fn in SUITE_CHECKS["rieffel_pipeline"]}
-    return fn["rejection"](cfg, check_rng(cfg.seed, "rieffel_pipeline.rejection"))
+    fn = {cid: fn for cid, *_, fn in SUITE_CHECKS["rieffel_pipeline"]}[check_id]
+    return fn(cfg, check_rng(cfg.seed, f"rieffel_pipeline.{check_id}"))
+
+
+def test_nan_recovery_residual_fails_recovery(monkeypatch):
+    # negative control: a NaN residual from the recovery must reach the
+    # check's residual, though it is not the first of the three it folds
+    # (with a max() fold the check read 6.8e-14 at k = 1 and passed)
+    def nan_residual(a, J, grid):
+        return symbolic_calculus.recover_translation_symbol(a, J, grid)[0], np.nan
+    monkeypatch.setattr("rieffel.suites.recover_translation_symbol", nan_residual)
+    assert np.isnan(pipeline_residual("recovery", algebra_dim=1))
 
 
 @pytest.mark.parametrize("theta, k", [(0.5, 2), (0.0, 1), (-0.7, 3), (1.0, 2)])
 def test_rejection_rejects_a_translation_symbol_of_another_form(theta, k):
     # F(x - J' xi) with J' = (theta + 0.25) Omega is no translation symbol for
     # J: 0.1 sup|a| / residual reads 0.136-0.166, under the tolerance 1.0
-    assert 0.1 < rejection_residual(theta=theta, algebra_dim=k) < 0.2
+    assert 0.1 < pipeline_residual("rejection", theta=theta, algebra_dim=k) < 0.2
 
 
 def test_rejection_fails_on_a_translation_symbol_of_its_own_form(monkeypatch):
@@ -180,11 +206,11 @@ def test_rejection_fails_on_a_translation_symbol_of_its_own_form(monkeypatch):
     # at roundoff, and the check reads about 1e14, far above 1.0
     own_form = lambda F, J: TranslationSymbol(F, SkewForm(J.theta - 0.25))
     monkeypatch.setattr("rieffel.suites.TranslationSymbol", own_form)
-    assert rejection_residual() > 1e12
+    assert pipeline_residual("rejection") > 1e12
 
 
 def test_rejection_keeps_its_n1_return():
-    assert rejection_residual(n=1, points=64) == 0.0
+    assert pipeline_residual("rejection", n=1, points=64) == 0.0
 
 
 def test_report_serialization():
@@ -421,60 +447,61 @@ def test_cli_no_command(capsys):
     assert main([]) == 2
 
 
-# Every registered check and its default tolerance, in run order.  A check
-# that is dropped, renamed, moved or loosened must change this list too.
+# Every registered check, its default tolerance and its trial count, in run
+# order.  A check that is dropped, renamed, moved, loosened or given another
+# number of trials must change this list too.
 CHECK_CATALOGUE = [
-    ("module_axioms.hermitian_symmetry", 1e-12),
-    ("module_axioms.positivity", 1e-10),
-    ("module_axioms.right_linearity", 1e-13),
-    ("module_axioms.cauchy_schwarz", 1e-12),
-    ("module_axioms.cstar_identity", 1e-10),
-    ("module_axioms.norm_inequality", 1e-12),
-    ("fourier.gaussian_fixed_point", 1e-6),
-    ("fourier.unitarity", 1e-10),
-    ("fourier.round_trip", 1e-12),
-    ("fourier.parseval", 1e-12),
-    ("deformation.plane_wave_law", 1e-9),
-    ("deformation.weyl_exchange", 1e-9),
-    ("deformation.zero_collapse", 1e-10),
-    ("deformation.associativity", 1e-12),
-    ("deformation.left_right_commute", 1e-12),
-    ("deformation.unit_factor", 1e-12),
-    ("deformation.approximate_identity", 0.25),
-    ("quantization.identity_symbol", 1e-12),
-    ("quantization.translation_bridge", 1e-9),
-    ("quantization.adjoint_pairing", 1e-10),
-    ("quantization.left_action_adjoint", 1e-12),
-    ("quantization.kernel_consistency", 1e-10),
-    ("quantization.pi_seminorm", 1e-10),
-    ("quantization.norm_bound_stability", 0.1),
-    ("heisenberg.weyl_unitarity", 1e-10),
-    ("heisenberg.group_law", 1e-10),
-    ("heisenberg.phi_independence", 1e-12),
-    ("heisenberg.conjugation_shift", 1e-6),
-    ("heisenberg.translation_collapse", 1e-9),
-    ("heisenberg.intertwining", 1e-8),
-    ("heisenberg.smoothness_order", 1.0),
-    ("calculus.gamma_mass", 1e-10),
-    ("calculus.gamma_reproduce_const", 1e-8),
-    ("calculus.gamma_reproduce_wave", 1e-6),
-    ("calculus.gamma_reproduce_gauss", 1e-5),
-    ("calculus.b_eigenvalue", 1e-12),
-    ("calculus.gamma_round_trip", 1e-10),
-    ("calculus.gamma_round_trip_translation", 1e-10),
-    ("calculus.bracket_nullity", 1e-13),
-    ("calculus.bracket_antisymmetry", 1e-10),
-    ("calculus.coordinate_brackets", 1e-6),
-    ("rieffel_pipeline.recovery", 1e-5),
-    ("rieffel_pipeline.certificate", 1e-6),
-    ("rieffel_pipeline.rejection", 1.0),
-    ("rieffel_pipeline.idempotence", 1e-10),
+    ("module_axioms.hermitian_symmetry", 1e-12, 1),
+    ("module_axioms.positivity", 1e-10, 20),
+    ("module_axioms.right_linearity", 1e-13, 20),
+    ("module_axioms.cauchy_schwarz", 1e-12, 20),
+    ("module_axioms.cstar_identity", 1e-10, 50),
+    ("module_axioms.norm_inequality", 1e-12, 20),
+    ("fourier.gaussian_fixed_point", 1e-6, 1),
+    ("fourier.unitarity", 1e-10, 10),
+    ("fourier.round_trip", 1e-12, 1),
+    ("fourier.parseval", 1e-12, 1),
+    ("deformation.plane_wave_law", 1e-9, 20),
+    ("deformation.weyl_exchange", 1e-9, 10),
+    ("deformation.zero_collapse", 1e-10, 5),
+    ("deformation.associativity", 1e-12, 3),
+    ("deformation.left_right_commute", 1e-12, 1),
+    ("deformation.unit_factor", 1e-12, 1),
+    ("deformation.approximate_identity", 0.25, 1),
+    ("quantization.identity_symbol", 1e-12, 1),
+    ("quantization.translation_bridge", 1e-9, 1),
+    ("quantization.adjoint_pairing", 1e-10, 1),
+    ("quantization.left_action_adjoint", 1e-12, 1),
+    ("quantization.kernel_consistency", 1e-10, 1),
+    ("quantization.pi_seminorm", 1e-10, 1),
+    ("quantization.norm_bound_stability", 0.1, 1),
+    ("heisenberg.weyl_unitarity", 1e-10, 1),
+    ("heisenberg.group_law", 1e-10, 1),
+    ("heisenberg.phi_independence", 1e-12, 1),
+    ("heisenberg.conjugation_shift", 1e-6, 1),
+    ("heisenberg.translation_collapse", 1e-9, 1),
+    ("heisenberg.intertwining", 1e-8, 1),
+    ("heisenberg.smoothness_order", 1.0, 1),
+    ("calculus.gamma_mass", 1e-10, 1),
+    ("calculus.gamma_reproduce_const", 1e-8, 1),
+    ("calculus.gamma_reproduce_wave", 1e-6, 1),
+    ("calculus.gamma_reproduce_gauss", 1e-5, 1),
+    ("calculus.b_eigenvalue", 1e-12, 1),
+    ("calculus.gamma_round_trip", 1e-10, 1),
+    ("calculus.gamma_round_trip_translation", 1e-10, 1),
+    ("calculus.bracket_nullity", 1e-13, 1),
+    ("calculus.bracket_antisymmetry", 1e-10, 1),
+    ("calculus.coordinate_brackets", 1e-6, 1),
+    ("rieffel_pipeline.recovery", 1e-5, 1),
+    ("rieffel_pipeline.certificate", 1e-6, 1),
+    ("rieffel_pipeline.rejection", 1.0, 1),
+    ("rieffel_pipeline.idempotence", 1e-10, 1),
 ]
 
 
 def test_check_catalogue_pinned():
     assert tuple(SUITE_CHECKS) == SUITE_NAMES
-    registered = [(f"{suite}.{check_id}", tol)
+    registered = [(f"{suite}.{check_id}", tol, trials)
                   for suite, entries in SUITE_CHECKS.items()
-                  for check_id, _, tol, _ in entries]
+                  for check_id, _, tol, trials, _ in entries]
     assert registered == CHECK_CATALOGUE

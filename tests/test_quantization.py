@@ -664,7 +664,7 @@ def test_operator_checks_memory(check_id):
     # and symbol_to_kernel(a, g).apply(u), stream the symbol's slabs: each
     # peaks at a fraction of one 64 MiB product grid (observed 0.12x and
     # 0.18x), where sampling the symbol or building the kernel whole held 1.1x
-    fn = {cid: f for cid, _, _, f in SUITE_CHECKS["quantization"]}[check_id]
+    fn = {cid: f for cid, *_, f in SUITE_CHECKS["quantization"]}[check_id]
     cfg = SuiteConfig()
     rng = check_rng(cfg.seed, f"quantization.{check_id}")
     assert peak_bytes(lambda: fn(cfg, rng)) <= 0.25 * 32 ** 4 * 4 * 16
