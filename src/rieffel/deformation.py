@@ -31,10 +31,13 @@ buffer, so one batched FFT call along the contiguous last axis transforms
 both; the k x k product is k^3 multiply-adds of whole planes, through views
 built once per call, and each q2's products are added straight into an
 accumulator indexed by r2 = p2 + q2 - N/2 and still in the transform
-domain, so a single inverse FFT finishes the sum.  Every per-q2 multiply
-and FFT writes into buffers allocated once per call, and none is kept
-between calls.  For n = 2 that is N + 1 FFT calls over both factors and
-O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
+domain, so a single inverse FFT finishes the sum.  The loop skips the q2
+rows where the right factor is exactly zero (samples fill every row, exact
+band-limited coefficients only their band).  Every per-q2 multiply and FFT
+writes into buffers allocated once per call, and none is kept between
+calls.  For n = 2 that is one FFT call over both factors per occupied q2
+row plus one after the loop, and at most O(N^3 k^2 log N + N^3 k^3) work
+instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
 The left action L_F u is deformed_product(F, u, J) and the right action
@@ -121,7 +124,11 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
                     theta: float) -> np.ndarray:
     """twisted_coefficients on channels-first data: ft is [a, b, p_n, ..,
     p_1], gt is [b, c, q_n, .., q_1], and so is the returned [a, c, r_n, ..,
-    r_1].  Neither input is written."""
+    r_1].  Neither input is written.  For n = 2 and theta != 0 the q2 loop
+    skips the rows of gt that are exactly zero, so a non-finite entry of ft
+    reaches only the rows r2 = p2 + q2 - N/2 of occupied q2, and none if gt
+    is all zeros; the n = 1 and theta = 0 convolution spreads it over every
+    r of its matrix row."""
     n, npts = grid.n, grid.points
     half = npts // 2
     scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
@@ -153,7 +160,8 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     plane = np.empty(ft.shape[2:], dtype=complex)
     acc = np.zeros(ft.shape, dtype=complex)  # [a, c, r2, z]
     plan = _channel_plan(fab[0], fab[1], acc)
-    for q2 in range(npts):
+    # only the occupied q2 rows, as Python ints (numpy scalars index slower)
+    for q2 in np.flatnonzero(gt.any(axis=(0, 1, 3))).tolist():
         lo = npts - (q2 - half) % npts
         np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fab[0])
         np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=fab[1])

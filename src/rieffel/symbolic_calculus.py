@@ -22,7 +22,8 @@ with the right action is left multiplication by T(1), so it returns F = T(1)
 and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u,
 both from one dense pass over the stacked coefficients of [1 | u] (one slab
 stream of a, on the 9 x 9 dual box that u's modes -4..4 and the constant's
-delta at xi = 0 occupy).
+delta at xi = 0 occupy).  The product T(1) x_J u takes u's exact
+coefficients, so its q2 loop visits only the 9 rows they occupy.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
-from .deformation import SkewForm, deformed_product
+from .deformation import SkewForm, twisted_coefficients
 from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
@@ -279,6 +280,8 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     the constant's exact delta.  Returns (F, residual) as
     recover_translation_symbol does.
     """
+    if J.n != grid.n:
+        raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     k = a.algebra_dim
     uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
     u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
@@ -290,4 +293,6 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
     Tu = out[..., k:]
-    return F, cnorm_sup(Tu - deformed_product(F, u, J).samples) / u.sup_norm()
+    # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
+    Fu = twisted_coefficients(grid_transform(F.samples, grid), uh, grid, J.theta)
+    return F, cnorm_sup(Tu - grid_transform(Fu, grid, inverse=True)) / u.sup_norm()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rieffel import cli, quantization, symbolic_calculus
+from rieffel import cli, deformation, symbolic_calculus
 from rieffel.cli import main
 from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
@@ -384,11 +384,14 @@ def test_cli_recover_range_checks_negative_tol_in_exponent_form(tmp_path, capsys
 def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch):
     # the work of one accepted N = 32 recovery, counted: T runs once on the
     # stacked [1 | u], so one stream of N slabs from the chain's symbol and
-    # one deformed product, T(1) x_J u (two shears of one F before).  The
-    # slabs cover only the 9 x 9 dual box of u's modes -4..4, which holds
-    # the constant's delta at xi = 0 (the whole 32 x 32 dual grid before)
-    streams, slabs, products = [], [], []
+    # one product, T(1) x_J u (two shears of one F before).  The slabs cover
+    # only the 9 x 9 dual box of u's modes -4..4, which holds the constant's
+    # delta at xi = 0 (the whole 32 x 32 dual grid before).  The product
+    # takes u's exact coefficients, so its q2 loop makes one FFT call for
+    # each of the 9 rows they occupy (all 32 rows of u's samples before)
+    streams, slabs, products, ffts = [], [], [], []
     stream = TranslationSymbol.slabs
+    kernel, fft = deformation._twisted_kernel, np.fft.fft
 
     def counted_slabs(self, grid, box=None):
         streams.append(1)
@@ -396,17 +399,20 @@ def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch
             slabs.append(s.shape)
             yield s
 
-    def counted(product):
-        return lambda *args: products.append(1) or product(*args)
+    def counted_kernel(*args):
+        before = len(ffts)
+        out = kernel(*args)
+        products.append(len(ffts) - before)
+        return out
 
     monkeypatch.setattr(TranslationSymbol, "slabs", counted_slabs)
-    for module in (quantization, symbolic_calculus):
-        monkeypatch.setattr(module, "deformed_product",
-                            counted(module.deformed_product))
+    monkeypatch.setattr(deformation, "_twisted_kernel", counted_kernel)
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kwargs:
+                        ffts.append(1) or fft(a, *args, **kwargs))
     fp = tmp_path / "F.mgf"
     stored_field(fp, 4, alpha=1.0)
     assert main(["recover", str(fp)]) == 0
-    assert (len(streams), len(products)) == (1, 1)
+    assert (len(streams), products) == (1, [9])
     assert slabs == [(32, 9, 9, 2, 2)] * 32
 
 

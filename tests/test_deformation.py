@@ -9,6 +9,7 @@ from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
 from rieffel.errors import DivergenceError, GridMismatchError, ResolutionError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction, module_norm, translate
+from rieffel.quantization import random_band_coefficients
 
 G = GridSpec(2, 32, 8.0)
 J = SkewForm.standard(0.5)
@@ -271,10 +272,9 @@ def test_deformed_product_bit_identical_to_frozen_path(n, k, theta, npts):
     assert np.abs(prod - frozen(1)).max() > 1e-3 * np.abs(prod).max()
 
 
-def test_product_fft_calls_pinned(monkeypatch):
-    # n = 2, theta != 0: two forward axis transforms per factor, one FFT call
-    # per q2 over both modulated factors, then the kernel's inverse and two
-    # inverse axis transforms; every call transforms length-N lines
+def count_fft_calls(monkeypatch):
+    """Patch np.fft.fft and np.fft.ifft to record the length of each call's
+    transformed lines; returns {"fft": [...], "ifft": [...]}."""
     calls = {"fft": [], "ifft": []}
     for name, lengths in calls.items():
         def counted(a, n=None, axis=-1, *args, _fn=getattr(np.fft, name),
@@ -282,11 +282,84 @@ def test_product_fft_calls_pinned(monkeypatch):
             _lengths.append(np.shape(a)[axis] if n is None else n)
             return _fn(a, n, axis, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_product_fft_calls_pinned(monkeypatch):
+    # n = 2, theta != 0: two forward axis transforms per factor, one FFT call
+    # per q2 over both modulated factors, then the kernel's inverse and two
+    # inverse axis transforms; every call transforms length-N lines
+    calls = count_fft_calls(monkeypatch)
     npts = 16
     g = GridSpec(2, npts, 8.0)
     f, h = (ModuleFunction(g, x) for x in full_band_pair(npts, 2, 3))
     deformed_product(f, h, SkewForm.standard(0.5))
     assert calls == {"fft": [npts] * (npts + 4), "ifft": [npts] * 3}
+
+
+def sparse_right_factor(case, grid, k, seed):
+    """Right-factor coefficients (N, N, k, k) that are non-zero only on some
+    q2 rows (axis 1): one row, recover's probe (modes -4..4, 9 rows), the
+    two edge rows q2 = 0 and N - 1 (so r2 = p2 + q2 - N/2 wraps), or none."""
+    r = np.random.default_rng(seed)
+    if case == "probe":
+        return random_band_coefficients(grid, k, r)
+    shape = grid.shape + (k, k)
+    ghat = np.zeros(shape, dtype=complex)
+    rows = {"one_row": [3], "edge_rows": [0, grid.points - 1], "zeros": []}[case]
+    ghat[:, rows] = (r.normal(size=shape) + 1j * r.normal(size=shape))[:, rows]
+    return ghat
+
+
+@pytest.mark.parametrize("case", ["one_row", "probe", "edge_rows", "zeros"])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("npts", [16, 32])
+def test_sparse_q2_loop_bit_identical_to_full_loop(npts, k, theta, case):
+    # the kernel visits only the q2 rows where the right factor is non-zero;
+    # the frozen kernel visits all N, and its other rows add exact zeros
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = full_band_pair(npts, k, [npts, k, int(10 * theta) + 10])
+    ghat = sparse_right_factor(case, g, k, [npts, k, 7])
+    fast = twisted_coefficients(fhat, ghat, g, theta)
+    assert np.array_equal(fast, frozen_twisted_coefficients(fhat, ghat, g, theta))
+    if case == "zeros":
+        assert not fast.any()
+        return
+    # negative control: the reference with its r2 window off by one differs
+    shifted = frozen_twisted_coefficients(fhat, ghat, g, theta, r2_offset=1)
+    assert np.abs(fast - shifted).max() > 1e-3 * np.abs(fast).max()
+
+
+def test_one_row_right_factor_makes_one_loop_fft(monkeypatch):
+    # coefficients on one q2 row: one FFT call in the loop (N when every row
+    # was visited) and the inverse after it
+    npts = 16
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = full_band_pair(npts, 2, 5)
+    ghat = sparse_right_factor("one_row", g, 2, 6)
+    calls = count_fft_calls(monkeypatch)
+    twisted_coefficients(fhat, ghat, g, 0.5)
+    assert calls == {"fft": [npts], "ifft": [npts]}
+
+
+def test_zero_right_rows_are_absent_from_the_sum():
+    # a NaN left coefficient at p2 meets only the occupied q2 rows: it
+    # reaches the output rows r2 = p2 + q2 - N/2 (mod N) and no other, and
+    # nothing at all against an all-zero right factor.  The theta = 0
+    # convolution transforms whole factors, so there it reaches every r of
+    # its matrix row
+    npts, k, p2, q2 = 16, 2, 5, 3
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = full_band_pair(npts, k, 8)
+    fhat[2, p2, 1, 0] = np.nan
+    ghat = sparse_right_factor("one_row", g, k, 9)
+    nan_rows = np.isnan(twisted_coefficients(fhat, ghat, g, 0.5)).any(axis=(0, 2, 3))
+    assert np.array_equal(np.flatnonzero(nan_rows), [(p2 + q2 - npts // 2) % npts])
+    zeros = np.zeros_like(ghat)
+    assert np.array_equal(twisted_coefficients(fhat, zeros, g, 0.5), zeros)
+    conv = twisted_coefficients(fhat, zeros, g, 0.0)
+    assert np.isnan(conv[..., 1, :]).all() and not np.isnan(conv[..., 0, :]).any()
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.0])

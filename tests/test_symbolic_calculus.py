@@ -5,7 +5,7 @@ import pytest
 
 from rieffel.algebra import cnorm_sup_slabs, slab_differences
 from rieffel.deformation import SkewForm
-from rieffel.errors import CapabilityError
+from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
@@ -580,3 +580,12 @@ def test_recover_reads_F_as_T_of_one(n, k):
     Fr, residual = recover(TranslationSymbol(F, Jn), Jn, g)
     assert (Fr - F).sup_norm() <= 1e-13 * F.sup_norm()
     assert residual <= 1e-13 * F.sup_norm()
+
+
+def test_recover_rejects_a_form_of_another_dimension():
+    # twisted_coefficients reads only theta, so recover checks J's
+    # dimension against the grid itself
+    g = GridSpec(2, 16, 8.0)
+    a = TranslationSymbol(band_limited_field(g, 2, np.random.default_rng(4)), J)
+    with pytest.raises(GridMismatchError, match="J dimension 1 != grid dimension 2"):
+        recover(a, SkewForm.standard(None, 1), g)
