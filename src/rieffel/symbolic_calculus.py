@@ -8,7 +8,9 @@ tensorized per axis in n dimensions.  Applying the fourth-order operator
 b = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 a and convolving against
 gamma x gamma inverts exactly: on a plane wave e^{i nu t} the operator
 contributes (1 + i nu)^2 per axis while the gamma Laplace factor
-integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.
+integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.  Those
+factors do not depend on the symbol: GammaKernel.laplace memoizes each table
+on (kernel, nu's shape, nu's bytes), at most 32 of them, read-only.
 
 recover_translation_symbol reads F(z) = a(z, 0) off a's slabs on the
 one-node dual box xi = 0, whatever the backing, and measures how far a is
@@ -23,7 +25,9 @@ and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u,
 both from one dense pass over the stacked coefficients of [1 | u] (one slab
 stream of a, on the 9 x 9 dual box that u's modes -4..4 and the constant's
 delta at xi = 0 occupy).  The product T(1) x_J u takes u's exact
-coefficients, so its q2 loop visits only the 9 rows they occupy.
+coefficients, so its q2 loop visits only the 9 rows they occupy.  The probe
+is a constant of (grid, k): its [1 | u] coefficients and sup ||u|| are
+memoized on that key, at most 8 probes, read-only.
 """
 from __future__ import annotations
 
@@ -71,11 +75,25 @@ class GammaKernel:
 
     def laplace(self, nu) -> np.ndarray:
         """Quadrature value of integral gamma(t) e^{-i nu t} dt, which is
-        1/(1 + i nu)^2 up to truncation; vectorized over nu."""
-        t, w = self.quadrature()
+        1/(1 + i nu)^2 up to truncation; vectorized over nu (a 0-d nu gives
+        a 0-d array).  Memoized on (kernel, nu's shape, nu's bytes), at most
+        32 tables, each read-only: a recovery chain asks for the same four
+        frequency arrays of its grid on every symbol."""
         nu = np.asarray(nu, dtype=float)
-        return np.einsum("m,...m->...", w * self.gamma(t),
-                         np.exp(-1j * nu[..., None] * t))
+        return _laplace_table(self, nu.shape, nu.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _laplace_table(kernel: GammaKernel, shape: tuple, data: bytes) -> np.ndarray:
+    """kernel.laplace of the float array with this shape and these bytes.  A
+    kernel compares by class and node count, so a kernel of another node
+    count, or a subclass, never reads this one's table."""
+    t, w = kernel.quadrature()
+    nu = np.frombuffer(data).reshape(shape)
+    table = np.asarray(np.einsum("m,...m->...", w * kernel.gamma(t),
+                                 np.exp(-1j * nu[..., None] * t)))
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=16)
@@ -277,12 +295,27 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     measures how far T is from L_F otherwise.  T runs once, through the
     generic dense quantize (never TranslationSymbol.quantize, which is L_F
     itself), on the stacked coefficients of [1 | u] as made: u's draw and
-    the constant's exact delta.  Returns (F, residual) as
-    recover_translation_symbol does.
+    the constant's exact delta.  They and sup ||u|| depend only on (grid,
+    k) and are memoized on it (at most 8 probes, read-only).  Returns (F,
+    residual) as recover_translation_symbol does.
     """
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     k = a.algebra_dim
+    stacked, u_sup = _probe(grid, k)
+    out = dense_quantize(a, grid, stacked)
+    F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
+    Tu = out[..., k:]
+    # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
+    Fu = twisted_coefficients(grid_transform(F.samples, grid), stacked[..., k:],
+                              grid, J.theta)
+    return F, cnorm_sup(Tu - grid_transform(Fu, grid, inverse=True)) / u_sup
+
+
+@functools.lru_cache(maxsize=8)
+def _probe(grid: GridSpec, k: int):
+    """recover's stacked coefficients [1 | u] on (grid, k), read-only, and
+    sup ||u||."""
     uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
     u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
     # the constant's coefficients are a delta at xi = 0, kept exact (its
@@ -290,9 +323,6 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     one = np.zeros_like(uh)
     centre = (grid.points // 2,) * grid.n
     one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
-    out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
-    F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
-    Tu = out[..., k:]
-    # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
-    Fu = twisted_coefficients(grid_transform(F.samples, grid), uh, grid, J.theta)
-    return F, cnorm_sup(Tu - grid_transform(Fu, grid, inverse=True)) / u.sup_norm()
+    stacked = np.concatenate([one, uh], axis=-1)
+    stacked.flags.writeable = False
+    return stacked, u.sup_norm()

@@ -416,6 +416,40 @@ def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch
     assert slabs == [(32, 9, 9, 2, 2)] * 32
 
 
+def test_cli_recover_reuses_the_gamma_tables_and_the_probe(tmp_path, monkeypatch):
+    # the chain's Laplace tables and recover's probe depend only on the grid
+    # (and k): with both memos cleared, the first N = 32 recover makes one
+    # quadrature per frequency array and one probe draw; a second recover of
+    # another F on the same grid makes neither, and writes the bytes that a
+    # run with cleared memos writes
+    quads, draws = [], []
+    quadrature = symbolic_calculus.GammaKernel.quadrature
+    draw = symbolic_calculus.random_band_coefficients
+    monkeypatch.setattr(symbolic_calculus.GammaKernel, "quadrature",
+                        lambda self: quads.append(1) or quadrature(self))
+    monkeypatch.setattr(symbolic_calculus, "random_band_coefficients",
+                        lambda *args: draws.append(1) or draw(*args))
+
+    def clear():
+        symbolic_calculus._laplace_table.cache_clear()
+        symbolic_calculus._probe.cache_clear()
+
+    def run(seed):
+        fp, out = tmp_path / f"F{seed}.mgf", tmp_path / f"R{seed}.mgf"
+        stored_field(fp, seed, alpha=1.0)
+        quads.clear()
+        draws.clear()
+        assert main(["recover", str(fp), "--out", str(out)]) == 0
+        return (len(quads), len(draws)), out.read_bytes()
+
+    clear()
+    assert run(4)[0] == (4, 1)
+    counts, written = run(5)
+    assert counts == (0, 0)
+    clear()
+    assert run(5) == ((4, 1), written)
+
+
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])
 def test_cli_rejects_non_finite_theta(tmp_path, capsys, command):
     fp = tmp_path / "F.mgf"

@@ -95,6 +95,19 @@ def test_zero_form_collapses_to_pointwise():
     assert (prod - ref).sup_norm() <= 1e-10 * ref.sup_norm()
 
 
+def test_order_zero_of_the_q2_loop_is_pointwise():
+    # theta = 1e-300 makes every twist e^{-i theta ...} exactly 1 but still
+    # runs the n = 2 q2 loop, which the theta = 0 convolution bypasses: its
+    # r2 window, its (-1)^z sign and its scale must give the pointwise
+    # product (observed 7.2e-15 relative on full-band N = 64, k = 2 samples;
+    # the window off by one reads order 1)
+    g = GridSpec(2, 64, 8.0)
+    f, h = (ModuleFunction(g, x) for x in full_band_pair(64, 2, 31))
+    prod = deformed_product(f, h, SkewForm(1e-300, 2))
+    ref = ModuleFunction(g, np.einsum("...ab,...bc->...ac", f.samples, h.samples))
+    assert (prod - ref).sup_norm() <= 1e-13 * ref.sup_norm()
+
+
 def test_constant_identity_is_unit():
     one = ModuleFunction.from_function(G, lambda x, y: np.ones(G.shape),
                                        algebra_dim=2)

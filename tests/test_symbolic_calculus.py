@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieffel.algebra import cnorm_sup_slabs, slab_differences
-from rieffel.deformation import SkewForm
+from rieffel import symbolic_calculus
+from rieffel.algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
+from rieffel.deformation import SkewForm, twisted_coefficients
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import GridSpec
+from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction
 from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
-                                  TrigPolySymbol, pi_seminorm, sample_symbol)
+                                  TrigPolySymbol, dense_quantize, pi_seminorm,
+                                  random_band_coefficients, sample_symbol)
 from rieffel.suites import SuiteConfig, band_limited_field, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                        gamma_reconstruct, gamma_reproduce,
@@ -80,6 +82,78 @@ def test_gamma_quadrature_cached_read_only():
     with pytest.raises(ValueError):
         w *= 2.0
     assert K.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def uncached_laplace(kernel, nu):
+    """GammaKernel.laplace's einsum, inline and without its memo."""
+    t, w = kernel.quadrature()
+    nu = np.asarray(nu, dtype=float)
+    return np.einsum("m,...m->...", w * kernel.gamma(t),
+                     np.exp(-1j * nu[..., None] * t))
+
+
+def multiplier_frequencies(a):
+    """The frequency arrays a.multiplier hands its factor function."""
+    freqs = []
+    a.multiplier(lambda nu: freqs.append(nu) or np.ones(np.shape(nu)))
+    return freqs
+
+
+@pytest.mark.parametrize("source", ["translation", "grid", "trig", "zero_d"])
+def test_laplace_memo_bit_identical_to_einsum(source):
+    # the n = 2 chain's four frequency arrays on both grid backings, a trig
+    # symbol's (T,) frequencies, and the n = 1 translation symbol's
+    # (J nu) = 0, a 0-d nu; each asked for twice (a miss, then a hit)
+    g = GridSpec(2, 16, 8.0)
+    F = gaussian_field(g, 3)
+    if source == "translation":
+        freqs = multiplier_frequencies(TranslationSymbol(F, J))
+    elif source == "grid":
+        freqs = multiplier_frequencies(sample_symbol(TranslationSymbol(F, J), g))
+    elif source == "trig":
+        freqs = multiplier_frequencies(trig_symbol(2, 2, 9, nterms=5))
+    else:
+        g1 = GridSpec(1, 16, 8.0)
+        freqs = multiplier_frequencies(TranslationSymbol(
+            gaussian_field(g1, 3), SkewForm.standard(None, 1)))
+        assert np.ndim(freqs[1]) == 0
+    assert len(freqs) == 4 or (source == "zero_d" and len(freqs) == 2)
+    for nu in freqs:
+        expected = uncached_laplace(K, nu)
+        for _ in range(2):
+            table = K.laplace(nu)
+            assert table.shape == np.shape(expected)
+            assert np.array_equal(table, expected)
+            assert table.tobytes() == np.asarray(expected).tobytes()
+
+
+def test_laplace_table_read_only():
+    # a caller cannot corrupt the shared table, in place or by item
+    nu = np.linspace(-3.0, 3.0, 7)
+    table = K.laplace(nu)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    with pytest.raises(ValueError):
+        table *= 2.0
+    with pytest.raises(ValueError):
+        K.laplace(0)[...] = 0.0
+    assert np.array_equal(K.laplace(nu), uncached_laplace(K, nu))
+
+
+def test_laplace_tables_never_shared_between_kernels():
+    # equal frequencies, other node counts or a subclass: separate tables,
+    # each its own kernel's einsum
+    class Subclassed(GammaKernel):
+        pass
+
+    nu = np.linspace(-5.0, 5.0, 33)
+    kernels = [GammaKernel(200), GammaKernel(400), Subclassed(400)]
+    tables = [kern.laplace(nu) for kern in kernels]
+    assert tables[0] is not tables[1] and tables[1] is not tables[2]
+    assert not np.array_equal(tables[0], tables[1])
+    for kern, table in zip(kernels, tables):
+        assert np.array_equal(table, uncached_laplace(kern, nu))
+        assert kern.laplace(nu) is table
 
 
 # ---- point reproduction
@@ -589,3 +663,51 @@ def test_recover_rejects_a_form_of_another_dimension():
     a = TranslationSymbol(band_limited_field(g, 2, np.random.default_rng(4)), J)
     with pytest.raises(GridMismatchError, match="J dimension 1 != grid dimension 2"):
         recover(a, SkewForm.standard(None, 1), g)
+
+
+def recover_unmemoized(a, J, grid):
+    """recover with its probe rebuilt inline: u's seeded draw, its inverse
+    transform for sup ||u|| and the transform of ones for the delta height."""
+    k = a.algebra_dim
+    uh = random_band_coefficients(grid, k, np.random.default_rng(
+        symbolic_calculus.PROBE_SEED))
+    u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
+    one = np.zeros_like(uh)
+    centre = (grid.points // 2,) * grid.n
+    one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
+    out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
+    F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
+    Fu = twisted_coefficients(grid_transform(F.samples, grid), uh, grid, J.theta)
+    return F, cnorm_sup(out[..., k:] - grid_transform(Fu, grid, inverse=True)) / u.sup_norm()
+
+
+@pytest.mark.parametrize("n, npts, k", [(2, 16, 2), (2, 32, 2), (1, 64, 3)])
+def test_recover_probe_memo_bit_identical(n, npts, k):
+    # two calls on one grid give the same bits, and the inline probe the
+    # same bits again
+    g = GridSpec(n, npts, 8.0)
+    Jn = SkewForm.standard(None, n)
+    a = gamma_reconstruct(b_transform(TranslationSymbol(
+        gaussian_field(g, 14, k=k), Jn)), K)
+    runs = [recover(a, Jn, g) for _ in range(2)] + [recover_unmemoized(a, Jn, g)]
+    for F, residual in runs[1:]:
+        assert F.samples.tobytes() == runs[0][0].samples.tobytes()
+        assert residual == runs[0][1]
+
+
+def test_recover_probe_per_grid_and_k():
+    # a probe is a constant of (grid, k): equal keys share one, another grid
+    # or k gets its own, and its arrays are read-only
+    probe = symbolic_calculus._probe
+    g, g2 = GridSpec(2, 16, 8.0), GridSpec(2, 16, 6.0)
+    stacked, u_sup = probe(g, 2)
+    assert probe(GridSpec(2, 16, 8.0), 2)[0] is stacked
+    for key in [(g2, 2), (g, 1), (GridSpec(2, 32, 8.0), 2)]:
+        other = probe(*key)
+        assert other[0] is not stacked
+        assert other[0].shape == key[0].shape + (key[1], 2 * key[1])
+    assert probe(g2, 2)[1] != u_sup
+    with pytest.raises(ValueError):
+        stacked[0, 0, 0, 0] = 1.0
+    assert np.array_equal(stacked[..., 2:], random_band_coefficients(
+        g, 2, np.random.default_rng(symbolic_calculus.PROBE_SEED)))
