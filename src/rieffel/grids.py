@@ -68,8 +68,8 @@ class GridSpec:
 
     def compatible(self, other: "GridSpec") -> bool:
         return (self.n == other.n and self.points == other.points
-                and np.isclose(self.half_width, other.half_width,
-                               rtol=1e-12, atol=0.0))
+                and abs(self.half_width - other.half_width)
+                <= 1e-12 * abs(other.half_width))
 
     def axis(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.points)

@@ -51,7 +51,9 @@ GEMM per slab, and column block j of the result is a(x, D) of field j.
 Only the coefficients' dual_box enters the sum, read as a.slabs(grid, box):
 a full-band input gets the full box, recover's probe on modes -4..4 and
 the constant's delta at xi = 0 a 9 x 9 box (of 32 x 32 at N = 32).
-PhaseSymbol.quantize is the m = 1 case and transforms u itself.
+PhaseSymbol.quantize is the m = 1 case and transforms u itself.  The pass
+is dense_plan (tables that do not read a) then dense_apply; dense_quantize
+keeps no plan, and recover keeps its fixed probe's plan frozen.
 
 TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
@@ -69,8 +71,10 @@ an adjoint raises CapabilityError; R_G u is deformed_product(u, G, J).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -179,9 +183,10 @@ class PhaseSymbol:
             lambda f: np.exp(1j * sum(f[d] * f[n + d] for d in range(n))))
 
 
-def _check_dims(a: PhaseSymbol, grid: GridSpec, samples: np.ndarray) -> None:
-    """samples must be grid.shape + (k, c), with a's n and k."""
-    if a.n != grid.n or samples.shape[:-1] != grid.shape + (a.algebra_dim,):
+def _check_dims(a: PhaseSymbol, grid: GridSpec, shape: tuple) -> None:
+    """An rhs or its coefficients must be of shape grid.shape + (k, c), with
+    a's n and k."""
+    if a.n != grid.n or shape[:-1] != grid.shape + (a.algebra_dim,):
         raise GridMismatchError("symbol and function dimensions do not match")
 
 
@@ -215,22 +220,35 @@ def box_nodes(grid: GridSpec, box) -> list:
     return [grid.dual_axis()[b] for b in box]
 
 
-def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Samples of sum over dual nodes q of e^{i x.q} a(x, q) coeffs(q) for
-    the Fourier coefficients coeffs = grid_transform(rhs) of an rhs of shape
-    grid.shape + (k, C), C = m k for m fields side by side: a(x, D) acts on
-    the left index only, so the right one is a batch axis and column block j
-    of the result is a(x, D) of block j.
+class DensePlan(NamedTuple):
+    """The tables of a dense pass that depend on its grid and coefficients
+    but not on the symbol: the coefficients' dual box; rest, the phase
+    e^{i x'.q'} on it, (N,)^(n-1) + box + (k^2,), one copy per channel; and
+    rhs, per slab i the (M k^2 x k C) block matrix _block_rhs(e^{i x_i q_0}
+    coeffs(q)) (M nodes in the box).  dense_plan makes rhs a one-pass stream
+    that builds each matrix when its slab is reached, so a full-box plan
+    (M = N^n) never holds N of them; frozen() stacks them for a plan that is
+    applied again."""
 
-    Only the nodes of the coefficients' dual_box enter the sum (the others
-    add exact zeros), so a is read through a.slabs(grid, box).  Row
-    x_0 = x_i of the result reads only slab i.  Each slab, in its own
-    (x', q, k^2) layout (x' the other n - 1 x axes), is multiplied by
-    e^{i x'.q'}, stored once per channel so that no inner loop broadcasts,
-    into one reused buffer, and one (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM (M
-    nodes in the box) contracts it with _block_rhs of e^{i x_i q_0}
-    coeffs(q)."""
-    _check_dims(a, grid, coeffs)
+    grid: GridSpec
+    shape: tuple                   # the coefficients' shape, grid.shape + (k, C)
+    box: tuple
+    rest: np.ndarray
+    rhs: Iterable[np.ndarray]
+
+    def frozen(self) -> "DensePlan":
+        """This plan with rhs stacked into one (N, M k^2, k C) array, rest
+        and rhs read-only, so that it can be applied any number of times."""
+        rhs = np.stack(list(self.rhs))
+        rhs.flags.writeable = self.rest.flags.writeable = False
+        return self._replace(rhs=rhs)
+
+
+def dense_plan(grid: GridSpec, coeffs: np.ndarray) -> DensePlan:
+    """dense_quantize's plan for coefficients laid out on grid.shape + (k, C).
+    Never memoize it on the coefficients: a generic caller's full-box plan,
+    kept frozen, holds N^(n+1) k^2 x k C entries (8 MiB at N = 32, k = C =
+    2)."""
     g, k, cols = grid, coeffs.shape[-2], coeffs.shape[-1]
     box = dual_box(g, coeffs)
     qs = box_nodes(g, box)
@@ -240,14 +258,41 @@ def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.nda
     rest = np.repeat(rest[..., None], k * k, axis=-1)
     first = np.exp(1j * np.multiply.outer(
         g.axis(), np.meshgrid(*qs, indexing="ij")[0].ravel()))
-    out = np.empty(coeffs.shape, dtype=complex)
-    rows = out.reshape(g.points, -1, k * cols)                 # (N, N^(n-1), k C)
+    return DensePlan(g, coeffs.shape, box, rest,
+                     (_block_rhs(f[:, None, None] * uh) for f in first))
+
+
+def dense_apply(a: PhaseSymbol, plan: DensePlan) -> np.ndarray:
+    """dense_quantize of a on the coefficients plan was made from.  Each
+    slab of a on the plan's box, in its own (x', q, k^2) layout (x' the
+    other n - 1 x axes), is multiplied by rest into one reused buffer, and
+    one (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM contracts it with slab i's
+    rhs matrix into row x_0 = x_i of the result."""
+    g, k = plan.grid, a.algebra_dim
+    _check_dims(a, g, plan.shape)
+    out = np.empty(plan.shape, dtype=complex)
+    rows = out.reshape(g.points, -1, k * plan.shape[-1])      # (N, N^(n-1), k C)
     buf = None
-    for i, slab in enumerate(a.slabs(g, box)):
-        buf = np.multiply(slab.reshape(slab.shape[:-2] + (k * k,)), rest, out=buf)
-        np.matmul(buf.reshape(rows.shape[1], -1),
-                  _block_rhs(first[i, :, None, None] * uh), out=rows[i])
+    # strict: an unfrozen plan's spent rhs stream raises, not a blank result
+    for slab, rhs, row in zip(a.slabs(g, plan.box), plan.rhs, rows, strict=True):
+        buf = np.multiply(slab.reshape(slab.shape[:-2] + (k * k,)), plan.rest, out=buf)
+        np.matmul(buf.reshape(rows.shape[1], -1), rhs, out=row)
     return TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out
+
+
+def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of sum over dual nodes q of e^{i x.q} a(x, q) coeffs(q) for
+    the Fourier coefficients coeffs = grid_transform(rhs) of an rhs of shape
+    grid.shape + (k, C), C = m k for m fields side by side: a(x, D) acts on
+    the left index only, so the right one is a batch axis and column block j
+    of the result is a(x, D) of block j.
+
+    Only the nodes of the coefficients' dual_box enter the sum (the others
+    add exact zeros), so a is read through a.slabs(grid, box), and row
+    x_0 = x_i of the result reads only slab i.  It plans on every call and
+    keeps nothing (dense_plan, dense_apply)."""
+    _check_dims(a, grid, coeffs.shape)
+    return dense_apply(a, dense_plan(grid, coeffs))
 
 
 class CallableSymbol(PhaseSymbol):
@@ -328,7 +373,7 @@ class TrigPolySymbol(PhaseSymbol):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w).
         # Shifted terms are translated 8 at a time, so memory does not grow
         # with T; w = 0 reuses u as it is, which keeps the identity exact.
-        _check_dims(self, u.grid, u.samples)
+        _check_dims(self, u.grid, u.samples.shape)
         g, k = u.grid, u.algebra_dim
         acc = np.zeros((k, k) + g.shape, dtype=complex)
         tmp = np.empty((k,) + g.shape, dtype=complex)
@@ -468,23 +513,18 @@ class TranslationSymbol(PhaseSymbol):
         i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).  Slab i is one real
         GEMM of 4 N^2 B0 (N + 1) B1 k^2 flops (B0 x B1 the box), about half
         the complex one's, with S_i built in one reused (N + 1) x B1 k^2
-        buffer."""
+        buffer.  R depends only on (N, L, the box's xi_0 range, J_10), not
+        on F: _shear_table keeps it on that key (see there)."""
         N, k = grid.points, self.algebra_dim
         h = N // 2
         J = self.J.entries
         nu = np.fft.ifftshift(grid.dual_axis())
-        xi0, xi1 = box_nodes(grid, box)
+        xi1 = box_nodes(grid, box)[1]
         head = np.fft.fftn(self.F.samples, axes=(0, 1)).reshape(
             (N, N, 1, 1, k, k)) * np.exp(
             -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi1)[..., None, None]
         np.fft.ifft(head, axis=0, out=head)
-        angle = (TWO_PI / N) * (np.arange(N)[:, None, None] * np.arange(h + 1) % N) \
-            - J[1, 0] * np.multiply.outer(xi0, nu[:h + 1])
-        R = np.empty((N, len(xi0), N + 1))
-        np.cos(angle, out=R[..., :h + 1])
-        np.sin(angle[..., 1:], out=R[..., h + 1:])
-        R = R.reshape(N * len(xi0), N + 1)
-        R /= N
+        R = _shear_table(N, grid.half_width, box[0].indices(N), float(J[1, 0]))
         H = head.reshape(N, N, len(xi1) * k * k)
         S = np.empty((N + 1, len(xi1) * k * k), dtype=complex)
         for i in range(N):
@@ -513,6 +553,28 @@ class TranslationSymbol(PhaseSymbol):
                 sum(J[j, e] * nus[e] for e in range(g.n) if e != j)
                 for j in range(g.n)]))),
             self.J)
+
+
+@functools.lru_cache(maxsize=4)
+def _shear_table(points: int, half_width: float, rows: tuple, j10: float) -> np.ndarray:
+    """TranslationSymbol._shear's real (N B0 x N + 1) table R on a grid of N
+    = points nodes on [-L, L)^2, L = half_width, for the xi_0 rows
+    range(*rows) of the box and J_10 = j10, read-only.  At most 4 tables
+    are kept (270 KB each for a full N = 32 box): a recover chain asks for
+    one box and J on every call, and a caller that samples many J (the
+    perturbed forms a rejection test draws) only cycles the oldest out."""
+    N, h = points, points // 2
+    xi = GridSpec(2, N, half_width).dual_axis()
+    nu, xi0 = np.roll(xi, -h), xi[slice(*rows)]          # nu in FFT order
+    angle = (TWO_PI / N) * (np.arange(N)[:, None, None] * np.arange(h + 1) % N) \
+        - j10 * np.multiply.outer(xi0, nu[:h + 1])
+    R = np.empty((N, len(xi0), N + 1))
+    np.cos(angle, out=R[..., :h + 1])
+    np.sin(angle[..., 1:], out=R[..., h + 1:])
+    R = R.reshape(N * len(xi0), N + 1)
+    R /= N
+    R.flags.writeable = False
+    return R
 
 
 def constant_symbol(n: int, matrix: np.ndarray) -> TrigPolySymbol:
@@ -591,7 +653,7 @@ class KernelField:
         (N^n k^2 x k^2) GEMM of K[i0] against _block_rhs of v's samples."""
         if not v.grid.compatible(self.grid):
             raise GridMismatchError("kernel and function grids differ")
-        _check_dims(self.symbol, v.grid, v.samples)
+        _check_dims(self.symbol, v.grid, v.samples.shape)
         g, k = self.grid, v.algebra_dim
         V = _block_rhs(v.samples.reshape(-1, k, k))
         out = np.empty(v.samples.shape, dtype=complex)

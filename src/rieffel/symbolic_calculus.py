@@ -26,8 +26,13 @@ both from one dense pass over the stacked coefficients of [1 | u] (one slab
 stream of a, on the 9 x 9 dual box that u's modes -4..4 and the constant's
 delta at xi = 0 occupy).  The product T(1) x_J u takes u's exact
 coefficients, so its q2 loop visits only the 9 rows they occupy.  The probe
-is a constant of (grid, k): its [1 | u] coefficients and sup ||u|| are
-memoized on that key, at most 8 probes, read-only.
+is a constant of (grid, k): its [1 | u] coefficients, sup ||u|| and the
+dense pass's frozen plan over them (its box, phase table and N per-slab
+block matrices: 1.35 MB at N = 32, k = 2) are memoized on that key, at most
+8 probes, read-only; the shear's real table is memoized on (N, L, the box's
+xi_0 rows, J_10), at most 4.  Only the fixed probe is planned once: a plan
+memoized on a generic caller's coefficients would keep full-box plans (8
+MiB at N = 32, k = 2).
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
 from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
-                           dense_quantize, random_band_coefficients)
+                           dense_apply, dense_plan, random_band_coefficients)
 
 
 T_MAX = 40.0
@@ -295,15 +300,17 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     measures how far T is from L_F otherwise.  T runs once, through the
     generic dense quantize (never TranslationSymbol.quantize, which is L_F
     itself), on the stacked coefficients of [1 | u] as made: u's draw and
-    the constant's exact delta.  They and sup ||u|| depend only on (grid,
-    k) and are memoized on it (at most 8 probes, read-only).  Returns (F,
-    residual) as recover_translation_symbol does.
+    the constant's exact delta.  They, sup ||u|| and the frozen dense plan
+    over them depend only on (grid, k) and are memoized on it (_probe: at
+    most 8 probes, read-only), so a second call on a grid plans nothing and
+    applies the plan to a's slabs only.  Returns (F, residual) as
+    recover_translation_symbol does.
     """
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     k = a.algebra_dim
-    stacked, u_sup = _probe(grid, k)
-    out = dense_quantize(a, grid, stacked)
+    stacked, u_sup, plan = _probe(grid, k)
+    out = dense_apply(a, plan)
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
     Tu = out[..., k:]
     # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
@@ -314,8 +321,8 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
 
 @functools.lru_cache(maxsize=8)
 def _probe(grid: GridSpec, k: int):
-    """recover's stacked coefficients [1 | u] on (grid, k), read-only, and
-    sup ||u||."""
+    """recover's stacked coefficients [1 | u] on (grid, k), read-only, sup
+    ||u||, and the frozen dense plan over the coefficients."""
     uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
     u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
     # the constant's coefficients are a delta at xi = 0, kept exact (its
@@ -325,4 +332,4 @@ def _probe(grid: GridSpec, k: int):
     one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
     stacked = np.concatenate([one, uh], axis=-1)
     stacked.flags.writeable = False
-    return stacked, u.sup_norm()
+    return stacked, u.sup_norm(), dense_plan(grid, stacked).frozen()

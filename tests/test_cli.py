@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rieffel import cli, deformation, symbolic_calculus
+from rieffel import cli, deformation, quantization, symbolic_calculus
 from rieffel.cli import main
 from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
@@ -417,37 +417,48 @@ def test_cli_recover_draws_one_slab_stream_and_one_product(tmp_path, monkeypatch
 
 
 def test_cli_recover_reuses_the_gamma_tables_and_the_probe(tmp_path, monkeypatch):
-    # the chain's Laplace tables and recover's probe depend only on the grid
-    # (and k): with both memos cleared, the first N = 32 recover makes one
-    # quadrature per frequency array and one probe draw; a second recover of
-    # another F on the same grid makes neither, and writes the bytes that a
-    # run with cleared memos writes
-    quads, draws = [], []
+    # the chain's Laplace tables, recover's probe and its dense plan, and
+    # the shear's real table depend only on the grid (and k, J): with the
+    # memos cleared, the first N = 32 recover makes one quadrature per
+    # frequency array, one probe draw, one dual box, 32 block matrices (one
+    # per slab) and one shear table; a second recover of another F on the
+    # same grid makes none of them, and writes the bytes that a run with
+    # cleared memos writes
+    quads, draws, boxes, blocks = [], [], [], []
     quadrature = symbolic_calculus.GammaKernel.quadrature
     draw = symbolic_calculus.random_band_coefficients
+    box, block = quantization.dual_box, quantization._block_rhs
     monkeypatch.setattr(symbolic_calculus.GammaKernel, "quadrature",
                         lambda self: quads.append(1) or quadrature(self))
     monkeypatch.setattr(symbolic_calculus, "random_band_coefficients",
                         lambda *args: draws.append(1) or draw(*args))
+    monkeypatch.setattr(quantization, "dual_box",
+                        lambda *args: boxes.append(1) or box(*args))
+    monkeypatch.setattr(quantization, "_block_rhs",
+                        lambda *args: blocks.append(1) or block(*args))
+    tables = quantization._shear_table
 
     def clear():
         symbolic_calculus._laplace_table.cache_clear()
         symbolic_calculus._probe.cache_clear()
+        tables.cache_clear()
 
     def run(seed):
         fp, out = tmp_path / f"F{seed}.mgf", tmp_path / f"R{seed}.mgf"
         stored_field(fp, seed, alpha=1.0)
-        quads.clear()
-        draws.clear()
+        for calls in (quads, draws, boxes, blocks):
+            calls.clear()
+        misses = tables.cache_info().misses
         assert main(["recover", str(fp), "--out", str(out)]) == 0
-        return (len(quads), len(draws)), out.read_bytes()
+        return ((len(quads), len(draws), len(boxes), len(blocks),
+                 tables.cache_info().misses - misses), out.read_bytes())
 
     clear()
-    assert run(4)[0] == (4, 1)
+    assert run(4)[0] == (4, 1, 1, 32, 1)
     counts, written = run(5)
-    assert counts == (0, 0)
+    assert counts == (0, 0, 0, 0, 0)
     clear()
-    assert run(5) == ((4, 1), written)
+    assert run(5) == ((4, 1, 1, 32, 1), written)
 
 
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])

@@ -20,6 +20,26 @@ def test_grid_rejects_half_width_that_is_not_positive_and_finite(half_width):
         GridSpec(2, 16, half_width)
 
 
+@pytest.mark.parametrize("width", [8.0, 0.7443609022556391])
+@pytest.mark.parametrize("n", [1, 2])
+def test_compatible_matches_isclose(n, width):
+    # the plain-float predicate is np.isclose(rtol=1e-12, atol=0) on the
+    # half widths, as a bool; at the second width a grid's dual of its dual
+    # is one ulp off
+    g = GridSpec(n, 16, width)
+    others = [GridSpec(n, 16, width * (1 + s * r)) for r in (0.5e-12, 2e-12)
+              for s in (1, -1)] + [GridSpec(n, 16, width), g.dual().dual()]
+    for h in others:
+        got = g.compatible(h)
+        assert type(got) is bool
+        assert got == bool(np.isclose(g.half_width, h.half_width, rtol=1e-12, atol=0.0))
+    assert [g.compatible(h) for h in others] == [True, True, False, False, True, True]
+    assert (g.dual().dual().half_width == width) == (width == 8.0)
+    assert g.compatible(GridSpec(n, 16, 8)) == (width == 8.0)
+    assert not g.compatible(GridSpec(n, 18, width))
+    assert not g.compatible(GridSpec(3 - n, 16, width))
+
+
 def oracle(samples, axes, fn):
     """axis_transform forward along each (spacing, origin) axis, multiply by
     fn at the ascending frequencies of axis_transform, then invert."""

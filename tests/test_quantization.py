@@ -12,8 +12,9 @@ from rieffel.module_space import ModuleFunction, inner_product, module_norm, tra
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
                                   PhaseSymbol, TranslationSymbol, TrigPolySymbol,
-                                  constant_symbol, dense_quantize,
-                                  dual_box, operator_norm_estimate,
+                                  constant_symbol, dense_apply, dense_plan,
+                                  dense_quantize, dual_box,
+                                  operator_norm_estimate,
                                   pdo_apply, pi_seminorm,
                                   random_band_coefficients, sample_symbol,
                                   symbol_to_kernel)
@@ -569,6 +570,34 @@ def test_stacked_dense_quantize_equals_separate(backing, n, k):
         assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
     with pytest.raises(GridMismatchError):
         dense_quantize(a, g, both[..., :k - 1, :])
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 2)])
+@pytest.mark.parametrize("backing", ["grid", "translation", "bracket", "callable"])
+def test_frozen_plan_applies_like_dense_quantize(backing, n, k):
+    # a frozen plan, applied to several symbols and twice to one, gives the
+    # bits of dense_quantize, which plans on each call: on a probe-like
+    # 9-mode box and on a full box; an unfrozen plan applies once; a plan is
+    # a constant of its grid and coefficients, so it rejects a symbol of
+    # another k or n
+    g = GridSpec(n, 16, 8.0)
+    a = slab_symbol(backing, n, k, g)
+    others = [slab_symbol("trig", n, k, g), a]
+    band = random_band_coefficients(g, k, np.random.default_rng(45))
+    full = grid_transform(matrix_field(g, 46, k).samples, g)
+    for coeffs in (band, np.concatenate([band, full], axis=-1)):
+        plan = dense_plan(g, coeffs).frozen()
+        assert plan.rhs.shape[0] == g.points and not plan.rhs.flags.writeable
+        for b in [a] + others:
+            assert dense_apply(b, plan).tobytes() == dense_quantize(b, g, coeffs).tobytes()
+    once = dense_plan(g, band)
+    assert dense_apply(a, once).tobytes() == dense_quantize(a, g, band).tobytes()
+    with pytest.raises(ValueError, match="shorter"):
+        dense_apply(a, once)                     # its rhs stream is spent
+    with pytest.raises(GridMismatchError):
+        dense_apply(slab_symbol("trig", n, k + 1, g), plan)
+    with pytest.raises(GridMismatchError):
+        dense_apply(slab_symbol("trig", 3 - n, k, GridSpec(3 - n, 16, 8.0)), plan)
 
 
 def test_dense_quantize_of_translation_symbol_is_left_action():

@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieffel import symbolic_calculus
+from rieffel import quantization, symbolic_calculus
 from rieffel.algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
 from rieffel.deformation import SkewForm, twisted_coefficients
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction
-from rieffel.quantization import (CallableSymbol, GridSymbol, TranslationSymbol,
-                                  TrigPolySymbol, dense_quantize, pi_seminorm,
+from rieffel.quantization import (CallableSymbol, GridSymbol, PhaseSymbol,
+                                  TranslationSymbol, TrigPolySymbol,
+                                  dense_quantize, pi_seminorm,
                                   random_band_coefficients, sample_symbol)
 from rieffel.suites import SuiteConfig, band_limited_field, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
@@ -700,7 +701,7 @@ def test_recover_probe_per_grid_and_k():
     # or k gets its own, and its arrays are read-only
     probe = symbolic_calculus._probe
     g, g2 = GridSpec(2, 16, 8.0), GridSpec(2, 16, 6.0)
-    stacked, u_sup = probe(g, 2)
+    stacked, u_sup, _ = probe(g, 2)
     assert probe(GridSpec(2, 16, 8.0), 2)[0] is stacked
     for key in [(g2, 2), (g, 1), (GridSpec(2, 32, 8.0), 2)]:
         other = probe(*key)
@@ -711,3 +712,92 @@ def test_recover_probe_per_grid_and_k():
         stacked[0, 0, 0, 0] = 1.0
     assert np.array_equal(stacked[..., 2:], random_band_coefficients(
         g, 2, np.random.default_rng(symbolic_calculus.PROBE_SEED)))
+
+
+def clear_memos():
+    symbolic_calculus._laplace_table.cache_clear()
+    symbolic_calculus._probe.cache_clear()
+    quantization._shear_table.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("npts", [16, 32, 64])
+@pytest.mark.parametrize("n", [1, 2])
+def test_recover_warm_memos_equal_a_cold_rebuild(n, npts, k):
+    # a recover that finds the probe's frozen plan and the shear's table
+    # memoized writes the bits of one that rebuilds them
+    g = GridSpec(n, npts, 8.0)
+    for theta in (0.5, -0.7, 0.0) if n == 2 else (None,):
+        Jn = SkewForm.standard(theta, n)
+        a = gamma_reconstruct(b_transform(TranslationSymbol(
+            gaussian_field(g, 15, k=k), Jn)), K)
+        clear_memos()
+        cold = recover(a, Jn, g)
+        warm = recover(a, Jn, g)
+        assert warm[0].samples.tobytes() == cold[0].samples.tobytes()
+        assert warm[1] == cold[1]
+
+
+def test_recover_plan_and_shear_table_read_only_and_per_key():
+    # the probe's plan is kept per (grid, k) and the shear's table per (N,
+    # L, the box's xi_0 rows, J_10), both read-only: another key never reads
+    # an entry, and the table's memo holds at most 4
+    probe, table = symbolic_calculus._probe, quantization._shear_table
+    g = GridSpec(2, 32, 8.0)
+    plan = probe(g, 2)[2]
+    assert plan.box == (slice(12, 21),) * 2
+    assert plan.rhs.shape == (32, 81 * 4, 8) and plan.rest.shape == (32, 1, 9, 4)
+    assert probe(GridSpec(2, 32, 8.0), 2)[2] is plan
+    for key in [(GridSpec(2, 32, 6.0), 2), (g, 1), (GridSpec(2, 16, 8.0), 2),
+                (GridSpec(1, 32, 8.0), 2)]:
+        other = probe(*key)[2]
+        assert other.grid == key[0] and other.shape == probe(*key)[0].shape
+        assert other.rhs is not plan.rhs and other.rest is not plan.rest
+    table.cache_clear()
+    R = table(32, 8.0, (12, 21, 1), -0.5)
+    assert R.shape == (32 * 9, 33) and table(32, 8.0, (12, 21, 1), -0.5) is R
+    for t in (plan.rest, plan.rhs, R):
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1.0
+    others = [table(*key) for key in [(32, 8.0, (12, 21, 1), -0.7),
+                                      (32, 6.0, (12, 21, 1), -0.5),
+                                      (32, 8.0, (11, 20, 1), -0.5),
+                                      (16, 8.0, (4, 13, 1), -0.5)]]
+    assert not any(o.shape == R.shape and np.array_equal(o, R) for o in others)
+    assert table.cache_info().currsize == 4
+    # the shear asks for one table per box and J, whatever the xi_1 range
+    table.cache_clear()
+    F = gaussian_field(g, 16)
+    for a, box in [(TranslationSymbol(F, J), (slice(12, 21),) * 2),
+                   (TranslationSymbol(F, J), (slice(12, 21), slice(0, 32))),
+                   (TranslationSymbol(F, J), (slice(0, 32),) * 2),
+                   (TranslationSymbol(F, SkewForm.standard(0.7)), (slice(12, 21),) * 2)]:
+        next(a.slabs(g, box))
+    assert (table.cache_info().misses, table.cache_info().hits) == (3, 1)
+
+
+def test_plan_memory_full_box_keeps_nothing_and_probe_plan_bound():
+    # a full-box generic quantize (N = 32, k = 2) keeps nothing once it
+    # returns, and never holds its 32 block matrices at once (8 MiB;
+    # observed peak 7.7 MB, with two 2 MiB slab buffers); recover's kept
+    # plan holds 1.35 MB, and its probe with the coefficients 1.48 MB
+    g = GridSpec(2, 32, 8.0)
+    rng = np.random.default_rng(17)
+    shape = g.shape + (2, 2)
+    u = ModuleFunction(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    a = TranslationSymbol(gaussian_field(g, 16), J)
+    PhaseSymbol.quantize(a, u)                   # the shear's table is kept
+    tracemalloc.start()
+    try:
+        out = PhaseSymbol.quantize(a, u)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert kept - out.samples.nbytes <= 16 * 1024
+        assert peak < 32 ** 3 * 4 * 4 * 16
+        symbolic_calculus._probe.cache_clear()
+        before = tracemalloc.get_traced_memory()[0]
+        stacked, _, plan = symbolic_calculus._probe(g, 2)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.rest.nbytes + plan.rhs.nbytes <= 1.5e6
+    assert kept <= 1.5e6 + stacked.nbytes
