@@ -41,7 +41,11 @@ one phased inverse along x_0 for the box's xi_1 columns, then per slab one
 real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose conjugate
 columns it folds), by broadcasting F's slabs at J = 0, and by F's trig sum
 off F's grid.  A bracket multiplies its factors' slabs; a grid symbol
-yields basic-slice views of its samples.
+yields basic-slice views of its samples.  Those views are read-only; every
+other stream writes into a slab buffer of its own, scratch that the caller
+who drew the stream may overwrite (recover_translation_symbol subtracts into
+its translation stream's slab), so a fold that writes into a slab raises
+before it can reach a symbol's samples.
 
 The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
 coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
@@ -58,8 +62,9 @@ keeps no plan, and recover keeps its fixed probe's plan frozen.
 TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
 and one batched inverse, channels first: O(N^n log N k^2) per term), and a
-term with w = 0 reuses u untransformed; C e^{i p.x} is applied as k^2
-scalar-by-plane multiply-adds on channels-first planes.
+term with w = 0 reuses u untransformed; e^{i p.x} is multiplied into the
+translates' batch buffer (into a copy for w = 0, never into u), and C is
+applied as k^2 scalar-by-plane multiply-adds on channels-first planes.
 
 The adjoint symbol uses the fact that p is the convolution of a* against the
 kernel e^{-i z.eta} (2*pi)^(-n), whose 2n-dimensional Fourier transform is
@@ -142,7 +147,8 @@ class PhaseSymbol:
         sample(grid).samples[i] on the dual box (n slices of the dual axes,
         all of them if None), of shape (N,)^(n-1) + box + (k, k).  Each is
         valid only until the next one is drawn (one slab buffer is reused),
-        so reduce it before drawing the next."""
+        so reduce it before drawing the next.  The buffer is the caller's
+        scratch; a grid symbol on its own grid yields read-only views."""
         box = box or full_box(grid)
         return self._fill(grid, np.empty(
             (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
@@ -378,10 +384,11 @@ class TrigPolySymbol(PhaseSymbol):
         acc = np.zeros((k, k) + g.shape, dtype=complex)
         tmp = np.empty((k,) + g.shape, dtype=complex)
 
-        def add(term, src):
-            # src and acc are channels first: k^2 scalar-by-plane products
+        def add(term, src, out=None):
+            # src and acc are channels first: e^{i p.x} src into out (a new
+            # array if None), then k^2 scalar-by-plane products
             p, _, c = term
-            src = src * separable_wave(g.axis(), p)
+            src = np.multiply(src, separable_wave(g.axis(), p), out=out)
             for a, b in np.ndindex(k, k):
                 acc[a] += np.multiply(c[a, b], src[b], out=tmp)
 
@@ -389,8 +396,9 @@ class TrigPolySymbol(PhaseSymbol):
         for lo in range(0, len(shifted), 8):
             terms = shifted[lo:lo + 8]
             batch = translates(u.samples, g.spacing, [w for _, w, _ in terms])
+            # the batch is this call's own buffer: modulate each translate in it
             for term, src in zip(terms, np.moveaxis(batch, (-2, -1), (1, 2))):
-                add(term, src)
+                add(term, src, out=src)
         for term in self.terms:
             if not term[1].any():
                 add(term, np.moveaxis(u.samples, (-2, -1), (0, 1)))
@@ -440,9 +448,12 @@ class GridSymbol(PhaseSymbol):
 
     def slabs(self, grid, box=None):
         if self.grid.compatible(grid):
-            # basic-slice views: nothing is copied
+            # read-only basic-slice views: nothing is copied, and a fold that
+            # writes into its slabs raises instead of changing the samples
             at = (slice(None),) * (self.n - 1) + (box or full_box(grid))
-            return (s[at] for s in self.samples)
+            view = self.samples.view()
+            view.flags.writeable = False
+            return (s[at] for s in view)
         return super().slabs(grid, box)
 
     def quantize(self, u):
@@ -747,7 +758,8 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
 
     Random band-limited trials pick a starting vector; power iteration on
     T*T (T.adjoint(): CapabilityError if T has none) refines it.  The
-    returned value is a lower bound by construction.
+    returned value is a lower bound by construction: 0.0, with no power
+    iteration, when T maps every trial to zero.
     """
     rng = np.random.default_rng(seed)
     best_ratio, best_u = 0.0, None
@@ -763,7 +775,7 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
               "power_iters": 0}
     Tadj = T.adjoint()
     u = best_u
-    for it in range(power_iters):
+    for it in range(power_iters if u is not None else 0):
         v = T.apply(u)
         nv = module_norm(v)
         if nv == 0.0:

@@ -18,6 +18,9 @@ from the translation form F(x - J xi);
 the directional certificate d a/d xi_i = sum_j J_ij d a/d x_j vanishes
 exactly on translation symbols.  Both fold cnorm_sup over the differences
 of zipped PhaseSymbol.slabs streams: symbols are never read through eval.
+The recovery residual subtracts into the slab of the translation stream it
+creates itself; the certificate scales and subtracts in one buffer of its
+own, since a grid symbol's slabs are read-only views of its samples.
 
 recover works on the operator T = a(x, D) instead: an operator that commutes
 with the right action is left multiplication by T(1), so it returns F = T(1)
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
+from .algebra import cnorm_sup, cnorm_sup_slabs
 from .deformation import SkewForm, twisted_coefficients
 from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
@@ -270,24 +273,34 @@ def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     for row, slab in zip(F, a.slabs(grid, (slice(half, half + 1),) * grid.n)):
         row[...] = slab.reshape(row.shape)
     F = ModuleFunction(grid, F)
-    return F, cnorm_sup_slabs(slab_differences(zip(
-        a.slabs(grid), TranslationSymbol(F, J).slabs(grid))))
+    # the translation stream's slab buffer is this call's own: subtract into it
+    return F, cnorm_sup_slabs(np.subtract(x, y, out=y) for x, y in zip(
+        a.slabs(grid), TranslationSymbol(F, J).slabs(grid)))
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:
     """sup_i sup-box cnorm(d a/d xi_i - sum_j J_ij d a/d x_j), from a's own
-    partials; zero exactly when a has the translation form F(x - J xi)."""
+    partials; zero exactly when a has the translation form F(x - J xi).
+
+    J is antisymmetric and n <= 2, so d a/d xi_i meets at most one x-partial,
+    j = 1 - i, and none where J_ij = 0; J_ij d a/d x_j and the difference
+    are made in one slab buffer of the fold's own (a grid partial's slabs
+    are read-only views), and each x-partial is made only when it is read."""
     n = a.n
     zero = (0,) * n
-    dxs = [a.partial(_unit(n, j), zero) for j in range(n)]
-    def pairs():
+
+    def differences():
+        buf = None
         for i in range(n):
-            # only x-partials with J_ij != 0: at n = 2, two slab streams at a time
-            js = [j for j in range(n) if J.entries[i, j]]
-            for r in zip(a.partial(zero, _unit(n, i)).slabs(grid),
-                         *(dxs[j].slabs(grid) for j in js)):
-                yield r[0], sum(J.entries[i, j] * s for j, s in zip(js, r[1:]))
-    return cnorm_sup_slabs(slab_differences(pairs()))
+            dxi = a.partial(zero, _unit(n, i)).slabs(grid)
+            j = 1 - i
+            if n == 1 or not J.entries[i, j]:
+                yield from dxi
+                continue
+            for x, s in zip(dxi, a.partial(_unit(n, j), zero).slabs(grid)):
+                buf = np.multiply(J.entries[i, j], s, out=buf)
+                yield np.subtract(x, buf, out=buf)
+    return cnorm_sup_slabs(differences())
 
 
 def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):

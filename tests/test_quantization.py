@@ -6,7 +6,8 @@ import pytest
 from rieffel.algebra import cnorm, cnorm_sup_slabs
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import TWO_PI, GridSpec, axis_transform, grid_transform
+from rieffel.grids import (TWO_PI, GridSpec, axis_transform, grid_transform,
+                           separable_wave, translates)
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
@@ -244,6 +245,28 @@ def test_grid_symbol_slabs_are_views():
     assert all(np.shares_memory(x, s.samples) for x in s.slabs(s.grid))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_symbol_slabs_read_only_on_own_grid(n):
+    # own-grid slabs are views of the samples: a fold that writes into one
+    # raises; on a foreign grid they are a fresh buffer, which may be written
+    g = GridSpec(n, 16, 8.0)
+    s = sample_symbol(trig_symbol(n, 2, 7), g)
+    before = s.samples.copy()
+    h = g.points // 2
+    for box in (None, (slice(h - 2, h + 3),) * n):
+        slab = next(s.slabs(g, box))
+        with pytest.raises(ValueError, match="read-only"):
+            slab[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.subtract(slab, 1.0, out=slab)
+    assert np.array_equal(s.samples, before)
+    assert s.samples.flags.writeable
+    # same spacing, half the box: every node lies on the symbol's grid
+    for slab in s.slabs(GridSpec(n, 8, 4.0)):
+        slab[...] = 0
+    assert np.array_equal(s.samples, before)
+
+
 def sample_boxes(g):
     """The full box, a 9 x 9 box placed differently on the two dual axes (so
     that swapping them shows) and the one-node box at xi = 0."""
@@ -341,6 +364,55 @@ def test_trig_quantize_matches_dense(n, npts, k):
         fast = a.quantize(u).samples
         slow = PhaseSymbol.quantize(a, u).samples
         assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+
+
+def trig_quantize_reference(a, u):
+    """TrigPolySymbol.quantize with each term's e^{i p.x} multiplied into a
+    new array: the reference for the modulation inside the translates batch."""
+    g, k = u.grid, u.algebra_dim
+    acc = np.zeros((k, k) + g.shape, dtype=complex)
+    tmp = np.empty((k,) + g.shape, dtype=complex)
+
+    def add(term, src):
+        p, _, c = term
+        src = src * separable_wave(g.axis(), p)
+        for i, j in np.ndindex(k, k):
+            acc[i] += np.multiply(c[i, j], src[j], out=tmp)
+
+    shifted = [term for term in a.terms if term[1].any()]
+    for lo in range(0, len(shifted), 8):
+        terms = shifted[lo:lo + 8]
+        batch = translates(u.samples, g.spacing, [w for _, w, _ in terms])
+        for term, src in zip(terms, np.moveaxis(batch, (-2, -1), (1, 2))):
+            add(term, src)
+    for term in a.terms:
+        if not term[1].any():
+            add(term, np.moveaxis(u.samples, (-2, -1), (0, 1)))
+    return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
+
+
+@pytest.mark.parametrize("n, npts, k", TRIG_CASES)
+def test_trig_quantize_bit_identical_to_reference(n, npts, k):
+    # the modulation in the batch buffer changes no bit; the last variant
+    # has a w = 0 term, and 20 terms make three translate batches
+    g = GridSpec(n, npts, 8.0)
+    u = matrix_field(g, npts + k, k=k)
+    seed = 100 * n + 10 * k + npts
+    for a in trig_variants(n, k, seed) + [trig_symbol(n, k, seed, nterms=20)]:
+        assert np.array_equal(a.quantize(u).samples, trig_quantize_reference(a, u))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trig_quantize_w0_term_leaves_u_alone(n):
+    # negative control: a w = 0 term with p != 0 modulates u itself, which
+    # must be copied, not written in place
+    g = GridSpec(n, 16, 8.0)
+    u = matrix_field(g, 3)
+    before = u.samples.copy()
+    a = TrigPolySymbol(n, 2, [(np.full(n, 0.7), np.zeros(n), np.eye(2)),
+                              (np.full(n, -0.3), np.full(n, 0.4), np.eye(2))])
+    a.quantize(u)
+    assert np.array_equal(u.samples, before)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -807,6 +879,18 @@ def test_norm_estimate_needs_an_adjoint():
                                          power_iters=3, seed=0)
     assert record["power_iters"] == 3
     assert est >= record["trial_best"] > 0.0
+
+
+def test_norm_estimate_of_a_zero_operator():
+    # every trial maps to zero: the estimate is 0.0 and no power step runs
+    g = GridSpec(2, 16, 8.0)
+    zero = TrigPolySymbol(2, 2, [(np.zeros(2), np.full(2, 0.5), np.zeros((2, 2)))])
+    F = ModuleFunction(g, np.zeros(g.shape + (2, 2)))
+    for T in (PdoOp(zero), LeftActionOp(F, J)):
+        est, record = operator_norm_estimate(T, g, 2, trials=3, power_iters=4, seed=1)
+        assert est == 0.0
+        assert record["power_iters"] == 0
+        assert record["trial_best"] == record["estimate"] == 0.0
 
 
 class Identity(ApplyOnly):

@@ -617,6 +617,82 @@ def test_residual_memory_below_one_product_grid(measure, bound):
     assert _peak_bytes(lambda: measure(a, g)) <= bound * grid_bytes
 
 
+def recover_by_slab_differences(a, J, g):
+    """recover_translation_symbol with its residual folded through
+    slab_differences, which subtracts into a third slab buffer of its own:
+    the reference for the fold into the translation stream's slab."""
+    half = g.points // 2
+    F = np.empty(g.shape + (a.algebra_dim,) * 2, dtype=complex)
+    for row, slab in zip(F, a.slabs(g, (slice(half, half + 1),) * g.n)):
+        row[...] = slab.reshape(row.shape)
+    F = ModuleFunction(g, F)
+    return F, cnorm_sup_slabs(slab_differences(zip(
+        a.slabs(g), TranslationSymbol(F, J).slabs(g))))
+
+
+def certificate_by_sums(a, J, g):
+    """translation_certificate with sum(J_ij * s) made per slab and folded
+    through slab_differences: the reference for the fold in one buffer."""
+    n, zero = a.n, (0,) * a.n
+    unit = lambda j: tuple(int(d == j) for d in range(n))
+    dxs = [a.partial(unit(j), zero) for j in range(n)]
+
+    def pairs():
+        for i in range(n):
+            js = [j for j in range(n) if J.entries[i, j]]
+            for r in zip(a.partial(zero, unit(i)).slabs(g),
+                         *(dxs[j].slabs(g) for j in js)):
+                yield r[0], sum(J.entries[i, j] * s for j, s in zip(js, r[1:]))
+    return cnorm_sup_slabs(slab_differences(pairs()))
+
+
+def fold_inputs(n, k, theta):
+    """A translation symbol, its samples, a trig symbol and their sum (no
+    translation form) on an N = 16 grid, against J = theta Omega."""
+    g = GridSpec(n, 16, 8.0)
+    Jt = SkewForm.standard(theta, n)
+    a = TranslationSymbol(gaussian_field(g, 40 + k, k=k), Jt)
+    t = trig_symbol(n, k, 41 + k)
+    return g, Jt, [a, a.sample(g), t, GridSymbol(g, a.sample(g).samples + t.sample(g).samples)]
+
+
+FOLD_FORMS = [(1, None), (2, 0.5), (2, -0.7), (2, 0.0)]  # J = 0 is the only n = 1 form
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n, theta", FOLD_FORMS)
+def test_recover_translation_symbol_fold_bit_identical(n, theta, k):
+    # subtracting into the translation stream's own slab changes no bit
+    g, Jt, symbols = fold_inputs(n, k, theta)
+    for a in symbols:
+        F, resid = recover_translation_symbol(a, Jt, g)
+        F_ref, resid_ref = recover_by_slab_differences(a, Jt, g)
+        assert np.array_equal(F.samples, F_ref.samples)
+        assert resid == resid_ref
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n, theta", FOLD_FORMS)
+def test_certificate_fold_bit_identical(n, theta, k):
+    # J_ij d a/d x_j and the difference made in one buffer change no bit
+    g, Jt, symbols = fold_inputs(n, k, theta)
+    for a in symbols:
+        assert translation_certificate(a, Jt, g) == certificate_by_sums(a, Jt, g)
+
+
+def test_residual_memory_recover_one_slab_less():
+    # N = 32, k = 2 grid symbol: its slabs are views, so the fold holds the
+    # translation stream's slab (2 MiB) and the shear's buffers; the
+    # slab_differences form adds a third slab-sized buffer
+    g = GridSpec(2, 32, 8.0)
+    a = TranslationSymbol(gaussian_field(g, 13), J).sample(g)
+    slab = g.points ** 3 * 4 * 16
+    recover_translation_symbol(a, J, g)  # warm the shear's table memo
+    new = _peak_bytes(lambda: recover_translation_symbol(a, J, g))
+    ref = _peak_bytes(lambda: recover_by_slab_differences(a, J, g))
+    assert ref - new >= 0.99 * slab
+
+
 def test_recover_idempotent():
     g = GridSpec(2, 32, 8.0)
     F = gaussian_field(g, 12)
