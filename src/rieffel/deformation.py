@@ -25,19 +25,26 @@ transposed once to [a, b, x2, x1], its grid transform runs along the
 contiguous x1 axis, then x2, the kernel takes and returns [a, b, p2, p1]
 coefficients, the inverse transform runs in that layout too, and one
 transpose returns (N,)*n + (k, k) samples.  twisted_coefficients is the
-channels-last wrapper around the same kernel.  Both phase tables are built
-once; for each q2 the two modulated factors share one (2, k, k, N, N)
-buffer, so one batched FFT call along the contiguous last axis transforms
-both; the k x k product is k^3 multiply-adds of whole planes, through views
-built once per call, and each q2's products are added straight into an
-accumulator indexed by r2 = p2 + q2 - N/2 and still in the transform
-domain, so a single inverse FFT finishes the sum.  The loop skips the q2
-rows where the right factor is exactly zero (samples fill every row, exact
-band-limited coefficients only their band).  Every per-q2 multiply and FFT
-writes into buffers allocated once per call, and none is kept between
-calls.  For n = 2 that is one FFT call over both factors per occupied q2
-row plus one after the loop, and at most O(N^3 k^2 log N + N^3 k^3) work
-instead of the naive O(N^4 k^3).
+channels-last wrapper around the same kernel.  The kernel multiplies
+rectangular channel blocks, [A, B] by [B, C].  L_F is a right-module map,
+so it acts on each column block of its argument on its own, and R_G on
+each row block: deformed_product(F, (u_1, .., u_m), J) runs one kernel pass
+with the u_j side by side as columns (C = m k), and a tuple on the left
+stacks rows, each member bit for bit its separate product.  The shared
+side's per-q2 multiply and FFT then run once for the whole batch.  Both
+phase tables are built once; for each q2 the two modulated factors share
+one (A B + B C, N, N) buffer, so one batched FFT call along the contiguous
+last axis transforms both; the channel product is A B C multiply-adds of
+whole planes, through views built once per call, and each q2's products
+are added straight into an accumulator indexed by r2 = p2 + q2 - N/2 and
+still in the transform domain, so a single inverse FFT finishes the sum.
+The loop skips the q2 rows where the right factor is exactly zero in every
+column (samples fill every row, exact band-limited coefficients only their
+band), so a batch visits the union of its members' rows.  Every per-q2
+multiply and FFT writes into buffers allocated once per call, and none is
+kept between calls.  For n = 2 that is one FFT call over both factors per
+occupied q2 row plus one after the loop, and at most O(N^3 k^2 log N +
+N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
 The left action L_F u is deformed_product(F, u, J) and the right action
@@ -122,28 +129,33 @@ def _transform_channels_first(arr: np.ndarray, grid: GridSpec,
 
 def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
                     theta: float) -> np.ndarray:
-    """twisted_coefficients on channels-first data: ft is [a, b, p_n, ..,
-    p_1], gt is [b, c, q_n, .., q_1], and so is the returned [a, c, r_n, ..,
-    r_1].  Neither input is written.  For n = 2 and theta != 0 the q2 loop
-    skips the rows of gt that are exactly zero, so a non-finite entry of ft
-    reaches only the rows r2 = p2 + q2 - N/2 of occupied q2, and none if gt
-    is all zeros; the n = 1 and theta = 0 convolution spreads it over every
-    r of its matrix row."""
+    """twisted_coefficients on channels-first data: ft is [A, B, p_n, ..,
+    p_1], gt is [B, C, q_n, .., q_1], and the returned [A, C, r_n, .., r_1]
+    is their channel-block product, so channel (a, c) sums over b in order.
+    Neither input is written.  Row blocks of ft, or column blocks of gt, are
+    factors side by side: each block of the result is, bit for bit, the
+    product of its own block alone, save for the NaN rule below.  For n = 2
+    and theta != 0 the q2 loop skips a row q2 only if it is zero in every
+    column of gt, so a non-finite entry of ft reaches the rows r2 = p2 + q2 -
+    N/2 of every q2 that any block occupies, and none if gt is all zeros;
+    the n = 1 and theta = 0 convolution spreads it over every r of its
+    matrix row."""
     n, npts = grid.n, grid.points
     half = npts // 2
     scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
     tmp = np.empty(ft.shape[2:], dtype=complex)
+    shape = ft.shape[:1] + gt.shape[1:2] + ft.shape[2:]  # [A, C, r_n, .., r_1]
     if n == 1 or theta == 0.0:
         # plain cyclic convolution with in-band wrap
         axes = tuple(range(2, n + 2))
         fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
         fb = np.fft.fftn(gt, axes=axes)
-        prod = np.empty(fa.shape, dtype=complex)
+        prod = np.empty(shape, dtype=complex)
         for dest, pairs in _channel_plan(fa, fb, prod):
             _channel_entry(pairs, dest, tmp)
         return scale * np.fft.ifftn(prod, axes=axes)
 
-    # ft is [a, b, p2, p1] and gt is [b, c, q2, q1].  Each q2 adds its
+    # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each q2 adds its
     # products at r2 = p2 + q2 - N/2, wrapped: indexed by r2, the p2 axis of
     # ft and of bphase is read through the window [N - s, 2N - s) of a copy
     # doubled along it, with s = (q2 - N/2) mod N.
@@ -156,15 +168,19 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     # both modulated factors of a q2 share one buffer, so one FFT call
     # transforms them; every per-q2 result is written into buffers
     # allocated once per call
-    fab = np.empty((2,) + ft.shape, dtype=complex)  # [factor, ., ., r2, z]
+    nf = ft.shape[0] * ft.shape[1]
+    fab = np.empty((nf + gt.shape[0] * gt.shape[1],) + ft.shape[2:], dtype=complex)
+    fmod = fab[:nf].reshape(ft.shape)                 # [A, B, r2, z]
+    gmod = fab[nf:].reshape(gt.shape)                 # [B, C, r2, z]
     plane = np.empty(ft.shape[2:], dtype=complex)
-    acc = np.zeros(ft.shape, dtype=complex)  # [a, c, r2, z]
-    plan = _channel_plan(fab[0], fab[1], acc)
-    # only the occupied q2 rows, as Python ints (numpy scalars index slower)
+    acc = np.zeros(shape, dtype=complex)  # [A, C, r2, z]
+    plan = _channel_plan(fmod, gmod, acc)
+    # only the rows some column of gt occupies, as Python ints (numpy
+    # scalars index slower)
     for q2 in np.flatnonzero(gt.any(axis=(0, 1, 3))).tolist():
         lo = npts - (q2 - half) % npts
-        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fab[0])
-        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=fab[1])
+        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fmod)
+        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=gmod)
         np.fft.fft(fab, axis=-1, out=fab)
         # still in the transform domain along z, so one inverse FFT after
         # the loop serves every q2
@@ -197,7 +213,12 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                          theta: float) -> np.ndarray:
     """Fourier coefficients of the deformed product from factor coefficients.
 
-    fhat, ghat and the result are (N,)*n + (k, k) arrays on dual_axis().
+    fhat is (N,)*n + (A, B) and ghat (N,)*n + (B, C) on dual_axis(), and the
+    result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
+    by side in column blocks of ghat (C = m k) block j is fhat's product with
+    block j.  For n = 2, theta != 0, a q2 row is skipped only if it is zero
+    in every block, so a NaN in fhat also reaches a block whose own row q2
+    is zero when another block occupies it (_twisted_kernel).
     """
     n = grid.n
     chat = _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),
@@ -206,17 +227,44 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     return _channels_last(chat, n)
 
 
-def deformed_product(f: ModuleFunction, g: ModuleFunction, J: SkewForm) -> ModuleFunction:
-    """(f x_J g) on the grid; Rieffel's 2*pi convention is J.rescaled(2*pi)."""
-    check_compatible(f, g)
-    grid = f.grid
+def _stacked_coefficients(fields: tuple, grid: GridSpec, axis: int) -> np.ndarray:
+    """The channels-first coefficients of fields side by side along channel
+    axis 0 (row blocks) or 1 (column blocks), one transform for all."""
+    parts = [_channels_first(h.samples, grid.n) for h in fields]
+    return _transform_channels_first(
+        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis), grid)
+
+
+def deformed_product(f, g, J: SkewForm):
+    """(f x_J g) on the grid; Rieffel's 2*pi convention is J.rescaled(2*pi).
+
+    Either side may be a tuple of module functions, which returns the tuple
+    of their products with the other side, each np.array_equal to its
+    separate product.  L_F is a right-module map, so (F x u_1, .., F x u_m)
+    is one product of F with the u_j as column blocks, and likewise R_G on
+    row blocks: the other side's per-q2 multiply and FFT run once for the
+    batch.  Tuples on both sides, or an empty tuple, raise ValueError; every
+    member must share the grid and k (GridMismatchError)."""
+    left, right = isinstance(f, tuple), isinstance(g, tuple)
+    if left and right:
+        raise ValueError("deformed_product batches one side only")
+    fs, gs = (f if left else (f,)), (g if right else (g,))
+    if not fs or not gs:
+        raise ValueError("deformed_product of an empty tuple")
+    for h in fs + gs:
+        check_compatible(fs[0], h)
+    grid, k = fs[0].grid, fs[0].algebra_dim
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
-    ft, gt = (_transform_channels_first(_channels_first(h.samples, grid.n), grid)
-              for h in (f, g))
+    ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
     chat = _twisted_kernel(ft, gt, grid, J.theta)
-    return ModuleFunction(grid, _channels_last(
-        _transform_channels_first(chat, grid, inverse=True), grid.n))
+    if not (left or right):
+        return ModuleFunction(grid, _channels_last(
+            _transform_channels_first(chat, grid, inverse=True), grid.n))
+    full = _transform_channels_first(chat, grid, inverse=True)
+    blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
+              for j in range(len(fs) * len(gs)))
+    return tuple(ModuleFunction(grid, _channels_last(b, grid.n)) for b in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ the dense quantize and a kernel's apply never hold the product grid whole:
 row x_0 = x_i of a(x,D) u, or of K u, reads only slab i.  The generic
 writer calls eval once per slab.  A trig writer tabulates each term's 2n
 one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
-a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box.  A
+a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box; a
+symbol with no terms writes zeros.  A
 translation symbol writes by a shear on F's grid (F's forward transform and
 one phased inverse along x_0 for the box's xi_1 columns, then per slab one
 real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose conjugate
@@ -46,6 +47,13 @@ other stream writes into a slab buffer of its own, scratch that the caller
 who drew the stream may overwrite (recover_translation_symbol subtracts into
 its translation stream's slab), so a fold that writes into a slab raises
 before it can reach a symbol's samples.
+
+A supremum over a family of partials (pi_seminorm) draws it as one
+stream, a.partial_slabs(grid, orders): by default each partial's slabs in
+turn.  A trig symbol's partials share its frequencies, so it builds its
+wave table once and stacks the partials' coefficient matrices on a block
+axis of each slab, (..., m, k, k), m of them per slab so that no stacked
+slab exceeds STACKED_SLAB_BYTES; the supremum folds that shape as it is.
 
 The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
 coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
@@ -153,6 +161,15 @@ class PhaseSymbol:
         return self._fill(grid, np.empty(
             (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
             + (self.algebra_dim,) * 2, dtype=complex), box)
+
+    def partial_slabs(self, grid: GridSpec, orders):
+        """Arrays whose trailing (k, k) matrices are, between them, every
+        sample of d^dx_x d^dxi_xi a on the product grid once, for each
+        multi-index pair o = dx + dxi in orders (2n entries), in any grouping
+        and order: what a supremum over the family needs.  Here each
+        partial's slabs in turn, valid as slabs() says."""
+        return (s for o in orders
+                for s in self.partial(o[:self.n], o[self.n:]).slabs(grid))
 
     def _fill(self, grid: GridSpec, out: np.ndarray, box):
         """Write slab i of the samples on the dual box into out[i % len(out)]
@@ -360,20 +377,40 @@ class TrigPolySymbol(PhaseSymbol):
         return TrigPolySymbol(self.n, self.algebra_dim, [
             (-p, -w, c.conj().T) for p, w, c in self.terms])
 
-    def _fill(self, grid, out, box):
-        n, k = grid.n, self.algebra_dim
-        nodes = [grid.axis()] * n + box_nodes(grid, box)
-        coef = np.array([c for _, _, c in self.terms]).reshape(-1, k * k)
+    def _coefficients(self) -> np.ndarray:
+        """The (T, k^2) matrix of the terms' coefficients, row t for C_t."""
+        return np.array([c for _, _, c in self.terms]).reshape(-1, self.algebra_dim ** 2)
+
+    def _waves(self, grid, box) -> tuple:
+        """The first x axis's waves e^{i p_t,0 x_0}, (N, T), and the product
+        of the other 2n - 1 axes' waves on the box, (X, T): 2n N exp calls."""
+        nodes = [grid.axis()] * grid.n + box_nodes(grid, box)
         waves = [np.exp(1j * np.multiply.outer(t, f))             # (N, T) each
                  for t, f in zip(nodes, self.freqs.T)]
         rest = waves[1]
         for wave in waves[2:]:
             rest = rest[..., None, :] * wave
-        rest = rest.reshape(-1, coef.shape[0])
-        flat = out.reshape(len(out), -1, k * k)
-        for i, first in enumerate(waves[0]):
-            np.matmul(rest, first[:, None] * coef, out=flat[i % len(out)])
-            yield out[i % len(out)]
+        # -1 is 0 for a symbol with no terms, whose slabs are zeros
+        return waves[0], rest.reshape(math.prod(rest.shape[:-1]), -1)
+
+    def _fill(self, grid, out, box):
+        return _trig_slabs(self._waves(grid, box), self._coefficients(), out)
+
+    def partial_slabs(self, grid, orders):
+        # the partials share the terms' frequencies, so one wave table serves
+        # them all; their coefficient matrices stack along a block axis of
+        # each slab, (..., m, k, k), m partials at a time
+        k, orders = self.algebra_dim, list(orders)
+        single = 16 * grid.points ** (2 * grid.n - 1) * k * k   # one partial's slab
+        per = max(1, STACKED_SLAB_BYTES // single)
+        waves = self._waves(grid, full_box(grid))
+        for lo in range(0, len(orders), per):
+            group = orders[lo:lo + per]
+            coef = np.concatenate([self.partial(o[:self.n], o[self.n:])._coefficients()
+                                   for o in group], axis=1)           # (T, m k^2)
+            out = np.empty((1,) + grid.shape[1:] + grid.shape + (len(group), k, k),
+                           dtype=complex)
+            yield from _trig_slabs(waves, coef, out)
 
     def quantize(self, u):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w).
@@ -403,6 +440,24 @@ class TrigPolySymbol(PhaseSymbol):
             if not term[1].any():
                 add(term, np.moveaxis(u.samples, (-2, -1), (0, 1)))
         return ModuleFunction(g, np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1))))
+
+
+# The most a stacked partial slab may hold: one slab of an N = 32, k = 2
+# stream (2 MiB), the largest slab the verify suites draw unstacked, so
+# stacking partials never holds a larger slab than those checks already do.
+# A partial whose own slab is larger is not stacked.
+STACKED_SLAB_BYTES = 2 * 2 ** 20
+
+
+def _trig_slabs(waves: tuple, coef: np.ndarray, out: np.ndarray):
+    """A trig writer's stream: slab i is rest @ (first[i] * coef), the
+    (X x T) @ (T x C) product of _waves' tables against the coefficient
+    columns (C = m k^2 for m matrices side by side), into out[i % len(out)]."""
+    first, rest = waves
+    flat = out.reshape(len(out), rest.shape[0], coef.shape[1])
+    for i, wave in enumerate(first):
+        np.matmul(rest, wave[:, None] * coef, out=flat[i % len(out)])
+        yield out[i % len(out)]
 
 
 class GridSymbol(PhaseSymbol):
@@ -610,10 +665,10 @@ def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all beta,
-    gamma <= (1, ..., 1), as one slab stream (one running floor) over them.
-    Raises CapabilityError if a lacks a partial: pass a.sample(grid)."""
-    return cnorm_sup_slabs(s for o in np.ndindex(*((2,) * (2 * a.n)))
-                           for s in a.partial(o[:a.n], o[a.n:]).slabs(grid))
+    gamma <= (1, ..., 1), as one slab stream (one running floor) over them,
+    a.partial_slabs.  Raises CapabilityError if a lacks a partial: pass
+    a.sample(grid)."""
+    return cnorm_sup_slabs(a.partial_slabs(grid, np.ndindex(*((2,) * (2 * a.n)))))
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:
@@ -632,8 +687,10 @@ class KernelField:
 
     def rows(self):
         """For each node i0 of the first x axis, K[i0] of shape
-        (N,)^(2n-1) + (k, k): slab i0 transformed along its n xi axes,
-        scaled in place, then sheared by one gather."""
+        (N,)^(2n-1) + (k, k): a contiguous copy of slab i0 with the channels
+        first, so the transforms read lines of adjacent entries, transformed
+        along its n xi axes in their own order, scaled in place, then sheared
+        by one gather back into the channels-last layout."""
         g = self.grid
         n, npts = g.n, g.points
         # K[i, j] = k[i, t] at t = x_i - y_j, i.e. index (i + (N/2 - j)) mod N
@@ -642,12 +699,14 @@ class KernelField:
         xs = [i.reshape((-1,) + (1,) * (2 * n - 2 - d)) for d in range(n - 1)]
         ys = [(npts // 2 - i).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
         for i0, slab in enumerate(self.symbol.slabs(g)):
-            for ax in range(n - 1, 2 * n - 1):
+            slab = np.moveaxis(slab, (-2, -1), (0, 1)).copy()   # [k, k, x', xi]
+            for ax in range(n + 1, 2 * n + 1):
                 # (2*pi)^(-1/2) * dxi * sum_q e^{+i t q} per xi slot; the inverse
                 # reads its input on the dual of the spatial axis, t lands on axis()
                 slab = axis_transform(slab, ax, g.spacing, -g.half_width, inverse=True)
             slab *= TWO_PI ** (-n / 2.0)
-            yield slab[tuple(xs) + tuple((x + y) % npts for x, y in zip([i0] + xs, ys))]
+            yield np.moveaxis(slab, (0, 1), (-2, -1))[
+                tuple(xs) + tuple((x + y) % npts for x, y in zip([i0] + xs, ys))]
 
     @property
     def samples(self) -> np.ndarray:

@@ -420,6 +420,103 @@ def test_grid_mismatch():
         deformed_product(f, f, SkewForm(0.0, 1))
 
 
+BATCH_CASES = [(n, k, theta, m) for n in (1, 2) for k in (1, 2, 3)
+               for theta in ((0.5, -0.7, 0.0) if n == 2 else (0.0,))
+               for m in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, k, theta, m", BATCH_CASES)
+def test_batched_product_bit_identical_to_separate(n, k, theta, m, side):
+    # L_F is a right-module map and R_G a left one, so m factors side by side
+    # in one kernel pass give each member the bits of its own product
+    g = GridSpec(n, 16, 8.0)
+    J = SkewForm(theta, n)
+    r = np.random.default_rng([n, k, m, int(10 * theta) + 10])
+    f, *batch = (ModuleFunction(g, r.normal(size=g.shape + (k, k))
+                                + 1j * r.normal(size=g.shape + (k, k)))
+                 for _ in range(m + 1))
+    if side == "left":
+        got = deformed_product(tuple(batch), f, J)
+        separate = [deformed_product(h, f, J) for h in batch]
+    else:
+        got = deformed_product(f, tuple(batch), J)
+        separate = [deformed_product(f, h, J) for h in batch]
+    assert isinstance(got, tuple) and len(got) == m
+    for x, y in zip(got, separate):
+        assert x.samples.flags.c_contiguous
+        assert np.array_equal(x.samples, y.samples)
+    if m > 1:
+        # negative control: member 0 is not member 1's product
+        assert not np.array_equal(got[0].samples, separate[1].samples)
+
+
+def stacked_columns(*blocks):
+    """Right-factor coefficients side by side along the column index."""
+    return np.concatenate(blocks, axis=-1)
+
+
+def test_batch_visits_the_union_of_occupied_rows(monkeypatch):
+    # block 0 occupies q2 = 3, block 1 the edge rows 0 and N - 1: the loop
+    # makes one FFT call for each of the three rows, and each block is its
+    # own product bit for bit
+    npts, k = 16, 2
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = full_band_pair(npts, k, 11)
+    one, edges = (sparse_right_factor(case, g, k, 12) for case in ("one_row", "edge_rows"))
+    calls = count_fft_calls(monkeypatch)
+    both = twisted_coefficients(fhat, stacked_columns(one, edges), g, 0.5)
+    assert calls == {"fft": [npts] * 3, "ifft": [npts]}
+    assert np.array_equal(both[..., :k], twisted_coefficients(fhat, one, g, 0.5))
+    assert np.array_equal(both[..., k:], twisted_coefficients(fhat, edges, g, 0.5))
+    # a row is skipped only if it is zero in every block: a NaN of fhat at p2
+    # reaches block 0 through all three rows, where alone it meets one
+    p2 = 5
+    fhat[2, p2, 1, 0] = np.nan
+    alone = np.isnan(twisted_coefficients(fhat, one, g, 0.5)).any(axis=(0, 2, 3))
+    batched = np.isnan(twisted_coefficients(
+        fhat, stacked_columns(one, edges), g, 0.5)[..., :k]).any(axis=(0, 2, 3))
+    assert np.array_equal(np.flatnonzero(alone), [(p2 + 3 - npts // 2) % npts])
+    assert np.array_equal(np.flatnonzero(batched), sorted(
+        (p2 + q2 - npts // 2) % npts for q2 in (0, 3, npts - 1)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_batched_product_fft_calls_pinned(monkeypatch, side):
+    # three full-band factors beside one: the calls of a single product, as
+    # test_product_fft_calls_pinned counts them (the batch is transformed as
+    # one stacked array, and one FFT call per q2 serves every member)
+    calls = count_fft_calls(monkeypatch)
+    npts = 16
+    g = GridSpec(2, npts, 8.0)
+    r = np.random.default_rng(4)
+    f, *batch = (ModuleFunction(g, r.normal(size=g.shape + (2, 2)) + 0j) for _ in range(4))
+    J = SkewForm.standard(0.5)
+    if side == "left":
+        deformed_product(tuple(batch), f, J)
+    else:
+        deformed_product(f, tuple(batch), J)
+    assert calls == {"fft": [npts] * (npts + 4), "ifft": [npts] * 3}
+
+
+def test_batched_product_refuses_mixed_and_ill_formed_batches():
+    f = matrix_gaussian(G, 13)
+    other_grid = matrix_gaussian(GridSpec(2, 32, 9.0), 13)
+    other_k = matrix_gaussian(G, 13, k=3)
+    for batch in [(f, other_grid), (f, other_k)]:
+        with pytest.raises(GridMismatchError):
+            deformed_product(f, batch, J)
+        with pytest.raises(GridMismatchError):
+            deformed_product(batch, f, J)
+    with pytest.raises(GridMismatchError):
+        deformed_product(other_k, (f, f), J)
+    with pytest.raises(ValueError, match="one side"):
+        deformed_product((f,), (f,), J)
+    for args in [((), f), (f, ())]:
+        with pytest.raises(ValueError, match="empty"):
+            deformed_product(*args, J)
+
+
 # ---- oscillatory integral oracle
 
 

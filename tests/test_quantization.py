@@ -12,7 +12,8 @@ from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
-                                  PhaseSymbol, TranslationSymbol, TrigPolySymbol,
+                                  PhaseSymbol, STACKED_SLAB_BYTES,
+                                  TranslationSymbol, TrigPolySymbol,
                                   constant_symbol, dense_apply, dense_plan,
                                   dense_quantize, dual_box,
                                   operator_norm_estimate,
@@ -838,6 +839,63 @@ def test_pi_seminorm_trig_streams_slabs():
 def test_pi_seminorm_constant():
     assert pi_seminorm(constant_symbol(2, 2 * np.eye(2)), GridSpec(2, 16, 8.0)) \
         == pytest.approx(2.0)
+
+
+def partial_orders(n):
+    return list(np.ndindex(*((2,) * (2 * n))))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n, npts", [(1, 16), (1, 32), (2, 16), (2, 32)])
+def test_partial_slabs_stacked_match_chained_stream(n, npts, k):
+    # one wave table, the partials' coefficients stacked on a block axis: the
+    # supremum matches PhaseSymbol's per-partial chain to 4 ulp, and no
+    # stacked slab is larger than STACKED_SLAB_BYTES (or one partial's slab)
+    g = GridSpec(n, npts, 8.0)
+    a = random_band_symbol(n, k, np.random.default_rng([n, npts, k]))
+    orders = partial_orders(n)
+    single = npts ** (2 * n - 1) * k * k * 16
+
+    def checked(slabs):
+        for slab in slabs:
+            assert slab.shape[:-3] == g.shape[1:] + g.shape and slab.shape[-2:] == (k, k)
+            assert slab.nbytes <= max(STACKED_SLAB_BYTES, single)
+            yield slab
+    stacked = cnorm_sup_slabs(checked(a.partial_slabs(g, orders)))
+    chained = cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g, orders))
+    assert chained > 0 and abs(stacked - chained) <= 4 * np.spacing(chained)
+    assert pi_seminorm(a, g) == stacked
+
+
+def test_partial_slabs_cover_every_order():
+    # negative control: one term whose supremum is attained at the order
+    # (1, 1, 1, 1) alone (every |p_i|, |w_i| > 1); without that order the
+    # stacked stream reads well below the chained one
+    g = GridSpec(2, 16, 8.0)
+    p, w = np.array([1.5, 2.0]), np.array([1.25, 3.0])
+    a = TrigPolySymbol(2, 1, [(p, w, np.array([[0.7]]))])
+    orders = partial_orders(2)
+    expect = 0.7 * np.prod(p) * np.prod(w)
+    full = cnorm_sup_slabs(a.partial_slabs(g, orders))
+    assert abs(full - expect) <= 1e-12 * expect
+    dropped = cnorm_sup_slabs(a.partial_slabs(g, orders[:-1]))
+    assert abs(dropped - cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g, orders))) \
+        > 0.1 * expect
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trig_symbol_without_terms_is_zero(n):
+    # no terms: the trig writer writes zeros, so sampling, the seminorm and
+    # a kernel apply all read zero instead of failing on a zero-width table
+    g = GridSpec(n, 8, 8.0)
+    a = TrigPolySymbol(n, 2, [])
+    u = matrix_field(g, 61)
+    samples = a.sample(g).samples
+    assert samples.shape == g.shape * 2 + (2, 2) and not samples.any()
+    assert not any(s.any() for s in a.slabs(g))
+    assert pi_seminorm(a, g) == 0.0
+    assert not symbol_to_kernel(a, g).apply(u).samples.any()
+    assert not a.quantize(u).samples.any()
 
 
 def test_weyl_operator_unitary_norm():
