@@ -258,13 +258,11 @@ def deformed_product(f, g, J: SkewForm):
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
     chat = _twisted_kernel(ft, gt, grid, J.theta)
-    if not (left or right):
-        return ModuleFunction(grid, _channels_last(
-            _transform_channels_first(chat, grid, inverse=True), grid.n))
     full = _transform_channels_first(chat, grid, inverse=True)
     blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
               for j in range(len(fs) * len(gs)))
-    return tuple(ModuleFunction(grid, _channels_last(b, grid.n)) for b in blocks)
+    out = tuple(ModuleFunction(grid, _channels_last(b, grid.n)) for b in blocks)
+    return out if left or right else out[0]
 
 
 # ---------------------------------------------------------------------------

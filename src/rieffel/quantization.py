@@ -48,12 +48,13 @@ who drew the stream may overwrite (recover_translation_symbol subtracts into
 its translation stream's slab), so a fold that writes into a slab raises
 before it can reach a symbol's samples.
 
-A supremum over a family of partials (pi_seminorm) draws it as one
-stream, a.partial_slabs(grid, orders): by default each partial's slabs in
-turn.  A trig symbol's partials share its frequencies, so it builds its
-wave table once and stacks the partials' coefficient matrices on a block
-axis of each slab, (..., m, k, k), m of them per slab so that no stacked
-slab exceeds STACKED_SLAB_BYTES; the supremum folds that shape as it is.
+pi_seminorm's supremum over the 4^n partials d^beta_x d^gamma_xi a,
+beta, gamma <= (1, ..., 1), draws them as one stream, a.partial_slabs(grid):
+by default each partial's slabs in turn.  A trig symbol's partials share
+its frequencies, so it builds its wave table once and stacks the partials'
+coefficient matrices on a block axis of each slab, (..., m, k, k), m of
+them per slab so that no stacked slab exceeds STACKED_SLAB_BYTES; the
+supremum folds that shape as it is.
 
 The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
 coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
@@ -162,13 +163,13 @@ class PhaseSymbol:
             (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
             + (self.algebra_dim,) * 2, dtype=complex), box)
 
-    def partial_slabs(self, grid: GridSpec, orders):
+    def partial_slabs(self, grid: GridSpec):
         """Arrays whose trailing (k, k) matrices are, between them, every
-        sample of d^dx_x d^dxi_xi a on the product grid once, for each
-        multi-index pair o = dx + dxi in orders (2n entries), in any grouping
-        and order: what a supremum over the family needs.  Here each
-        partial's slabs in turn, valid as slabs() says."""
-        return (s for o in orders
+        sample of d^beta_x d^gamma_xi a on the product grid once, for each
+        beta, gamma <= (1, ..., 1), in any grouping and order: what
+        pi_seminorm's supremum needs.  Here each partial's slabs in turn,
+        valid as slabs() says."""
+        return (s for o in _unit_orders(self.n)
                 for s in self.partial(o[:self.n], o[self.n:]).slabs(grid))
 
     def _fill(self, grid: GridSpec, out: np.ndarray, box):
@@ -396,11 +397,11 @@ class TrigPolySymbol(PhaseSymbol):
     def _fill(self, grid, out, box):
         return _trig_slabs(self._waves(grid, box), self._coefficients(), out)
 
-    def partial_slabs(self, grid, orders):
+    def partial_slabs(self, grid):
         # the partials share the terms' frequencies, so one wave table serves
         # them all; their coefficient matrices stack along a block axis of
         # each slab, (..., m, k, k), m partials at a time
-        k, orders = self.algebra_dim, list(orders)
+        k, orders = self.algebra_dim, _unit_orders(self.n)
         single = 16 * grid.points ** (2 * grid.n - 1) * k * k   # one partial's slab
         per = max(1, STACKED_SLAB_BYTES // single)
         waves = self._waves(grid, full_box(grid))
@@ -447,6 +448,12 @@ class TrigPolySymbol(PhaseSymbol):
 # stacking partials never holds a larger slab than those checks already do.
 # A partial whose own slab is larger is not stacked.
 STACKED_SLAB_BYTES = 2 * 2 ** 20
+
+
+def _unit_orders(n: int) -> list:
+    """The 4^n multi-index pairs beta + gamma <= (1, ..., 1), 2n entries
+    each, in np.ndindex order: the partials pi_seminorm takes."""
+    return list(np.ndindex(*((2,) * (2 * n))))
 
 
 def _trig_slabs(waves: tuple, coef: np.ndarray, out: np.ndarray):
@@ -668,7 +675,7 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     gamma <= (1, ..., 1), as one slab stream (one running floor) over them,
     a.partial_slabs.  Raises CapabilityError if a lacks a partial: pass
     a.sample(grid)."""
-    return cnorm_sup_slabs(a.partial_slabs(grid, np.ndindex(*((2,) * (2 * a.n)))))
+    return cnorm_sup_slabs(a.partial_slabs(grid))
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:

@@ -841,6 +841,11 @@ def test_pi_seminorm_constant():
         == pytest.approx(2.0)
 
 
+def chained_slabs(a, g, orders):
+    """Each partial's slab stream in turn, for the given orders."""
+    return (s for o in orders for s in a.partial(o[:a.n], o[a.n:]).slabs(g))
+
+
 def partial_orders(n):
     return list(np.ndindex(*((2,) * (2 * n))))
 
@@ -853,7 +858,6 @@ def test_partial_slabs_stacked_match_chained_stream(n, npts, k):
     # stacked slab is larger than STACKED_SLAB_BYTES (or one partial's slab)
     g = GridSpec(n, npts, 8.0)
     a = random_band_symbol(n, k, np.random.default_rng([n, npts, k]))
-    orders = partial_orders(n)
     single = npts ** (2 * n - 1) * k * k * 16
 
     def checked(slabs):
@@ -861,26 +865,27 @@ def test_partial_slabs_stacked_match_chained_stream(n, npts, k):
             assert slab.shape[:-3] == g.shape[1:] + g.shape and slab.shape[-2:] == (k, k)
             assert slab.nbytes <= max(STACKED_SLAB_BYTES, single)
             yield slab
-    stacked = cnorm_sup_slabs(checked(a.partial_slabs(g, orders)))
-    chained = cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g, orders))
+    stacked = cnorm_sup_slabs(checked(a.partial_slabs(g)))
+    chained = cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g))
     assert chained > 0 and abs(stacked - chained) <= 4 * np.spacing(chained)
+    assert cnorm_sup_slabs(chained_slabs(a, g, partial_orders(n))) == chained
     assert pi_seminorm(a, g) == stacked
 
 
 def test_partial_slabs_cover_every_order():
     # negative control: one term whose supremum is attained at the order
-    # (1, 1, 1, 1) alone (every |p_i|, |w_i| > 1); without that order the
-    # stacked stream reads well below the chained one
+    # (1, 1, 1, 1) alone (every |p_i|, |w_i| > 1); a stream that dropped that
+    # order would read well below the stacked one
     g = GridSpec(2, 16, 8.0)
     p, w = np.array([1.5, 2.0]), np.array([1.25, 3.0])
     a = TrigPolySymbol(2, 1, [(p, w, np.array([[0.7]]))])
-    orders = partial_orders(2)
     expect = 0.7 * np.prod(p) * np.prod(w)
-    full = cnorm_sup_slabs(a.partial_slabs(g, orders))
-    assert abs(full - expect) <= 1e-12 * expect
-    dropped = cnorm_sup_slabs(a.partial_slabs(g, orders[:-1]))
-    assert abs(dropped - cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g, orders))) \
-        > 0.1 * expect
+    stacked = cnorm_sup_slabs(a.partial_slabs(g))
+    assert abs(stacked - expect) <= 1e-12 * expect
+    orders = partial_orders(2)
+    assert orders[-1] == (1, 1, 1, 1)
+    dropped = cnorm_sup_slabs(chained_slabs(a, g, orders[:-1]))
+    assert stacked - dropped > 0.1 * expect
 
 
 @pytest.mark.parametrize("n", [1, 2])
