@@ -60,14 +60,15 @@ def cnorm_sup(entries: np.ndarray) -> float:
     return cnorm_sup_slabs([entries])
 
 
-def cnorm_sup_slabs(slabs) -> float:
-    """max of float(cnorm_entries(s).max()) over the arrays s of slabs (0.0
-    for none), bit for bit, NaN if any is NaN.  Only matrices with ||A||_F^2
-    at least m/k, m the slab's largest (||A||_2^2 >= m/k at its maximizer),
-    and at least the running floor best^2 (||A||_2 <= ||A||_F), less 1e-12
-    for rounding, are normed; squares outside [1e-290, 1e290] take the full
-    path.  Each slab is dropped before the next is drawn (PhaseSymbol.slabs)."""
-    best = 0.0
+def cnorm_sup_slabs(slabs, best: float = 0.0) -> float:
+    """max of best and float(cnorm_entries(s).max()) over the arrays s of
+    slabs, bit for bit, NaN if any is NaN; so a stream folded in parts, each
+    part starting from the one before, reads the whole stream's bits.  Only
+    matrices with ||A||_F^2 at least m/k, m the slab's largest (||A||_2^2 >=
+    m/k at its maximizer), and at least the running floor best^2 (||A||_2 <=
+    ||A||_F), less 1e-12 for rounding, are normed; squares outside
+    [1e-290, 1e290] take the full path.  Each slab is dropped before the next
+    is drawn (PhaseSymbol.slabs)."""
     for s in slabs:
         k = s.shape[-1]
         if k == 1:  # the norm is |z|: no Frobenius pass, no floor

@@ -49,12 +49,17 @@ its translation stream's slab), so a fold that writes into a slab raises
 before it can reach a symbol's samples.
 
 pi_seminorm's supremum over the 4^n partials d^beta_x d^gamma_xi a,
-beta, gamma <= (1, ..., 1), draws them as one stream, a.partial_slabs(grid):
-by default each partial's slabs in turn.  A trig symbol's partials share
-its frequencies, so it builds its wave table once and stacks the partials'
-coefficient matrices on a block axis of each slab, (..., m, k, k), m of
-them per slab so that no stacked slab exceeds STACKED_SLAB_BYTES; the
-supremum folds that shape as it is.
+beta, gamma <= (1, ..., 1), folds the stream a.partial_slabs(grid) group by
+group, a.partial_groups(grid), each group with an upper bound on the norms
+it holds: by default one group of each partial's slabs in turn, bound inf.
+A trig symbol's partials share its frequencies, so it builds its wave table
+once and stacks the partials' coefficient matrices on a block axis of each
+slab, (..., m, k, k), m of them per slab so that no stacked slab exceeds
+STACKED_SLAB_BYTES; the supremum folds that shape as it is.  Partial o of a
+trig symbol is bounded by sum_t ||c_t^o||_2, so its groups are the partial
+with the largest bound alone, then the others in order, and pi_seminorm
+draws a later group only if its bound reaches the running supremum (less a
+rounding margin): at the verify suites' symbols one partial's slabs in all.
 
 The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
 coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
@@ -92,7 +97,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import cnorm_sup_slabs
+from .algebra import cnorm_entries, cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
 from .grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
@@ -167,10 +172,17 @@ class PhaseSymbol:
         """Arrays whose trailing (k, k) matrices are, between them, every
         sample of d^beta_x d^gamma_xi a on the product grid once, for each
         beta, gamma <= (1, ..., 1), in any grouping and order: what
-        pi_seminorm's supremum needs.  Here each partial's slabs in turn,
-        valid as slabs() says."""
+        pi_seminorm's supremum needs (it draws them as partial_groups cuts
+        them).  Here each partial's slabs in turn, valid as slabs() says."""
         return (s for o in _unit_orders(self.n)
                 for s in self.partial(o[:self.n], o[self.n:]).slabs(grid))
+
+    def partial_groups(self, grid: GridSpec):
+        """partial_slabs(grid) cut into groups, in order: pairs (bound,
+        slabs), bound at least the norm of every matrix the group's slabs
+        hold, or inf, each group's stream drawn only if pi_seminorm asks for
+        it (a NaN or inf bound always is).  Here one group, bound inf."""
+        yield math.inf, self.partial_slabs(grid)
 
     def _fill(self, grid: GridSpec, out: np.ndarray, box):
         """Write slab i of the samples on the dual box into out[i % len(out)]
@@ -398,20 +410,35 @@ class TrigPolySymbol(PhaseSymbol):
         return _trig_slabs(self._waves(grid, box), self._coefficients(), out)
 
     def partial_slabs(self, grid):
-        # the partials share the terms' frequencies, so one wave table serves
-        # them all; their coefficient matrices stack along a block axis of
-        # each slab, (..., m, k, k), m partials at a time
-        k, orders = self.algebra_dim, _unit_orders(self.n)
-        single = 16 * grid.points ** (2 * grid.n - 1) * k * k   # one partial's slab
+        return (s for _, slabs in self.partial_groups(grid) for s in slabs)
+
+    def partial_groups(self, grid):
+        # partial o is sum_t c_t^o e^{i (p_t.x + w_t.xi)}, so sum_t ||c_t^o||_2
+        # bounds its norm everywhere.  The partial with the largest bound
+        # comes alone, then the others in order.  They share the terms'
+        # frequencies, so one wave table serves them all, and a group's
+        # coefficient matrices stack along a block axis of each slab,
+        # (..., m, k, k), m partials at a time.  The grouping never depends
+        # on a running supremum, so a group's slabs have the same bits
+        # whether or not another group is drawn.
+        k, n, orders = self.algebra_dim, self.n, _unit_orders(self.n)
+        coefs = [self.partial(o[:n], o[n:])._coefficients() for o in orders]
+        bounds = np.array([cnorm_entries(c.reshape(-1, k, k)).sum() for c in coefs])
+        if k * (len(self.terms) + 3 * n + 6) > 3000:
+            bounds[:] = math.inf        # rounding beyond pi_seminorm's margin
+        first = int(np.argmax(bounds))  # the first NaN, if any
+        rest = [i for i in range(len(orders)) if i != first]
+        single = 16 * grid.points ** (2 * n - 1) * k * k        # one partial's slab
         per = max(1, STACKED_SLAB_BYTES // single)
         waves = self._waves(grid, full_box(grid))
-        for lo in range(0, len(orders), per):
-            group = orders[lo:lo + per]
-            coef = np.concatenate([self.partial(o[:self.n], o[self.n:])._coefficients()
-                                   for o in group], axis=1)           # (T, m k^2)
+
+        def stacked(group):
+            coef = np.concatenate([coefs[i] for i in group], axis=1)   # (T, m k^2)
             out = np.empty((1,) + grid.shape[1:] + grid.shape + (len(group), k, k),
                            dtype=complex)
             yield from _trig_slabs(waves, coef, out)
+        for group in [[first]] + [rest[lo:lo + per] for lo in range(0, len(rest), per)]:
+            yield bounds[group].max(), stacked(group)
 
     def quantize(self, u):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w).
@@ -672,10 +699,28 @@ def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all beta,
-    gamma <= (1, ..., 1), as one slab stream (one running floor) over them,
-    a.partial_slabs.  Raises CapabilityError if a lacks a partial: pass
-    a.sample(grid)."""
-    return cnorm_sup_slabs(a.partial_slabs(grid))
+    gamma <= (1, ..., 1): cnorm_sup_slabs(a.partial_slabs(grid)), bit for
+    bit, folded group by group from a.partial_groups with one running
+    supremum, best.  A group whose bound is below best (1 - 1e-12) cannot
+    raise it and is not drawn; a NaN or inf bound never skips.  Raises
+    CapabilityError if a lacks a partial: pass a.sample(grid).
+
+    The margin covers rounding.  A trig partial's computed slab entry is a
+    T-term GEMM sum of the C_t times computed waves of modulus at most
+    1 + 8n u (u = 2^-53), so it lies within 2(T + 2) u sum_t |C_t,ij| of the
+    exact sum of those products.  A matrix norm is at most k times its
+    largest entry, so the computed norm exceeds sum_t ||C_t||_2 by at most
+    (2k(T + 2) + 8n + 8) u relatively, cnorm_entries' rounding included.
+    The bound's own T-term sum reads at most (T + 4) u low.  Together that
+    is under 3k(T + 3n + 6) u, at most 1e-12 while k(T + 3n + 6) <= 3000; a
+    longer trig sum reports inf bounds.  So a skipped group's largest
+    computed norm is below best, and the supremum keeps its bits."""
+    best = 0.0
+    for bound, slabs in a.partial_groups(grid):
+        if bound < best * (1 - 1e-12):
+            continue
+        best = cnorm_sup_slabs(slabs, best)
+    return best
 
 
 def adjoint_symbol(a: PhaseSymbol, grid: GridSpec) -> PhaseSymbol:

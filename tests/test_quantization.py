@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rieffel import quantization
 from rieffel.algebra import cnorm, cnorm_sup_slabs
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
@@ -886,6 +887,104 @@ def test_partial_slabs_cover_every_order():
     assert orders[-1] == (1, 1, 1, 1)
     dropped = cnorm_sup_slabs(chained_slabs(a, g, orders[:-1]))
     assert stacked - dropped > 0.1 * expect
+
+
+def count_trig_slabs(monkeypatch):
+    """The block size m of each slab quantization._trig_slabs yields from
+    now on, in order."""
+    drawn, real = [], quantization._trig_slabs
+
+    def counting(waves, coef, out):
+        for slab in real(waves, coef, out):
+            drawn.append(slab.shape[-3])
+            yield slab
+    monkeypatch.setattr(quantization, "_trig_slabs", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n, npts", [(1, 16), (1, 32), (2, 16), (2, 32)])
+def test_pi_seminorm_prune_matches_full_stream(n, npts, k):
+    # pi_seminorm skips a group of partials only if its coefficient bound is
+    # below the running supremum less the rounding margin; over ten random
+    # symbols it reads the full stream's supremum bit for bit
+    g = GridSpec(n, npts, 8.0)
+    for seed in range(10):
+        a = random_band_symbol(n, k, np.random.default_rng([n, npts, k, seed]))
+        assert pi_seminorm(a, g) == cnorm_sup_slabs(a.partial_slabs(g))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pi_seminorm_prune_draws_top_order_first(k, monkeypatch):
+    # one term with every |p_i|, |w_i| > 1: the supremum sits at the last
+    # order, (1, 1, 1, 1), whose bound is the largest, so it is drawn first
+    # and alone, and every other bound lies below it
+    g = GridSpec(2, 16, 8.0)
+    p, w = np.array([1.5, -2.0]), np.array([1.25, 3.0])
+    c = np.random.default_rng(k).normal(size=(k, k)) + 0.5j
+    a = TrigPolySymbol(2, k, [(p, w, c)])
+    expect = cnorm(c) * np.prod(np.abs(p)) * np.prod(np.abs(w))
+    drawn = count_trig_slabs(monkeypatch)
+    value = pi_seminorm(a, g)
+    assert drawn == [1] * g.points
+    assert abs(value - expect) <= 1e-12 * expect
+    assert value == cnorm_sup_slabs(a.partial_slabs(g))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pi_seminorm_prune_draws_every_tie(k, monkeypatch):
+    # one term with every |p_i| = |w_i| = 1: all 16 bounds tie at ||C||_2,
+    # which every partial attains up to rounding, so the margin keeps every
+    # group (without it, a supremum rounded above the tied bound would skip
+    # the rest): all 16 partials are drawn and the full stream's bits read
+    g = GridSpec(2, 16, 8.0)
+    p, w = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
+    r = np.random.default_rng(k)
+    c = r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))
+    a = TrigPolySymbol(2, k, [(p, w, c)])
+    drawn = count_trig_slabs(monkeypatch)
+    value = pi_seminorm(a, g)
+    assert sum(drawn) == 16 * g.points
+    assert abs(value - cnorm(c)) <= 1e-14 * cnorm(c)
+    assert value == cnorm_sup_slabs(a.partial_slabs(g))
+
+
+def test_pi_seminorm_prune_draws_one_partial_at_verify_symbols(monkeypatch):
+    # the five norm_bound_stability operands (N = 16, k = 2) and the
+    # pi_seminorm check's plane wave (N = 32, k = 1): every later bound lies
+    # below the first partial's supremum, so one partial's N slabs are drawn
+    cfg = SuiteConfig()
+    sites = [(random_band_symbol(cfg.n, cfg.algebra_dim,
+                                 check_rng(cfg.seed, f"cv_sym_{i}")), cfg.grid(16))
+             for i in range(5)]
+    g = cfg.grid(32)
+    rng = check_rng(cfg.seed, "quantization.pi_seminorm")
+    p, w = rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n)
+    sites.append((TrigPolySymbol(g.n, 1, [(p, w, np.array([[0.7]]))]), g))
+    for a, g in sites:
+        drawn = count_trig_slabs(monkeypatch)
+        pi_seminorm(a, g)
+        assert drawn == [1] * g.points
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pi_seminorm_prune_nonfinite_coefficient(k, bad):
+    # a non-finite coefficient's bound is NaN or inf (or raises at k = 2),
+    # which never skips: NaN at k = 1 and LinAlgError at k = 2, as the full
+    # stream reads
+    g = GridSpec(2, 16, 8.0)
+    terms = random_band_symbol(2, k, np.random.default_rng(5)).terms
+    terms[2][2][0, 0] = bad
+    a = TrigPolySymbol(2, k, terms)
+    full = lambda: cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g))
+    with np.errstate(invalid="ignore"):
+        if k == 1:
+            assert np.isnan(pi_seminorm(a, g)) and np.isnan(full())
+        else:
+            for fn in (lambda: pi_seminorm(a, g), full):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn()
 
 
 @pytest.mark.parametrize("n", [1, 2])
