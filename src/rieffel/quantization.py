@@ -49,17 +49,13 @@ its translation stream's slab), so a fold that writes into a slab raises
 before it can reach a symbol's samples.
 
 pi_seminorm's supremum over the 4^n partials d^beta_x d^gamma_xi a,
-beta, gamma <= (1, ..., 1), folds the stream a.partial_slabs(grid) group by
-group, a.partial_groups(grid), each group with an upper bound on the norms
-it holds: by default one group of each partial's slabs in turn, bound inf.
-A trig symbol's partials share its frequencies, so it builds its wave table
-once and stacks the partials' coefficient matrices on a block axis of each
-slab, (..., m, k, k), m of them per slab so that no stacked slab exceeds
-STACKED_SLAB_BYTES; the supremum folds that shape as it is.  Partial o of a
-trig symbol is bounded by sum_t ||c_t^o||_2, so its groups are the partial
-with the largest bound alone, then the others in order, and pi_seminorm
-draws a later group only if its bound reaches the running supremum (less a
-rounding margin): at the verify suites' symbols one partial's slabs in all.
+beta, gamma <= (1, ..., 1), folds each partial's slabs in turn.  A backing
+may bound a partial's norm everywhere, partial_bound(dx, dxi); by default
+the bound is inf.  A trig partial is the trig sum of the coefficients
+c_t^o = (i p_t)^beta (i w_t)^gamma C_t, so sum_t ||c_t^o||_2 bounds it.
+pi_seminorm visits the partials by descending bound and skips one whose
+bound cannot reach the running supremum (less a rounding margin): at the
+verify suites' symbols it draws one partial's slabs in all.
 
 The generic quantize is dense_quantize(a, grid, coeffs) on the Fourier
 coefficients grid_transform(rhs) of an rhs of shape grid.shape + (k, C).
@@ -168,21 +164,10 @@ class PhaseSymbol:
             (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
             + (self.algebra_dim,) * 2, dtype=complex), box)
 
-    def partial_slabs(self, grid: GridSpec):
-        """Arrays whose trailing (k, k) matrices are, between them, every
-        sample of d^beta_x d^gamma_xi a on the product grid once, for each
-        beta, gamma <= (1, ..., 1), in any grouping and order: what
-        pi_seminorm's supremum needs (it draws them as partial_groups cuts
-        them).  Here each partial's slabs in turn, valid as slabs() says."""
-        return (s for o in _unit_orders(self.n)
-                for s in self.partial(o[:self.n], o[self.n:]).slabs(grid))
-
-    def partial_groups(self, grid: GridSpec):
-        """partial_slabs(grid) cut into groups, in order: pairs (bound,
-        slabs), bound at least the norm of every matrix the group's slabs
-        hold, or inf, each group's stream drawn only if pi_seminorm asks for
-        it (a NaN or inf bound always is).  Here one group, bound inf."""
-        yield math.inf, self.partial_slabs(grid)
+    def partial_bound(self, dx, dxi) -> float:
+        """An upper bound on ||d^dx_x d^dxi_xi a|| everywhere, or inf: here
+        inf."""
+        return math.inf
 
     def _fill(self, grid: GridSpec, out: np.ndarray, box):
         """Write slab i of the samples on the dual box into out[i % len(out)]
@@ -407,38 +392,22 @@ class TrigPolySymbol(PhaseSymbol):
         return waves[0], rest.reshape(math.prod(rest.shape[:-1]), -1)
 
     def _fill(self, grid, out, box):
-        return _trig_slabs(self._waves(grid, box), self._coefficients(), out)
+        # slab i is the (X x T) @ (T x k^2) product rest @ (first[i] * C)
+        first, rest = self._waves(grid, box)
+        coef = self._coefficients()
+        flat = out.reshape(len(out), rest.shape[0], coef.shape[1])
+        for i, wave in enumerate(first):
+            np.matmul(rest, wave[:, None] * coef, out=flat[i % len(out)])
+            yield out[i % len(out)]
 
-    def partial_slabs(self, grid):
-        return (s for _, slabs in self.partial_groups(grid) for s in slabs)
-
-    def partial_groups(self, grid):
-        # partial o is sum_t c_t^o e^{i (p_t.x + w_t.xi)}, so sum_t ||c_t^o||_2
-        # bounds its norm everywhere.  The partial with the largest bound
-        # comes alone, then the others in order.  They share the terms'
-        # frequencies, so one wave table serves them all, and a group's
-        # coefficient matrices stack along a block axis of each slab,
-        # (..., m, k, k), m partials at a time.  The grouping never depends
-        # on a running supremum, so a group's slabs have the same bits
-        # whether or not another group is drawn.
-        k, n, orders = self.algebra_dim, self.n, _unit_orders(self.n)
-        coefs = [self.partial(o[:n], o[n:])._coefficients() for o in orders]
-        bounds = np.array([cnorm_entries(c.reshape(-1, k, k)).sum() for c in coefs])
-        if k * (len(self.terms) + 3 * n + 6) > 3000:
-            bounds[:] = math.inf        # rounding beyond pi_seminorm's margin
-        first = int(np.argmax(bounds))  # the first NaN, if any
-        rest = [i for i in range(len(orders)) if i != first]
-        single = 16 * grid.points ** (2 * n - 1) * k * k        # one partial's slab
-        per = max(1, STACKED_SLAB_BYTES // single)
-        waves = self._waves(grid, full_box(grid))
-
-        def stacked(group):
-            coef = np.concatenate([coefs[i] for i in group], axis=1)   # (T, m k^2)
-            out = np.empty((1,) + grid.shape[1:] + grid.shape + (len(group), k, k),
-                           dtype=complex)
-            yield from _trig_slabs(waves, coef, out)
-        for group in [[first]] + [rest[lo:lo + per] for lo in range(0, len(rest), per)]:
-            yield bounds[group].max(), stacked(group)
+    def partial_bound(self, dx, dxi):
+        # the partial is sum_t c_t e^{i (p_t.x + w_t.xi)}, so sum_t ||c_t||_2
+        # bounds its norm everywhere
+        k = self.algebra_dim
+        if k * (len(self.terms) + 3 * self.n + 6) > 3000:
+            return math.inf             # rounding beyond pi_seminorm's margin
+        coef = self.partial(dx, dxi)._coefficients()
+        return float(cnorm_entries(coef.reshape(-1, k, k)).sum())
 
     def quantize(self, u):
         # each term C e^{i p.x} e^{i w.xi} maps u to C e^{i p.x} u(x + w).
@@ -468,30 +437,6 @@ class TrigPolySymbol(PhaseSymbol):
             if not term[1].any():
                 add(term, np.moveaxis(u.samples, (-2, -1), (0, 1)))
         return ModuleFunction(g, np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1))))
-
-
-# The most a stacked partial slab may hold: one slab of an N = 32, k = 2
-# stream (2 MiB), the largest slab the verify suites draw unstacked, so
-# stacking partials never holds a larger slab than those checks already do.
-# A partial whose own slab is larger is not stacked.
-STACKED_SLAB_BYTES = 2 * 2 ** 20
-
-
-def _unit_orders(n: int) -> list:
-    """The 4^n multi-index pairs beta + gamma <= (1, ..., 1), 2n entries
-    each, in np.ndindex order: the partials pi_seminorm takes."""
-    return list(np.ndindex(*((2,) * (2 * n))))
-
-
-def _trig_slabs(waves: tuple, coef: np.ndarray, out: np.ndarray):
-    """A trig writer's stream: slab i is rest @ (first[i] * coef), the
-    (X x T) @ (T x C) product of _waves' tables against the coefficient
-    columns (C = m k^2 for m matrices side by side), into out[i % len(out)]."""
-    first, rest = waves
-    flat = out.reshape(len(out), rest.shape[0], coef.shape[1])
-    for i, wave in enumerate(first):
-        np.matmul(rest, wave[:, None] * coef, out=flat[i % len(out)])
-        yield out[i % len(out)]
 
 
 class GridSymbol(PhaseSymbol):
@@ -699,11 +644,12 @@ def pdo_apply(a: PhaseSymbol, u: ModuleFunction) -> ModuleFunction:
 
 def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     """sup over the sample box of ||d^beta_x d^gamma_xi a|| for all beta,
-    gamma <= (1, ..., 1): cnorm_sup_slabs(a.partial_slabs(grid)), bit for
-    bit, folded group by group from a.partial_groups with one running
-    supremum, best.  A group whose bound is below best (1 - 1e-12) cannot
-    raise it and is not drawn; a NaN or inf bound never skips.  Raises
-    CapabilityError if a lacks a partial: pass a.sample(grid).
+    gamma <= (1, ..., 1): the partials' slabs folded by cnorm_sup_slabs into
+    one running supremum, best, the partials taken by descending
+    a.partial_bound (stably, so all-inf bounds keep np.ndindex order).  A
+    partial whose bound is below best (1 - 1e-12) cannot raise best and is
+    not drawn; a NaN or inf bound never skips.  Raises CapabilityError if a
+    lacks a partial: pass a.sample(grid).
 
     The margin covers rounding.  A trig partial's computed slab entry is a
     T-term GEMM sum of the C_t times computed waves of modulus at most
@@ -713,13 +659,17 @@ def pi_seminorm(a: PhaseSymbol, grid: GridSpec) -> float:
     (2k(T + 2) + 8n + 8) u relatively, cnorm_entries' rounding included.
     The bound's own T-term sum reads at most (T + 4) u low.  Together that
     is under 3k(T + 3n + 6) u, at most 1e-12 while k(T + 3n + 6) <= 3000; a
-    longer trig sum reports inf bounds.  So a skipped group's largest
+    longer trig sum reports inf bounds.  So a skipped partial's largest
     computed norm is below best, and the supremum keeps its bits."""
+    n = a.n
+    orders = list(np.ndindex(*((2,) * (2 * n))))
+    bounds = np.array([a.partial_bound(o[:n], o[n:]) for o in orders])
     best = 0.0
-    for bound, slabs in a.partial_groups(grid):
-        if bound < best * (1 - 1e-12):
+    for i in np.argsort(-bounds, kind="stable"):     # NaN bounds last
+        if bounds[i] < best * (1 - 1e-12):
             continue
-        best = cnorm_sup_slabs(slabs, best)
+        o = orders[i]
+        best = cnorm_sup_slabs(a.partial(o[:n], o[n:]).slabs(grid), best)
     return best
 
 

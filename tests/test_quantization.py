@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieffel import quantization
 from rieffel.algebra import cnorm, cnorm_sup_slabs
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
@@ -13,8 +12,7 @@ from rieffel.heisenberg import HeisenbergPoint
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
-                                  PhaseSymbol, STACKED_SLAB_BYTES,
-                                  TranslationSymbol, TrigPolySymbol,
+                                  PhaseSymbol, TranslationSymbol, TrigPolySymbol,
                                   constant_symbol, dense_apply, dense_plan,
                                   dense_quantize, dual_box,
                                   operator_norm_estimate,
@@ -851,67 +849,77 @@ def partial_orders(n):
     return list(np.ndindex(*((2,) * (2 * n))))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n, npts", [(1, 16), (1, 32), (2, 16), (2, 32)])
-def test_partial_slabs_stacked_match_chained_stream(n, npts, k):
-    # one wave table, the partials' coefficients stacked on a block axis: the
-    # supremum matches PhaseSymbol's per-partial chain to 4 ulp, and no
-    # stacked slab is larger than STACKED_SLAB_BYTES (or one partial's slab)
-    g = GridSpec(n, npts, 8.0)
-    a = random_band_symbol(n, k, np.random.default_rng([n, npts, k]))
-    single = npts ** (2 * n - 1) * k * k * 16
-
-    def checked(slabs):
-        for slab in slabs:
-            assert slab.shape[:-3] == g.shape[1:] + g.shape and slab.shape[-2:] == (k, k)
-            assert slab.nbytes <= max(STACKED_SLAB_BYTES, single)
-            yield slab
-    stacked = cnorm_sup_slabs(checked(a.partial_slabs(g)))
-    chained = cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g))
-    assert chained > 0 and abs(stacked - chained) <= 4 * np.spacing(chained)
-    assert cnorm_sup_slabs(chained_slabs(a, g, partial_orders(n))) == chained
-    assert pi_seminorm(a, g) == stacked
-
-
-def test_partial_slabs_cover_every_order():
+def test_pi_seminorm_covers_every_order():
     # negative control: one term whose supremum is attained at the order
-    # (1, 1, 1, 1) alone (every |p_i|, |w_i| > 1); a stream that dropped that
-    # order would read well below the stacked one
+    # (1, 1, 1, 1) alone (every |p_i|, |w_i| > 1); a fold that dropped that
+    # order would read well below pi_seminorm
     g = GridSpec(2, 16, 8.0)
     p, w = np.array([1.5, 2.0]), np.array([1.25, 3.0])
     a = TrigPolySymbol(2, 1, [(p, w, np.array([[0.7]]))])
     expect = 0.7 * np.prod(p) * np.prod(w)
-    stacked = cnorm_sup_slabs(a.partial_slabs(g))
-    assert abs(stacked - expect) <= 1e-12 * expect
+    value = pi_seminorm(a, g)
+    assert abs(value - expect) <= 1e-12 * expect
     orders = partial_orders(2)
     assert orders[-1] == (1, 1, 1, 1)
     dropped = cnorm_sup_slabs(chained_slabs(a, g, orders[:-1]))
-    assert stacked - dropped > 0.1 * expect
+    assert value - dropped > 0.1 * expect
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_partial_bound_covers_every_order(n, k):
+    # a trig partial's bound sum_t ||c_t||_2 is finite and at least the
+    # supremum of its samples, at every order; the frequencies reach past 1,
+    # so a bound that left out the (i p)^beta (i w)^gamma factor would fall
+    # below the higher partials' suprema
+    g = GridSpec(n, 16, 8.0)
+    for seed in range(5):
+        r = np.random.default_rng([n, k, seed])
+        a = TrigPolySymbol(n, k, [
+            (r.uniform(-3, 3, n), r.uniform(-3, 3, n),
+             (r.normal(size=(k, k)) + 1j * r.normal(size=(k, k))) / 3)
+            for _ in range(3)])
+        for o in partial_orders(n):
+            bound = a.partial_bound(o[:n], o[n:])
+            assert np.isfinite(bound)
+            assert bound >= cnorm_sup_slabs(a.partial(o[:n], o[n:]).slabs(g))
+
+
+def test_partial_bound_is_inf_off_trig():
+    # only a trig symbol knows its coefficients: grid, callable, translation
+    # and bracket symbols bound no partial
+    g = GridSpec(2, 8, 8.0)
+    tp = trig_symbol(2, 2, 23)
+    F = matrix_field(g, 24)
+    for a in (tp.sample(g), CallableSymbol(2, 2, tp.eval),
+              TranslationSymbol(F, J), poisson_bracket(tp, tp)):
+        for o in partial_orders(2):
+            assert a.partial_bound(o[:2], o[2:]) == np.inf
 
 
 def count_trig_slabs(monkeypatch):
-    """The block size m of each slab quantization._trig_slabs yields from
-    now on, in order."""
-    drawn, real = [], quantization._trig_slabs
+    """One entry per slab a trig writer (TrigPolySymbol._fill) yields from
+    now on: the slab's shape."""
+    drawn, real = [], TrigPolySymbol._fill
 
-    def counting(waves, coef, out):
-        for slab in real(waves, coef, out):
-            drawn.append(slab.shape[-3])
+    def counting(self, grid, out, box):
+        for slab in real(self, grid, out, box):
+            drawn.append(slab.shape)
             yield slab
-    monkeypatch.setattr(quantization, "_trig_slabs", counting)
+    monkeypatch.setattr(TrigPolySymbol, "_fill", counting)
     return drawn
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n, npts", [(1, 16), (1, 32), (2, 16), (2, 32)])
 def test_pi_seminorm_prune_matches_full_stream(n, npts, k):
-    # pi_seminorm skips a group of partials only if its coefficient bound is
-    # below the running supremum less the rounding margin; over ten random
-    # symbols it reads the full stream's supremum bit for bit
+    # pi_seminorm skips a partial only if its coefficient bound is below the
+    # running supremum less the rounding margin; over ten random symbols it
+    # reads the supremum of every partial's slabs in turn bit for bit
     g = GridSpec(n, npts, 8.0)
     for seed in range(10):
         a = random_band_symbol(n, k, np.random.default_rng([n, npts, k, seed]))
-        assert pi_seminorm(a, g) == cnorm_sup_slabs(a.partial_slabs(g))
+        assert pi_seminorm(a, g) == cnorm_sup_slabs(chained_slabs(a, g, partial_orders(n)))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -926,16 +934,16 @@ def test_pi_seminorm_prune_draws_top_order_first(k, monkeypatch):
     expect = cnorm(c) * np.prod(np.abs(p)) * np.prod(np.abs(w))
     drawn = count_trig_slabs(monkeypatch)
     value = pi_seminorm(a, g)
-    assert drawn == [1] * g.points
+    assert drawn == [g.shape[1:] + g.shape + (k, k)] * g.points
     assert abs(value - expect) <= 1e-12 * expect
-    assert value == cnorm_sup_slabs(a.partial_slabs(g))
+    assert value == cnorm_sup_slabs(chained_slabs(a, g, partial_orders(2)))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_pi_seminorm_prune_draws_every_tie(k, monkeypatch):
     # one term with every |p_i| = |w_i| = 1: all 16 bounds tie at ||C||_2,
     # which every partial attains up to rounding, so the margin keeps every
-    # group (without it, a supremum rounded above the tied bound would skip
+    # partial (without it, a supremum rounded above the tied bound would skip
     # the rest): all 16 partials are drawn and the full stream's bits read
     g = GridSpec(2, 16, 8.0)
     p, w = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
@@ -944,9 +952,9 @@ def test_pi_seminorm_prune_draws_every_tie(k, monkeypatch):
     a = TrigPolySymbol(2, k, [(p, w, c)])
     drawn = count_trig_slabs(monkeypatch)
     value = pi_seminorm(a, g)
-    assert sum(drawn) == 16 * g.points
+    assert drawn == [g.shape[1:] + g.shape + (k, k)] * (16 * g.points)
     assert abs(value - cnorm(c)) <= 1e-14 * cnorm(c)
-    assert value == cnorm_sup_slabs(a.partial_slabs(g))
+    assert value == cnorm_sup_slabs(chained_slabs(a, g, partial_orders(2)))
 
 
 def test_pi_seminorm_prune_draws_one_partial_at_verify_symbols(monkeypatch):
@@ -964,7 +972,7 @@ def test_pi_seminorm_prune_draws_one_partial_at_verify_symbols(monkeypatch):
     for a, g in sites:
         drawn = count_trig_slabs(monkeypatch)
         pi_seminorm(a, g)
-        assert drawn == [1] * g.points
+        assert drawn == [g.shape[1:] + g.shape + (a.algebra_dim,) * 2] * g.points
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -977,7 +985,7 @@ def test_pi_seminorm_prune_nonfinite_coefficient(k, bad):
     terms = random_band_symbol(2, k, np.random.default_rng(5)).terms
     terms[2][2][0, 0] = bad
     a = TrigPolySymbol(2, k, terms)
-    full = lambda: cnorm_sup_slabs(PhaseSymbol.partial_slabs(a, g))
+    full = lambda: cnorm_sup_slabs(chained_slabs(a, g, partial_orders(2)))
     with np.errstate(invalid="ignore"):
         if k == 1:
             assert np.isnan(pi_seminorm(a, g)) and np.isnan(full())
