@@ -8,10 +8,18 @@ up the commutation phase
 
 conjugation T_{z, zeta} = E^{-1} T E is phi-independent, and for quantized
 symbols it shifts the symbol argument: the conjugate of a(x, D) is
-a(x + z, xi + zeta)(x, D), the quantization of a.shift(z, zeta).  The module
-also provides finite-difference smoothness probes for the map
-(z, zeta) -> T_{z, zeta} u and the Fourier / right-action intertwining
-residuals used by the recovery pipeline.
+a(x + z, xi + zeta)(x, D), the quantization of a.shift(z, zeta).
+E_0 is the identity: translate and modulate return u itself at 0.
+
+conjugate_operator(T, z, zeta, phi) is the composable handle of one
+conjugate; conjugate_apply(T, points, u) applies a whole family of them to
+one u as a single T.apply_many over the E_p u, so a family of L_F conjugates
+is one batched deformed_product (L_F is a right-module map and acts on each
+column block on its own), each member with conjugate_operator's bits.  The
+module also provides finite-difference smoothness probes for the map
+(z, zeta) -> T_{z, zeta} u, which run the family through conjugate_apply,
+and the Fourier / right-action intertwining residuals used by the recovery
+pipeline.
 """
 from __future__ import annotations
 
@@ -65,17 +73,26 @@ def conjugate_operator(T: OperatorHandle, z, zeta, phi: float = 0.0) -> Operator
     return ComposedOp([E.inverse(), T, E])
 
 
-def smoothness_probe(family, direction, steps, u: ModuleFunction,
-                     derivative: OperatorHandle | None = None) -> dict:
-    """Convergence report for the map p -> T_p u along a direction in R^{2n}.
+def conjugate_apply(T: OperatorHandle, points, u: ModuleFunction) -> tuple:
+    """E_p^{-1} T E_p u for each HeisenbergPoint p in points, as a tuple:
+    one T.apply_many over the E_p u, each member with the bits of
+    conjugate_operator(T, p.z, p.zeta, p.phi).apply(u)."""
+    points = tuple(points)
+    outs = T.apply_many(tuple(p.apply(u) for p in points))
+    return tuple(p.inverse().apply(v) for p, v in zip(points, outs))
 
-    family maps a point p in R^{2n} (z then zeta) to an OperatorHandle.
+
+def smoothness_probe(T: OperatorHandle, direction, steps, u: ModuleFunction,
+                     derivative: OperatorHandle | None = None) -> dict:
+    """Convergence report for the map p -> T_p u = E_p^{-1} T E_p u along a
+    direction in R^{2n} (z then zeta).
+
     Centered difference quotients (T_{t d} - T_{-t d}) / 2t are applied to
-    u; T_0 itself is never applied.  When a derivative handle is given the
-    quotients are compared against it, otherwise successive quotients are
-    compared against the finest one.  The observed order is the
-    least-squares slope of log residual vs log t (about 2 for a smooth
-    family).
+    u, the 2 len(steps) conjugates through one conjugate_apply; T_0 itself
+    is never applied.  When a derivative handle is given the quotients are
+    compared against it, otherwise successive quotients are compared
+    against the finest one.  The observed order is the least-squares slope
+    of log residual vs log t (about 2 for a smooth family).
     """
     steps = [float(t) for t in steps]
     if len(steps) < 3 or any(steps[i] <= steps[i + 1] for i in range(len(steps) - 1)):
@@ -83,13 +100,11 @@ def smoothness_probe(family, direction, steps, u: ModuleFunction,
     d = np.asarray(direction, dtype=float)
     p0 = np.zeros_like(d)
     n = d.size // 2
-
-    def handle(p):
-        return family(p[:n], p[n:])
-
-    quotients = [(1.0 / (2.0 * t)) * (handle(p0 + t * d).apply(u)
-                                      - handle(p0 - t * d).apply(u))
-                 for t in steps]
+    points = [HeisenbergPoint(p[:n], p[n:])
+              for t in steps for p in (p0 + t * d, p0 - t * d)]
+    conj = conjugate_apply(T, points, u)
+    quotients = [(1.0 / (2.0 * t)) * (conj[2 * i] - conj[2 * i + 1])
+                 for i, t in enumerate(steps)]
     if derivative is not None:
         ref = derivative.apply(u)
         residuals = [module_norm(q - ref) for q in quotients]

@@ -138,8 +138,11 @@ def translate(f: ModuleFunction, z) -> ModuleFunction:
 
 
 def modulate(f: ModuleFunction, zeta, phase: float = 0.0) -> ModuleFunction:
-    """Samples of x -> e^{i*phase} e^{i zeta.x} f(x)."""
+    """Samples of x -> e^{i*phase} e^{i zeta.x} f(x); f itself when zeta
+    and phase are 0."""
     zeta = _grid_vector(zeta, f.grid)
+    if not zeta.any() and phase == 0.0:
+        return f
     mesh = f.grid.mesh()
     arg = sum(zeta[ax] * mesh[ax] for ax in range(f.grid.n)) + phase
     return ModuleFunction(f.grid, np.exp(1j * arg)[..., None, None] * f.samples)

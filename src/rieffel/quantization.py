@@ -83,6 +83,9 @@ the pure phase e^{i u.w}: p = Finv[ F[a*](u, w) * e^{i u.w} ].
 Operator handles: LeftActionOp (L_F, adjoint L_{F*}), PdoOp (a(x, D), adjoint
 PdoOp(a.adjoint())), ComposedOp and heisenberg.HeisenbergPoint.  One without
 an adjoint raises CapabilityError; R_G u is deformed_product(u, G, J).
+apply_many(us) is the tuple of apply(u) over us; LeftActionOp runs it as one
+batched deformed_product, and operator_norm_estimate applies its trials
+through it.
 """
 from __future__ import annotations
 
@@ -751,6 +754,10 @@ class OperatorHandle:
     def apply(self, u: ModuleFunction) -> ModuleFunction:
         raise NotImplementedError
 
+    def apply_many(self, us) -> tuple:
+        """The tuple of apply(u) over us, each with apply's bits."""
+        return tuple(self.apply(u) for u in us)
+
     def adjoint(self) -> "OperatorHandle":
         raise CapabilityError(f"{type(self).__name__} has no adjoint")
 
@@ -764,6 +771,12 @@ class LeftActionOp(OperatorHandle):
 
     def apply(self, u):
         return deformed_product(self.F, u, self.J)
+
+    def apply_many(self, us):
+        """One product of F with the us as column blocks (deformed_product's
+        batch axis)."""
+        us = tuple(us)
+        return deformed_product(self.F, us, self.J) if us else ()
 
     def adjoint(self):
         return LeftActionOp(self.F.star(), self.J)
@@ -817,38 +830,49 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
                            seed: int = 0):
     """Lower estimate of sup ||T u||_2 / ||u||_2 with a witness record.
 
-    Random band-limited trials pick a starting vector; power iteration on
-    T*T (T.adjoint(): CapabilityError if T has none) refines it.  The
-    returned value is a lower bound by construction: 0.0, with no power
-    iteration, when T maps every trial to zero.
+    Random band-limited trials, applied as one T.apply_many, pick a starting
+    vector; power iteration on T*T (T.adjoint(): CapabilityError if T has
+    none) refines it.  The first power step reuses the best trial's T u, and
+    the last stops once its ratio is measured, since its T* v would never
+    be read: T runs trials + power_iters - 1 times and T* power_iters - 1
+    times.  record["power_iters"] counts the steps completed; a zero T u or
+    T* v ends the iteration uncounted.  So the last step counts even where
+    its T* v would have been exactly 0, the one case in which the count
+    differs from a loop that applies that T*.  The returned
+    value is a lower bound by construction: 0.0, with no power iteration,
+    when T maps every trial to zero.
     """
     rng = np.random.default_rng(seed)
-    best_ratio, best_u = 0.0, None
+    kept = []
     for _ in range(trials):
         u = random_band_limited(grid, algebra_dim, rng)
         nu = module_norm(u)
-        if nu == 0.0:
-            continue
-        r = module_norm(T.apply(u)) / nu
+        if nu != 0.0:
+            kept.append((u, nu))
+    best_ratio, best_u, best_v = 0.0, None, None
+    for (u, nu), v in zip(kept, T.apply_many(tuple(u for u, _ in kept))):
+        r = module_norm(v) / nu
         if r > best_ratio:
-            best_ratio, best_u = r, u
+            best_ratio, best_u, best_v = r, u, v
     record = {"trials": trials, "seed": seed, "trial_best": best_ratio,
               "power_iters": 0}
     Tadj = T.adjoint()
-    u = best_u
+    u, v = best_u, best_v
     for it in range(power_iters if u is not None else 0):
-        v = T.apply(u)
+        if it:
+            v = T.apply(u)
         nv = module_norm(v)
         if nv == 0.0:
             break
         ratio = nv / module_norm(u)
         if ratio > best_ratio:
             best_ratio = ratio
-        u = Tadj.apply(v)
-        nu = module_norm(u)
-        if nu == 0.0:
-            break
-        u = (1.0 / nu) * u
+        if it + 1 < power_iters:
+            u = Tadj.apply(v)
+            nu = module_norm(u)
+            if nu == 0.0:
+                break
+            u = (1.0 / nu) * u
         record["power_iters"] = it + 1
     record["estimate"] = best_ratio
     return best_ratio, record

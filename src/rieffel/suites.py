@@ -30,8 +30,8 @@ from .algebra import (cnorm, cnorm_entries, cnorm_sup, cnorm_sup_slabs,
                       positivity_defect, slab_differences)
 from .deformation import SkewForm, approximate_identity, deformed_product
 from .grids import GridSpec, fourier_multiplier, grid_transform
-from .heisenberg import (HeisenbergPoint, conjugate_operator, intertwine_check,
-                         smoothness_probe)
+from .heisenberg import (HeisenbergPoint, conjugate_apply, conjugate_operator,
+                         intertwine_check, smoothness_probe)
 from .module_space import ModuleFunction, fourier, inner_product, module_norm
 from .quantization import (LeftActionOp, PdoOp, PhaseSymbol, TranslationSymbol,
                            TrigPolySymbol, constant_symbol, operator_norm_estimate,
@@ -512,8 +512,8 @@ def _chk_group_law(cfg, rng):
 def _chk_phi_independence(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2)
     z, zeta = _draw_pair(g.n, rng)
-    c0 = conjugate_operator(LeftActionOp(F, J), z, zeta, 0.0).apply(u)
-    c1 = conjugate_operator(LeftActionOp(F, J), z, zeta, 1.3).apply(u)
+    c0, c1 = conjugate_apply(LeftActionOp(F, J), (HeisenbergPoint(z, zeta, 0.0),
+                                                  HeisenbergPoint(z, zeta, 1.3)), u)
     return _relative((c0 - c1).sup_norm(), c0.sup_norm())
 
 
@@ -553,10 +553,9 @@ def _chk_smoothness_order(cfg, rng):
     g, J, F, u = _operands(cfg, rng, 2)
     dF = ModuleFunction(g, fourier_multiplier(F.samples, [g.spacing] * g.n,
                                               lambda nus: 1j * nus[0]))
-    fam = lambda z, zt: conjugate_operator(LeftActionOp(F, J), z, zt)
     d = np.zeros(2 * g.n)
     d[0] = 1.0
-    rep = smoothness_probe(fam, d, [0.2, 0.1, 0.05, 0.025], u,
+    rep = smoothness_probe(LeftActionOp(F, J), d, [0.2, 0.1, 0.05, 0.025], u,
                            derivative=LeftActionOp(dF, J))
     order = rep["order"]
     # centered differences observe order ~2; pass requires order >= 1

@@ -252,10 +252,9 @@ def test_acceptance_10_heisenberg_laws():
     from rieffel.grids import fourier_multiplier
     dF = ModuleFunction(GRID, fourier_multiplier(F.samples, [GRID.spacing] * GRID.n,
                                                  lambda nus: 1j * nus[0]))
-    fam = lambda zz, zt: conjugate_operator(LeftActionOp(F, J), zz, zt)
     d = np.zeros(4)
     d[0] = 1.0
-    rep = smoothness_probe(fam, d, [0.2, 0.1, 0.05, 0.025], w,
+    rep = smoothness_probe(LeftActionOp(F, J), d, [0.2, 0.1, 0.05, 0.025], w,
                            derivative=LeftActionOp(dF, J))
     assert rep["order"] >= 1.0
     _pass(10)

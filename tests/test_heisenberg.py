@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from rieffel import deformation, heisenberg, suites
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.grids import GridSpec
-from rieffel.heisenberg import (HeisenbergPoint, conjugate_operator,
-                                intertwine_check, smoothness_probe)
+from rieffel.heisenberg import (HeisenbergPoint, conjugate_apply,
+                                conjugate_operator, intertwine_check,
+                                smoothness_probe)
 from rieffel.module_space import ModuleFunction, inner_product, module_norm
 from rieffel.quantization import (LeftActionOp, OperatorHandle, PdoOp,
                                   TranslationSymbol, TrigPolySymbol,
                                   constant_symbol, pdo_apply, sample_symbol)
+from rieffel.suites import SuiteConfig, check_rng
 
 G = GridSpec(2, 64, 8.0)
 J = SkewForm.standard(0.5)
@@ -121,14 +124,10 @@ def test_intertwine_identities():
     assert res["right_action"] <= 1e-6 * module_norm(u)
 
 
-def make_family(T):
-    return lambda z, zeta: conjugate_operator(T, z, zeta)
-
-
 def test_smoothness_probe_centered_second_order():
     F = gaussian(G, 17, k=1)
     u = gaussian(G, 18, k=1)
-    probe = smoothness_probe(make_family(LeftActionOp(F, J)),
+    probe = smoothness_probe(LeftActionOp(F, J),
                              np.array([1.0, 0.5, -0.3, 0.2]),
                              (0.4, 0.2, 0.1, 0.05, 0.025), u)
     assert probe["converged"]
@@ -139,9 +138,8 @@ def test_smoothness_probe_centered_second_order():
 def test_smoothness_probe_constant_symbol_flat():
     # conjugation leaves a constant symbol fixed, so every quotient vanishes
     u = gaussian(G, 19)
-    fam = make_family(PdoOp(constant_symbol(2, np.eye(2))))
-    probe = smoothness_probe(fam, np.array([1.0, 0.0, 0.0, 1.0]),
-                             (0.4, 0.2, 0.1), u)
+    probe = smoothness_probe(PdoOp(constant_symbol(2, np.eye(2))),
+                             np.array([1.0, 0.0, 0.0, 1.0]), (0.4, 0.2, 0.1), u)
     assert max(probe["residuals"]) <= 1e-10 * module_norm(u)
 
 
@@ -154,26 +152,140 @@ class Identity(OperatorHandle):
 
 
 def test_smoothness_probe_never_applies_base():
-    # centered quotients apply T_{td} and T_{-td}, never T_0: 2 per step
-    count = []
+    # centered quotients apply T_{td} and T_{-td}, never T_0: 2 per step, all
+    # 8 in one apply_many call, none of them E_0 u = u
+    u = gaussian(GridSpec(2, 8, 8.0), 21)
+    applied, batches = [], []
 
     class Counting(Identity):
-        def apply(self, u):
-            count.append(1)
-            return u
-    u = gaussian(GridSpec(2, 8, 8.0), 21)
-    smoothness_probe(lambda z, zeta: Counting(), np.ones(4),
-                     (0.2, 0.1, 0.05, 0.025), u)
-    assert len(count) == 8
+        def apply(self, v):
+            applied.append(v)
+            return v
+
+        def apply_many(self, vs):
+            batches.append(vs)
+            return super().apply_many(vs)
+    smoothness_probe(Counting(), np.ones(4), (0.2, 0.1, 0.05, 0.025), u)
+    assert len(batches) == 1 and len(batches[0]) == 8
+    assert [id(v) for v in applied] == [id(v) for v in batches[0]]
+    assert not any(np.array_equal(v.samples, u.samples) for v in batches[0])
 
 
 def test_smoothness_probe_rejects_bad_steps():
     u = gaussian(G, 20)
-    fam = make_family(Identity())
     with pytest.raises(ValueError):
-        smoothness_probe(fam, np.ones(4), (0.1, 0.2, 0.4), u)
+        smoothness_probe(Identity(), np.ones(4), (0.1, 0.2, 0.4), u)
     with pytest.raises(ValueError):
-        smoothness_probe(fam, np.ones(4), (0.2, 0.1), u)
+        smoothness_probe(Identity(), np.ones(4), (0.2, 0.1), u)
+
+
+# ---- the batched conjugation family against one conjugate_operator at a time
+
+G32 = GridSpec(2, 32, 8.0)
+TRIG = TrigPolySymbol(2, 2, [(np.array([0.3, -0.2]), np.array([0.5, 0.1]),
+                              np.array([[1.0, 0.2j], [0.1, 0.7]])),
+                             (np.array([-0.1, 0.4]), np.array([0.2, -0.3]),
+                              np.array([[0.3, 0.0], [0.1j, 0.5]]))])
+HANDLES = {"left_action": lambda: LeftActionOp(gaussian(G32, 30), J),
+           "trig_pdo": lambda: PdoOp(TRIG)}
+STEPS = (0.2, 0.1, 0.05, 0.025)
+
+
+def conjugated_one_by_one(T, points, u):
+    return [conjugate_operator(T, p.z, p.zeta, p.phi).apply(u) for p in points]
+
+
+def reference_quotients(T, d, steps, u):
+    # one conjugate_operator per family member, the quotients formed in order
+    p0 = np.zeros_like(d)
+    n = d.size // 2
+
+    def member(p):
+        return conjugate_operator(T, p[:n], p[n:]).apply(u)
+    return [(1.0 / (2.0 * t)) * (member(p0 + t * d) - member(p0 - t * d))
+            for t in steps]
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_conjugate_apply_batch_matches_conjugate_operator(name):
+    T, u = HANDLES[name](), gaussian(G32, 31)
+    points = [point(32 + i) for i in range(5)] + [HeisenbergPoint(np.zeros(2),
+                                                                  np.zeros(2))]
+    got = conjugate_apply(T, points, u)
+    ref = conjugated_one_by_one(T, points, u)
+    assert len(got) == len(points)
+    assert all(np.array_equal(a.samples, b.samples) for a, b in zip(got, ref))
+    assert conjugate_apply(T, (), u) == ()
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+@pytest.mark.parametrize("with_derivative", [False, True])
+def test_smoothness_probe_batch_quotients(name, with_derivative, monkeypatch):
+    # the probe takes norms of q_i - ref: record them and compare with the
+    # quotients of a one-member-at-a-time family, bit for bit
+    T, u = HANDLES[name](), gaussian(G32, 33)
+    d = np.array([1.0, 0.0, 0.0, 0.0]) if name == "left_action" \
+        else np.array([0.3, -0.5, 0.7, 0.2])
+    derivative = PdoOp(constant_symbol(2, np.eye(2))) if with_derivative else None
+    normed = []
+
+    def recording_norm(f):
+        normed.append(f.samples)
+        return module_norm(f)
+    monkeypatch.setattr(heisenberg, "module_norm", recording_norm)
+    probe = smoothness_probe(T, d, STEPS, u, derivative=derivative)
+    quotients = reference_quotients(T, d, STEPS, u)
+    if with_derivative:
+        ref = [q - derivative.apply(u) for q in quotients]
+    else:
+        ref = [q - quotients[-1] for q in quotients[:-1]]
+    assert len(normed) == len(ref)
+    assert all(np.array_equal(a, b.samples) for a, b in zip(normed, ref))
+    assert probe["residuals"] == [module_norm(r) for r in ref]
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_phi_independence_batch_matches_conjugate_operator(name):
+    # the suite check's c0 and c1: one conjugate_apply over phi = 0 and 1.3
+    T, u = HANDLES[name](), gaussian(G32, 34)
+    z, zeta = np.array([0.4, -0.7]), np.array([0.3, 0.9])
+    c0, c1 = conjugate_apply(T, (HeisenbergPoint(z, zeta, 0.0),
+                                 HeisenbergPoint(z, zeta, 1.3)), u)
+    r0 = conjugate_operator(T, z, zeta, 0.0).apply(u)
+    r1 = conjugate_operator(T, z, zeta, 1.3).apply(u)
+    assert np.array_equal(c0.samples, r0.samples)
+    assert np.array_equal(c1.samples, r1.samples)
+
+
+def test_phi_independence_check_batch_residual():
+    # the suite check reads the residual of its parent, which conjugated
+    # one phase at a time, from the same draws
+    cfg = SuiteConfig(points=32)
+
+    def parent(rng):
+        g, J, F, u = suites._operands(cfg, rng, 2)
+        z, zeta = suites._draw_pair(g.n, rng)
+        c0 = conjugate_operator(LeftActionOp(F, J), z, zeta, 0.0).apply(u)
+        c1 = conjugate_operator(LeftActionOp(F, J), z, zeta, 1.3).apply(u)
+        return (c0 - c1).sup_norm() / max(c0.sup_norm(), 1e-300)
+    got = suites._chk_phi_independence(cfg, check_rng(5, "phi"))
+    assert got == parent(check_rng(5, "phi"))
+
+
+def test_smoothness_check_batch_kernel_passes(monkeypatch):
+    # the smoothness check runs its 8 conjugates as one product and its
+    # derivative as another: 2 kernel passes, where one product per member
+    # ran 9
+    passes = []
+    kernel = deformation._twisted_kernel
+
+    def counting(ft, gt, grid, theta):
+        passes.append(gt.shape[:2])
+        return kernel(ft, gt, grid, theta)
+    monkeypatch.setattr(deformation, "_twisted_kernel", counting)
+    cfg = SuiteConfig(points=32)
+    suites._chk_smoothness_order(cfg, check_rng(6, "smooth"))
+    assert passes == [(2, 16), (2, 2)]
 
 
 def test_mismatched_point_dimensions():

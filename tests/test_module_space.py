@@ -176,6 +176,18 @@ def test_modulate_phase():
     assert (m + f).sup_norm() <= 1e-14 * f.sup_norm()
 
 
+def test_identity_shifts_return_the_input():
+    # zeta = 0 with phase 0, and z = 0, are the identity: the input itself,
+    # with no exp-and-multiply pass; -0.0 is 0 too
+    f, _ = random_pair(10)
+    assert modulate(f, np.zeros(2)) is f
+    assert modulate(f, np.zeros(2), phase=-0.0) is f
+    assert translate(f, np.zeros(2)) is f
+    # negative controls: a phase alone, or zeta alone, still multiplies
+    assert modulate(f, np.zeros(2), phase=1e-300) is not f
+    assert modulate(f, np.array([0.0, 1e-300])) is not f
+
+
 def test_modulation_translation_commutation_phase():
     # T_{-z} M_zeta T_z M_{-zeta} = e^{i z.zeta}
     f, _ = random_pair(9)

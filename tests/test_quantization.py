@@ -17,7 +17,8 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   dense_quantize, dual_box,
                                   operator_norm_estimate,
                                   pdo_apply, pi_seminorm,
-                                  random_band_coefficients, sample_symbol,
+                                  random_band_coefficients, random_band_limited,
+                                  sample_symbol,
                                   symbol_to_kernel)
 from rieffel.suites import (SUITE_CHECKS, SuiteConfig, check_rng, matrix_gaussian,
                             random_band_symbol)
@@ -1061,6 +1062,123 @@ def test_norm_estimate_of_a_zero_operator():
         assert est == 0.0
         assert record["power_iters"] == 0
         assert record["trial_best"] == record["estimate"] == 0.0
+
+
+G16 = GridSpec(2, 16, 8.0)
+
+
+def parent_norm_estimate(T, grid, algebra_dim, trials, power_iters, seed):
+    # the loop before the trials were batched: each trial applied alone, the
+    # best trial's T u applied again as the first power step, and T* applied
+    # after the last ratio too
+    rng = np.random.default_rng(seed)
+    best_ratio, best_u = 0.0, None
+    for _ in range(trials):
+        u = random_band_limited(grid, algebra_dim, rng)
+        nu = module_norm(u)
+        if nu == 0.0:
+            continue
+        r = module_norm(T.apply(u)) / nu
+        if r > best_ratio:
+            best_ratio, best_u = r, u
+    record = {"trials": trials, "seed": seed, "trial_best": best_ratio,
+              "power_iters": 0}
+    Tadj = T.adjoint()
+    u = best_u
+    for it in range(power_iters if u is not None else 0):
+        v = T.apply(u)
+        nv = module_norm(v)
+        if nv == 0.0:
+            break
+        ratio = nv / module_norm(u)
+        if ratio > best_ratio:
+            best_ratio = ratio
+        u = Tadj.apply(v)
+        nu = module_norm(u)
+        if nu == 0.0:
+            break
+        u = (1.0 / nu) * u
+        record["power_iters"] = it + 1
+    record["estimate"] = best_ratio
+    return best_ratio, record
+
+
+NORM_HANDLES = {
+    "trig_pdo": lambda: PdoOp(trig_symbol(2, 2, 40)),
+    "grid_pdo": lambda: PdoOp(trig_symbol(2, 2, 41).sample(G16)),
+    "left_action": lambda: LeftActionOp(matrix_field(G16, 42), J),
+    "heisenberg": lambda: HeisenbergPoint([0.3, -0.2], [0.5, 0.1], 0.4)}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_HANDLES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_norm_estimate_matches_parent_loop(name, seed):
+    T = NORM_HANDLES[name]()
+    got = operator_norm_estimate(T, G16, 2, trials=4, power_iters=5, seed=seed)
+    assert got == parent_norm_estimate(T, G16, 2, 4, 5, seed)
+
+
+class CountingHandle(OperatorHandle):
+    """Delegates to inner, counting applies per key and apply_many calls."""
+
+    def __init__(self, inner, counts, key="T"):
+        self.inner, self.counts, self.key = inner, counts, key
+
+    def apply(self, u):
+        self.counts[self.key] += 1
+        return self.inner.apply(u)
+
+    def apply_many(self, us):
+        self.counts[self.key + " batches"] += 1
+        return super().apply_many(us)
+
+    def adjoint(self):
+        return CountingHandle(self.inner.adjoint(), self.counts, "T*")
+
+
+@pytest.mark.parametrize("trials,power_iters", [(4, 5), (3, 1), (2, 0)])
+def test_norm_estimate_apply_counts(trials, power_iters):
+    # the trials run as one apply_many, the first power step reuses the best
+    # trial's T u and the last skips T*: trials + P - 1 applies of T, P - 1
+    # of T*, with the estimate of a loop that makes every apply
+    counts = {"T": 0, "T*": 0, "T batches": 0, "T* batches": 0}
+    T = CountingHandle(LeftActionOp(matrix_field(G16, 43), J), counts)
+    got = operator_norm_estimate(T, G16, 2, trials=trials,
+                                 power_iters=power_iters, seed=1)
+    assert counts == {"T": trials + max(power_iters - 1, 0),
+                      "T*": max(power_iters - 1, 0),
+                      "T batches": 1, "T* batches": 0}
+    assert got == parent_norm_estimate(LeftActionOp(matrix_field(G16, 43), J),
+                                       G16, 2, trials, power_iters, 1)
+
+
+class ZeroAdjoint(ApplyOnly):
+    def adjoint(self):
+        return PdoOp(constant_symbol(1, np.zeros((1, 1))))
+
+
+def test_norm_estimate_skips_the_last_adjoint():
+    # T* v = 0 ends the iteration uncounted; at the last step T* is never
+    # applied, so that step counts where a loop that applies it would not
+    est, record = operator_norm_estimate(ZeroAdjoint(), G1, 1, trials=2,
+                                         power_iters=3, seed=0)
+    assert (est, record) == parent_norm_estimate(ZeroAdjoint(), G1, 1, 2, 3, 0)
+    assert record["power_iters"] == 0 and est == 1.0
+    est, record = operator_norm_estimate(ZeroAdjoint(), G1, 1, trials=2,
+                                         power_iters=1, seed=0)
+    assert record["power_iters"] == 1 and est == 1.0
+    assert parent_norm_estimate(ZeroAdjoint(), G1, 1, 2, 1, 0)[1]["power_iters"] == 0
+
+
+def test_left_action_apply_many_batch():
+    # one product with the fields as column blocks, each member with apply's
+    # bits; an empty batch runs nothing
+    T = LeftActionOp(matrix_field(G2, 44), J)
+    us = tuple(matrix_field(G2, 45 + i) for i in range(3))
+    got = T.apply_many(us)
+    assert len(got) == 3
+    assert all(np.array_equal(a.samples, T.apply(u).samples) for a, u in zip(got, us))
+    assert T.apply_many(()) == ()
 
 
 class Identity(ApplyOnly):
