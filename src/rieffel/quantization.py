@@ -84,8 +84,7 @@ Operator handles: LeftActionOp (L_F, adjoint L_{F*}), PdoOp (a(x, D), adjoint
 PdoOp(a.adjoint())), ComposedOp and heisenberg.HeisenbergPoint.  One without
 an adjoint raises CapabilityError; R_G u is deformed_product(u, G, J).
 apply_many(us) is the tuple of apply(u) over us; LeftActionOp runs it as one
-batched deformed_product, and operator_norm_estimate applies its trials
-through it.
+batched deformed_product.
 """
 from __future__ import annotations
 
@@ -830,9 +829,8 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
                            seed: int = 0):
     """Lower estimate of sup ||T u||_2 / ||u||_2 with a witness record.
 
-    Random band-limited trials, applied as one T.apply_many, pick a starting
-    vector; power iteration on T*T (T.adjoint(): CapabilityError if T has
-    none) refines it.  The first power step reuses the best trial's T u, and
+    Random band-limited trials pick a starting vector; power iteration on
+    T*T (T.adjoint(): CapabilityError if T has none) refines it.  The first power step reuses the best trial's T u, and
     the last stops once its ratio is measured, since its T* v would never
     be read: T runs trials + power_iters - 1 times and T* power_iters - 1
     times.  record["power_iters"] counts the steps completed; a zero T u or
@@ -843,14 +841,13 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
     when T maps every trial to zero.
     """
     rng = np.random.default_rng(seed)
-    kept = []
+    best_ratio, best_u, best_v = 0.0, None, None
     for _ in range(trials):
         u = random_band_limited(grid, algebra_dim, rng)
         nu = module_norm(u)
-        if nu != 0.0:
-            kept.append((u, nu))
-    best_ratio, best_u, best_v = 0.0, None, None
-    for (u, nu), v in zip(kept, T.apply_many(tuple(u for u, _ in kept))):
+        if nu == 0.0:
+            continue
+        v = T.apply(u)
         r = module_norm(v) / nu
         if r > best_ratio:
             best_ratio, best_u, best_v = r, u, v

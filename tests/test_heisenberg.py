@@ -208,9 +208,13 @@ def reference_quotients(T, d, steps, u):
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
 def test_conjugate_apply_batch_matches_conjugate_operator(name):
+    # random points, the identity, and the phi check's two phases at one
+    # (z, zeta)
     T, u = HANDLES[name](), gaussian(G32, 31)
-    points = [point(32 + i) for i in range(5)] + [HeisenbergPoint(np.zeros(2),
-                                                                  np.zeros(2))]
+    z, zeta = np.array([0.4, -0.7]), np.array([0.3, 0.9])
+    points = [point(32 + i) for i in range(5)] + [
+        HeisenbergPoint(np.zeros(2), np.zeros(2)),
+        HeisenbergPoint(z, zeta, 0.0), HeisenbergPoint(z, zeta, 1.3)]
     got = conjugate_apply(T, points, u)
     ref = conjugated_one_by_one(T, points, u)
     assert len(got) == len(points)
@@ -242,19 +246,6 @@ def test_smoothness_probe_batch_quotients(name, with_derivative, monkeypatch):
     assert len(normed) == len(ref)
     assert all(np.array_equal(a, b.samples) for a, b in zip(normed, ref))
     assert probe["residuals"] == [module_norm(r) for r in ref]
-
-
-@pytest.mark.parametrize("name", sorted(HANDLES))
-def test_phi_independence_batch_matches_conjugate_operator(name):
-    # the suite check's c0 and c1: one conjugate_apply over phi = 0 and 1.3
-    T, u = HANDLES[name](), gaussian(G32, 34)
-    z, zeta = np.array([0.4, -0.7]), np.array([0.3, 0.9])
-    c0, c1 = conjugate_apply(T, (HeisenbergPoint(z, zeta, 0.0),
-                                 HeisenbergPoint(z, zeta, 1.3)), u)
-    r0 = conjugate_operator(T, z, zeta, 0.0).apply(u)
-    r1 = conjugate_operator(T, z, zeta, 1.3).apply(u)
-    assert np.array_equal(c0.samples, r0.samples)
-    assert np.array_equal(c1.samples, r1.samples)
 
 
 def test_phi_independence_check_batch_residual():

@@ -1119,7 +1119,7 @@ def test_norm_estimate_matches_parent_loop(name, seed):
 
 
 class CountingHandle(OperatorHandle):
-    """Delegates to inner, counting applies per key and apply_many calls."""
+    """Delegates to inner, counting applies per key."""
 
     def __init__(self, inner, counts, key="T"):
         self.inner, self.counts, self.key = inner, counts, key
@@ -1128,26 +1128,21 @@ class CountingHandle(OperatorHandle):
         self.counts[self.key] += 1
         return self.inner.apply(u)
 
-    def apply_many(self, us):
-        self.counts[self.key + " batches"] += 1
-        return super().apply_many(us)
-
     def adjoint(self):
         return CountingHandle(self.inner.adjoint(), self.counts, "T*")
 
 
 @pytest.mark.parametrize("trials,power_iters", [(4, 5), (3, 1), (2, 0)])
 def test_norm_estimate_apply_counts(trials, power_iters):
-    # the trials run as one apply_many, the first power step reuses the best
-    # trial's T u and the last skips T*: trials + P - 1 applies of T, P - 1
-    # of T*, with the estimate of a loop that makes every apply
-    counts = {"T": 0, "T*": 0, "T batches": 0, "T* batches": 0}
+    # the first power step reuses the best trial's T u and the last skips T*:
+    # trials + P - 1 applies of T, P - 1 of T*, with the estimate of a loop
+    # that makes every apply
+    counts = {"T": 0, "T*": 0}
     T = CountingHandle(LeftActionOp(matrix_field(G16, 43), J), counts)
     got = operator_norm_estimate(T, G16, 2, trials=trials,
                                  power_iters=power_iters, seed=1)
     assert counts == {"T": trials + max(power_iters - 1, 0),
-                      "T*": max(power_iters - 1, 0),
-                      "T batches": 1, "T* batches": 0}
+                      "T*": max(power_iters - 1, 0)}
     assert got == parent_norm_estimate(LeftActionOp(matrix_field(G16, 43), J),
                                        G16, 2, trials, power_iters, 1)
 
@@ -1170,15 +1165,10 @@ def test_norm_estimate_skips_the_last_adjoint():
     assert parent_norm_estimate(ZeroAdjoint(), G1, 1, 2, 1, 0)[1]["power_iters"] == 0
 
 
-def test_left_action_apply_many_batch():
-    # one product with the fields as column blocks, each member with apply's
-    # bits; an empty batch runs nothing
-    T = LeftActionOp(matrix_field(G2, 44), J)
-    us = tuple(matrix_field(G2, 45 + i) for i in range(3))
-    got = T.apply_many(us)
-    assert len(got) == 3
-    assert all(np.array_equal(a.samples, T.apply(u).samples) for a, u in zip(got, us))
-    assert T.apply_many(()) == ()
+def test_left_action_apply_many_empty_batch():
+    # the members' bits are deformed_product's batch axis, pinned in
+    # test_deformation; an empty batch runs no product
+    assert LeftActionOp(matrix_field(G2, 44), J).apply_many(()) == ()
 
 
 class Identity(ApplyOnly):
