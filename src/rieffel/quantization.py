@@ -830,15 +830,16 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
     """Lower estimate of sup ||T u||_2 / ||u||_2 with a witness record.
 
     Random band-limited trials pick a starting vector; power iteration on
-    T*T (T.adjoint(): CapabilityError if T has none) refines it.  The first power step reuses the best trial's T u, and
-    the last stops once its ratio is measured, since its T* v would never
-    be read: T runs trials + power_iters - 1 times and T* power_iters - 1
-    times.  record["power_iters"] counts the steps completed; a zero T u or
-    T* v ends the iteration uncounted.  So the last step counts even where
-    its T* v would have been exactly 0, the one case in which the count
-    differs from a loop that applies that T*.  The returned
-    value is a lower bound by construction: 0.0, with no power iteration,
-    when T maps every trial to zero.
+    T*T (T.adjoint(): CapabilityError if T has none) refines it.  The first
+    power step reuses the best trial's T u, and the last stops once its
+    ratio is measured, since its T* v would never be read: T runs trials +
+    power_iters - 1 times and T* power_iters - 1 times.
+    record["power_iters"] counts the steps completed; a zero T u or T* v
+    ends the iteration uncounted.  So the last step counts even where its
+    T* v would have been exactly 0, the one case in which the count differs
+    from a loop that applies that T*.  The returned value is a lower bound
+    by construction: 0.0, with no power iteration, when T maps every trial
+    to zero.
     """
     rng = np.random.default_rng(seed)
     best_ratio, best_u, best_v = 0.0, None, None
