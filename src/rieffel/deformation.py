@@ -38,12 +38,21 @@ last axis transforms both; the channel product is A B C multiply-adds of
 whole planes, through views built once per call, and each q2's products
 are added straight into an accumulator indexed by r2 = p2 + q2 - N/2 and
 still in the transform domain, so a single inverse FFT finishes the sum.
-The loop skips the q2 rows where the right factor is exactly zero in every
-column (samples fill every row, exact band-limited coefficients only their
-band), so a batch visits the union of its members' rows.  Every per-q2
-multiply and FFT writes into buffers allocated once per call, and none is
-kept between calls.  For n = 2 that is one FFT call over both factors per
-occupied q2 row plus one after the loop, and at most O(N^3 k^2 log N +
+Column c of the right factor keeps row q2 if some entry of the row reaches
+u = 2^-53 times the column's largest modulus M_c; its other rows hold
+nothing but rounding noise (the transform's roundoff beside a band-limited
+field's band) and are zeroed in a private copy, and the loop visits the union
+of the kept rows, so a batch visits the union of its members' rows.  All
+cuts together move column c of an output coefficient by at most
+(2*pi)^(-n/2) dxi^n u M_c sum_p |F^(p)|, one unit roundoff of the largest
+terms the twisted sum adds: the size of the normwise error an FFT
+convolution makes anyway (N. J. Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 24).  The rule is per
+column, as L_F acts on each column on its own, and a column with a
+non-finite entry keeps every row it occupies.  Every per-q2 multiply and
+FFT writes into buffers allocated once per call, and none is kept between
+calls.  For n = 2 that is one FFT call over both factors per
+kept q2 row plus one after the loop, and at most O(N^3 k^2 log N +
 N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
@@ -135,10 +144,14 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     Neither input is written.  Row blocks of ft, or column blocks of gt, are
     factors side by side: each block of the result is, bit for bit, the
     product of its own block alone, save for the NaN rule below.  For n = 2
-    and theta != 0 the q2 loop skips a row q2 only if it is zero in every
-    column of gt, so a non-finite entry of ft reaches the rows r2 = p2 + q2 -
-    N/2 of every q2 that any block occupies, and none if gt is all zeros;
-    the n = 1 and theta = 0 convolution spreads it over every r of its
+    and theta != 0 column c of gt keeps a non-zero row q2 iff some entry
+    has modulus at least u = 2^-53 times max |gt[:, c]|, or that max is not
+    finite; the rest of its rows are zeroed in a copy, which moves the
+    column by at most one unit roundoff of the largest terms its sum adds.
+    The q2 loop skips a row only if no column keeps it, so a
+    non-finite entry of ft reaches the rows r2 = p2 + q2 - N/2 of every q2
+    that any column keeps, and none if gt is all zeros; the n = 1 and
+    theta = 0 convolution cuts nothing and spreads it over every r of its
     matrix row."""
     n, npts = grid.n, grid.points
     half = npts // 2
@@ -175,9 +188,18 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     plane = np.empty(ft.shape[2:], dtype=complex)
     acc = np.zeros(shape, dtype=complex)  # [A, C, r2, z]
     plan = _channel_plan(fmod, gmod, acc)
-    # only the rows some column of gt occupies, as Python ints (numpy
-    # scalars index slower)
-    for q2 in np.flatnonzero(gt.any(axis=(0, 1, 3))).tolist():
+    # each column's non-zero rows below 2^-53 of its largest modulus (none
+    # where that is not finite) are rounding noise, zeroed in a copy; the
+    # loop visits the rows some column keeps, as Python ints (numpy scalars
+    # index slower)
+    rowmax = np.abs(gt).max(axis=(0, 3))  # [C, q2]
+    colmax = rowmax.max(axis=1, keepdims=True)
+    cut = np.where(np.isfinite(colmax), 2.0 ** -53 * colmax, 0.0)
+    occupied = rowmax != 0
+    noise = occupied & (rowmax < cut)
+    if noise.any():
+        gt = np.where(noise[None, :, :, None], 0, gt)
+    for q2 in np.flatnonzero((occupied & ~noise).any(axis=0)).tolist():
         lo = npts - (q2 - half) % npts
         np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fmod)
         np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=gmod)
@@ -216,9 +238,11 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     fhat is (N,)*n + (A, B) and ghat (N,)*n + (B, C) on dual_axis(), and the
     result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
     by side in column blocks of ghat (C = m k) block j is fhat's product with
-    block j.  For n = 2, theta != 0, a q2 row is skipped only if it is zero
-    in every block, so a NaN in fhat also reaches a block whose own row q2
-    is zero when another block occupies it (_twisted_kernel).
+    block j.  For n = 2, theta != 0, each column of ghat drops the q2 rows
+    whose entries all stay below u = 2^-53 of its largest modulus, rounding
+    noise within the product's normwise error, and a q2 row is skipped only
+    if every column drops it, so a NaN in fhat also reaches a block whose
+    own row q2 is dropped when another block keeps it (_twisted_kernel).
     """
     n = grid.n
     chat = _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rieffel import deformation
 from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
                                  bump_profile, deformed_product, mollifier_hat,
                                  oscillatory_integral, twisted_coefficients)
@@ -375,6 +376,104 @@ def test_zero_right_rows_are_absent_from_the_sum():
     assert np.isnan(conv[..., 1, :]).all() and not np.isnan(conv[..., 0, :]).any()
 
 
+def band_pair(npts, k, seed):
+    """Coefficients of two random fields on modes -4..4 of each axis, read
+    back through their samples as a product operand is: the draws fill the
+    band's 9 q2 rows (axis 1), the transforms' roundoff every other row."""
+    g = GridSpec(2, npts, 8.0)
+    r = np.random.default_rng(seed)
+    return tuple(grid_transform(grid_transform(random_band_coefficients(g, k, r), g,
+                                               inverse=True), g) for _ in range(2))
+
+
+def kept_rows(ghat):
+    """The q2 rows that some column c of ghat keeps: an entry of modulus at
+    least u = 2^-53 times max |ghat[..., c]|."""
+    rowmax = np.abs(ghat).max(axis=(0, 2))  # [q2, c]
+    return np.flatnonzero((rowmax >= 2.0 ** -53 * rowmax.max(axis=0)).any(axis=1))
+
+
+def test_roundoff_rows_of_band_limited_factor_are_skipped(monkeypatch):
+    # the loop makes one FFT call per kept row, the band's 9 and a few noise
+    # rows (11 of 64 here), where every row is non-zero; the cut rows move
+    # the result by 2.1e-16 of its largest entry against the full loop
+    npts = 64
+    g = GridSpec(2, npts, 8.0)
+    fhat, ghat = band_pair(npts, 2, 21)
+    assert ghat.any(axis=(0, 2, 3)).all()
+    rows = kept_rows(ghat)
+    assert set(range(npts // 2 - 4, npts // 2 + 5)) <= set(rows) and len(rows) < 20
+    calls = count_fft_calls(monkeypatch)
+    fast = twisted_coefficients(fhat, ghat, g, 0.5)
+    assert calls == {"fft": [npts] * len(rows), "ifft": [npts]}
+    monkeypatch.undo()
+    full = frozen_twisted_coefficients(fhat, ghat, g, 0.5)
+    assert np.abs(fast - full).max() <= 2e-15 * np.abs(full).max()
+
+
+def test_roundoff_cut_band_limited_pair_matches_direct_sum():
+    g = GridSpec(2, 32, 8.0)
+    for theta in (0.5, -0.7):
+        fhat, ghat = band_pair(32, 2, [22, int(10 * theta) + 10])
+        assert len(kept_rows(ghat)) < 32
+        fast = twisted_coefficients(fhat, ghat, g, theta)
+        ref = direct_twisted_sum(fhat, ghat, g, SkewForm.standard(theta).entries)
+        assert np.abs(fast - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_roundoff_cut_boundary_per_column(monkeypatch):
+    # exact band coefficients, 9 rows, with column 0 a thousand times column
+    # 1; one more entry on row 2 of column 1 at 0.25 u M_1 is cut, so the
+    # loop makes the band's 9 calls and the result keeps the band's bits,
+    # and at 4 u M_1 it is kept (10 calls).  M_1 is column 1's own maximum:
+    # against column 0's, both entries would be cut.  The kernel's own input
+    # keeps the cut entry: the cut zeroes a copy
+    npts, k, q2 = 16, 2, 2
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = full_band_pair(npts, k, 23)
+    ghat = random_band_coefficients(g, k, np.random.default_rng(24))
+    ghat[..., 0] *= 1e3
+    band = twisted_coefficients(fhat, ghat, g, 0.5)
+    unit = 2.0 ** -53 * np.abs(ghat[..., 1]).max()
+    ft = np.ascontiguousarray(fhat.transpose(2, 3, 1, 0))  # [a, b, p2, p1]
+    for factor, loop_ffts in [(0.25, 9), (4.0, 10)]:
+        probe = ghat.copy()
+        probe[5, q2, 0, 1] = factor * unit
+        gt = np.ascontiguousarray(probe.transpose(2, 3, 1, 0))
+        before = gt.copy()
+        calls = count_fft_calls(monkeypatch)
+        got = deformation._twisted_kernel(ft, gt, g, 0.5).transpose(3, 2, 0, 1)
+        monkeypatch.undo()
+        assert calls == {"fft": [npts] * loop_ffts, "ifft": [npts]}
+        assert np.array_equal(gt, before)
+        if factor < 1:
+            assert np.array_equal(got, band)
+        else:
+            assert np.abs(got - band).max() <= 1e-15 * np.abs(band).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_roundoff_cut_spares_non_finite_column(monkeypatch, bad):
+    # column 0 of a band-limited right factor holds one non-finite entry: it
+    # keeps every row, noise included, so the loop visits all N and column
+    # 0 is the full loop's; column 1 beside it keeps the bits of its own
+    # product, which cuts its noise rows
+    npts, k = 32, 2
+    g = GridSpec(2, npts, 8.0)
+    fhat, ghat = band_pair(npts, k, 25)
+    ghat[3, npts // 2, 1, 0] = bad
+    assert len(kept_rows(ghat[..., 1:])) < npts
+    calls = count_fft_calls(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = twisted_coefficients(fhat, ghat, g, 0.5)
+        assert calls == {"fft": [npts] * npts, "ifft": [npts]}
+        monkeypatch.undo()
+        full = frozen_twisted_coefficients(fhat, ghat, g, 0.5)
+    assert np.array_equal(got[..., 0], full[..., 0], equal_nan=True)
+    alone = twisted_coefficients(fhat, ghat[..., 1:], g, 0.5)
+    assert np.isfinite(alone).all() and np.array_equal(got[..., 1:], alone)
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.0])
 def test_twisted_coefficients_pure(theta):
     # the inputs are not written, and no buffer outlives a call: interleaved
@@ -420,22 +519,30 @@ def test_grid_mismatch():
         deformed_product(f, f, SkewForm(0.0, 1))
 
 
-BATCH_CASES = [(n, k, theta, m) for n in (1, 2) for k in (1, 2, 3)
+BATCH_CASES = [(n, k, theta, m, False) for n in (1, 2) for k in (1, 2, 3)
                for theta in ((0.5, -0.7, 0.0) if n == 2 else (0.0,))
-               for m in (1, 2, 4)]
+               for m in (1, 2, 4)] + [
+    (2, k, theta, 3, True) for k in (1, 2) for theta in (0.5, -0.7)]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("n, k, theta, m", BATCH_CASES)
-def test_batched_product_bit_identical_to_separate(n, k, theta, m, side):
+@pytest.mark.parametrize("n, k, theta, m, band", BATCH_CASES, ids=[
+    "-".join(map(str, c[:4])) + "-band" * c[4] for c in BATCH_CASES])
+def test_batched_product_bit_identical_to_separate(n, k, theta, m, band, side):
     # L_F is a right-module map and R_G a left one, so m factors side by side
-    # in one kernel pass give each member the bits of its own product
+    # in one kernel pass give each member the bits of its own product.  In
+    # the band cases f and member 0 are band-limited samples, member 0 at a
+    # thousandth of the others' scale: each column cuts its roundoff rows
+    # against its own maximum, as alone
     g = GridSpec(n, 16, 8.0)
     J = SkewForm(theta, n)
     r = np.random.default_rng([n, k, m, int(10 * theta) + 10])
     f, *batch = (ModuleFunction(g, r.normal(size=g.shape + (k, k))
                                 + 1j * r.normal(size=g.shape + (k, k)))
                  for _ in range(m + 1))
+    if band:
+        f, batch[0] = (ModuleFunction(g, scale * grid_transform(
+            random_band_coefficients(g, k, r), g, inverse=True)) for scale in (1.0, 1e-3))
     if side == "left":
         got = deformed_product(tuple(batch), f, J)
         separate = [deformed_product(h, f, J) for h in batch]
