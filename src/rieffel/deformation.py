@@ -31,29 +31,41 @@ so it acts on each column block of its argument on its own, and R_G on
 each row block: deformed_product(F, (u_1, .., u_m), J) runs one kernel pass
 with the u_j side by side as columns (C = m k), and a tuple on the left
 stacks rows, each member bit for bit its separate product.  The shared
-side's per-q2 multiply and FFT then run once for the whole batch.  Both
-phase tables are built once; for each q2 the two modulated factors share
-one (A B + B C, N, N) buffer, so one batched FFT call along the contiguous
-last axis transforms both; the channel product is A B C multiply-adds of
-whole planes, through views built once per call, and each q2's products
-are added straight into an accumulator indexed by r2 = p2 + q2 - N/2 and
-still in the transform domain, so a single inverse FFT finishes the sum.
-Column c of the right factor keeps row q2 if some entry of the row reaches
-u = 2^-53 times the column's largest modulus M_c; its other rows hold
-nothing but rounding noise (the transform's roundoff beside a band-limited
-field's band) and are zeroed in a private copy, and the loop visits the union
-of the kept rows, so a batch visits the union of its members' rows.  All
-cuts together move column c of an output coefficient by at most
-(2*pi)^(-n/2) dxi^n u M_c sum_p |F^(p)|, one unit roundoff of the largest
-terms the twisted sum adds: the size of the normwise error an FFT
-convolution makes anyway (N. J. Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., SIAM 2002, ch. 24).  The rule is per
-column, as L_F acts on each column on its own, and a column with a
-non-finite entry keeps every row it occupies.  Every per-q2 multiply and
-FFT writes into buffers allocated once per call, and none is kept between
-calls.  For n = 2 that is one FFT call over both factors per
-kept q2 row plus one after the loop, and at most O(N^3 k^2 log N +
-N^3 k^3) work instead of the naive O(N^4 k^3).
+side's per-q2 multiply and FFT then run once for the whole batch.
+
+For n = 2 each factor drops its rows of rounding noise, by one rule: row a
+of the left factor keeps a p2 row, and column c of the right factor a q2
+row, if some entry of the row reaches u = 2^-53 times the largest modulus
+of that row (L_a) or column (M_c).  The other rows hold nothing but the
+transform's roundoff beside a band-limited field's band.  The loop visits
+the q2 rows some column keeps and transforms only the set P of p2 rows some
+row keeps, so a batch visits the union of its members' rows; each row's
+or column's own cut rows are zeroed in the kernel's buffers.  The cuts
+move entry (a, c) of an output coefficient by at most
+
+    (2*pi)^(-n/2) dxi^n u (M_c sum_{p,b} |F^(p)_ab|
+                           + L_a sum_{q,b} |G^(q)_bc|),
+
+one unit roundoff per factor of the largest terms the twisted sum adds: the
+size of the normwise error an FFT convolution makes anyway (N. J. Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch.
+24).  The rule is per row and per column, as L_F acts on each column on its
+own and R_G on each row.  A row or column with a non-finite entry keeps
+every row it occupies, and a right factor with one transforms all N p2
+rows, so its NaN reaches every r2 as through the uncut sum's 0 * NaN.
+
+Both phase tables are built once; the P rows of the left factor are
+gathered once, and for each q2 the two modulated factors share one (A B +
+B C, |P|, N) buffer, so one batched FFT call along the contiguous last
+axis transforms both; the channel product is A B C multiply-adds of
+|P|-row planes, through views built once per call, and each q2's products
+are added straight into an accumulator indexed by r2 = p2 + q2 - N/2, one
+slice per run of consecutive rows in P, split where r2 wraps, and still in
+the transform domain, so a single inverse FFT finishes the sum.  Every
+per-q2 multiply and FFT writes into buffers allocated once per call, and
+none is kept between calls.  For n = 2 that is one FFT call of (A B + B C)
+|P| lines per kept q2 row plus one after the loop, and at most
+O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
 The left action L_F u is deformed_product(F, u, J) and the right action
@@ -144,19 +156,20 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     Neither input is written.  Row blocks of ft, or column blocks of gt, are
     factors side by side: each block of the result is, bit for bit, the
     product of its own block alone, save for the NaN rule below.  For n = 2
-    and theta != 0 column c of gt keeps a non-zero row q2 iff some entry
-    has modulus at least u = 2^-53 times max |gt[:, c]|, or that max is not
-    finite; the rest of its rows are zeroed in a copy, which moves the
-    column by at most one unit roundoff of the largest terms its sum adds.
-    The q2 loop skips a row only if no column keeps it, so a
+    and theta != 0 row a of ft keeps a non-zero row p2, and column c of gt a
+    non-zero row q2, iff some entry has modulus at least u = 2^-53 times max
+    |ft[a]| or max |gt[:, c]|, or that max is not finite (_kept_rows); the
+    other rows are zeroed in the kernel's own buffers, which moves entry (a,
+    c) by at most one unit roundoff per factor of the largest terms its sum
+    adds.  The loop visits the q2 rows some column keeps and transforms the
+    p2 rows some row keeps, all N if gt has a non-finite entry.  So a
     non-finite entry of ft reaches the rows r2 = p2 + q2 - N/2 of every q2
-    that any column keeps, and none if gt is all zeros; the n = 1 and
-    theta = 0 convolution cuts nothing and spreads it over every r of its
-    matrix row."""
+    that any column keeps, and none if gt is all zeros; one of gt reaches
+    every r2 of its column; the n = 1 and theta = 0 convolution cuts nothing
+    and spreads a non-finite entry of ft over every r of its matrix row."""
     n, npts = grid.n, grid.points
     half = npts // 2
     scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
-    tmp = np.empty(ft.shape[2:], dtype=complex)
     shape = ft.shape[:1] + gt.shape[1:2] + ft.shape[2:]  # [A, C, r_n, .., r_1]
     if n == 1 or theta == 0.0:
         # plain cyclic convolution with in-band wrap
@@ -164,53 +177,85 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
         fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
         fb = np.fft.fftn(gt, axes=axes)
         prod = np.empty(shape, dtype=complex)
+        tmp = np.empty(ft.shape[2:], dtype=complex)
         for dest, pairs in _channel_plan(fa, fb, prod):
             _channel_entry(pairs, dest, tmp)
         return scale * np.fft.ifftn(prod, axes=axes)
 
-    # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each q2 adds its
-    # products at r2 = p2 + q2 - N/2, wrapped: indexed by r2, the p2 axis of
-    # ft and of bphase is read through the window [N - s, 2N - s) of a copy
-    # doubled along it, with s = (q2 - N/2) mod N.
+    # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each kept q2 adds the
+    # products of the kept p2 rows at r2 = p2 + q2 - N/2, wrapped.
     xi = grid.dual_axis()
     txx = theta * np.outer(xi, xi)
     mods = np.exp(-1j * txx)   # [q2, p1]: e^{-i theta xi(p1) xi(q2)}
     bphase = np.exp(1j * txx)  # [p2, q1]: e^{+i theta xi(p2) xi(q1)}
-    ft2 = np.concatenate((ft, ft), axis=2)
-    bphase2 = np.concatenate((bphase, bphase))
+    fkeep, fnoise, _ = _kept_rows(ft, 0)          # [A, p2]
+    gkeep, gnoise, gfinite = _kept_rows(gt, 1)    # [C, q2]
+    # a non-finite right factor meets every p2 row, zero or not, so that its
+    # NaN reaches every r2 through 0 * NaN; the kept rows are gathered once,
+    # each row block's cut rows zeroed in the gather
+    rows = np.flatnonzero(fkeep.any(axis=0)) if gfinite else np.arange(npts)
+    fp = ft[:, :, rows]
+    cut_a, cut_j = np.nonzero(fnoise[:, rows])
+    fp[cut_a, :, cut_j] = 0
+    bp = bphase[rows]
+    # rows as runs of consecutive p2: (first buffer row, past-the-end, first p2)
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    runs = list(zip(starts.tolist(), starts[1:].tolist() + [rows.size],
+                    rows[starts].tolist()))
     # both modulated factors of a q2 share one buffer, so one FFT call
     # transforms them; every per-q2 result is written into buffers
     # allocated once per call
     nf = ft.shape[0] * ft.shape[1]
-    fab = np.empty((nf + gt.shape[0] * gt.shape[1],) + ft.shape[2:], dtype=complex)
-    fmod = fab[:nf].reshape(ft.shape)                 # [A, B, r2, z]
-    gmod = fab[nf:].reshape(gt.shape)                 # [B, C, r2, z]
-    plane = np.empty(ft.shape[2:], dtype=complex)
+    fab = np.empty((nf + gt.shape[0] * gt.shape[1],) + fp.shape[2:], dtype=complex)
+    fmod = fab[:nf].reshape(fp.shape)                 # [A, B, P, z]
+    gmod = fab[nf:].reshape(gt.shape[:2] + fp.shape[2:])  # [B, C, P, z]
+    plane = np.empty(fp.shape[2:], dtype=complex)
+    tmp = np.empty(fp.shape[2:], dtype=complex)
     acc = np.zeros(shape, dtype=complex)  # [A, C, r2, z]
     plan = _channel_plan(fmod, gmod, acc)
-    # each column's non-zero rows below 2^-53 of its largest modulus (none
-    # where that is not finite) are rounding noise, zeroed in a copy; the
-    # loop visits the rows some column keeps, as Python ints (numpy scalars
-    # index slower)
-    rowmax = np.abs(gt).max(axis=(0, 3))  # [C, q2]
-    colmax = rowmax.max(axis=1, keepdims=True)
-    cut = np.where(np.isfinite(colmax), 2.0 ** -53 * colmax, 0.0)
-    occupied = rowmax != 0
-    noise = occupied & (rowmax < cut)
-    if noise.any():
-        gt = np.where(noise[None, :, :, None], 0, gt)
-    for q2 in np.flatnonzero((occupied & ~noise).any(axis=0)).tolist():
-        lo = npts - (q2 - half) % npts
-        np.multiply(ft2[:, :, lo:lo + npts], mods[q2], out=fmod)
-        np.multiply(gt[:, :, q2, None, :], bphase2[lo:lo + npts], out=gmod)
+    # the loop visits the rows some column keeps, as Python ints (numpy
+    # scalars index slower), and zeroes each column's own cut rows in gmod
+    gcut = gnoise.any(axis=0).tolist()
+    for q2 in np.flatnonzero(gkeep.any(axis=0)).tolist():
+        np.multiply(fp, mods[q2], out=fmod)
+        np.multiply(gt[:, :, q2, None, :], bp, out=gmod)
+        if gcut[q2]:
+            gmod[:, gnoise[:, q2]] = 0
         np.fft.fft(fab, axis=-1, out=fab)
+        # each run lands at r2 = p2 + s and is split where it wraps
+        s = (q2 - half) % npts
+        pieces = []
+        for j0, j1, p0 in runs:
+            r0 = (p0 + s) % npts
+            split = min(j1, j0 + npts - r0)
+            pieces.append((j0, split, r0, r0 + split - j0))
+            if split < j1:
+                pieces.append((split, j1, 0, j1 - split))
         # still in the transform domain along z, so one inverse FFT after
         # the loop serves every q2
         for dest, pairs in plan:
-            dest += _channel_entry(pairs, plane, tmp)
+            _channel_entry(pairs, plane, tmp)
+            for j0, j1, r0, r1 in pieces:
+                dest[r0:r1] += plane[j0:j1]
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
     acc *= np.where(np.arange(npts) % 2 == 0, scale, -scale)
     return np.fft.ifft(acc, axis=-1, out=acc)
+
+
+def _kept_rows(x: np.ndarray, axis: int):
+    """The roundoff cut of channels-first n = 2 data [., ., rows, N], per
+    block: block j is x's index j along channel axis `axis`, a row of a left
+    factor (0) or a column of a right factor (1).  A block keeps a non-zero
+    row iff some entry has modulus at least u = 2^-53 times the block's
+    largest modulus, or that maximum is not finite.  Returns the [block,
+    row] masks of kept rows and of the other non-zero rows, and whether
+    every block's maximum is finite."""
+    rowmax = np.abs(x).max(axis=(1 - axis, 3))  # [block, row]
+    blockmax = rowmax.max(axis=1, keepdims=True)
+    finite = np.isfinite(blockmax)
+    occupied = rowmax != 0
+    noise = occupied & (rowmax < np.where(finite, 2.0 ** -53 * blockmax, 0.0))
+    return occupied & ~noise, noise, bool(finite.all())
 
 
 def _channel_plan(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> list:
@@ -238,11 +283,13 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     fhat is (N,)*n + (A, B) and ghat (N,)*n + (B, C) on dual_axis(), and the
     result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
     by side in column blocks of ghat (C = m k) block j is fhat's product with
-    block j.  For n = 2, theta != 0, each column of ghat drops the q2 rows
-    whose entries all stay below u = 2^-53 of its largest modulus, rounding
-    noise within the product's normwise error, and a q2 row is skipped only
-    if every column drops it, so a NaN in fhat also reaches a block whose
-    own row q2 is dropped when another block keeps it (_twisted_kernel).
+    block j.  For n = 2, theta != 0, each row of fhat drops the p2 rows and
+    each column of ghat the q2 rows whose entries all stay below u = 2^-53
+    of its own largest modulus (one unit roundoff per factor of the largest
+    terms the sum adds), and a row is skipped only if every row or column
+    drops it.  So a NaN in fhat also reaches a block whose own row q2 is
+    dropped when another block keeps it, and a NaN in ghat reaches every
+    output row r2 of its column (_twisted_kernel).
     """
     n = grid.n
     chat = _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),

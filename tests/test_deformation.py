@@ -474,6 +474,192 @@ def test_roundoff_cut_spares_non_finite_column(monkeypatch, bad):
     assert np.isfinite(alone).all() and np.array_equal(got[..., 1:], alone)
 
 
+def count_fft_lines(monkeypatch):
+    """Patch np.fft.fft and np.fft.ifft to record how many lines each call
+    transforms; returns {"fft": [...], "ifft": [...]}."""
+    calls = {"fft": [], "ifft": []}
+    for name, lines in calls.items():
+        def counted(a, n=None, axis=-1, *args, _fn=getattr(np.fft, name),
+                    _lines=lines, **kwargs):
+            _lines.append(np.size(a) // np.shape(a)[axis])
+            return _fn(a, n, axis, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def kept_left_rows(fhat):
+    """The p2 rows that some row a of fhat keeps: an entry of modulus at
+    least u = 2^-53 times max |fhat[..., a, :]|."""
+    rowmax = np.abs(fhat).max(axis=(0, 3))  # [p2, a]
+    return np.flatnonzero((rowmax >= 2.0 ** -53 * rowmax.max(axis=0)).any(axis=1))
+
+
+@pytest.mark.parametrize("case", ["one_row", "probe", "edge_rows", "zeros"])
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("npts", [16, 32])
+def test_roundoff_sparse_left_rows_bit_identical_to_full_loop(npts, k, theta, case):
+    # a left factor non-zero only on some p2 rows (axis 1, as the right
+    # factor's q2 rows in sparse_right_factor): the loop transforms only
+    # those rows, the frozen kernel all N, and its other rows add exact zeros
+    g = GridSpec(2, npts, 8.0)
+    fhat = sparse_right_factor(case, g, k, [npts, k, 17])
+    _, ghat = full_band_pair(npts, k, [npts, k, int(10 * theta) + 10])
+    fast = twisted_coefficients(fhat, ghat, g, theta)
+    assert np.array_equal(fast, frozen_twisted_coefficients(fhat, ghat, g, theta))
+    if case == "zeros":
+        assert not fast.any()
+        return
+    # negative control: the reference with its r2 window off by one differs
+    shifted = frozen_twisted_coefficients(fhat, ghat, g, theta, r2_offset=1)
+    assert np.abs(fast - shifted).max() > 1e-3 * np.abs(fast).max()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_roundoff_loop_transforms_only_kept_left_rows(monkeypatch, k):
+    # each loop FFT call transforms (A B + B C) |P| lines, P the p2 rows the
+    # left factor keeps (11 and 12 of 64 here, 9 band rows and noise): against
+    # a full-band right factor every q2 is visited, against a band-limited
+    # one only its kept rows
+    npts = 64
+    g = GridSpec(2, npts, 8.0)
+    fhat, ghat = band_pair(npts, k, [31, k])
+    _, full = full_band_pair(npts, k, [32, k])
+    rows = kept_left_rows(fhat)
+    assert set(range(npts // 2 - 4, npts // 2 + 5)) <= set(rows) and len(rows) < 20
+    for right, q2_rows in [(full, npts), (ghat, len(kept_rows(ghat)))]:
+        calls = count_fft_lines(monkeypatch)
+        twisted_coefficients(fhat, right, g, 0.5)
+        monkeypatch.undo()
+        assert calls == {"fft": [2 * k * k * len(rows)] * q2_rows,
+                         "ifft": [k * k * npts]}
+
+
+def test_roundoff_cut_boundary_per_left_row_block(monkeypatch):
+    # exact band coefficients, 9 p2 rows, with row block 0 a thousand times
+    # row block 1; one more entry on row p2 = 2 of block 1 at 0.25 u M_1 is
+    # cut, so the loop transforms the band's 9 rows and the result keeps the
+    # band's bits, and at 4 u M_1 it is kept (10 rows).  M_1 is block 1's own
+    # maximum: against block 0's, both entries would be cut.  The kernel's
+    # own input keeps the cut entry: the cut zeroes the gather
+    npts, k, p2 = 16, 2, 2
+    g = GridSpec(2, npts, 8.0)
+    _, ghat = full_band_pair(npts, k, 27)
+    fhat = random_band_coefficients(g, k, np.random.default_rng(28))
+    fhat[..., 0, :] *= 1e3
+    band = twisted_coefficients(fhat, ghat, g, 0.5)
+    unit = 2.0 ** -53 * np.abs(fhat[..., 1, :]).max()
+    gt = np.ascontiguousarray(ghat.transpose(2, 3, 1, 0))  # [b, c, q2, q1]
+    for factor, rows in [(0.25, 9), (4.0, 10)]:
+        probe = fhat.copy()
+        probe[5, p2, 1, 0] = factor * unit
+        ft = np.ascontiguousarray(probe.transpose(2, 3, 1, 0))
+        before = ft.copy()
+        calls = count_fft_lines(monkeypatch)
+        got = deformation._twisted_kernel(ft, gt, g, 0.5).transpose(3, 2, 0, 1)
+        monkeypatch.undo()
+        assert calls == {"fft": [2 * k * k * rows] * npts, "ifft": [k * k * npts]}
+        assert np.array_equal(ft, before)
+        if factor < 1:
+            assert np.array_equal(got, band)
+        else:
+            assert np.abs(got - band).max() <= 1e-15 * np.abs(band).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_roundoff_left_cut_spares_a_non_finite_right_factor(monkeypatch, bad):
+    # a band-limited left factor keeps 11 of 32 rows, but beside a right
+    # factor with one non-finite entry the loop transforms all N p2 rows, so
+    # the non-finite entry reaches every r2 through 0 * NaN as it does in
+    # the frozen full loop: column 0 is the frozen kernel's, NaN included,
+    # and column 1 keeps the bits of its own product, which transforms only
+    # the kept rows.  The right factor occupies one q2 row, so r2 = p2 + q2
+    # - N/2 over the kept p2 alone would miss most output rows
+    npts, k = 32, 2
+    g = GridSpec(2, npts, 8.0)
+    fhat, _ = band_pair(npts, k, 33)
+    ghat = sparse_right_factor("one_row", g, k, 34)
+    ghat[3, 3, 1, 0] = bad
+    assert len(kept_left_rows(fhat)) < npts
+    calls = count_fft_lines(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = twisted_coefficients(fhat, ghat, g, 0.5)
+        monkeypatch.undo()
+        full = frozen_twisted_coefficients(fhat, ghat, g, 0.5)
+    assert calls == {"fft": [2 * k * k * npts], "ifft": [k * k * npts]}
+    assert np.isnan(got[..., 0]).any(axis=(0, 2)).all()
+    assert np.array_equal(got[..., 0], full[..., 0], equal_nan=True)
+    alone = twisted_coefficients(fhat, ghat[..., 1:], g, 0.5)
+    assert np.isfinite(alone).all() and np.array_equal(got[..., 1:], alone)
+
+
+def test_batch_left_members_keep_their_own_rows(monkeypatch):
+    # three left members, stacked as row blocks, that keep different p2
+    # rows: two band-limited fields read back through their samples (their
+    # noise rows differ), one at a thousandth of the other's scale, and
+    # coefficients on one exact row.  Each row block cuts against its own
+    # maximum, so each member keeps the bits of its own product, and the
+    # loop transforms the union of their kept rows
+    npts, k = 32, 2
+    g = GridSpec(2, npts, 8.0)
+    members = [band_pair(npts, k, 37)[0], 1e-3 * band_pair(npts, k, 38)[0],
+               sparse_right_factor("one_row", g, k, 36)]
+    ghat = band_pair(npts, k, 39)[1]
+    rows = [set(kept_left_rows(h)) for h in members]
+    assert len(set(map(frozenset, rows))) == 3
+    union = set().union(*rows)
+    assert len(union) < npts
+    calls = count_fft_lines(monkeypatch)
+    got = twisted_coefficients(np.concatenate(members, axis=2), ghat, g, 0.5)
+    monkeypatch.undo()
+    m = len(members)
+    assert calls == {"fft": [(m * k * k + k * k) * len(union)] * len(kept_rows(ghat)),
+                     "ifft": [m * k * k * npts]}
+    separate = [twisted_coefficients(h, ghat, g, 0.5) for h in members]
+    for j, alone in enumerate(separate):
+        assert np.array_equal(got[..., j * k:(j + 1) * k, :], alone)
+    # negative control: member 0 is not member 1's product
+    assert not np.array_equal(got[..., :k, :], separate[1])
+
+
+def trace_law_residual(prod, fs, gs):
+    """The trace law sum_x F x_J G = sum_x F G on samples: the largest entry
+    of the difference over ||F||_2 ||G||_2 (sample Frobenius norms)."""
+    axes = tuple(range(fs.ndim - 2))
+    diff = prod.sum(axis=axes) - np.matmul(fs, gs).sum(axis=axes)
+    return np.abs(diff).max() / (np.linalg.norm(fs) * np.linalg.norm(gs))
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("npts", [32, 64])
+@pytest.mark.parametrize("band", [False, True], ids=["full", "band"])
+def test_roundoff_cut_keeps_the_trace_law(npts, theta, band):
+    # an oracle that shares no code with the kernel: at r = 0 the twist is
+    # e^{-i p.J(-p)} = 1, so the sum of the product's samples is the sum of
+    # the pointwise products, once the Nyquist row and column (index 0 of
+    # each axis, their own negatives) are zeroed in both factors.  The band
+    # pairs carry roundoff rows that the cut drops on both sides.  Observed
+    # at most 5.7e-17 on the full pairs and 2.1e-16 on the band pairs (the
+    # full loop without the cut reads 2.0e-16 there); the frozen kernel
+    # with its r2 window off by one reads at least 7e-3
+    g = GridSpec(2, npts, 8.0)
+    k = 2
+    pair = band_pair(npts, k, [41, npts]) if band else full_band_pair(npts, k, [42, npts])
+    fhat, ghat = (h.copy() for h in pair)
+    for h in (fhat, ghat):
+        h[0] = 0
+        h[:, 0] = 0
+    if band:
+        assert len(kept_left_rows(fhat)) < npts and len(kept_rows(ghat)) < npts
+    fs, gs = (grid_transform(h, g, inverse=True) for h in (fhat, ghat))
+    prod = deformed_product(ModuleFunction(g, fs), ModuleFunction(g, gs),
+                            SkewForm.standard(theta)).samples
+    assert trace_law_residual(prod, fs, gs) <= 1e-15
+    shifted = grid_transform(frozen_twisted_coefficients(
+        fhat, ghat, g, theta, r2_offset=1), g, inverse=True)
+    assert trace_law_residual(shifted, fs, gs) > 1e-3
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.0])
 def test_twisted_coefficients_pure(theta):
     # the inputs are not written, and no buffer outlives a call: interleaved
