@@ -20,13 +20,19 @@ on a path the change leaves alone.  Each summary line prints the faults
 beside the metric, since runs can fall into distinct minor-fault modes.
 Each tree is named by `git describe` and by a sha256 of its src/ (sorted
 relative paths and their bytes, build outputs left out), which names a tree
-that is not a git checkout too.  Standard library only; exits 1 if any run
-is not correct or has failures.
+that is not a git checkout too.  Both trees start from the same bytecode
+state: before the first run every __pycache__ under each tree's src/ and
+perfbench/ is removed, and every run has PYTHONDONTWRITEBYTECODE=1, so no
+run imports bytecode that an earlier one wrote (a tree with cached bytecode
+imports faster, which decides every setup_s pair); the report records both.
+Standard library only; exits 1 if any run is not correct or has failures.
 """
 import argparse
 import hashlib
 import json
+import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +40,9 @@ from pathlib import Path
 
 TREES = ("parent", "change")
 TRACED_RUNS = 3
+# every run imports source, never bytecode an earlier run left behind
+CHILD_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+BYTECODE_DIRS = ("src", "perfbench")
 
 
 def _parse(argv):
@@ -67,6 +76,16 @@ def source_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def clear_bytecode(tree: Path) -> list:
+    """Remove every __pycache__ under tree's src/ and perfbench/; returns
+    their paths relative to tree."""
+    found = sorted(d for sub in BYTECODE_DIRS for d in (tree / sub).rglob("__pycache__")
+                   if d.is_dir())
+    for d in found:
+        shutil.rmtree(d)
+    return [d.relative_to(tree).as_posix() for d in found]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run from the root of tree: its result line and the
     minor page faults of the run and its children."""
@@ -74,7 +93,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=900, check=False)
+                          timeout=900, check=False, env=CHILD_ENV)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -92,7 +111,7 @@ def traced_once(tree: Path) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", "product",
            "--trace", "1"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=900, check=False)
+                          timeout=900, check=False, env=CHILD_ENV)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise RuntimeError(f"no traced result from {tree} (exit "
@@ -136,6 +155,9 @@ def main(argv=None) -> int:
     report = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
               "revisions": {t: revision(trees[t]) for t in TREES},
               "src_sha256": {t: source_digest(trees[t]) for t in TREES},
+              "bytecode": {"removed_before_runs": {t: clear_bytecode(trees[t])
+                                                   for t in TREES},
+                           "PYTHONDONTWRITEBYTECODE": CHILD_ENV["PYTHONDONTWRITEBYTECODE"]},
               "workloads": {}}
     ok = True
     for workload in args.workload.split(","):

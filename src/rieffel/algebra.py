@@ -16,7 +16,7 @@ def cnorm(a: np.ndarray) -> float:
 
 
 # p + r inside this range is computed without overflow or harmful underflow
-_SQUARES_MIN, _SQUARES_MAX = 1e-290, 1e290
+SQUARES_MIN, SQUARES_MAX = 1e-290, 1e290
 
 
 def cnorm_entries(entries: np.ndarray) -> np.ndarray:
@@ -46,8 +46,8 @@ def cnorm_entries(entries: np.ndarray) -> np.ndarray:
         q = np.abs(np.einsum("mj,mj->m", rows[:, 0], rows[:, 1].conj()))
         total = p + r
         out = np.sqrt(0.5 * total + np.hypot(0.5 * (p - r), q))
-    fallback = ~(total <= _SQUARES_MAX)          # overflow, inf and nan
-    tiny = total < _SQUARES_MIN
+    fallback = ~(total <= SQUARES_MAX)          # overflow, inf and nan
+    tiny = total < SQUARES_MIN
     if tiny.any():
         fallback |= tiny & rows.any(axis=(1, 2))
     if fallback.any():
@@ -81,7 +81,7 @@ def cnorm_sup_slabs(slabs, best: float = 0.0) -> float:
             floor = best * best * (1 - 1e-12)
         m = fro.max()
         if not (m < floor or (m == 0 and not rows.any())):
-            if _SQUARES_MIN <= m <= _SQUARES_MAX:
+            if SQUARES_MIN <= m <= SQUARES_MAX:
                 rows = rows[fro >= max((m / k) * (1 - 1e-12), floor)]
             best = float(np.maximum(best, cnorm_entries(rows).max()))
         del s, rows, fro

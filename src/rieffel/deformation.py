@@ -20,51 +20,59 @@ p2 q1)} splits into separate (p1,q2) and (p2,q1) factors; sweeping q2 turns
 the remaining q1-sum into a cyclic convolution done by FFT.  This evaluates
 the product exactly (to roundoff) for band-limited factors.
 
-deformed_product works channels first end to end: each factor is
-transposed once to [a, b, x2, x1], its grid transform runs along the
-contiguous x1 axis, then x2, the kernel takes and returns [a, b, p2, p1]
-coefficients, the inverse transform runs in that layout too, and one
-transpose returns (N,)*n + (k, k) samples.  twisted_coefficients is the
-channels-last wrapper around the same kernel.  The kernel multiplies
-rectangular channel blocks, [A, B] by [B, C].  L_F is a right-module map,
-so it acts on each column block of its argument on its own, and R_G on
-each row block: deformed_product(F, (u_1, .., u_m), J) runs one kernel pass
-with the u_j side by side as columns (C = m k), and a tuple on the left
-stacks rows, each member bit for bit its separate product.  The shared
-side's per-q2 multiply and FFT then run once for the whole batch.
+deformed_product works channels first end to end: each factor is transposed
+once to [a, b, x2, x1], its grid transform runs along the contiguous x1
+axis, then x2, the kernel takes [a, b, p2, p1] coefficients and returns its
+sum still in the transform domain, the sample finish runs in that layout
+too, and one transpose returns (N,)*n + (k, k) samples.  The kernel's sum
+has two finishes.  twisted_coefficients scales it and runs the inverse FFT
+along the axes the kernel transformed, giving coefficients.  The sample
+finish (deformed_product, and twisted_samples from coefficients) skips that
+inverse FFT: along the same axis it and the inverse grid transform compose,
+in exact arithmetic, to a signed, scaled index reversal, so it reverses
+those axes and runs the inverse transform on the rest, x2 of the q2 loop
+and none of the convolution.  The kernel multiplies rectangular channel
+blocks, [A, B] by [B, C].  L_F is a right-module map, so it acts on each
+column block of its argument on its own, and R_G on each row block:
+deformed_product(F, (u_1, .., u_m), J) runs one kernel pass with the u_j
+side by side as columns (C = m k), and a tuple on the left stacks rows,
+each member bit for bit its separate product.  The shared side's per-q2
+multiply and FFT then run once for the whole batch.
 
 For n = 2 each factor drops its rows of rounding noise, by one rule: row a
 of the left factor keeps a p2 row, and column c of the right factor a q2
-row, if some entry of the row reaches u = 2^-53 times the largest modulus
-of that row (L_a) or column (M_c).  The other rows hold nothing but the
-transform's roundoff beside a band-limited field's band.  The loop visits
-the q2 rows some column keeps and transforms only the set P of p2 rows some
-row keeps, so a batch visits the union of its members' rows; each row's
-or column's own cut rows are zeroed in the kernel's buffers.  The cuts
-move entry (a, c) of an output coefficient by at most
+row, if some entry of the row reaches u log2(N), u = 2^-53, times the
+largest modulus of that row (L_a) or column (M_c).  The other rows hold
+nothing but the transform's roundoff beside a band-limited field's band,
+which an FFT of N points makes at O(u log2 N).  The loop visits the q2 rows
+some column keeps and transforms only the set P of p2 rows some row keeps,
+so a batch visits the union of its members' rows; each row's or column's
+own cut rows are zeroed in the kernel's buffers.  The cuts move entry (a,
+c) of an output coefficient by at most
 
-    (2*pi)^(-n/2) dxi^n u (M_c sum_{p,b} |F^(p)_ab|
-                           + L_a sum_{q,b} |G^(q)_bc|),
+    (2*pi)^(-n/2) dxi^n u log2(N) (M_c sum_{p,b} |F^(p)_ab|
+                                   + L_a sum_{q,b} |G^(q)_bc|),
 
-one unit roundoff per factor of the largest terms the twisted sum adds: the
-size of the normwise error an FFT convolution makes anyway (N. J. Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch.
-24).  The rule is per row and per column, as L_F acts on each column on its
-own and R_G on each row.  A row or column with a non-finite entry keeps
+log2(N) unit roundoffs per factor of the largest terms the twisted sum
+adds: the size of the normwise error an FFT convolution makes anyway (N. J.
+Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+ch. 24).  The rule is per row and per column, as L_F acts on each column on
+its own and R_G on each row.  A row or column with a non-finite entry keeps
 every row it occupies, and a right factor with one transforms all N p2
 rows, so its NaN reaches every r2 as through the uncut sum's 0 * NaN.
 
-Both phase tables are built once; the P rows of the left factor are
-gathered once, and for each q2 the two modulated factors share one (A B +
-B C, |P|, N) buffer, so one batched FFT call along the contiguous last
-axis transforms both; the channel product is A B C multiply-adds of
-|P|-row planes, through views built once per call, and each q2's products
-are added straight into an accumulator indexed by r2 = p2 + q2 - N/2, one
-slice per run of consecutive rows in P, split where r2 wraps, and still in
-the transform domain, so a single inverse FFT finishes the sum.  Every
-per-q2 multiply and FFT writes into buffers allocated once per call, and
-none is kept between calls.  For n = 2 that is one FFT call of (A B + B C)
-|P| lines per kept q2 row plus one after the loop, and at most
+The phase rows are built once per call, only for the visited q2 rows and
+the P rows; the P rows of the left factor are gathered once, and for each
+q2 the two modulated factors share one (A B + B C, |P|, N) buffer, so one
+batched FFT call along the contiguous last axis transforms both; the
+channel product is A B C multiply-adds of |P|-row planes, through views
+built once per call, and each q2's products are added straight into an
+accumulator indexed by r2 = p2 + q2 - N/2, one slice per run of consecutive
+rows in P, split where r2 wraps, and still in the transform domain, so one
+finish serves every q2.  Every per-q2 multiply and FFT writes into buffers
+allocated once per call, and none is kept between calls.  For n = 2 that is
+one FFT call of (A B + B C) |P| lines per kept q2 row, plus one inverse FFT
+for coefficients or one inverse transform along x2 for samples, and at most
 O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
@@ -136,42 +144,42 @@ def _channels_last(arr: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(tuple(range(n + 1, 1, -1)) + (0, 1)))
 
 
-def _transform_channels_first(arr: np.ndarray, grid: GridSpec,
-                              inverse: bool = False) -> np.ndarray:
+def _transform_channels_first(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """grid_transform of channels-first [a, b, x_n, ..., x_1] data: the same
     axis_transform per grid axis, x_1 (the last, contiguous axis) first.
-    Returns a fresh array in the input's axis order, C-contiguous when
-    the input is or the transform is forward."""
+    Returns a fresh C-contiguous array in the input's axis order."""
     for ax in range(grid.n):
-        arr = axis_transform(arr, arr.ndim - 1 - ax, grid.spacing,
-                             -grid.half_width, inverse=inverse)
+        arr = axis_transform(arr, arr.ndim - 1 - ax, grid.spacing, -grid.half_width)
     return arr
 
 
 def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
                     theta: float) -> np.ndarray:
-    """twisted_coefficients on channels-first data: ft is [A, B, p_n, ..,
-    p_1], gt is [B, C, q_n, .., q_1], and the returned [A, C, r_n, .., r_1]
-    is their channel-block product, so channel (a, c) sums over b in order.
+    """The twisted sum on channels-first data, left in the transform domain:
+    ft is [A, B, p_n, .., p_1], gt is [B, C, q_n, .., q_1], and the returned
+    [A, C, r_n, .., r_1] accumulator is their channel-block product, so
+    channel (a, c) sums over b in order, still transformed along every grid
+    axis for the n = 1 and theta = 0 convolution and along the last axis, z,
+    for the q2 loop.  _finish_coefficients and _finish_samples finish it.
     Neither input is written.  Row blocks of ft, or column blocks of gt, are
     factors side by side: each block of the result is, bit for bit, the
     product of its own block alone, save for the NaN rule below.  For n = 2
     and theta != 0 row a of ft keeps a non-zero row p2, and column c of gt a
-    non-zero row q2, iff some entry has modulus at least u = 2^-53 times max
-    |ft[a]| or max |gt[:, c]|, or that max is not finite (_kept_rows); the
-    other rows are zeroed in the kernel's own buffers, which moves entry (a,
-    c) by at most one unit roundoff per factor of the largest terms its sum
-    adds.  The loop visits the q2 rows some column keeps and transforms the
-    p2 rows some row keeps, all N if gt has a non-finite entry.  So a
-    non-finite entry of ft reaches the rows r2 = p2 + q2 - N/2 of every q2
-    that any column keeps, and none if gt is all zeros; one of gt reaches
-    every r2 of its column; the n = 1 and theta = 0 convolution cuts nothing
-    and spreads a non-finite entry of ft over every r of its matrix row."""
+    non-zero row q2, iff some entry has modulus at least u log2(N) times max
+    |ft[a]| or max |gt[:, c]|, u = 2^-53, or that max is not finite
+    (_kept_rows); the other rows are zeroed in the kernel's own buffers,
+    which moves entry (a, c) by at most log2(N) unit roundoffs per factor of
+    the largest terms its sum adds.  The loop visits the q2 rows some column
+    keeps and transforms the p2 rows some row keeps, all N if gt has a
+    non-finite entry.  So a non-finite entry of ft reaches the rows r2 = p2
+    + q2 - N/2 of every q2 that any column keeps, and none if gt is all
+    zeros; one of gt reaches every r2 of its column; the n = 1 and theta = 0
+    convolution cuts nothing and spreads a non-finite entry of ft over every
+    r of its matrix row."""
     n, npts = grid.n, grid.points
     half = npts // 2
-    scale = (TWO_PI) ** (-n / 2.0) * grid.dual_spacing ** n
     shape = ft.shape[:1] + gt.shape[1:2] + ft.shape[2:]  # [A, C, r_n, .., r_1]
-    if n == 1 or theta == 0.0:
+    if _convolves(grid, theta):
         # plain cyclic convolution with in-band wrap
         axes = tuple(range(2, n + 2))
         fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
@@ -180,16 +188,13 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
         tmp = np.empty(ft.shape[2:], dtype=complex)
         for dest, pairs in _channel_plan(fa, fb, prod):
             _channel_entry(pairs, dest, tmp)
-        return scale * np.fft.ifftn(prod, axes=axes)
+        return prod
 
     # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each kept q2 adds the
     # products of the kept p2 rows at r2 = p2 + q2 - N/2, wrapped.
-    xi = grid.dual_axis()
-    txx = theta * np.outer(xi, xi)
-    mods = np.exp(-1j * txx)   # [q2, p1]: e^{-i theta xi(p1) xi(q2)}
-    bphase = np.exp(1j * txx)  # [p2, q1]: e^{+i theta xi(p2) xi(q1)}
-    fkeep, fnoise, _ = _kept_rows(ft, 0)          # [A, p2]
-    gkeep, gnoise, gfinite = _kept_rows(gt, 1)    # [C, q2]
+    cut = 2.0 ** -53 * np.log2(npts)
+    fkeep, fnoise, _ = _kept_rows(ft, 0, cut)          # [A, p2]
+    gkeep, gnoise, gfinite = _kept_rows(gt, 1, cut)    # [C, q2]
     # a non-finite right factor meets every p2 row, zero or not, so that its
     # NaN reaches every r2 through 0 * NaN; the kept rows are gathered once,
     # each row block's cut rows zeroed in the gather
@@ -197,7 +202,13 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     fp = ft[:, :, rows]
     cut_a, cut_j = np.nonzero(fnoise[:, rows])
     fp[cut_a, :, cut_j] = 0
-    bp = bphase[rows]
+    # the loop visits the rows some column keeps; only the phase rows it
+    # reads are built: e^{-i theta xi(q2) xi(p1)} for the visited q2 and
+    # e^{+i theta xi(p2) xi(q1)} for the gathered p2
+    visit = np.flatnonzero(gkeep.any(axis=0))
+    xi = grid.dual_axis()
+    mods = np.exp(-1j * (theta * np.outer(xi[visit], xi)))  # [visit, p1]
+    bp = np.exp(1j * (theta * np.outer(xi[rows], xi)))      # [P, q1]
     # rows as runs of consecutive p2: (first buffer row, past-the-end, first p2)
     starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
     runs = list(zip(starts.tolist(), starts[1:].tolist() + [rows.size],
@@ -213,11 +224,11 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     tmp = np.empty(fp.shape[2:], dtype=complex)
     acc = np.zeros(shape, dtype=complex)  # [A, C, r2, z]
     plan = _channel_plan(fmod, gmod, acc)
-    # the loop visits the rows some column keeps, as Python ints (numpy
-    # scalars index slower), and zeroes each column's own cut rows in gmod
+    # q2 as Python ints (numpy scalars index slower); each column's own cut
+    # rows are zeroed in gmod
     gcut = gnoise.any(axis=0).tolist()
-    for q2 in np.flatnonzero(gkeep.any(axis=0)).tolist():
-        np.multiply(fp, mods[q2], out=fmod)
+    for q2, mod in zip(visit.tolist(), mods):
+        np.multiply(fp, mod, out=fmod)
         np.multiply(gt[:, :, q2, None, :], bp, out=gmod)
         if gcut[q2]:
             gmod[:, gnoise[:, q2]] = 0
@@ -231,30 +242,75 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
             pieces.append((j0, split, r0, r0 + split - j0))
             if split < j1:
                 pieces.append((split, j1, 0, j1 - split))
-        # still in the transform domain along z, so one inverse FFT after
-        # the loop serves every q2
+        # still in the transform domain along z, so one finish after the
+        # loop serves every q2
         for dest, pairs in plan:
             _channel_entry(pairs, plane, tmp)
             for j0, j1, r0, r1 in pieces:
                 dest[r0:r1] += plane[j0:j1]
+    return acc
+
+
+def _convolves(grid: GridSpec, theta: float) -> bool:
+    """Whether _twisted_kernel runs the plain convolution (n = 1 or theta =
+    0), transformed along every grid axis, rather than the q2 loop."""
+    return grid.n == 1 or theta == 0.0
+
+
+def _scale(grid: GridSpec) -> float:
+    """(2*pi)^(-n/2) dxi^n, the twisted sum's measure."""
+    return TWO_PI ** (-grid.n / 2.0) * grid.dual_spacing ** grid.n
+
+
+def _finish_coefficients(acc: np.ndarray, grid: GridSpec, theta: float) -> np.ndarray:
+    """The channels-first coefficients [A, C, r_n, .., r_1] from
+    _twisted_kernel's accumulator, which the q2 loop's finish overwrites:
+    the scale, and for the q2 loop the sign (-1)^z, then the inverse FFT
+    along the axes the kernel transformed."""
+    scale = _scale(grid)
+    if _convolves(grid, theta):
+        return scale * np.fft.ifftn(acc, axes=tuple(range(2, grid.n + 2)))
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
-    acc *= np.where(np.arange(npts) % 2 == 0, scale, -scale)
+    acc *= np.where(np.arange(grid.points) % 2 == 0, scale, -scale)
     return np.fft.ifft(acc, axis=-1, out=acc)
 
 
-def _kept_rows(x: np.ndarray, axis: int):
+def _finish_samples(acc: np.ndarray, grid: GridSpec, theta: float) -> np.ndarray:
+    """The channels-first samples [A, C, x_n, .., x_1] from _twisted_kernel's
+    accumulator, a fresh array.  Along an axis the kernel transformed, the
+    coefficient finish's inverse FFT and the inverse axis_transform compose
+    to an index reversal: with K = N dxi / sqrt(2 pi), sample j is (K/N)
+    (-1)^(j + N/2) times entry (N/2 - j) mod N of the inverse FFT's input.
+    That input is scale acc for the convolution, and (-1)^z scale acc for
+    the q2 loop, whose sign cancels (-1)^(j + N/2).  The q2 loop's other
+    axis, r2, takes the inverse axis_transform."""
+    n, npts = grid.n, grid.points
+    half = npts // 2
+    rev = (half - np.arange(npts)) % npts
+    weight = grid.dual_spacing / np.sqrt(TWO_PI)  # K / N
+    if _convolves(grid, theta):
+        out = acc[(slice(None),) * 2 + np.ix_(*[rev] * n)]
+        alt = np.where((np.arange(npts) + half) % 2 == 0, weight, -weight)
+        out *= _scale(grid) * (np.multiply.outer(alt, alt) if n == 2 else alt)
+        return out
+    out = acc[..., rev]
+    out *= _scale(grid) * weight
+    return axis_transform(out, 2, grid.spacing, -grid.half_width, inverse=True)
+
+
+def _kept_rows(x: np.ndarray, axis: int, cut: float):
     """The roundoff cut of channels-first n = 2 data [., ., rows, N], per
     block: block j is x's index j along channel axis `axis`, a row of a left
     factor (0) or a column of a right factor (1).  A block keeps a non-zero
-    row iff some entry has modulus at least u = 2^-53 times the block's
-    largest modulus, or that maximum is not finite.  Returns the [block,
-    row] masks of kept rows and of the other non-zero rows, and whether
-    every block's maximum is finite."""
+    row iff some entry has modulus at least cut times the block's largest
+    modulus, or that maximum is not finite.  Returns the [block, row] masks
+    of kept rows and of the other non-zero rows, and whether every block's
+    maximum is finite."""
     rowmax = np.abs(x).max(axis=(1 - axis, 3))  # [block, row]
     blockmax = rowmax.max(axis=1, keepdims=True)
     finite = np.isfinite(blockmax)
     occupied = rowmax != 0
-    noise = occupied & (rowmax < np.where(finite, 2.0 ** -53 * blockmax, 0.0))
+    noise = occupied & (rowmax < np.where(finite, cut * blockmax, 0.0))
     return occupied & ~noise, noise, bool(finite.all())
 
 
@@ -276,6 +332,16 @@ def _channel_entry(pairs: list, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_channels_last(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
+                          theta: float) -> np.ndarray:
+    """_twisted_kernel of channels-last coefficients (N,)*n + (A, B) and
+    (N,)*n + (B, C)."""
+    n = grid.n
+    return _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),
+                           np.ascontiguousarray(_channels_first(ghat, n)),
+                           grid, theta)
+
+
 def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                          theta: float) -> np.ndarray:
     """Fourier coefficients of the deformed product from factor coefficients.
@@ -284,18 +350,28 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
     by side in column blocks of ghat (C = m k) block j is fhat's product with
     block j.  For n = 2, theta != 0, each row of fhat drops the p2 rows and
-    each column of ghat the q2 rows whose entries all stay below u = 2^-53
-    of its own largest modulus (one unit roundoff per factor of the largest
-    terms the sum adds), and a row is skipped only if every row or column
-    drops it.  So a NaN in fhat also reaches a block whose own row q2 is
-    dropped when another block keeps it, and a NaN in ghat reaches every
-    output row r2 of its column (_twisted_kernel).
+    each column of ghat the q2 rows whose entries all stay below u log2(N),
+    u = 2^-53, of its own largest modulus (log2(N) unit roundoffs per factor
+    of the largest terms the sum adds, the FFT's own normwise error), and a
+    row is skipped only if every row or column drops it.  So a NaN in fhat
+    also reaches a block whose own row q2 is dropped when another block
+    keeps it, and a NaN in ghat reaches every output row r2 of its column
+    (_twisted_kernel).  The kernel's sum is finished to coefficients: scaled,
+    then inverse FFT'd along the axes it transformed.
     """
-    n = grid.n
-    chat = _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),
-                           np.ascontiguousarray(_channels_first(ghat, n)),
-                           grid, theta)
-    return _channels_last(chat, n)
+    acc = _kernel_channels_last(fhat, ghat, grid, theta)
+    return _channels_last(_finish_coefficients(acc, grid, theta), grid.n)
+
+
+def twisted_samples(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
+                    theta: float) -> np.ndarray:
+    """The deformed product's samples, (N,)*n + (A, C), from the factor
+    coefficients of twisted_coefficients: grid_transform(twisted_coefficients(
+    fhat, ghat, grid, theta), grid, inverse=True) to roundoff, with the
+    kernel's last inverse FFT and the inverse transform along the same axis
+    folded into one signed, scaled index reversal (_finish_samples)."""
+    acc = _kernel_channels_last(fhat, ghat, grid, theta)
+    return _channels_last(_finish_samples(acc, grid, theta), grid.n)
 
 
 def _stacked_coefficients(fields: tuple, grid: GridSpec, axis: int) -> np.ndarray:
@@ -328,8 +404,7 @@ def deformed_product(f, g, J: SkewForm):
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
-    chat = _twisted_kernel(ft, gt, grid, J.theta)
-    full = _transform_channels_first(chat, grid, inverse=True)
+    full = _finish_samples(_twisted_kernel(ft, gt, grid, J.theta), grid, J.theta)
     blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
               for j in range(len(fs) * len(gs)))
     out = tuple(ModuleFunction(grid, _channels_last(b, grid.n)) for b in blocks)

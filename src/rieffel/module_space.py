@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cnorm, cnorm_entries, cnorm_sup
+from .algebra import SQUARES_MAX, SQUARES_MIN, cnorm, cnorm_entries, cnorm_sup
 from .errors import GridMismatchError
 from .grids import GridSpec, fourier_multiplier, grid_transform
 
@@ -101,8 +101,23 @@ def inner_product(f: ModuleFunction, g: ModuleFunction) -> np.ndarray:
 
 
 def module_norm(f: ModuleFunction) -> float:
-    """||f||_2 = ||<f, f>||^(1/2) with the C*-norm of the Gram matrix."""
-    return float(np.sqrt(max(cnorm(inner_product(f, f)), 0.0)))
+    """||f||_2 = ||<f, f>||^(1/2) with the C*-norm of the Gram matrix.
+
+    A non-zero f whose Gram has its largest diagonal entry outside
+    [SQUARES_MIN, SQUARES_MAX], or not finite (samples beyond about
+    1e+-145), is normed again on
+    its samples scaled by 2^-e, 2^e the power of two of their largest
+    modulus, and the norm is scaled back by 2^e: both scalings are exact, so
+    the norm keeps its relative accuracy at every representable scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = inner_product(f, f)
+    top = np.diagonal(gram).real.max()
+    if not SQUARES_MIN <= top <= SQUARES_MAX and f.samples.any():
+        e = int(np.frexp(np.abs(f.samples).max())[1])
+        parts = np.ldexp(np.ascontiguousarray(f.samples).view(float), -e)
+        unit = ModuleFunction(f.grid, parts.view(complex))
+        return float(np.ldexp(np.sqrt(max(cnorm(inner_product(unit, unit)), 0.0)), e))
+    return float(np.sqrt(max(cnorm(gram), 0.0)))
 
 
 def fourier(f: ModuleFunction, inverse: bool = False) -> ModuleFunction:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import cnorm_sup, cnorm_sup_slabs
-from .deformation import SkewForm, twisted_coefficients
+from .deformation import SkewForm, twisted_samples
 from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
@@ -327,9 +327,9 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
     Tu = out[..., k:]
     # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
-    Fu = twisted_coefficients(grid_transform(F.samples, grid), stacked[..., k:],
-                              grid, J.theta)
-    return F, cnorm_sup(Tu - grid_transform(Fu, grid, inverse=True)) / u_sup
+    Fu = twisted_samples(grid_transform(F.samples, grid), stacked[..., k:],
+                         grid, J.theta)
+    return F, cnorm_sup(Tu - Fu) / u_sup
 
 
 @functools.lru_cache(maxsize=8)

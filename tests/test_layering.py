@@ -5,7 +5,8 @@ imports a private (underscore) name from a sibling module, no test imports
 one from rieffel, and every relative import sits at module level, so each
 module's dependencies are listed in its header.  numpy's FFT is called
 only by grids and by the two kernels that spread or convolve raw FFT
-coefficients; every other transform goes through grids.  No module tests
+coefficients (the product kernel with its coefficient finish); every other
+transform goes through grids.  No module tests
 a symbol's class, and symbols are evaluated point by point only inside
 eval methods and the generic slab writer PhaseSymbol._fill.
 """
@@ -20,9 +21,11 @@ MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
+# the product kernel leaves its sum in the transform domain, and its
+# coefficient finish runs the inverse FFT
 FFT_ALLOWED = {"grids": None,  # anywhere in the module
-               "deformation": "_twisted_kernel",
-               "quantization": "TranslationSymbol._shear"}
+               "deformation": ("_twisted_kernel", "_finish_coefficients"),
+               "quantization": ("TranslationSymbol._shear",)}
 
 
 def find(tree, match):
@@ -75,7 +78,8 @@ def fft_allowed(module, scope):
     if module not in FFT_ALLOWED:
         return False
     where = FFT_ALLOWED[module]
-    return where is None or scope == where or (scope or "").startswith(where + ".")
+    return where is None or any(scope == w or (scope or "").startswith(w + ".")
+                                for w in where)
 
 
 def test_modules_found():
@@ -154,8 +158,11 @@ def test_fft_guard_detects_violations():
         False, True, True, False, False]
     assert fft_allowed("deformation", "_twisted_kernel.inner")
     assert not fft_allowed("deformation", "_twisted_kernel_v2")
-    # the channels-last wrapper only transposes around the kernel
+    assert fft_allowed("deformation", "_finish_coefficients")
+    # the channels-last wrappers only transpose around the kernel and its
+    # finishes, and the sample finish reverses indices and calls grids
     assert not fft_allowed("deformation", "twisted_coefficients")
+    assert not fft_allowed("deformation", "_finish_samples")
     assert not fft_allowed("suites", None)
     assert fft_allowed("grids", "fourier_multiplier")
 

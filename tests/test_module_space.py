@@ -106,6 +106,29 @@ def test_module_norm_vs_l2():
     assert module_norm(f) <= l2 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1.0, 1e155, 1e200])
+def test_module_norm_at_extreme_scales(scale):
+    # a full-band field at N = 32, k = 2 times s: the Gram's squares
+    # underflow below s ~ 1e-150 and overflow above s ~ 1e150, where the
+    # norm was exactly 0.0 (s = 1e-170), off by 4.5e-7 (s = 1e-160) or
+    # raised LinAlgError (s = 1e155).  Normed on samples scaled by a power
+    # of two, it reads s times the s = 1 value (observed at most 2.2e-16
+    # relative), and at s = 1 it keeps the plain Gram's bits
+    r = np.random.default_rng(27)
+    z = r.normal(size=G2.shape + (2, 2)) + 1j * r.normal(size=G2.shape + (2, 2))
+    one = ModuleFunction(G2, z)
+    base = module_norm(one)
+    assert base == float(np.sqrt(cnorm(inner_product(one, one))))
+    got = module_norm(ModuleFunction(G2, scale * z))
+    assert abs(got - scale * base) <= 1e-14 * scale * base
+    if scale != 1.0:
+        # the Gram itself is out of range: its diagonal underflows or overflows
+        f = ModuleFunction(G2, scale * z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = np.diagonal(inner_product(f, f)).real.max()
+        assert not 1e-290 <= top <= 1e290
+
+
 # ---- Fourier transform
 
 

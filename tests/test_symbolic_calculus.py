@@ -5,7 +5,7 @@ import pytest
 
 from rieffel import quantization, symbolic_calculus
 from rieffel.algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
-from rieffel.deformation import SkewForm, twisted_coefficients
+from rieffel.deformation import SkewForm, twisted_samples
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction
@@ -734,7 +734,7 @@ def test_recover_reads_F_as_T_of_one(n, k):
 
 
 def test_recover_rejects_a_form_of_another_dimension():
-    # twisted_coefficients reads only theta, so recover checks J's
+    # twisted_samples reads only theta, so recover checks J's
     # dimension against the grid itself
     g = GridSpec(2, 16, 8.0)
     a = TranslationSymbol(band_limited_field(g, 2, np.random.default_rng(4)), J)
@@ -754,8 +754,8 @@ def recover_unmemoized(a, J, grid):
     one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
     out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
-    Fu = twisted_coefficients(grid_transform(F.samples, grid), uh, grid, J.theta)
-    return F, cnorm_sup(out[..., k:] - grid_transform(Fu, grid, inverse=True)) / u.sup_norm()
+    Fu = twisted_samples(grid_transform(F.samples, grid), uh, grid, J.theta)
+    return F, cnorm_sup(out[..., k:] - Fu) / u.sup_norm()
 
 
 @pytest.mark.parametrize("n, npts, k", [(2, 16, 2), (2, 32, 2), (1, 64, 3)])
