@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GridMismatchError, ResolutionError
-from .grids import TWO_PI, GridSpec, axis_transform, grid_transform
+from .grids import TWO_PI, GridSpec, axis_transform, grid_transform, roundoff_cut
 from .module_space import ModuleFunction, check_compatible
 
 DEFAULT_THETA = 0.5
@@ -167,11 +167,11 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     and theta != 0 row a of ft keeps a non-zero row p2, and column c of gt a
     non-zero row q2, iff some entry has modulus at least u log2(N) times max
     |ft[a]| or max |gt[:, c]|, u = 2^-53, or that max is not finite
-    (_kept_rows); the other rows are zeroed in the kernel's own buffers,
-    which moves entry (a, c) by at most log2(N) unit roundoffs per factor of
-    the largest terms its sum adds.  The loop visits the q2 rows some column
-    keeps and transforms the p2 rows some row keeps, all N if gt has a
-    non-finite entry.  So a non-finite entry of ft reaches the rows r2 = p2
+    (grids.roundoff_cut); the other rows are zeroed in the kernel's own
+    buffers, which moves entry (a, c) by at most log2(N) unit roundoffs per
+    factor of the largest terms its sum adds.  The loop visits the q2 rows
+    some column keeps and transforms the p2 rows some row keeps, all N if gt
+    has a non-finite entry.  So a non-finite entry of ft reaches the rows r2 = p2
     + q2 - N/2 of every q2 that any column keeps, and none if gt is all
     zeros; one of gt reaches every r2 of its column; the n = 1 and theta = 0
     convolution cuts nothing and spreads a non-finite entry of ft over every
@@ -192,9 +192,9 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
 
     # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each kept q2 adds the
     # products of the kept p2 rows at r2 = p2 + q2 - N/2, wrapped.
-    cut = 2.0 ** -53 * np.log2(npts)
-    fkeep, fnoise, _ = _kept_rows(ft, 0, cut)          # [A, p2]
-    gkeep, gnoise, gfinite = _kept_rows(gt, 1, cut)    # [C, q2]
+    # the cut's blocks are the rows a of ft and the columns c of gt
+    fkeep, fnoise, _ = roundoff_cut(np.abs(ft).max(axis=(1, 3)), npts)        # [A, p2]
+    gkeep, gnoise, gfinite = roundoff_cut(np.abs(gt).max(axis=(0, 3)), npts)  # [C, q2]
     # a non-finite right factor meets every p2 row, zero or not, so that its
     # NaN reaches every r2 through 0 * NaN; the kept rows are gathered once,
     # each row block's cut rows zeroed in the gather
@@ -296,22 +296,6 @@ def _finish_samples(acc: np.ndarray, grid: GridSpec, theta: float) -> np.ndarray
     out = acc[..., rev]
     out *= _scale(grid) * weight
     return axis_transform(out, 2, grid.spacing, -grid.half_width, inverse=True)
-
-
-def _kept_rows(x: np.ndarray, axis: int, cut: float):
-    """The roundoff cut of channels-first n = 2 data [., ., rows, N], per
-    block: block j is x's index j along channel axis `axis`, a row of a left
-    factor (0) or a column of a right factor (1).  A block keeps a non-zero
-    row iff some entry has modulus at least cut times the block's largest
-    modulus, or that maximum is not finite.  Returns the [block, row] masks
-    of kept rows and of the other non-zero rows, and whether every block's
-    maximum is finite."""
-    rowmax = np.abs(x).max(axis=(1 - axis, 3))  # [block, row]
-    blockmax = rowmax.max(axis=1, keepdims=True)
-    finite = np.isfinite(blockmax)
-    occupied = rowmax != 0
-    noise = occupied & (rowmax < np.where(finite, cut * blockmax, 0.0))
-    return occupied & ~noise, noise, bool(finite.all())
 
 
 def _channel_plan(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> list:

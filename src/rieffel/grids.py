@@ -19,6 +19,11 @@ not depend on the origin: the signs, phases and measures cancel, so
 fourier_multiplier takes only the spacings and works in FFT order, as
 does translates, which shifts one function by several vectors with one
 forward and one batched inverse FFT.
+
+roundoff_cut states once which lines of FFT coefficients hold only the
+transform's roundoff: a line below u log2(N) of its block's largest
+modulus, the FFT's own normwise error.  The twisted product drops such rows
+of either factor, and the translation-symbol shear such nu_1 columns of F^.
 """
 from __future__ import annotations
 
@@ -159,6 +164,24 @@ def translates(samples: np.ndarray, spacing: float, shifts) -> np.ndarray:
         np.multiply(hat, separable_wave(nu, shift), out=dest)
     np.fft.ifftn(out, axes=grid, out=out)
     return np.moveaxis(out, grid, range(1, len(grid) + 1))
+
+
+def roundoff_cut(linemax: np.ndarray, points: int):
+    """The FFT noise floor of N = points coefficient lines per block, from
+    linemax[block, line], the largest modulus on each line.  A block keeps a
+    non-zero line iff its linemax is at least u log2(N) times the block's
+    largest, u = 2^-53, or that largest is not finite.  u log2(N) times the
+    largest modulus bounds the normwise roundoff of a length-N FFT (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 24), so the other
+    non-zero lines hold only transform roundoff.  Returns the [block, line]
+    masks of kept lines and of the other non-zero lines, and whether every
+    block's largest modulus is finite."""
+    cut = 2.0 ** -53 * np.log2(points)
+    blockmax = linemax.max(axis=1, keepdims=True)
+    finite = np.isfinite(blockmax)
+    occupied = linemax != 0
+    noise = occupied & (linemax < np.where(finite, cut * blockmax, 0.0))
+    return occupied & ~noise, noise, bool(finite.all())
 
 
 def grid_transform(samples: np.ndarray, grid: GridSpec,

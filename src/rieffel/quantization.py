@@ -37,16 +37,18 @@ writer calls eval once per slab.  A trig writer tabulates each term's 2n
 one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
 a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box; a
 symbol with no terms writes zeros.  A
-translation symbol writes by a shear on F's grid (F's forward transform and
-one phased inverse along x_0 for the box's xi_1 columns, then per slab one
-real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose conjugate
-columns it folds), by broadcasting F's slabs at J = 0, and by F's trig sum
-off F's grid.  A bracket multiplies its factors' slabs; a grid symbol
-yields basic-slice views of its samples.  Those views are read-only; every
-other stream writes into a slab buffer of its own, scratch that the caller
-who drew the stream may overwrite (recover_translation_symbol subtracts into
-its translation stream's slab), so a fold that writes into a slab raises
-before it can reach a symbol's samples.
+translation symbol writes by a shear on F's grid (F's forward transform,
+cut to the nu_1 columns above the FFT's noise floor by grids.roundoff_cut,
+and one phased inverse along x_0 for the box's xi_1 columns, then per slab
+one real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose
+conjugate columns it folds, over the kept pairs alone), by broadcasting F's
+slabs at J = 0, and by F's trig sum off F's grid.  A bracket multiplies its
+factors' slabs; a grid symbol yields basic-slice views of its samples.
+Those views are read-only; every other stream writes into a slab buffer of
+its own, scratch that the caller who drew the stream may overwrite
+(recover_translation_symbol subtracts into its translation stream's slab),
+so a fold that writes into a slab raises before it can reach a symbol's
+samples.
 
 pi_seminorm's supremum over the 4^n partials d^beta_x d^gamma_xi a,
 beta, gamma <= (1, ..., 1), folds each partial's slabs in turn.  A backing
@@ -99,7 +101,7 @@ from .algebra import cnorm_entries, cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
 from .grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
-                    grid_transform, separable_wave, translates)
+                    grid_transform, roundoff_cut, separable_wave, translates)
 from .module_space import ModuleFunction, module_norm
 
 
@@ -549,17 +551,31 @@ class TranslationSymbol(PhaseSymbol):
         sqrt(2 pi))^2 F^(nu) e^{i x0.nu} with nu read in FFT order (the
         inverse's (-1)^j sign as a roll by N/2); these phases, the roll and
         the scale undo F^'s own, leaving c = fftn(F) / N^2.  The phase is
-        e^{-i J_01 nu0 xi1} e^{-i J_10 nu1 xi0}.  Axis 0 takes its factor and
-        inverse transform once, on the (nu0, nu1, 1, xi1, k, k) head H, xi1
-        in the box.  Axis 1's factor and inverse DFT act on nu1 as one
-        (N B0 x N) matrix D[(x1, xi0), nu1] = e^{i (2 pi x1 nu1 / N - J_10
-        nu1 xi0)} / N (nu1 the FFT index, xi0 the box's B0 nodes), whose
-        columns nu1 and N - nu1 are conjugate.  So D @ H_i = R @ S_i with the
-        real R = [Re D[:, :N/2+1], Im D[:, 1:N/2+1]] (N + 1 columns, from cos
-        and sin tables) and the rows of S_i: H_0, H_j + H_{N-j}, H_{N/2},
-        i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).  Slab i is one real
-        GEMM of 4 N^2 B0 (N + 1) B1 k^2 flops (B0 x B1 the box), about half
-        the complex one's, with S_i built in one reused (N + 1) x B1 k^2
+        e^{-i J_01 nu0 xi1} e^{-i J_10 nu1 xi0}.  Axis 1's factor and inverse
+        DFT act on nu1 as one (N B0 x N) matrix D[(x1, xi0), nu1] = e^{i (2
+        pi x1 nu1 / N - J_10 nu1 xi0)} / N (nu1 the FFT index, xi0 the box's
+        B0 nodes), whose columns nu1 and N - nu1 are conjugate.  So D @ H_i =
+        R @ S_i with the real R = [Re D[:, :N/2+1], Im D[:, 1:N/2+1]] (N + 1
+        columns, from cos and sin tables) and the rows of S_i: H_0, H_j +
+        H_{N-j}, H_{N/2}, i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).
+
+        Only F^'s nu1 columns above the FFT's noise floor enter: column nu1
+        is kept for channel (a, b) iff some |F^[nu0, nu1, a, b]| is at least
+        u log2(N) times that channel's largest modulus, u = 2^-53
+        (grids.roundoff_cut), every column if some channel's largest is not
+        finite.  The pair (j, N - j) is kept if either member is, and K
+        lists the kept pairs' columns of R, all N + 1 in order for a
+        full-band F.  Each channel's cut columns are zeroed in the shear's
+        own F^.  u log2(N) times the largest modulus is the normwise error
+        of the FFT that made F^ (Higham, ch. 24), so a cut column holds only
+        transform roundoff, and each coefficient it drops moves a sample by
+        less than u log2(N) of the largest term the sample's sum adds; a
+        band-limited F's samples move by about 4e-16 of their sup.  Axis 0
+        takes its factor and inverse transform once, on the head H of the
+        kept columns, (nu0, nu1, 1, xi1, k, k) with xi1 in the box.  Slab i
+        is one real GEMM of 4 N B0 |K| B1 k^2 flops (B0 x B1 the box), for
+        |K| = N + 1 about half the complex one's, with R's kept columns
+        gathered once per call and S_i built in one reused |K| x B1 k^2
         buffer.  R depends only on (N, L, the box's xi_0 range, J_10), not
         on F: _shear_table keeps it on that key (see there)."""
         N, k = grid.points, self.algebra_dim
@@ -567,19 +583,38 @@ class TranslationSymbol(PhaseSymbol):
         J = self.J.entries
         nu = np.fft.ifftshift(grid.dual_axis())
         xi1 = box_nodes(grid, box)[1]
-        head = np.fft.fftn(self.F.samples, axes=(0, 1)).reshape(
-            (N, N, 1, 1, k, k)) * np.exp(
+        fhat = np.fft.fftn(self.F.samples, axes=(0, 1))   # [nu0, nu1, a, b]
+        kept, noise, finite = roundoff_cut(
+            np.abs(fhat).max(axis=0).reshape(N, k * k).T, N)  # [ab, nu1]
+        ab, cut = np.nonzero(noise)
+        fhat[:, cut, ab // k, ab % k] = 0
+        # the kept pairs j = 0 .. N/2: lo, of which mid are conjugate pairs;
+        # the head's columns are lo, then N - j for j in mid
+        j = np.arange(h + 1)
+        lo = j if not finite else np.flatnonzero(
+            kept[:, j].any(axis=0) | kept[:, (N - j) % N].any(axis=0))
+        mid = lo[(lo > 0) & (lo < h)]
+        K0, nm = lo.size, mid.size
+        z0 = int(K0 > 0 and lo[0] == 0)
+        e = z0 + nm   # lo[e:] is [N/2] or empty
+        head = fhat.take(np.concatenate([lo, N - mid]), axis=1).reshape(
+            (N, K0 + nm, 1, 1, k, k)) * np.exp(
             -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi1)[..., None, None]
         np.fft.ifft(head, axis=0, out=head)
         R = _shear_table(N, grid.half_width, box[0].indices(N), float(J[1, 0]))
-        H = head.reshape(N, N, len(xi1) * k * k)
-        S = np.empty((N + 1, len(xi1) * k * k), dtype=complex)
+        # take, not R[:, K]: that gather is Fortran-ordered, and the GEMM
+        # of a transposed R rounds differently
+        R = R.take(np.concatenate([lo, h + lo[lo > 0]]), axis=1)
+        H = head.reshape(N, K0 + nm, len(xi1) * k * k)
+        S = np.empty((R.shape[1], len(xi1) * k * k), dtype=complex)
         for i in range(N):
+            # S's rows follow R's columns: H_0 if kept, the sums over mid,
+            # H_{N/2} if kept, then i times the differences and i H_{N/2}
             Hi = H[i]
-            S[0], S[h], S[N] = Hi[0], Hi[h], Hi[h]
-            np.add(Hi[1:h], Hi[:h:-1], out=S[1:h])
-            np.subtract(Hi[1:h], Hi[:h:-1], out=S[h + 1:N])
-            S[h + 1:] *= 1j
+            S[:z0], S[e:K0], S[K0 + nm:] = Hi[:z0], Hi[e:K0], Hi[e:K0]
+            np.add(Hi[z0:e], Hi[K0:], out=S[z0:e])
+            np.subtract(Hi[z0:e], Hi[K0:], out=S[K0:K0 + nm])
+            S[K0:] *= 1j
             slab = out[i % len(out)]
             np.matmul(R, S.view(float), out=slab.reshape(R.shape[0], S.shape[1]).view(float))
             yield slab

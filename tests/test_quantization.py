@@ -3,18 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rieffel import quantization
 from rieffel.algebra import cnorm, cnorm_sup_slabs
+from rieffel.cli import main
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import (TWO_PI, GridSpec, axis_transform, grid_transform,
                            separable_wave, translates)
 from rieffel.heisenberg import HeisenbergPoint
+from rieffel.mgf import write_mgf
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
 from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   LeftActionOp, OperatorHandle, PdoOp,
                                   PhaseSymbol, TranslationSymbol, TrigPolySymbol,
-                                  constant_symbol, dense_apply, dense_plan,
-                                  dense_quantize, dual_box,
+                                  box_nodes, constant_symbol, dense_apply,
+                                  dense_plan, dense_quantize, dual_box, full_box,
                                   operator_norm_estimate,
                                   pdo_apply, pi_seminorm,
                                   random_band_coefficients, random_band_limited,
@@ -181,6 +184,190 @@ def test_shear_matches_two_axis_oracle_n18(k, theta):
     # and its unpaired Nyquist column nu = -N/2 meet a parity that N = 16,
     # 24 and 32 never give; observed <= 8.9e-16 of the sup
     _check_shear_against_oracle(18, k, theta)
+
+
+def shear_reference(a, grid, box=None):
+    """TranslationSymbol._shear before its nu_1 cut, frozen: each slab's
+    GEMM reads all N + 1 conjugate-paired columns of R, whatever F^ holds.
+    Returns the slabs on the dual box (the full box by default), stacked."""
+    box = full_box(grid) if box is None else box
+    N, k = grid.points, a.algebra_dim
+    h = N // 2
+    J = a.J.entries
+    nu = np.fft.ifftshift(grid.dual_axis())
+    xi0, xi1 = box_nodes(grid, box)
+    head = np.fft.fftn(a.F.samples, axes=(0, 1)).reshape(
+        (N, N, 1, 1, k, k)) * np.exp(
+        -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi1)[..., None, None]
+    np.fft.ifft(head, axis=0, out=head)
+    R = quantization._shear_table(N, grid.half_width, box[0].indices(N), float(J[1, 0]))
+    H = head.reshape(N, N, len(xi1) * k * k)
+    S = np.empty((N + 1, len(xi1) * k * k), dtype=complex)
+    out = np.empty((N, N, len(xi0), len(xi1), k, k), dtype=complex)
+    for i in range(N):
+        Hi = H[i]
+        S[0], S[h], S[N] = Hi[0], Hi[h], Hi[h]
+        np.add(Hi[1:h], Hi[:h:-1], out=S[1:h])
+        np.subtract(Hi[1:h], Hi[:h:-1], out=S[h + 1:N])
+        S[h + 1:] *= 1j
+        np.matmul(R, S.view(float), out=out[i].reshape(R.shape[0], S.shape[1]).view(float))
+    return out
+
+
+def band_field(grid, k, seed, band=3, width=1.5):
+    """A field drawn as the recovery benchmark draws one: complex Gaussian
+    coefficients on modes -band..band of each axis under the envelope
+    exp(-|m|^2 / (2 width^2)), zero elsewhere, so that F^ holds 2 band + 1
+    of its N nu_1 columns above roundoff."""
+    r = np.random.default_rng(seed)
+    h = grid.points // 2
+    m = np.arange(-band, band + 1)
+    env = np.exp(-(m[:, None] ** 2 + m[None, :] ** 2) / (2.0 * width ** 2))
+    shape = env.shape + (k, k)
+    hat = np.zeros(grid.shape + (k, k), dtype=complex)
+    hat[h - band:h + band + 1, h - band:h + band + 1] = env[..., None, None] * (
+        r.normal(size=shape) + 1j * r.normal(size=shape))
+    return ModuleFunction(grid, grid_transform(hat, grid, inverse=True))
+
+
+def count_shear_gemms(monkeypatch):
+    """Patch np.matmul to record the shape of every product whose left
+    operand is real, which in quantization is only the shear's R: (N B0,
+    |K|), the box's N B0 (x_1, xi_0) rows and the |K| columns of the
+    conjugate pairs that the slab's GEMM reads.  Returns the list it
+    appends to."""
+    shapes = []
+    matmul = np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        if np.isrealobj(a):
+            shapes.append(np.shape(a))
+        return matmul(a, b, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+def test_shear_cut_band_limited_matches_reference(theta):
+    # modes |m| <= 3 at N = 32, k = 2: the cut keeps 7 of the 33 columns,
+    # which moves a sample by at most the FFT's own roundoff; observed <=
+    # 3.3e-16 of the sup on the full box and on a 9 x 9 box
+    g = G2
+    a = TranslationSymbol(band_field(g, 2, 43), SkewForm.standard(theta))
+    for box in sample_boxes(g)[:2]:
+        ref = shear_reference(a, g, box)
+        got = np.stack([s.copy() for s in a.slabs(g, box)])
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        if box is None:
+            assert np.array_equal(a.sample(g).samples, got)
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("npts", [18, 32])
+def test_shear_full_band_bit_identical_to_reference(npts, k, theta):
+    # a full-band F keeps all N + 1 columns in their order, so the shear
+    # keeps the uncut reference's bits: random samples, and a Gaussian
+    # whose band edge is 2e-11 of its peak, far above the cut
+    g = GridSpec(2, npts, 8.0)
+    r = np.random.default_rng([npts, k])
+    shape = g.shape + (k, k)
+    J = SkewForm.standard(theta)
+    for F in (ModuleFunction(g, r.normal(size=shape) + 1j * r.normal(size=shape)),
+              matrix_field(g, npts + k, k)):
+        a = TranslationSymbol(F, J)
+        for box in sample_boxes(g)[:2]:
+            got = np.stack([s.copy() for s in a.slabs(g, box)])
+            assert np.array_equal(got, shear_reference(a, g, box))
+
+
+@pytest.mark.parametrize("factor", [0.25, 4.0])
+def test_shear_cut_boundary_per_channel(monkeypatch, factor):
+    # channel (0, 0) is 1e3 times a positive x0-profile, constant along x1,
+    # and channel (1, 0) the profile once, so each holds the nu1 = 0 column
+    # exactly, and its largest modulus M_c there; channels (., 1) are zero
+    # and keep no column.  Rounding the samples adds at most u/2 M_c to a
+    # coefficient.  Channel (0, 0) gets one more entry, at (nu0, nu1) = (0,
+    # N - 5), of 4 times the cut u log2(N) of M_0, so the GEMMs read the
+    # pair (5, N - 5) with column 0: 3 columns.  Channel (1, 0) gets one at
+    # (0, 5) of factor times its own cut.  At a quarter of the cut it is
+    # dropped, and channel (1, 0)'s column N - 5 is zeroed though the pair
+    # is read, so that channel is constant along x1, where the uncut
+    # reference is not.  At 4 times the cut it is kept.  Against the
+    # largest modulus of all channels, 1e3 M_1, both would be dropped
+    g, k = G2, 2
+    N = g.points
+    x = g.axis()
+    prof = np.exp(-0.5 * x * x)
+    m1 = np.abs(np.fft.fftn(np.broadcast_to(prof[:, None], g.shape))).max()
+    cut = 2.0 ** -53 * np.log2(N) * m1 / N ** 2
+    wave = np.exp(2j * np.pi * 5 * np.arange(N) / N)
+    samples = np.zeros(g.shape + (k, k), dtype=complex)
+    samples[..., 0, 0] = 1e3 * (prof[:, None] + 4 * cut * wave.conj())
+    samples[..., 1, 0] = prof[:, None] + factor * cut * wave
+    a = TranslationSymbol(ModuleFunction(g, samples), J)
+    shapes = count_shear_gemms(monkeypatch)
+    got = a.sample(g).samples
+    monkeypatch.undo()
+    assert shapes == [(N * N, 3)] * N
+    ref = shear_reference(a, g)
+    assert not got[..., 1].any()
+
+    def flat(s):
+        return np.array_equal(s, np.broadcast_to(s[:, :1], s.shape))
+    assert flat(got[..., 1, 0]) == (factor < 1) and not flat(ref[..., 1, 0])
+    for c in (0, 1):
+        assert np.abs(got[..., c, 0] - ref[..., c, 0]).max() <= \
+            1e-15 * np.abs(ref[..., c, 0]).max()
+
+
+@pytest.mark.parametrize("bad", ["overflow", "nan"])
+def test_shear_non_finite_channel_keeps_every_column(monkeypatch, bad):
+    # a band-limited field whose channel (1, 1) is either 1.5e307 (1 + i)
+    # everywhere, so that F^ overflows at nu = 0 (to inf, then NaN) and is
+    # zero on all nu1 columns but 0 and N/2, or NaN at one sample.  That
+    # channel's largest modulus is not finite, so it keeps every column:
+    # the GEMMs read all 33, not the 3 of its non-zero columns, with the
+    # uncut reference's bits on that channel; the other channels still cut
+    # their roundoff columns
+    g, k = G2, 2
+    F = band_field(g, k, 44)
+    if bad == "overflow":
+        F.samples[..., 1, 1] = 1.5e307 * (1 + 1j)
+    else:
+        F.samples[3, 5, 1, 1] = np.nan
+    a = TranslationSymbol(F, J)
+    shapes = count_shear_gemms(monkeypatch)
+    with np.errstate(all="ignore"):
+        got = a.sample(g).samples
+        monkeypatch.undo()
+        ref = shear_reference(a, g)
+    assert shapes == [(g.points ** 2, g.points + 1)] * g.points
+    assert not np.isfinite(got[..., 1, 1]).all()
+    assert np.array_equal(got[..., 1, 1], ref[..., 1, 1], equal_nan=True)
+    rest = got.reshape(got.shape[:4] + (-1,))[..., :3]
+    ref = ref.reshape(rest.shape[:4] + (-1,))[..., :3]
+    assert np.isfinite(rest).all()
+    assert np.abs(rest - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_shear_gemm_columns_pinned(monkeypatch, tmp_path):
+    # the recovery benchmark's kind of F (modes |m| <= 3 at N = 32, k = 2)
+    # keeps 7 of 33 columns, both in sample and in the CLI recover's 9 x 9
+    # dense pass, where the gamma chain's multipliers leave its roundoff
+    # columns below the cut; a Gaussian keeps all N + 1
+    g = G2
+    N = g.points
+    for F, columns in ((band_field(g, 2, 45), 7), (matrix_field(g, 46), N + 1)):
+        shapes = count_shear_gemms(monkeypatch)
+        TranslationSymbol(F, J).sample(g)
+        assert shapes == [(N * N, columns)] * N
+        fp = tmp_path / f"F{columns}.mgf"
+        write_mgf(fp, F)
+        shapes.clear()
+        assert main(["recover", str(fp)]) == 0
+        monkeypatch.undo()
+        assert shapes == [(N * 9, columns)] * N
 
 
 def slab_symbol(kind, n, k, g):
