@@ -7,18 +7,16 @@ Conventions, written out once and used everywhere:
   * forward transform  F(xi) = (2*pi)^(-1/2) * integral e^{-i x xi} f(x) dx
     realized per axis as
 
-        F_m = (2*pi)^(-1/2) * h * exp(-i*x0*xi_m) * DFT_m((-1)^j f_j)
+        F_m = (2*pi)^(-1/2) * h * (-1)^m * DFT_{m+N/2}((-1)^j f_j)
 
-    because x_j*xi_m = x0*xi_m + 2*pi*j*m/N - pi*j.  The inverse applies the
-    conjugate phases with measure dxi = pi/L.  Round trips are exact.
+    because x_j*xi_m = 2*pi*j*m/N - pi*m on this symmetric box, so both
+    phases are exact signs.  The inverse applies the same signs with
+    measure dxi = pi/L.  Round trips are exact.
 
-axis_transform keeps an arbitrary spacing dx and origin x0 for real
-transforms such as symbol_to_kernel, whose frequency slots have the spatial
-grid as their dual.  A Fourier multiplier (transform, multiply, invert) does
-not depend on the origin: the signs, phases and measures cancel, so
-fourier_multiplier takes only the spacings and works in FFT order, as
-does translates, which shifts one function by several vectors with one
-forward and one batched inverse FFT.
+A Fourier multiplier (transform, multiply, invert) needs neither the signs
+nor the measures, which cancel, so fourier_multiplier takes only the
+spacings and works in FFT order, as does translates, which shifts one
+function by several vectors with one forward and one batched inverse FFT.
 
 roundoff_cut states once which lines of FFT coefficients hold only the
 transform's roundoff: a line below u log2(N) of its block's largest
@@ -92,27 +90,27 @@ class GridSpec:
 
 def axis_transform(samples: np.ndarray, axis: int, dx: float, x0: float,
                    inverse: bool = False) -> np.ndarray:
-    """Symmetric-normalization Fourier transform along one uniform axis.
-
-    Input nodes are x_j = x0 + j*dx; output nodes are the ascending dual
-    frequencies nu_m = (m - M/2) * 2*pi/(M*dx).  The inverse maps back.
-    One fresh array takes the signs or phases, the FFT and the scaling, as
-    np.multiply(factor, out, out=out): `out *= factor` swaps the operands of
-    the complex multiply, which changes the last bits."""
+    """Symmetric-normalization Fourier transform along one axis of M nodes
+    x_j = x0 + j*dx to the ascending dual frequencies nu_m = (m - M/2) *
+    2*pi/(M*dx); the inverse maps back.  The box must be symmetric, x0 =
+    -M*dx/2 (any other origin raises ValueError), so x_j*nu_m = 2*pi*j*m/M -
+    pi*j - pi*(m - M/2) and both phases are the exact signs (-1)^j and
+    (-1)^(m - M/2).  One fresh array, C-contiguous forward and in the
+    input's memory layout inverse (the layouts in which the product's
+    transposed factors and reversed finish run fastest), takes the input's
+    signs, the FFT, and the real scale times the output's signs."""
     m = samples.shape[axis]
-    dnu = TWO_PI / (m * dx)
-    nu = dnu * np.arange(-m // 2, m // 2)
+    if not abs(x0 + m * dx / 2) <= 1e-12 * abs(m * dx / 2):
+        raise ValueError(f"origin x0 must be -M*dx/2 = {-m * dx / 2}, got {x0}")
     shape = [m if d == axis else 1 for d in range(samples.ndim)]
     alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0).reshape(shape)
-    if not inverse:
-        out = np.multiply(samples, alt, out=np.empty(samples.shape, complex))
-        np.fft.fft(out, axis=axis, out=out)
-        factor = (dx / np.sqrt(TWO_PI)) * np.exp(-1j * x0 * nu).reshape(shape)
-    else:
-        out = samples * np.exp(1j * x0 * nu).reshape(shape)
-        np.fft.ifft(out, axis=axis, out=out)
-        factor = (m * dnu / np.sqrt(TWO_PI)) * alt
-    return np.multiply(factor, out, out=out)
+    layout = "K" if inverse else "C"
+    out = np.multiply(samples, alt, out=np.empty_like(samples, complex, order=layout))
+    (np.fft.ifft if inverse else np.fft.fft)(out, axis=axis, out=out)
+    dnu = TWO_PI / (m * dx)
+    scale = m * dnu / np.sqrt(TWO_PI) if inverse else dx / np.sqrt(TWO_PI)
+    out *= ((-1.0) ** (m // 2) * scale) * alt
+    return out
 
 
 def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
@@ -122,9 +120,8 @@ def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
     nus[ax] = 2*pi*fftfreq(m, spacings[ax]) lists the dual frequencies of
     axis ax in FFT order, shaped to broadcast along that axis (length 1 on
     every other axis of samples), so fn may return a multiplier that couples
-    axes.  axis_transform's (-1)^j signs, origin phases and measures cancel
-    between its forward and inverse passes, so the result does not depend on
-    where the nodes start.
+    axes.  axis_transform's signs and measures cancel between its forward
+    and inverse passes, so none is applied.
     """
     axes = tuple(range(len(spacings)))
     nus = [TWO_PI * np.fft.fftfreq(samples.shape[ax], dx).reshape(

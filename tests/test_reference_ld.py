@@ -1,5 +1,5 @@
 """The long-double references of reference_ld, and the forward errors they
-resolve: the axis transform's, and the n = 2 product kernel's.
+resolve: the axis transform's, both ways, and the n = 2 product kernel's.
 
 Each error is max |got - ref| / max |ref| against the long-double answer;
 each test writes its observed worst error beside its bound.
@@ -32,32 +32,27 @@ def test_axis_transform_ld_round_trip(npts):
     assert relative_error(back, x) <= 2e-18
 
 
-# observed forward error of axis_transform against the long-double DFT, on
-# 8 complex normal columns: its phase exp(-1j*x0*nu), exactly (-1)^(m - N/2)
-# on the grid, is taken of a rounded argument as large as pi N / 2
-AXIS_TRANSFORM_ERROR = {16: 6.0e-16, 32: 5.4e-15, 64: 7.1e-15, 96: 1.5e-14,
-                        128: 1.8e-14}
+# the bound on axis_transform's error against the long-double DFT, forward
+# and inverse: observed at most 2.8e-16 on 8 complex normal columns at
+# N = 16 to 128.  Its signs are exact; a phase taken of the rounded
+# argument x0 nu, as large as pi N / 2, read 5.3e-16 to 1.7e-14
+AXIS_TRANSFORM_ERROR = 5e-16
 
 
-@pytest.mark.parametrize("npts", sorted(AXIS_TRANSFORM_ERROR))
+@pytest.mark.parametrize("npts", [16, 18, 32, 64, 96, 128])
 def test_axis_transform_forward_error_against_long_double(npts):
-    # observed 6.0e-16, 5.4e-15, 7.1e-15, 1.5e-14 and 1.8e-14 at N = 16, 32,
-    # 64, 96 and 128 (the bounds).  The same FFT with the exact signs
-    # (-1)^(m - N/2) in place of the phase reads 2.1e-16 to 2.8e-16, so the
-    # rest is the phase's rounded argument (a FOUND in CHANGES.md)
     g = GridSpec(1, npts, 8.0)
     x = field(npts, 8, [61, npts])
-    ref = axis_transform_ld(x, 0, 8.0)
-    got = axis_transform(x, 0, g.spacing, -g.half_width)
-    assert relative_error(got, ref) <= AXIS_TRANSFORM_ERROR[npts]
-    m = np.arange(npts)
-    signs = np.where((m - npts // 2) % 2 == 0, 1.0, -1.0)[:, None]
-    alt = np.where(m % 2 == 0, 1.0, -1.0)[:, None]
-    exact = signs * np.fft.fft(alt * x, axis=0) * (g.spacing / np.sqrt(2 * np.pi))
-    assert relative_error(exact, ref) <= 3e-16
-    # negative control: the transform of the input shifted by one node is
-    # far off
-    assert relative_error(got, axis_transform_ld(np.roll(x, 1, axis=0), 0, 8.0)) > 0.5
+    before = x.copy()
+    for inverse in (False, True):
+        ref = axis_transform_ld(x, 0, 8.0, inverse)
+        got = axis_transform(x, 0, g.spacing, -g.half_width, inverse)
+        assert got.dtype == complex and x.tobytes() == before.tobytes()
+        assert relative_error(got, ref) <= AXIS_TRANSFORM_ERROR
+        # negative control: the transform of the input shifted by one node
+        # is far off
+        shifted = axis_transform_ld(np.roll(x, 1, axis=0), 0, 8.0, inverse)
+        assert relative_error(got, shifted) > 0.5
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
