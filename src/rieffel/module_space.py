@@ -8,7 +8,8 @@ symmetric-normalization Fourier transform, and boundary_report, the decay
 of f at the box edge.
 
 The inner product and the right action f -> f a are one BLAS GEMM each on
-the (N^n k x k) matrix of f's samples, rows (x, row index).
+the (N^n k x k) matrix of f's samples, rows (x, row index).  An inner
+product that overflows raises OverflowError; the norm rescales instead.
 """
 from __future__ import annotations
 
@@ -87,17 +88,35 @@ def check_compatible(f: ModuleFunction, g: ModuleFunction):
         raise GridMismatchError("module functions on different grids or algebra dims")
 
 
+def _gram(f: ModuleFunction, g: ModuleFunction) -> np.ndarray:
+    """inner_product's sum, whose entries are inf or NaN where it overflows."""
+    check_compatible(f, g)
+    A, B = (h.samples.reshape(-1, h.algebra_dim) for h in (f, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f.grid.spacing ** f.grid.n * (A.conj().T @ B)
+
+
 def inner_product(f: ModuleFunction, g: ModuleFunction) -> np.ndarray:
     """<f, g> = integral f(x)* g(x) dx, a (k, k) array; antilinear in f, linear in g.
 
     One complex GEMM A^H B of the (N^n k x k) sample matrices, rows (x, row
     index).  BLAS blocks the sum over the rows, which keeps its roundoff 3-10x
     below a sequential sum's in the module checks.  A^H is a conjugated copy
-    of f's samples, so <f, f> is Hermitian to roundoff, not exactly."""
-    check_compatible(f, g)
-    k = f.algebra_dim
-    acc = f.samples.conj().reshape(-1, k).T @ g.samples.reshape(-1, k)
-    return f.grid.spacing ** f.grid.n * acc
+    of f's samples, so <f, f> is Hermitian to roundoff, not exactly.  The
+    samples are finite, so an entry that is not is an overflow of the sum:
+    it raises OverflowError, never returns NaN."""
+    gram = _gram(f, g)
+    if not np.isfinite(gram).all():
+        raise OverflowError("inner product overflows the double range")
+    return gram
+
+
+def unit_scaled(f: ModuleFunction) -> tuple:
+    """(2^-e f, e) for a non-zero f, 2^e the power of two of its largest
+    modulus: an exact scaling, so the largest modulus lies in [1/2, 1)."""
+    e = int(np.frexp(np.abs(f.samples).max())[1])
+    parts = np.ldexp(np.ascontiguousarray(f.samples).view(float), -e)
+    return ModuleFunction(f.grid, parts.view(complex)), e
 
 
 def module_norm(f: ModuleFunction) -> float:
@@ -105,19 +124,14 @@ def module_norm(f: ModuleFunction) -> float:
 
     A non-zero f whose Gram has its largest diagonal entry outside
     [SQUARES_MIN, SQUARES_MAX], or not finite (samples beyond about
-    1e+-145), is normed again on
-    its samples scaled by 2^-e, 2^e the power of two of their largest
-    modulus, and the norm is scaled back by 2^e: both scalings are exact, so
-    the norm keeps its relative accuracy at every representable scale."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = inner_product(f, f)
-    top = np.diagonal(gram).real.max()
-    if not SQUARES_MIN <= top <= SQUARES_MAX and f.samples.any():
-        e = int(np.frexp(np.abs(f.samples).max())[1])
-        parts = np.ldexp(np.ascontiguousarray(f.samples).view(float), -e)
-        unit = ModuleFunction(f.grid, parts.view(complex))
-        return float(np.ldexp(np.sqrt(max(cnorm(inner_product(unit, unit)), 0.0)), e))
-    return float(np.sqrt(max(cnorm(gram), 0.0)))
+    1e+-145), is normed again on unit_scaled(f), and the norm is scaled back
+    by 2^e: both scalings are exact, so the norm keeps its relative accuracy
+    at every representable scale."""
+    gram, e = _gram(f, f), 0
+    if not SQUARES_MIN <= np.diagonal(gram).real.max() <= SQUARES_MAX and f.samples.any():
+        unit, e = unit_scaled(f)
+        gram = inner_product(unit, unit)
+    return float(np.ldexp(np.sqrt(max(cnorm(gram), 0.0)), e))
 
 
 def fourier(f: ModuleFunction, inverse: bool = False) -> ModuleFunction:

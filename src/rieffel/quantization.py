@@ -18,6 +18,12 @@ on its slabs, and every quantize checks the symbol's n and k against u's):
   * TranslationSymbol -- a(x, xi) = F(x - J xi), the symbols of the left
                          actions L_F; eval is F's Fourier series as a trig sum
 
+A grid symbol and a translation symbol are bound to one grid, their
+samples' or F's: sample and slabs on any grid that is not compatible with
+it raise GridMismatchError, as do quantize, deformed_product and every
+reader built on slabs.  The one route to another grid is pointwise,
+CallableSymbol(a.n, a.algebra_dim, a.eval).sample(grid).
+
 A partial, a shift a(x + z, xi + zeta), the b/gamma multipliers and the
 adjoint each multiply the symbol's own phase-space Fourier transform; none
 takes a grid.  A backing states that once, as fourier_side(mult), and
@@ -36,14 +42,13 @@ row x_0 = x_i of a(x,D) u, or of K u, reads only slab i.  The generic
 writer calls eval once per slab.  A trig writer tabulates each term's 2n
 one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
 a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box; a
-symbol with no terms writes zeros.  A
-translation symbol writes by a shear on F's grid (F's forward transform,
-cut to the nu_1 columns above the FFT's noise floor by grids.roundoff_cut,
-and one phased inverse along x_0 for the box's xi_1 columns, then per slab
-one real GEMM for x_1's phase and inverse DFT on its xi_0 rows, whose
-conjugate columns it folds, over the kept pairs alone), by broadcasting F's
-slabs at J = 0, and by F's trig sum off F's grid.  A bracket multiplies its
-factors' slabs; a grid symbol yields basic-slice views of its samples.
+symbol with no terms writes zeros.  A translation symbol writes by a shear
+(F's forward transform, cut to the nu_1 columns above the FFT's noise floor
+by grids.roundoff_cut, and one phased inverse along x_0 for the box's xi_1
+columns, then per slab one real GEMM for x_1's phase and inverse DFT on its
+xi_0 rows, whose conjugate columns it folds, over the kept pairs alone), or
+by broadcasting F's slabs at J = 0.  A bracket multiplies its factors'
+slabs; a grid symbol yields basic-slice views of its samples.
 Those views are read-only; every other stream writes into a slab buffer of
 its own, scratch that the caller who drew the stream may overwrite
 (recover_translation_symbol subtracts into its translation stream's slab),
@@ -97,12 +102,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import cnorm_entries, cnorm_sup_slabs
+from .algebra import SQUARES_MAX, SQUARES_MIN, cnorm_entries, cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
 from .grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
                     grid_transform, roundoff_cut, separable_wave, translates)
-from .module_space import ModuleFunction, module_norm
+from .module_space import ModuleFunction, module_norm, unit_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ class PhaseSymbol:
         all of them if None), of shape (N,)^(n-1) + box + (k, k).  Each is
         valid only until the next one is drawn (one slab buffer is reused),
         so reduce it before drawing the next.  The buffer is the caller's
-        scratch; a grid symbol on its own grid yields read-only views."""
+        scratch; a grid symbol yields read-only views."""
         box = box or full_box(grid)
         return self._fill(grid, np.empty(
             (1,) + grid.shape[1:] + tuple(len(q) for q in box_nodes(grid, box))
@@ -213,6 +218,13 @@ def _check_dims(a: PhaseSymbol, grid: GridSpec, shape: tuple) -> None:
     a's n and k."""
     if a.n != grid.n or shape[:-1] != grid.shape + (a.algebra_dim,):
         raise GridMismatchError("symbol and function dimensions do not match")
+
+
+def _check_grid(own: GridSpec, grid: GridSpec) -> None:
+    """Raise GridMismatchError unless grid is compatible with own, the one
+    grid that a grid symbol, a translation symbol or a kernel is read on."""
+    if not own.compatible(grid):
+        raise GridMismatchError(f"{grid} is not the operand's own grid {own}")
 
 
 def _block_rhs(w: np.ndarray) -> np.ndarray:
@@ -480,24 +492,17 @@ class GridSymbol(PhaseSymbol):
         return GridSymbol(self.grid, np.swapaxes(self.samples.conj(), -1, -2))
 
     def sample(self, grid):
-        if self.grid.compatible(grid):
-            return self
-        return super().sample(grid)
+        _check_grid(self.grid, grid)
+        return self
 
     def slabs(self, grid, box=None):
-        if self.grid.compatible(grid):
-            # read-only basic-slice views: nothing is copied, and a fold that
-            # writes into its slabs raises instead of changing the samples
-            at = (slice(None),) * (self.n - 1) + (box or full_box(grid))
-            view = self.samples.view()
-            view.flags.writeable = False
-            return (s[at] for s in view)
-        return super().slabs(grid, box)
-
-    def quantize(self, u):
-        if not self.grid.compatible(u.grid):
-            raise GridMismatchError("grid symbol lives on a different grid")
-        return super().quantize(u)
+        # read-only basic-slice views of sample(grid), which raises off the
+        # symbol's grid: nothing is copied, and a fold that writes into its
+        # slabs raises instead of changing the samples
+        at = (slice(None),) * (self.n - 1) + (box or full_box(grid))
+        view = self.sample(grid).samples.view()
+        view.flags.writeable = False
+        return (s[at] for s in view)
 
 
 class TranslationSymbol(PhaseSymbol):
@@ -529,10 +534,9 @@ class TranslationSymbol(PhaseSymbol):
         return TranslationSymbol(self.F.star(), self.J)
 
     def _fill(self, grid, out, box):
-        # F's trig sum off its grid, else the shear, or F's slabs at J = 0
-        # (constant along xi, so they broadcast into any box)
-        if not self.F.grid.compatible(grid):
-            return self._trig()._fill(grid, out, box)
+        # the shear, or F's slabs at J = 0 (constant along xi, so they
+        # broadcast into any box)
+        _check_grid(self.F.grid, grid)
         if self.J.entries.any():
             return self._shear(grid, out, box)
         F = self.F.samples.reshape(grid.shape + (1,) * grid.n + (self.algebra_dim,) * 2)
@@ -760,8 +764,7 @@ class KernelField:
     def apply(self, v: ModuleFunction) -> ModuleFunction:
         """sum_y K(x, y) v(y) dy, row by row: one (N^(n-1) x N^n k^2) @
         (N^n k^2 x k^2) GEMM of K[i0] against _block_rhs of v's samples."""
-        if not v.grid.compatible(self.grid):
-            raise GridMismatchError("kernel and function grids differ")
+        _check_grid(self.grid, v.grid)
         _check_dims(self.symbol, v.grid, v.samples.shape)
         g, k = self.grid, v.algebra_dim
         V = _block_rhs(v.samples.reshape(-1, k, k))
@@ -874,7 +877,11 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
     T* v would have been exactly 0, the one case in which the count differs
     from a loop that applies that T*.  The returned value is a lower bound
     by construction: 0.0, with no power iteration, when T maps every trial
-    to zero.
+    to zero.  T* v is of order ||v||^2: a v whose square leaves [SQUARES_MIN,
+    SQUARES_MAX] enters T* unit_scaled, an exact power-of-two scaling that
+    the normalization of T* v undoes.  So T* v no longer underflows or
+    overflows where only the square of T's scale leaves the double range,
+    and a v in range keeps its bits.
     """
     rng = np.random.default_rng(seed)
     best_ratio, best_u, best_v = 0.0, None, None
@@ -897,10 +904,10 @@ def operator_norm_estimate(T: OperatorHandle, grid: GridSpec, algebra_dim: int =
         nv = module_norm(v)
         if nv == 0.0:
             break
-        ratio = nv / module_norm(u)
-        if ratio > best_ratio:
-            best_ratio = ratio
+        best_ratio = max(best_ratio, nv / module_norm(u))
         if it + 1 < power_iters:
+            if not SQUARES_MIN <= nv * nv <= SQUARES_MAX:
+                v = unit_scaled(v)[0]
             u = Tadj.apply(v)
             nu = module_norm(u)
             if nu == 0.0:

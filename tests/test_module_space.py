@@ -121,12 +121,24 @@ def test_module_norm_at_extreme_scales(scale):
     assert base == float(np.sqrt(cnorm(inner_product(one, one))))
     got = module_norm(ModuleFunction(G2, scale * z))
     assert abs(got - scale * base) <= 1e-14 * scale * base
-    if scale != 1.0:
-        # the Gram itself is out of range: its diagonal underflows or overflows
+    if scale < 1.0:
+        # the Gram itself is out of range: its diagonal underflows
         f = ModuleFunction(G2, scale * z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = np.diagonal(inner_product(f, f)).real.max()
-        assert not 1e-290 <= top <= 1e290
+        assert np.diagonal(inner_product(f, f)).real.max() < 1e-290
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_inner_product_overflow_raises(scale):
+    # the Gram of s z overflows: its entries read inf and NaN, and
+    # inner_product raises, where it returned them; module_norm rescales
+    # (test_module_norm_at_extreme_scales)
+    r = np.random.default_rng(27)
+    z = r.normal(size=G2.shape + (2, 2)) + 1j * r.normal(size=G2.shape + (2, 2))
+    f = ModuleFunction(G2, scale * z)
+    with pytest.raises(OverflowError, match="overflows"):
+        inner_product(f, f)
+    # a Gram in range, of f against z, returns
+    assert np.isfinite(inner_product(f, ModuleFunction(G2, z))).all()
 
 
 # ---- Fourier transform
