@@ -9,46 +9,49 @@ equivalently the single-Fourier form
 
     (F x_J G)(x) = integral e^{i u(x-v)} F(x-Ju) G(v)  d/v d/u.
 
-On the periodic grid the single-Fourier form collapses to an exact twisted
-convolution of Fourier coefficients,
+At J = 0 (every J on n = 1, theta = 0 on n = 2) this is the pointwise
+product F(x) G(x), which _pointwise forms from the kernel's plane products:
+of the samples in deformed_product, of the coefficients' inverse transforms
+in twisted_samples.  For J != 0 the single-Fourier form collapses on the
+periodic grid to an exact twisted convolution of Fourier coefficients,
 
     C^(r) = (2*pi)^(-n/2) * dxi^n * sum_{p+q=r}  e^{-i p.Jq}  F^(p) G^(q),
 
-where p, q run over the in-band dual lattice and p+q wraps.  For n = 2 every
-antisymmetric J is theta*[[0,1],[-1,0]], so the twist e^{-i theta (p1 q2 -
-p2 q1)} splits into separate (p1,q2) and (p2,q1) factors; sweeping q2 turns
-the remaining q1-sum into a cyclic convolution done by FFT.  This evaluates
-the product exactly (to roundoff) for band-limited factors.
+where p, q run over the in-band dual lattice and p+q wraps.  Then n = 2 and
+J = theta*[[0,1],[-1,0]], so the twist e^{-i theta (p1 q2 - p2 q1)} splits
+into separate (p1,q2) and (p2,q1) factors; sweeping q2 turns the remaining
+q1-sum into a cyclic convolution done by FFT, the q2 loop of
+_twisted_kernel.  This evaluates the product exactly (to roundoff) for
+band-limited factors.
 
 deformed_product works channels first end to end: each factor is transposed
 once to [a, b, x2, x1], its grid transform runs along the contiguous x1
 axis, then x2, the kernel takes [a, b, p2, p1] coefficients and returns its
-sum still in the transform domain, the sample finish runs in that layout
-too, and one transpose returns (N,)*n + (k, k) samples.  The kernel's sum
-has two finishes.  twisted_coefficients scales it and runs the inverse FFT
-along the axes the kernel transformed, giving coefficients.  The sample
-finish (deformed_product, and twisted_samples from coefficients) skips that
-inverse FFT: along the same axis it and the inverse grid transform compose,
-in exact arithmetic, to a signed, scaled index reversal, so it reverses
-those axes and runs the inverse transform on the rest, x2 of the q2 loop
-and none of the convolution.  The kernel multiplies rectangular channel
-blocks, [A, B] by [B, C].  L_F is a right-module map, so it acts on each
-column block of its argument on its own, and R_G on each row block:
-deformed_product(F, (u_1, .., u_m), J) runs one kernel pass with the u_j
-side by side as columns (C = m k), and a tuple on the left stacks rows,
-each member bit for bit its separate product.  The shared side's per-q2
-multiply and FFT then run once for the whole batch.
+sum still transformed along z, the sample finish runs in that layout too,
+and one transpose returns (N, N, k, k) samples.  The kernel's sum has two
+finishes.  twisted_coefficients scales it and runs the inverse FFT along z,
+giving coefficients.  The sample finish (deformed_product, and
+twisted_samples from coefficients) skips that inverse FFT: along z it and
+the inverse grid transform compose, in exact arithmetic, to a signed,
+scaled index reversal, so it reverses z and runs the inverse transform
+along x2 alone.  The kernel multiplies rectangular channel blocks, [A, B]
+by [B, C].  L_F is a right-module map, so it acts on each column block of
+its argument on its own, and R_G on each row block: deformed_product(F,
+(u_1, .., u_m), J) runs one kernel pass with the u_j side by side as
+columns (C = m k), and a tuple on the left stacks rows, each member bit for
+bit its separate product.  The shared side's per-q2 multiply and FFT then
+run once for the whole batch.
 
-For n = 2 each factor drops its rows of rounding noise, by one rule: row a
-of the left factor keeps a p2 row, and column c of the right factor a q2
-row, if some entry of the row reaches u log2(N), u = 2^-53, times the
-largest modulus of that row (L_a) or column (M_c).  The other rows hold
-nothing but the transform's roundoff beside a band-limited field's band,
-which an FFT of N points makes at O(u log2 N).  The loop visits the q2 rows
-some column keeps and transforms only the set P of p2 rows some row keeps,
-so a batch visits the union of its members' rows; each row's or column's
-own cut rows are zeroed in the kernel's buffers.  The cuts move entry (a,
-c) of an output coefficient by at most
+Each factor drops its rows of rounding noise, by one rule: row a of the
+left factor keeps a p2 row, and column c of the right factor a q2 row, if
+some entry of the row reaches u log2(N), u = 2^-53, times the largest
+modulus of that row (L_a) or column (M_c).  The other rows hold nothing but
+the transform's roundoff beside a band-limited field's band, which an FFT
+of N points makes at O(u log2 N).  The loop visits the q2 rows some column
+keeps and transforms only the set P of p2 rows some row keeps, so a batch
+visits the union of its members' rows; each row's or column's own cut rows
+are zeroed in the kernel's buffers.  The cuts move entry (a, c) of an
+output coefficient by at most
 
     (2*pi)^(-n/2) dxi^n u log2(N) (M_c sum_{p,b} |F^(p)_ab|
                                    + L_a sum_{q,b} |G^(q)_bc|),
@@ -70,9 +73,9 @@ built once per call, and each q2's products are added straight into an
 accumulator indexed by r2 = p2 + q2 - N/2, one slice per run of consecutive
 rows in P, split where r2 wraps, and still in the transform domain, so one
 finish serves every q2.  Every per-q2 multiply and FFT writes into buffers
-allocated once per call, and none is kept between calls.  For n = 2 that is
-one FFT call of (A B + B C) |P| lines per kept q2 row, plus one inverse FFT
-for coefficients or one inverse transform along x2 for samples, and at most
+allocated once per call, and none is kept between calls.  That is one FFT
+call of (A B + B C) |P| lines per kept q2 row, plus one inverse FFT for
+coefficients or one inverse transform along x2 for samples, and at most
 O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
@@ -134,62 +137,48 @@ class SkewForm:
         return SkewForm(self.theta * factor, self.n)
 
 
-def _channels_first(arr: np.ndarray, n: int) -> np.ndarray:
-    """(N,)*n + (k, k) -> [k, k, x_n, ..., x_1], a view: x_1 is last."""
-    return arr.transpose((n, n + 1) + tuple(range(n - 1, -1, -1)))
+def _channels_first(arr: np.ndarray) -> np.ndarray:
+    """(N, N, k, k) -> [k, k, x2, x1], a view: x1 is last."""
+    return arr.transpose(2, 3, 1, 0)
 
 
-def _channels_last(arr: np.ndarray, n: int) -> np.ndarray:
+def _channels_last(arr: np.ndarray) -> np.ndarray:
     """Inverse of _channels_first, contiguous."""
-    return np.ascontiguousarray(arr.transpose(tuple(range(n + 1, 1, -1)) + (0, 1)))
+    return np.ascontiguousarray(arr.transpose(3, 2, 0, 1))
 
 
 def _transform_channels_first(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """grid_transform of channels-first [a, b, x_n, ..., x_1] data: the same
-    axis_transform per grid axis, x_1 (the last, contiguous axis) first.
-    Returns a fresh C-contiguous array in the input's axis order."""
-    for ax in range(grid.n):
-        arr = axis_transform(arr, arr.ndim - 1 - ax, grid.spacing, -grid.half_width)
+    """grid_transform of channels-first [a, b, x2, x1] data: the same
+    axis_transform along x1 (the last, contiguous axis), then x2.  Returns a
+    fresh C-contiguous array in the input's axis order."""
+    for ax in (3, 2):
+        arr = axis_transform(arr, ax, grid.spacing, -grid.half_width)
     return arr
 
 
 def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
                     theta: float) -> np.ndarray:
-    """The twisted sum on channels-first data, left in the transform domain:
-    ft is [A, B, p_n, .., p_1], gt is [B, C, q_n, .., q_1], and the returned
-    [A, C, r_n, .., r_1] accumulator is their channel-block product, so
-    channel (a, c) sums over b in order, still transformed along every grid
-    axis for the n = 1 and theta = 0 convolution and along the last axis, z,
-    for the q2 loop.  _finish_coefficients and _finish_samples finish it.
-    Neither input is written.  Row blocks of ft, or column blocks of gt, are
-    factors side by side: each block of the result is, bit for bit, the
-    product of its own block alone, save for the NaN rule below.  For n = 2
-    and theta != 0 row a of ft keeps a non-zero row p2, and column c of gt a
-    non-zero row q2, iff some entry has modulus at least u log2(N) times max
-    |ft[a]| or max |gt[:, c]|, u = 2^-53, or that max is not finite
-    (grids.roundoff_cut); the other rows are zeroed in the kernel's own
-    buffers, which moves entry (a, c) by at most log2(N) unit roundoffs per
-    factor of the largest terms its sum adds.  The loop visits the q2 rows
-    some column keeps and transforms the p2 rows some row keeps, all N if gt
-    has a non-finite entry.  So a non-finite entry of ft reaches the rows r2 = p2
-    + q2 - N/2 of every q2 that any column keeps, and none if gt is all
-    zeros; one of gt reaches every r2 of its column; the n = 1 and theta = 0
-    convolution cuts nothing and spreads a non-finite entry of ft over every
-    r of its matrix row."""
-    n, npts = grid.n, grid.points
+    """The q2 loop's twisted sum on channels-first data, n = 2 and theta !=
+    0, left transformed along the last axis, z: ft is [A, B, p2, p1], gt is
+    [B, C, q2, q1], and the returned [A, C, r2, z] accumulator is their
+    channel-block product, so channel (a, c) sums over b in order.
+    _finish_coefficients and _finish_samples finish it.  Neither input is
+    written.  Row blocks of ft, or column blocks of gt, are factors side by
+    side: each block of the result is, bit for bit, the product of its own
+    block alone, save for the NaN rule below.  Row a of ft keeps a non-zero
+    row p2, and column c of gt a non-zero row q2, iff some entry has modulus
+    at least u log2(N) times max |ft[a]| or max |gt[:, c]|, u = 2^-53, or
+    that max is not finite (grids.roundoff_cut); the other rows are zeroed
+    in the kernel's own buffers, which moves entry (a, c) by at most log2(N)
+    unit roundoffs per factor of the largest terms its sum adds.  The loop
+    visits the q2 rows some column keeps and transforms the p2 rows some row
+    keeps, all N if gt has a non-finite entry.  So a non-finite entry of ft
+    reaches the rows r2 = p2 + q2 - N/2 of every q2 that any column keeps,
+    and none if gt is all zeros; one of gt reaches every r2 of its
+    column."""
+    npts = grid.points
     half = npts // 2
-    shape = ft.shape[:1] + gt.shape[1:2] + ft.shape[2:]  # [A, C, r_n, .., r_1]
-    if _convolves(grid, theta):
-        # plain cyclic convolution with in-band wrap
-        axes = tuple(range(2, n + 2))
-        fa = np.fft.fftn(np.roll(ft, (-half,) * n, axis=axes), axes=axes)
-        fb = np.fft.fftn(gt, axes=axes)
-        prod = np.empty(shape, dtype=complex)
-        tmp = np.empty(ft.shape[2:], dtype=complex)
-        for dest, pairs in _channel_plan(fa, fb, prod):
-            _channel_entry(pairs, dest, tmp)
-        return prod
-
+    shape = ft.shape[:1] + gt.shape[1:2] + ft.shape[2:]  # [A, C, r2, z]
     # ft is [A, B, p2, p1] and gt is [B, C, q2, q1].  Each kept q2 adds the
     # products of the kept p2 rows at r2 = p2 + q2 - N/2, wrapped.
     # the cut's blocks are the rows a of ft and the columns c of gt
@@ -251,48 +240,31 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     return acc
 
 
-def _convolves(grid: GridSpec, theta: float) -> bool:
-    """Whether _twisted_kernel runs the plain convolution (n = 1 or theta =
-    0), transformed along every grid axis, rather than the q2 loop."""
-    return grid.n == 1 or theta == 0.0
-
-
 def _scale(grid: GridSpec) -> float:
     """(2*pi)^(-n/2) dxi^n, the twisted sum's measure."""
     return TWO_PI ** (-grid.n / 2.0) * grid.dual_spacing ** grid.n
 
 
-def _finish_coefficients(acc: np.ndarray, grid: GridSpec, theta: float) -> np.ndarray:
-    """The channels-first coefficients [A, C, r_n, .., r_1] from
-    _twisted_kernel's accumulator, which the q2 loop's finish overwrites:
-    the scale, and for the q2 loop the sign (-1)^z, then the inverse FFT
-    along the axes the kernel transformed."""
+def _finish_coefficients(acc: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The channels-first coefficients [A, C, r2, r1] from _twisted_kernel's
+    accumulator, which it overwrites: the scale and the sign (-1)^z, then
+    the inverse FFT along z."""
     scale = _scale(grid)
-    if _convolves(grid, theta):
-        return scale * np.fft.ifftn(acc, axes=tuple(range(2, grid.n + 2)))
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
     acc *= np.where(np.arange(grid.points) % 2 == 0, scale, -scale)
     return np.fft.ifft(acc, axis=-1, out=acc)
 
 
-def _finish_samples(acc: np.ndarray, grid: GridSpec, theta: float) -> np.ndarray:
-    """The channels-first samples [A, C, x_n, .., x_1] from _twisted_kernel's
-    accumulator, a fresh array.  Along an axis the kernel transformed, the
-    coefficient finish's inverse FFT and the inverse axis_transform compose
-    to an index reversal: with K = N dxi / sqrt(2 pi), sample j is (K/N)
-    (-1)^(j + N/2) times entry (N/2 - j) mod N of the inverse FFT's input.
-    That input is scale acc for the convolution, and (-1)^z scale acc for
-    the q2 loop, whose sign cancels (-1)^(j + N/2).  The q2 loop's other
-    axis, r2, takes the inverse axis_transform."""
-    n, npts = grid.n, grid.points
-    half = npts // 2
-    rev = (half - np.arange(npts)) % npts
+def _finish_samples(acc: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The channels-first samples [A, C, x2, x1] from _twisted_kernel's
+    accumulator, a fresh array.  Along z the coefficient finish's inverse
+    FFT and the inverse axis_transform compose to an index reversal: with K
+    = N dxi / sqrt(2 pi), sample j is (K/N) (-1)^(j + N/2) times entry (N/2
+    - j) mod N of the inverse FFT's input, (-1)^z scale acc, whose sign
+    cancels (-1)^(j + N/2).  The other axis, r2, takes the inverse
+    axis_transform."""
+    rev = (grid.points // 2 - np.arange(grid.points)) % grid.points
     weight = grid.dual_spacing / np.sqrt(TWO_PI)  # K / N
-    if _convolves(grid, theta):
-        out = acc[(slice(None),) * 2 + np.ix_(*[rev] * n)]
-        alt = np.where((np.arange(npts) + half) % 2 == 0, weight, -weight)
-        out *= _scale(grid) * (np.multiply.outer(alt, alt) if n == 2 else alt)
-        return out
     out = acc[..., rev]
     out *= _scale(grid) * weight
     return axis_transform(out, 2, grid.spacing, -grid.half_width, inverse=True)
@@ -316,13 +288,25 @@ def _channel_entry(pairs: list, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pointwise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The pointwise matrix product of samples x, (N,)*n + (A, B), and y,
+    (N,)*n + (B, C): the deformed product at J = 0, (N,)*n + (A, C), from
+    the kernel's plane products on channels-first views, so channel (a, c)
+    sums over b in order."""
+    out = np.empty(x.shape[:-1] + y.shape[-1:], dtype=complex)
+    tmp = np.empty(x.shape[:-2], dtype=complex)
+    views = (np.moveaxis(h, (-2, -1), (0, 1)) for h in (x, y, out))
+    for dest, pairs in _channel_plan(*views):
+        _channel_entry(pairs, dest, tmp)
+    return out
+
+
 def _kernel_channels_last(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                           theta: float) -> np.ndarray:
-    """_twisted_kernel of channels-last coefficients (N,)*n + (A, B) and
-    (N,)*n + (B, C)."""
-    n = grid.n
-    return _twisted_kernel(np.ascontiguousarray(_channels_first(fhat, n)),
-                           np.ascontiguousarray(_channels_first(ghat, n)),
+    """_twisted_kernel of channels-last coefficients (N, N, A, B) and
+    (N, N, B, C)."""
+    return _twisted_kernel(np.ascontiguousarray(_channels_first(fhat)),
+                           np.ascontiguousarray(_channels_first(ghat)),
                            grid, theta)
 
 
@@ -333,35 +317,41 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     fhat is (N,)*n + (A, B) and ghat (N,)*n + (B, C) on dual_axis(), and the
     result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
     by side in column blocks of ghat (C = m k) block j is fhat's product with
-    block j.  For n = 2, theta != 0, each row of fhat drops the p2 rows and
+    block j.  At J = 0 (n = 1, or theta = 0) it transforms twisted_samples'
+    pointwise product.  Otherwise each row of fhat drops the p2 rows and
     each column of ghat the q2 rows whose entries all stay below u log2(N),
     u = 2^-53, of its own largest modulus (log2(N) unit roundoffs per factor
     of the largest terms the sum adds, the FFT's own normwise error), and a
     row is skipped only if every row or column drops it.  So a NaN in fhat
     also reaches a block whose own row q2 is dropped when another block
     keeps it, and a NaN in ghat reaches every output row r2 of its column
-    (_twisted_kernel).  The kernel's sum is finished to coefficients: scaled,
-    then inverse FFT'd along the axes it transformed.
+    (_twisted_kernel).  The kernel's sum is finished to coefficients:
+    scaled, then inverse FFT'd along z.
     """
+    if grid.n == 1 or theta == 0.0:
+        return grid_transform(twisted_samples(fhat, ghat, grid, theta), grid)
     acc = _kernel_channels_last(fhat, ghat, grid, theta)
-    return _channels_last(_finish_coefficients(acc, grid, theta), grid.n)
+    return _channels_last(_finish_coefficients(acc, grid))
 
 
 def twisted_samples(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                     theta: float) -> np.ndarray:
     """The deformed product's samples, (N,)*n + (A, C), from the factor
     coefficients of twisted_coefficients: grid_transform(twisted_coefficients(
-    fhat, ghat, grid, theta), grid, inverse=True) to roundoff, with the
-    kernel's last inverse FFT and the inverse transform along the same axis
-    folded into one signed, scaled index reversal (_finish_samples)."""
+    fhat, ghat, grid, theta), grid, inverse=True) to roundoff: at J = 0 (n
+    = 1, or theta = 0) the pointwise product of the factors' inverse
+    transforms, otherwise the kernel's sum and its sample finish."""
+    if grid.n == 1 or theta == 0.0:
+        return _pointwise(grid_transform(fhat, grid, inverse=True),
+                          grid_transform(ghat, grid, inverse=True))
     acc = _kernel_channels_last(fhat, ghat, grid, theta)
-    return _channels_last(_finish_samples(acc, grid, theta), grid.n)
+    return _channels_last(_finish_samples(acc, grid))
 
 
 def _stacked_coefficients(fields: tuple, grid: GridSpec, axis: int) -> np.ndarray:
     """The channels-first coefficients of fields side by side along channel
     axis 0 (row blocks) or 1 (column blocks), one transform for all."""
-    parts = [_channels_first(h.samples, grid.n) for h in fields]
+    parts = [_channels_first(h.samples) for h in fields]
     return _transform_channels_first(
         parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis), grid)
 
@@ -374,8 +364,9 @@ def deformed_product(f, g, J: SkewForm):
     separate product.  L_F is a right-module map, so (F x u_1, .., F x u_m)
     is one product of F with the u_j as column blocks, and likewise R_G on
     row blocks: the other side's per-q2 multiply and FFT run once for the
-    batch.  Tuples on both sides, or an empty tuple, raise ValueError; every
-    member must share the grid and k (GridMismatchError)."""
+    batch.  At J = 0 the product is the pointwise product of the samples,
+    one per member.  Tuples on both sides, or an empty tuple, raise
+    ValueError; every member must share the grid and k (GridMismatchError)."""
     left, right = isinstance(f, tuple), isinstance(g, tuple)
     if left and right:
         raise ValueError("deformed_product batches one side only")
@@ -387,11 +378,15 @@ def deformed_product(f, g, J: SkewForm):
     grid, k = fs[0].grid, fs[0].algebra_dim
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
-    ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
-    full = _finish_samples(_twisted_kernel(ft, gt, grid, J.theta), grid, J.theta)
-    blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
-              for j in range(len(fs) * len(gs)))
-    out = tuple(ModuleFunction(grid, _channels_last(b, grid.n)) for b in blocks)
+    if J.theta == 0.0:  # J = 0, as every J on n = 1 is
+        out = tuple(ModuleFunction(grid, _pointwise(x.samples, y.samples))
+                    for x in fs for y in gs)
+    else:
+        ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
+        full = _finish_samples(_twisted_kernel(ft, gt, grid, J.theta), grid)
+        blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
+                  for j in range(len(fs) * len(gs)))
+        out = tuple(ModuleFunction(grid, _channels_last(b)) for b in blocks)
     return out if left or right else out[0]
 
 

@@ -101,7 +101,7 @@ def test_zero_form_collapses_to_pointwise():
 
 def test_order_zero_of_the_q2_loop_is_pointwise():
     # theta = 1e-300 makes every twist e^{-i theta ...} exactly 1 but still
-    # runs the n = 2 q2 loop, which the theta = 0 convolution bypasses: its
+    # runs the n = 2 q2 loop, where theta = 0 multiplies samples: its
     # r2 window, its (-1)^z sign and its scale must give the pointwise
     # product (observed 7.2e-15 relative on full-band N = 64, k = 2 samples;
     # the window off by one reads order 1)
@@ -193,10 +193,11 @@ def frozen_twisted_coefficients(fhat, ghat, grid, theta, r2_offset=0):
     """The n = 2, theta != 0 kernel as it stood before its buffers were
     allocated once per call: fresh arrays for every q2, two FFT calls per
     q2, and each q2's channel products rolled into the accumulator by two
-    slice-adds; for n = 1 or theta = 0 the plain cyclic convolution as it
-    stood before the kernel took channels-first input.  Kept as the
-    bit-for-bit reference for the rewritten kernel; r2_offset moves the
-    roll, as a negative control."""
+    slice-adds, kept as the bit-for-bit reference for the rewritten kernel.
+    For n = 1 or theta = 0 the plain cyclic convolution of the coefficients
+    by FFT, which the library no longer runs: an independent oracle for its
+    pointwise product of the inverse transforms.  r2_offset moves the roll,
+    as a negative control."""
     npts = grid.points
     half = npts // 2
     if grid.n == 1 or theta == 0.0:
@@ -275,10 +276,11 @@ def test_deformed_product_bit_identical_to_frozen_path(n, k, theta, npts):
     # transform along the same axis into an index reversal, so the product
     # and the channels-last path (grid_transform, the frozen kernel, inverse
     # grid_transform) agree to roundoff: observed at most 3.8e-16 of the
-    # largest entry.  Against a long-double sum from the same float64
-    # coefficients the product reads 2.3e-16 to 1.8e-15 (the frozen path
-    # 2.8e-16 to 1.9e-15), where the oracle is cheap: N = 16, and k = 1 at
-    # N = 32
+    # largest entry, and 8.6e-16 at theta = 0, where the product multiplies
+    # samples and the frozen path convolves their coefficients.  Against a
+    # long-double sum from the same float64 coefficients the product reads
+    # 1.8e-16 to 1.8e-15 (the frozen path 2.8e-16 to 1.9e-15), where the
+    # oracle is cheap: N = 16, and k = 1 at N = 32
     g = GridSpec(n, npts, 8.0)
     f, h = (ModuleFunction(g, x) for x in
             full_band_pair(npts, k, [n, k, npts, int(10 * theta) + 10], n))
@@ -374,6 +376,46 @@ def test_product_fft_calls_pinned(monkeypatch):
     assert calls == {"fft": [npts] * (npts + 4), "ifft": [npts]}
 
 
+POINTWISE_CASES = [(n, npts, k) for n in (1, 2) for npts in (16, 32, 64)
+                   for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, npts, k", POINTWISE_CASES)
+def test_zero_form_product_is_the_pointwise_product(monkeypatch, n, npts, k):
+    # at J = 0 (theta = 0 on n = 2, every J on n = 1) the product multiplies
+    # the samples: no FFT call, and each entry is a k-term complex inner
+    # product, within gamma_{k+2} sum_b |F_ab| |G_bc| of the exact one,
+    # gamma_m = m u / (1 - m u), u = 2^-53 (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).  Against a
+    # long-double pointwise product the full-band cases read at most
+    # 1.6e-16 of the largest entry (1.0e-15 through the FFT convolution of
+    # the coefficients that this route replaced)
+    g = GridSpec(n, npts, 8.0)
+    J0 = SkewForm(0.0, n)
+    f, h = (ModuleFunction(g, x) for x in full_band_pair(npts, k, [n, npts, k, 41], n))
+    w = ModuleFunction(g, full_band_pair(npts, k, [n, npts, k, 42], n)[0])
+    calls = count_fft_calls(monkeypatch)
+    prod = deformed_product(f, h, J0)
+    swapped = deformed_product(h, f, J0)
+    assert calls == {"fft": [], "ifft": []}
+    monkeypatch.undo()
+    # each member of a batch, on either side, is its own product bit for bit
+    batched = deformed_product(f, (h, w), J0) + deformed_product((h, w), f, J0)
+    alone = [prod, deformed_product(f, w, J0), swapped, deformed_product(w, f, J0)]
+    for got, ref in zip(batched, alone, strict=True):
+        assert np.array_equal(got.samples, ref.samples)
+    if not LONG_DOUBLE:
+        return
+    x, y = (v.samples.astype(np.clongdouble) for v in (f, h))
+    gamma = (k + 2) * 2.0 ** -53 / (1 - (k + 2) * 2.0 ** -53)
+    bound = gamma * np.matmul(np.abs(x), np.abs(y))
+    ref = np.matmul(x, y)
+    assert (np.abs(prod.samples - ref) <= bound).all()
+    # negative control: the factors in the other order miss the bound
+    if k > 1:
+        assert not (np.abs(swapped.samples - ref) <= bound).all()
+
+
 def sparse_right_factor(case, grid, k, seed):
     """Right-factor coefficients (N, N, k, k) that are non-zero only on some
     q2 rows (axis 1): one row, recover's probe (modes -4..4, 9 rows), the
@@ -423,9 +465,10 @@ def test_one_row_right_factor_makes_one_loop_fft(monkeypatch):
 def test_zero_right_rows_are_absent_from_the_sum():
     # a NaN left coefficient at p2 meets only the occupied q2 rows: it
     # reaches the output rows r2 = p2 + q2 - N/2 (mod N) and no other, and
-    # nothing at all against an all-zero right factor.  The theta = 0
-    # convolution transforms whole factors, so there it reaches every r of
-    # its matrix row
+    # nothing at all against an all-zero right factor.  At theta = 0 the
+    # inverse transform of fhat spreads it over every sample of its channel,
+    # the pointwise product over every x of its matrix row, and the forward
+    # transform over every r of that row
     npts, k, p2, q2 = 16, 2, 5, 3
     g = GridSpec(2, npts, 8.0)
     fhat, _ = full_band_pair(npts, k, 8)

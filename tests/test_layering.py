@@ -159,8 +159,9 @@ def test_fft_guard_detects_violations():
     assert fft_allowed("deformation", "_twisted_kernel.inner")
     assert not fft_allowed("deformation", "_twisted_kernel_v2")
     assert fft_allowed("deformation", "_finish_coefficients")
-    # the channels-last wrappers only transpose around the kernel and its
-    # finishes, and the sample finish reverses indices and calls grids
+    # the channels-last wrappers transpose around the kernel and its
+    # finishes, or call grids at J = 0, and the sample finish reverses
+    # indices and calls grids
     assert not fft_allowed("deformation", "twisted_coefficients")
     assert not fft_allowed("deformation", "_finish_samples")
     assert not fft_allowed("suites", None)

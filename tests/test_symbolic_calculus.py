@@ -5,14 +5,15 @@ import pytest
 
 from rieffel import quantization, symbolic_calculus
 from rieffel.algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
-from rieffel.deformation import SkewForm, twisted_samples
+from rieffel.deformation import SkewForm, deformed_product, twisted_samples
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
-from rieffel.module_space import ModuleFunction
-from rieffel.quantization import (CallableSymbol, GridSymbol, PhaseSymbol,
-                                  TranslationSymbol, TrigPolySymbol,
-                                  dense_quantize, pi_seminorm,
-                                  random_band_coefficients, sample_symbol)
+from rieffel.module_space import ModuleFunction, inner_product, module_norm
+from rieffel.quantization import (CallableSymbol, GridSymbol, LeftActionOp,
+                                  PhaseSymbol, TranslationSymbol, TrigPolySymbol,
+                                  dense_quantize, operator_norm_estimate,
+                                  pi_seminorm, random_band_coefficients,
+                                  sample_symbol)
 from rieffel.suites import SuiteConfig, band_limited_field, run_suite
 from rieffel.symbolic_calculus import (GammaKernel, b_transform, coordinate_symbol,
                                        gamma_reconstruct, gamma_reproduce,
@@ -877,3 +878,45 @@ def test_plan_memory_full_box_keeps_nothing_and_probe_plan_bound():
         tracemalloc.stop()
     assert plan.rest.nbytes + plan.rhs.nbytes <= 1.5e6
     assert kept <= 1.5e6 + stacked.nbytes
+
+
+ONE_RULE_SCALES = [1e-300, 1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e150, 1e200]
+
+
+@pytest.mark.parametrize("scale", ONE_RULE_SCALES)
+def test_public_entries_are_finite_or_raise_at_every_scale(scale):
+    # the one rule for public numeric entries: on finite input each returns
+    # a finite value or raises, and none returns NaN.  F and G are s times
+    # full-band fields (N = 16, k = 2).  An entry of F's scale alone (the
+    # module norm, the sup of the C*-norm, the norm estimate of L_F and
+    # recover's F = T(1) and residual) returns at every s, and its F and
+    # norms are not 0.  A product's or a Gram's scale is its factors'
+    # product, s^2: it may underflow to 0 (s <= 1e-170, where s^2 is below
+    # the least subnormal), and where s^2 overflows (s = 1e200) the product
+    # raises ValueError (its samples are not finite) and the Gram
+    # OverflowError
+    g = GridSpec(2, 16, 8.0)
+    r = np.random.default_rng(43)
+    F, G = (ModuleFunction(g, scale * (r.normal(size=g.shape + (2, 2))
+                                       + 1j * r.normal(size=g.shape + (2, 2))))
+            for _ in range(2))
+    Fr, residual = recover(TranslationSymbol(F, J), J, g)
+    own_scale = [module_norm(F), cnorm_sup(F.samples),
+                 operator_norm_estimate(LeftActionOp(F, J), g, 2, trials=2,
+                                        power_iters=2)[0], Fr.samples]
+    for value in own_scale:
+        assert np.isfinite(value).all() and np.any(value)
+    assert np.isfinite(residual)
+    not_finite, overflows = (ValueError, "NaN or Inf"), (OverflowError, "overflows")
+    squared = [(lambda: deformed_product(F, G, SkewForm(0.0)).samples, not_finite),
+               (lambda: deformed_product(F, G, J).samples, not_finite),
+               (lambda: inner_product(F, G), overflows)]
+    for entry, (error, match) in squared:
+        if np.isinf(scale * scale):
+            with pytest.raises(error, match=match), np.errstate(over="ignore",
+                                                                invalid="ignore"):
+                entry()
+            continue
+        value = entry()
+        assert np.isfinite(value).all()
+        assert np.any(value) or scale * scale == 0.0
