@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     except MGFFormatError as exc:
         print(f"grid file error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

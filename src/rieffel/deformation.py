@@ -12,8 +12,8 @@ equivalently the single-Fourier form
 At J = 0 (every J on n = 1, theta = 0 on n = 2) this is the pointwise
 product F(x) G(x), which _pointwise forms from the kernel's plane products:
 of the samples in deformed_product, of the coefficients' inverse transforms
-in twisted_samples.  For J != 0 the single-Fourier form collapses on the
-periodic grid to an exact twisted convolution of Fourier coefficients,
+in twisted_coefficients.  For J != 0 the single-Fourier form collapses on
+the periodic grid to an exact twisted convolution of Fourier coefficients,
 
     C^(r) = (2*pi)^(-n/2) * dxi^n * sum_{p+q=r}  e^{-i p.Jq}  F^(p) G^(q),
 
@@ -30,17 +30,16 @@ axis, then x2, the kernel takes [a, b, p2, p1] coefficients and returns its
 sum still transformed along z, the sample finish runs in that layout too,
 and one transpose returns (N, N, k, k) samples.  The kernel's sum has two
 finishes.  twisted_coefficients scales it and runs the inverse FFT along z,
-giving coefficients.  The sample finish (deformed_product, and
-twisted_samples from coefficients) skips that inverse FFT: along z it and
-the inverse grid transform compose, in exact arithmetic, to a signed,
-scaled index reversal, so it reverses z and runs the inverse transform
-along x2 alone.  The kernel multiplies rectangular channel blocks, [A, B]
-by [B, C].  L_F is a right-module map, so it acts on each column block of
-its argument on its own, and R_G on each row block: deformed_product(F,
-(u_1, .., u_m), J) runs one kernel pass with the u_j side by side as
-columns (C = m k), and a tuple on the left stacks rows, each member bit for
-bit its separate product.  The shared side's per-q2 multiply and FFT then
-run once for the whole batch.
+giving coefficients.  The sample finish, deformed_product's, skips that
+inverse FFT: along z it and the inverse grid transform compose, in exact
+arithmetic, to a signed, scaled index reversal, so it reverses z and runs
+the inverse transform along x2 alone.  The kernel multiplies rectangular
+channel blocks, [A, B] by [B, C].  L_F is a right-module map, so it acts
+on each column block of its argument on its own, and R_G on each row
+block: deformed_product(F, (u_1, .., u_m), J) runs one kernel pass with
+the u_j side by side as columns (C = m k), and a tuple on the left stacks
+rows, each member bit for bit its separate product.  The shared side's
+per-q2 multiply and FFT then run once for the whole batch.
 
 Each factor drops its rows of rounding noise, by one rule: row a of the
 left factor keeps a p2 row, and column c of the right factor a q2 row, if
@@ -80,7 +79,8 @@ O(N^3 k^2 log N + N^3 k^3) work instead of the naive O(N^4 k^3).
 
 Matrix order: values of the left factor always multiply from the left.
 The left action L_F u is deformed_product(F, u, J) and the right action
-R_G u is deformed_product(u, G, J).
+R_G u is deformed_product(u, G, J).  A product that leaves the double range
+raises OverflowError, as inner_product does.
 """
 from __future__ import annotations
 
@@ -145,15 +145,6 @@ def _channels_first(arr: np.ndarray) -> np.ndarray:
 def _channels_last(arr: np.ndarray) -> np.ndarray:
     """Inverse of _channels_first, contiguous."""
     return np.ascontiguousarray(arr.transpose(3, 2, 0, 1))
-
-
-def _transform_channels_first(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """grid_transform of channels-first [a, b, x2, x1] data: the same
-    axis_transform along x1 (the last, contiguous axis), then x2.  Returns a
-    fresh C-contiguous array in the input's axis order."""
-    for ax in (3, 2):
-        arr = axis_transform(arr, ax, grid.spacing, -grid.half_width)
-    return arr
 
 
 def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
@@ -240,16 +231,11 @@ def _twisted_kernel(ft: np.ndarray, gt: np.ndarray, grid: GridSpec,
     return acc
 
 
-def _scale(grid: GridSpec) -> float:
-    """(2*pi)^(-n/2) dxi^n, the twisted sum's measure."""
-    return TWO_PI ** (-grid.n / 2.0) * grid.dual_spacing ** grid.n
-
-
 def _finish_coefficients(acc: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The channels-first coefficients [A, C, r2, r1] from _twisted_kernel's
     accumulator, which it overwrites: the scale and the sign (-1)^z, then
     the inverse FFT along z."""
-    scale = _scale(grid)
+    scale = grid.dual_measure
     # the left factor's roll(-N/2) along p1 is the sign (-1)^z after its FFT
     acc *= np.where(np.arange(grid.points) % 2 == 0, scale, -scale)
     return np.fft.ifft(acc, axis=-1, out=acc)
@@ -266,7 +252,7 @@ def _finish_samples(acc: np.ndarray, grid: GridSpec) -> np.ndarray:
     rev = (grid.points // 2 - np.arange(grid.points)) % grid.points
     weight = grid.dual_spacing / np.sqrt(TWO_PI)  # K / N
     out = acc[..., rev]
-    out *= _scale(grid) * weight
+    out *= grid.dual_measure * weight
     return axis_transform(out, 2, grid.spacing, -grid.half_width, inverse=True)
 
 
@@ -301,15 +287,6 @@ def _pointwise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_channels_last(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
-                          theta: float) -> np.ndarray:
-    """_twisted_kernel of channels-last coefficients (N, N, A, B) and
-    (N, N, B, C)."""
-    return _twisted_kernel(np.ascontiguousarray(_channels_first(fhat)),
-                           np.ascontiguousarray(_channels_first(ghat)),
-                           grid, theta)
-
-
 def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
                          theta: float) -> np.ndarray:
     """Fourier coefficients of the deformed product from factor coefficients.
@@ -317,43 +294,35 @@ def twisted_coefficients(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
     fhat is (N,)*n + (A, B) and ghat (N,)*n + (B, C) on dual_axis(), and the
     result is (N,)*n + (A, C): (k, k) for two fields, and for m fields side
     by side in column blocks of ghat (C = m k) block j is fhat's product with
-    block j.  At J = 0 (n = 1, or theta = 0) it transforms twisted_samples'
-    pointwise product.  Otherwise each row of fhat drops the p2 rows and
-    each column of ghat the q2 rows whose entries all stay below u log2(N),
-    u = 2^-53, of its own largest modulus (log2(N) unit roundoffs per factor
-    of the largest terms the sum adds, the FFT's own normwise error), and a
-    row is skipped only if every row or column drops it.  So a NaN in fhat
-    also reaches a block whose own row q2 is dropped when another block
-    keeps it, and a NaN in ghat reaches every output row r2 of its column
-    (_twisted_kernel).  The kernel's sum is finished to coefficients:
-    scaled, then inverse FFT'd along z.
+    block j.  At J = 0 (n = 1, or theta = 0) it transforms the pointwise
+    product of the factors' inverse transforms.  Otherwise each row of fhat
+    drops the p2 rows and each column of ghat the q2 rows whose entries all
+    stay below u log2(N), u = 2^-53, of its own largest modulus (log2(N)
+    unit roundoffs per factor of the largest terms the sum adds, the FFT's
+    own normwise error), and a row is skipped only if every row or column
+    drops it.  So a NaN in fhat also reaches a block whose own row q2 is
+    dropped when another block keeps it, and a NaN in ghat reaches every
+    output row r2 of its column (_twisted_kernel).  The kernel's sum is
+    finished to coefficients: scaled, then inverse FFT'd along z.
     """
     if grid.n == 1 or theta == 0.0:
-        return grid_transform(twisted_samples(fhat, ghat, grid, theta), grid)
-    acc = _kernel_channels_last(fhat, ghat, grid, theta)
+        x, y = (grid_transform(h, grid, inverse=True) for h in (fhat, ghat))
+        return grid_transform(_pointwise(x, y), grid)
+    ft, gt = (np.ascontiguousarray(_channels_first(h)) for h in (fhat, ghat))
+    acc = _twisted_kernel(ft, gt, grid, theta)
     return _channels_last(_finish_coefficients(acc, grid))
-
-
-def twisted_samples(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec,
-                    theta: float) -> np.ndarray:
-    """The deformed product's samples, (N,)*n + (A, C), from the factor
-    coefficients of twisted_coefficients: grid_transform(twisted_coefficients(
-    fhat, ghat, grid, theta), grid, inverse=True) to roundoff: at J = 0 (n
-    = 1, or theta = 0) the pointwise product of the factors' inverse
-    transforms, otherwise the kernel's sum and its sample finish."""
-    if grid.n == 1 or theta == 0.0:
-        return _pointwise(grid_transform(fhat, grid, inverse=True),
-                          grid_transform(ghat, grid, inverse=True))
-    acc = _kernel_channels_last(fhat, ghat, grid, theta)
-    return _channels_last(_finish_samples(acc, grid))
 
 
 def _stacked_coefficients(fields: tuple, grid: GridSpec, axis: int) -> np.ndarray:
     """The channels-first coefficients of fields side by side along channel
-    axis 0 (row blocks) or 1 (column blocks), one transform for all."""
+    axis 0 (row blocks) or 1 (column blocks), one transform for all: a
+    fresh C-contiguous [a, b, p2, p1] array, transformed as grid_transform
+    does along x1 (the last, contiguous axis), then x2."""
     parts = [_channels_first(h.samples) for h in fields]
-    return _transform_channels_first(
-        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis), grid)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+    for ax in (3, 2):
+        out = axis_transform(out, ax, grid.spacing, -grid.half_width)
+    return out
 
 
 def deformed_product(f, g, J: SkewForm):
@@ -366,7 +335,9 @@ def deformed_product(f, g, J: SkewForm):
     row blocks: the other side's per-q2 multiply and FFT run once for the
     batch.  At J = 0 the product is the pointwise product of the samples,
     one per member.  Tuples on both sides, or an empty tuple, raise
-    ValueError; every member must share the grid and k (GridMismatchError)."""
+    ValueError; every member must share the grid and k (GridMismatchError).
+    The factors are finite, so a product that is not has overflowed: it
+    raises OverflowError, without a RuntimeWarning."""
     left, right = isinstance(f, tuple), isinstance(g, tuple)
     if left and right:
         raise ValueError("deformed_product batches one side only")
@@ -378,15 +349,19 @@ def deformed_product(f, g, J: SkewForm):
     grid, k = fs[0].grid, fs[0].algebra_dim
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
-    if J.theta == 0.0:  # J = 0, as every J on n = 1 is
-        out = tuple(ModuleFunction(grid, _pointwise(x.samples, y.samples))
-                    for x in fs for y in gs)
-    else:
-        ft, gt = _stacked_coefficients(fs, grid, 0), _stacked_coefficients(gs, grid, 1)
-        full = _finish_samples(_twisted_kernel(ft, gt, grid, J.theta), grid)
-        blocks = (full[j * k:(j + 1) * k] if left else full[:, j * k:(j + 1) * k]
-                  for j in range(len(fs) * len(gs)))
-        out = tuple(ModuleFunction(grid, _channels_last(b)) for b in blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if J.theta == 0.0:  # J = 0, as every J on n = 1 is
+            out = [_pointwise(x.samples, y.samples) for x in fs for y in gs]
+        else:
+            ft = _stacked_coefficients(fs, grid, 0)
+            gt = _stacked_coefficients(gs, grid, 1)
+            full = _finish_samples(_twisted_kernel(ft, gt, grid, J.theta), grid)
+            out = [_channels_last(full[j * k:(j + 1) * k] if left
+                                  else full[:, j * k:(j + 1) * k])
+                   for j in range(len(fs) * len(gs))]
+    if not all(np.isfinite(h).all() for h in out):
+        raise OverflowError("deformed product overflows the double range")
+    out = tuple(ModuleFunction(grid, h) for h in out)
     return out if left or right else out[0]
 
 

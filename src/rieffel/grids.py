@@ -57,6 +57,11 @@ class GridSpec:
         return np.pi / self.half_width
 
     @property
+    def dual_measure(self) -> float:
+        """(2*pi)^(-n/2) dxi^n, the measure of a sum over the dual lattice."""
+        return TWO_PI ** (-self.n / 2.0) * self.dual_spacing ** self.n
+
+    @property
     def shape(self) -> tuple:
         return (self.points,) * self.n
 

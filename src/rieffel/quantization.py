@@ -314,7 +314,7 @@ def dense_apply(a: PhaseSymbol, plan: DensePlan) -> np.ndarray:
     for slab, rhs, row in zip(a.slabs(g, plan.box), plan.rhs, rows, strict=True):
         buf = np.multiply(slab.reshape(slab.shape[:-2] + (k * k,)), plan.rest, out=buf)
         np.matmul(buf.reshape(rows.shape[1], -1), rhs, out=row)
-    return TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n * out
+    return g.dual_measure * out
 
 
 def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -521,8 +521,7 @@ class TranslationSymbol(PhaseSymbol):
         (nu, J nu, c_nu) per non-zero mode nu of F^, c = (2 pi)^(-n/2) dnu^n
         F^(nu) (independent of _shear)."""
         g, k = self.F.grid, self.algebra_dim
-        scale = TWO_PI ** (-g.n / 2.0) * g.dual_spacing ** g.n
-        c = scale * grid_transform(self.F.samples, g).reshape(-1, k, k)
+        c = g.dual_measure * grid_transform(self.F.samples, g).reshape(-1, k, k)
         nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
         return TrigPolySymbol(self.n, k, [
             (nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()])

@@ -24,18 +24,18 @@ own, since a grid symbol's slabs are read-only views of its samples.
 
 recover works on the operator T = a(x, D) instead: an operator that commutes
 with the right action is left multiplication by T(1), so it returns F = T(1)
-and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u,
-both from one dense pass over the stacked coefficients of [1 | u] (one slab
-stream of a, on the 9 x 9 dual box that u's modes -4..4 and the constant's
-delta at xi = 0 occupy).  The product T(1) x_J u takes u's exact
-coefficients, so its q2 loop visits only the 9 rows they occupy.  The probe
-is a constant of (grid, k): its [1 | u] coefficients, sup ||u|| and the
-dense pass's frozen plan over them (its box, phase table and N per-slab
-block matrices: 1.35 MB at N = 32, k = 2) are memoized on that key, at most
-8 probes, read-only; the shear's real table is memoized on (N, L, the box's
-xi_0 rows, J_10), at most 4.  Only the fixed probe is planned once: a plan
-memoized on a generic caller's coefficients would keep full-box plans (8
-MiB at N = 32, k = 2).
+and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u.
+T(1) and T u come from one dense pass over the stacked coefficients of
+[1 | u] (one slab stream of a, on the 9 x 9 dual box that u's modes -4..4
+and the constant's delta at xi = 0 occupy), read off their exact zeros.
+The product T(1) x_J u is deformed_product on u's samples: its roundoff
+cut keeps the 9 rows of u's band, so its q2 loop visits only those.  The
+probe is a constant of (grid, k): u, sup ||u|| and the dense pass's frozen
+plan (its box, phase table and N per-slab block matrices: 1.35 MB at
+N = 32, k = 2) are memoized on that key, at most 8 probes, read-only; the
+shear's real table is memoized on (N, L, the box's xi_0 rows, J_10), at
+most 4.  Only the fixed probe is planned once: a plan memoized on a generic
+caller's coefficients would keep full-box plans (8 MiB at N = 32, k = 2).
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import cnorm_sup, cnorm_sup_slabs
-from .deformation import SkewForm, twisted_samples
+from .deformation import SkewForm, deformed_product
 from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
@@ -313,36 +313,33 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     measures how far T is from L_F otherwise.  T runs once, through the
     generic dense quantize (never TranslationSymbol.quantize, which is L_F
     itself), on the stacked coefficients of [1 | u] as made: u's draw and
-    the constant's exact delta.  They, sup ||u|| and the frozen dense plan
-    over them depend only on (grid, k) and are memoized on it (_probe: at
-    most 8 probes, read-only), so a second call on a grid plans nothing and
-    applies the plan to a's slabs only.  Returns (F, residual) as
-    recover_translation_symbol does.
+    the constant's exact delta, so the dense pass's box holds u's modes and
+    xi = 0 only.  F x_J u is deformed_product(F, u, J) on u's samples.  u,
+    sup ||u|| and the frozen dense plan depend only on (grid, k) and are
+    memoized on it (_probe: at most 8 probes, read-only), so a second call
+    on a grid plans nothing and applies the plan to a's slabs only.  Returns
+    (F, residual) as recover_translation_symbol does.
     """
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     k = a.algebra_dim
-    stacked, u_sup, plan = _probe(grid, k)
+    u, u_sup, plan = _probe(grid, k)
     out = dense_apply(a, plan)
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
-    Tu = out[..., k:]
-    # F x_J u on u's exact draw, so the product loop visits only u's q2 rows
-    Fu = twisted_samples(grid_transform(F.samples, grid), stacked[..., k:],
-                         grid, J.theta)
-    return F, cnorm_sup(Tu - Fu) / u_sup
+    return F, cnorm_sup(out[..., k:] - deformed_product(F, u, J).samples) / u_sup
 
 
 @functools.lru_cache(maxsize=8)
 def _probe(grid: GridSpec, k: int):
-    """recover's stacked coefficients [1 | u] on (grid, k), read-only, sup
-    ||u||, and the frozen dense plan over the coefficients."""
+    """recover's probe u on (grid, k), its samples read-only, sup ||u||, and
+    the frozen dense plan over the stacked coefficients [1 | u]."""
     uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
     u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
+    u.samples.flags.writeable = False
     # the constant's coefficients are a delta at xi = 0, kept exact (its
     # height is the transform's own) so that they add no node to u's box
     one = np.zeros_like(uh)
     centre = (grid.points // 2,) * grid.n
     one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
-    stacked = np.concatenate([one, uh], axis=-1)
-    stacked.flags.writeable = False
-    return stacked, u.sup_norm(), dense_plan(grid, stacked).frozen()
+    plan = dense_plan(grid, np.concatenate([one, uh], axis=-1)).frozen()
+    return u, u.sup_norm(), plan

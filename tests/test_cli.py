@@ -289,6 +289,25 @@ def test_cli_product_requires_out(tmp_path, capsys, command):
     assert f"{command} requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", ["0.5", "0"])
+@pytest.mark.parametrize("command", ["product", "apply"])
+def test_cli_product_overflow_exits_2_without_output(tmp_path, capsys, command, theta):
+    # two finite fields at 1e200 whose product leaves the double range, on
+    # the q2 loop (theta 0.5) and the pointwise route (theta 0): the command
+    # prints the OverflowError, warns nothing and writes no output file
+    g = GridSpec(2, 16, 8.0)
+    r = np.random.default_rng(47)
+    files = [str(tmp_path / f"{name}.mgf") for name in "fg"]
+    for path in files:
+        write_mgf(path, ModuleFunction(g, 1e200 * (r.normal(size=g.shape + (2, 2))
+                                                   + 1j * r.normal(size=g.shape + (2, 2)))))
+    out = tmp_path / "out.mgf"
+    assert main([command, *files, "--out", str(out), "--theta", theta]) == 2
+    assert capsys.readouterr().err == "error: deformed product overflows the double range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["product", "apply", "recover"])
 @pytest.mark.parametrize("flag", [["--grid", "2,16,8.0"], ["--seed", "3"],
                                   ["--config", "cfg.json"]],

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from rieffel import deformation
 from rieffel.deformation import (CutoffFamily, SkewForm, approximate_identity,
                                  bump_profile, deformed_product, mollifier_hat,
-                                 oscillatory_integral, twisted_coefficients,
-                                 twisted_samples)
+                                 oscillatory_integral, twisted_coefficients)
 from rieffel.errors import DivergenceError, GridMismatchError, ResolutionError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction, module_norm, translate
@@ -307,15 +306,18 @@ SAMPLE_CASES = [(2, npts, k, theta) for npts in (16, 18, 32, 96) for k in (1, 2,
 
 @pytest.mark.parametrize("n, npts, k, theta", SAMPLE_CASES)
 def test_sample_finish_matches_inverse_transform_of_coefficients(n, npts, k, theta):
-    # the sample finish reverses the kernel's transformed axes, signed and
-    # scaled, where the coefficient finish and grid_transform run an inverse
-    # FFT and a signed inverse transform: full-band factors, so every row is
+    # deformed_product's sample finish reverses the kernel's transformed
+    # axes, signed and scaled, where the coefficient finish of the samples'
+    # transforms and grid_transform run an inverse FFT and a signed inverse
+    # transform on the same kernel sum: full-band factors, so every row is
     # visited and p + q wraps; N = 18 has an odd N/2, so (-1)^(j + N/2)
-    # starts at -1.  Observed at most 6.3e-16 of the largest entry
+    # starts at -1.  Observed at most 1.4e-15 of the largest entry
     g = GridSpec(n, npts, 8.0)
-    fhat, ghat = full_band_pair(npts, k, [npts, k, 3], n)
+    f, h = (ModuleFunction(g, grid_transform(c, g, inverse=True))
+            for c in full_band_pair(npts, k, [npts, k, 3], n))
+    fhat, ghat = grid_transform(f.samples, g), grid_transform(h.samples, g)
     ref = grid_transform(twisted_coefficients(fhat, ghat, g, theta), g, inverse=True)
-    got = twisted_samples(fhat, ghat, g, theta)
+    got = deformed_product(f, h, SkewForm(theta, n)).samples
     assert got.shape == ref.shape and got.flags.c_contiguous
     assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
     # negative control: the reference of the other sign of theta differs
@@ -329,20 +331,22 @@ def test_sample_finish_matches_inverse_transform_of_coefficients(n, npts, k, the
 def test_sample_finish_batch_members_keep_their_own_bits(side, theta):
     # band-limited members read back through their samples, one at a
     # thousandth of the others' scale, beside a full-band factor: each
-    # member of one twisted_samples call is np.array_equal to its own
+    # member of one deformed_product call is np.array_equal to its own
     npts, k = 32, 2
     g = GridSpec(2, npts, 8.0)
-    members = [band_pair(npts, k, 51)[0], 1e-3 * band_pair(npts, k, 52)[1],
-               full_band_pair(npts, k, 53)[0]]
-    other, _ = full_band_pair(npts, k, 54)
+    def field(c):
+        return ModuleFunction(g, grid_transform(c, g, inverse=True))
+    members = tuple(field(c) for c in [band_pair(npts, k, 51)[0],
+                                       1e-3 * band_pair(npts, k, 52)[1],
+                                       full_band_pair(npts, k, 53)[0]])
+    other, Jt = field(full_band_pair(npts, k, 54)[0]), SkewForm(theta)
     if side == "left":
-        got = twisted_samples(np.concatenate(members, axis=-2), other, g, theta)
-        parts = [got[..., j * k:(j + 1) * k, :] for j in range(len(members))]
-        alone = [twisted_samples(h, other, g, theta) for h in members]
+        parts = deformed_product(members, other, Jt)
+        alone = [deformed_product(h, other, Jt) for h in members]
     else:
-        got = twisted_samples(other, np.concatenate(members, axis=-1), g, theta)
-        parts = [got[..., j * k:(j + 1) * k] for j in range(len(members))]
-        alone = [twisted_samples(other, h, g, theta) for h in members]
+        parts = deformed_product(other, members, Jt)
+        alone = [deformed_product(other, h, Jt) for h in members]
+    parts, alone = [x.samples for x in parts], [y.samples for y in alone]
     for x, y in zip(parts, alone):
         assert np.array_equal(x, y)
     # negative control: member 0 is not member 1's product

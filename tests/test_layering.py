@@ -271,7 +271,7 @@ PUBLIC_API = [
 # for perfbench but leave the package namespace (PUBLIC_API above).
 RETIRED_NAMES = ("left_action", "right_action", "weyl_shift", "shifted_symbol",
                  "AlgebraElement", "star", "IdentityOp", "RightActionOp",
-                 "schwartz_seminorm")
+                 "schwartz_seminorm", "twisted_samples")
 
 
 def test_public_api_pinned():

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieffel import quantization, symbolic_calculus
+from rieffel import deformation, quantization, symbolic_calculus
 from rieffel.algebra import cnorm_sup, cnorm_sup_slabs, slab_differences
-from rieffel.deformation import SkewForm, deformed_product, twisted_samples
+from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
 from rieffel.grids import GridSpec, grid_transform
 from rieffel.module_space import ModuleFunction, inner_product, module_norm
@@ -735,8 +735,7 @@ def test_recover_reads_F_as_T_of_one(n, k):
 
 
 def test_recover_rejects_a_form_of_another_dimension():
-    # twisted_samples reads only theta, so recover checks J's
-    # dimension against the grid itself
+    # recover checks J's dimension against the grid before its dense pass
     g = GridSpec(2, 16, 8.0)
     a = TranslationSymbol(band_limited_field(g, 2, np.random.default_rng(4)), J)
     with pytest.raises(GridMismatchError, match="J dimension 1 != grid dimension 2"):
@@ -755,7 +754,7 @@ def recover_unmemoized(a, J, grid):
     one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
     out = dense_quantize(a, grid, np.concatenate([one, uh], axis=-1))
     F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
-    Fu = twisted_samples(grid_transform(F.samples, grid), uh, grid, J.theta)
+    Fu = deformed_product(F, u, J).samples
     return F, cnorm_sup(out[..., k:] - Fu) / u.sup_norm()
 
 
@@ -775,20 +774,53 @@ def test_recover_probe_memo_bit_identical(n, npts, k):
 
 def test_recover_probe_per_grid_and_k():
     # a probe is a constant of (grid, k): equal keys share one, another grid
-    # or k gets its own, and its arrays are read-only
+    # or k gets its own, and u's samples are read-only
     probe = symbolic_calculus._probe
     g, g2 = GridSpec(2, 16, 8.0), GridSpec(2, 16, 6.0)
-    stacked, u_sup, _ = probe(g, 2)
-    assert probe(GridSpec(2, 16, 8.0), 2)[0] is stacked
+    u, u_sup, _ = probe(g, 2)
+    assert probe(GridSpec(2, 16, 8.0), 2)[0] is u
     for key in [(g2, 2), (g, 1), (GridSpec(2, 32, 8.0), 2)]:
-        other = probe(*key)
-        assert other[0] is not stacked
-        assert other[0].shape == key[0].shape + (key[1], 2 * key[1])
-    assert probe(g2, 2)[1] != u_sup
+        other = probe(*key)[0]
+        assert other is not u and other.grid == key[0]
+        assert other.samples.shape == key[0].shape + (key[1],) * 2
+    assert probe(g2, 2)[1] != u_sup == u.sup_norm()
     with pytest.raises(ValueError):
-        stacked[0, 0, 0, 0] = 1.0
-    assert np.array_equal(stacked[..., 2:], random_band_coefficients(
-        g, 2, np.random.default_rng(symbolic_calculus.PROBE_SEED)))
+        u.samples[0, 0, 0, 0] = 1.0
+    assert np.array_equal(u.samples, grid_transform(random_band_coefficients(
+        g, 2, np.random.default_rng(symbolic_calculus.PROBE_SEED)), g, inverse=True))
+
+
+def recover_fft_shapes(a, J, grid, monkeypatch):
+    """The input shape of each np.fft.fft call a warm recover makes."""
+    recover(a, J, grid)
+    shapes, fft = [], np.fft.fft
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return fft(x, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    recover(a, J, grid)
+    monkeypatch.setattr(np.fft, "fft", fft)
+    return shapes
+
+
+@pytest.mark.parametrize("npts", [16, 32])
+def test_recover_product_loop_visits_only_u_band_rows(npts, monkeypatch):
+    # F x_J u runs on u's samples, and the product's roundoff cut keeps the 9
+    # q2 rows of u's band (modes -4..4) and F's 7 p2 rows: 9 loop FFT calls,
+    # each on one (A B + B C, |P|, N) = (8, 7, N) buffer, and 13 np.fft.fft
+    # calls in all with the forward transforms of F and u
+    g = GridSpec(2, npts, 8.0)
+    a = TranslationSymbol(band_limited_field(g, 2, np.random.default_rng(5)), J)
+    shapes = recover_fft_shapes(a, J, g, monkeypatch)
+    assert [s for s in shapes if len(s) == 3] == [(8, 7, npts)] * 9
+    assert len(shapes) == 13
+    # negative control: a cut that keeps every non-zero row visits the rows
+    # of u's transform roundoff too
+    monkeypatch.setattr(deformation, "roundoff_cut", lambda linemax, points: (
+        linemax != 0, np.zeros(linemax.shape, bool), True))
+    shapes = recover_fft_shapes(a, J, g, monkeypatch)
+    assert len([s for s in shapes if len(s) == 3]) > 9
 
 
 def clear_memos():
@@ -828,7 +860,7 @@ def test_recover_plan_and_shear_table_read_only_and_per_key():
     for key in [(GridSpec(2, 32, 6.0), 2), (g, 1), (GridSpec(2, 16, 8.0), 2),
                 (GridSpec(1, 32, 8.0), 2)]:
         other = probe(*key)[2]
-        assert other.grid == key[0] and other.shape == probe(*key)[0].shape
+        assert other.grid == key[0] and other.shape == key[0].shape + (key[1], 2 * key[1])
         assert other.rhs is not plan.rhs and other.rest is not plan.rest
     table.cache_clear()
     R = table(32, 8.0, (12, 21, 1), -0.5)
@@ -857,7 +889,7 @@ def test_plan_memory_full_box_keeps_nothing_and_probe_plan_bound():
     # a full-box generic quantize (N = 32, k = 2) keeps nothing once it
     # returns, and never holds its 32 block matrices at once (8 MiB;
     # observed peak 7.7 MB, with two 2 MiB slab buffers); recover's kept
-    # plan holds 1.35 MB, and its probe with the coefficients 1.48 MB
+    # plan holds 1.35 MB, and its probe with u's samples 1.41 MB
     g = GridSpec(2, 32, 8.0)
     rng = np.random.default_rng(17)
     shape = g.shape + (2, 2)
@@ -872,17 +904,18 @@ def test_plan_memory_full_box_keeps_nothing_and_probe_plan_bound():
         assert peak < 32 ** 3 * 4 * 4 * 16
         symbolic_calculus._probe.cache_clear()
         before = tracemalloc.get_traced_memory()[0]
-        stacked, _, plan = symbolic_calculus._probe(g, 2)
+        u, _, plan = symbolic_calculus._probe(g, 2)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert plan.rest.nbytes + plan.rhs.nbytes <= 1.5e6
-    assert kept <= 1.5e6 + stacked.nbytes
+    assert kept <= 1.5e6 + u.samples.nbytes
 
 
 ONE_RULE_SCALES = [1e-300, 1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e150, 1e200]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", ONE_RULE_SCALES)
 def test_public_entries_are_finite_or_raise_at_every_scale(scale):
     # the one rule for public numeric entries: on finite input each returns
@@ -892,9 +925,9 @@ def test_public_entries_are_finite_or_raise_at_every_scale(scale):
     # recover's F = T(1) and residual) returns at every s, and its F and
     # norms are not 0.  A product's or a Gram's scale is its factors'
     # product, s^2: it may underflow to 0 (s <= 1e-170, where s^2 is below
-    # the least subnormal), and where s^2 overflows (s = 1e200) the product
-    # raises ValueError (its samples are not finite) and the Gram
-    # OverflowError
+    # the least subnormal), and where s^2 overflows (s = 1e200) both
+    # products and the Gram raise OverflowError.  No entry emits a
+    # RuntimeWarning on the way
     g = GridSpec(2, 16, 8.0)
     r = np.random.default_rng(43)
     F, G = (ModuleFunction(g, scale * (r.normal(size=g.shape + (2, 2))
@@ -907,14 +940,12 @@ def test_public_entries_are_finite_or_raise_at_every_scale(scale):
     for value in own_scale:
         assert np.isfinite(value).all() and np.any(value)
     assert np.isfinite(residual)
-    not_finite, overflows = (ValueError, "NaN or Inf"), (OverflowError, "overflows")
-    squared = [(lambda: deformed_product(F, G, SkewForm(0.0)).samples, not_finite),
-               (lambda: deformed_product(F, G, J).samples, not_finite),
-               (lambda: inner_product(F, G), overflows)]
-    for entry, (error, match) in squared:
+    squared = [lambda: deformed_product(F, G, SkewForm(0.0)).samples,
+               lambda: deformed_product(F, G, J).samples,
+               lambda: inner_product(F, G)]
+    for entry in squared:
         if np.isinf(scale * scale):
-            with pytest.raises(error, match=match), np.errstate(over="ignore",
-                                                                invalid="ignore"):
+            with pytest.raises(OverflowError, match="overflows"):
                 entry()
             continue
         value = entry()
