@@ -15,8 +15,10 @@ Conventions, written out once and used everywhere:
 
 A Fourier multiplier (transform, multiply, invert) needs neither the signs
 nor the measures, which cancel, so fourier_multiplier takes only the
-spacings and works in FFT order, as does translates, which shifts one
-function by several vectors with one forward and one batched inverse FFT.
+spacings and works in FFT order: fft_forward, a product at fft_frequencies,
+fft_inverse.  A caller that keeps a spectrum (a translation symbol's F^)
+runs the three pieces itself.  translates shifts one function by several
+vectors with one forward and one batched inverse FFT, also in FFT order.
 
 roundoff_cut states once which lines of FFT coefficients hold only the
 transform's roundoff: a line below u log2(N) of its block's largest
@@ -118,22 +120,40 @@ def axis_transform(samples: np.ndarray, axis: int, dx: float, x0: float,
     return out
 
 
-def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
-    """Fourier multiplier over the leading len(spacings) axes: one forward
-    FFT, multiply by fn(nus), one inverse FFT.
+def fft_forward(samples: np.ndarray, naxes: int) -> np.ndarray:
+    """The FFT-order spectrum fftn over the leading naxes axes of samples,
+    with neither axis_transform's signs nor its measures: a new array."""
+    return np.fft.fftn(samples, axes=tuple(range(naxes)))
 
-    nus[ax] = 2*pi*fftfreq(m, spacings[ax]) lists the dual frequencies of
-    axis ax in FFT order, shaped to broadcast along that axis (length 1 on
-    every other axis of samples), so fn may return a multiplier that couples
+
+def fft_frequencies(shape: tuple, spacings) -> list:
+    """The dual frequencies of fft_forward's leading len(spacings) axes of an
+    array of this shape: nus[ax] = 2*pi*fftfreq(shape[ax], spacings[ax]),
+    shaped to broadcast along axis ax (length 1 on every other axis)."""
+    return [TWO_PI * np.fft.fftfreq(shape[ax], dx).reshape(
+        (-1,) + (1,) * (len(shape) - 1 - ax)) for ax, dx in enumerate(spacings)]
+
+
+def fft_inverse(hat: np.ndarray, naxes: int, out=None) -> np.ndarray:
+    """The inverse of fft_forward over the leading naxes axes, into out (a
+    new array if None)."""
+    return np.fft.ifftn(hat, axes=tuple(range(naxes)), out=out)
+
+
+def fourier_multiplier(samples: np.ndarray, spacings, fn) -> np.ndarray:
+    """Fourier multiplier over the leading len(spacings) axes: fft_forward,
+    multiply by fn(nus), fft_inverse.
+
+    nus = fft_frequencies(samples.shape, spacings) lists the dual frequencies
+    of each axis in FFT order, so fn may return a multiplier that couples
     axes.  axis_transform's signs and measures cancel between its forward
     and inverse passes, so none is applied.
     """
-    axes = tuple(range(len(spacings)))
-    nus = [TWO_PI * np.fft.fftfreq(samples.shape[ax], dx).reshape(
-        (-1,) + (1,) * (samples.ndim - 1 - ax)) for ax, dx in zip(axes, spacings)]
-    hat = np.fft.fftn(samples, axes=axes)
-    hat *= fn(nus)  # in place: no second full-size array while inverting
-    return np.fft.ifftn(hat, axes=axes, out=hat)
+    naxes = len(spacings)
+    hat = fft_forward(samples, naxes)
+    # in place: no second full-size array while inverting
+    hat *= fn(fft_frequencies(samples.shape, spacings))
+    return fft_inverse(hat, naxes, out=hat)
 
 
 def separable_wave(nodes: np.ndarray, freq: np.ndarray) -> np.ndarray:

@@ -29,9 +29,11 @@ adjoint each multiply the symbol's own phase-space Fourier transform; none
 takes a grid.  A backing states that once, as fourier_side(mult), and
 PhaseSymbol derives partial, shift, multiplier(fn) and adjoint() from it.  A
 trig term is scaled exactly at its (p, w); a grid symbol takes one
-grids.fourier_multiplier; a translation symbol multiplies F^ at (nu, J nu)
-and stays one (its adjoint is F*(x - J xi)).  Any other backing raises
-CapabilityError: sample it first, a.sample(grid).
+grids.fourier_multiplier; a translation symbol multiplies its kept spectrum
+F^ at (nu, J nu) and stays one (its adjoint is F*(x - J xi)), made from the
+product: a chain of multipliers (b, gamma, partials, shifts) makes no FFT
+after F^'s one, and F's samples are synthesized only when read.  Any other
+backing raises CapabilityError: sample it first, a.sample(grid).
 
 Sampling is stated once too: a backing's writer _fill(grid, out, box)
 writes slab i of the first x axis on a dual box (n slices of the dual axes)
@@ -43,10 +45,11 @@ writer calls eval once per slab.  A trig writer tabulates each term's 2n
 one-dimensional waves (2n N exp calls, not N^(2n)) and sums the T terms of
 a slab as one (N^(n-1) M x T) @ (T x k^2) product, M nodes in the box; a
 symbol with no terms writes zeros.  A translation symbol writes by a shear
-(F's forward transform, cut to the nu_1 columns above the FFT's noise floor
-by grids.roundoff_cut, and one phased inverse along x_0 for the box's xi_1
-columns, then per slab one real GEMM for x_1's phase and inverse DFT on its
-xi_0 rows, whose conjugate columns it folds, over the kept pairs alone), or
+(its spectrum F^, cut to the nu_1 columns above the FFT's noise floor by
+grids.roundoff_cut in a copy of its own, and one phased inverse along x_0
+for the box's xi_1 columns, then per slab one real GEMM for x_1's phase and
+inverse DFT on its xi_0 rows, whose conjugate columns it folds, over the
+kept pairs alone, the GEMMs' rows built for a block of slabs at a time), or
 by broadcasting F's slabs at J = 0.  A bracket multiplies its factors'
 slabs; a grid symbol yields basic-slice views of its samples.
 Those views are read-only; every other stream writes into a slab buffer of
@@ -105,7 +108,8 @@ import numpy as np
 from .algebra import SQUARES_MAX, SQUARES_MIN, cnorm_entries, cnorm_sup_slabs
 from .deformation import SkewForm, deformed_product
 from .errors import CapabilityError, GridMismatchError
-from .grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
+from .grids import (TWO_PI, GridSpec, axis_transform, fft_forward,
+                    fft_frequencies, fft_inverse, fourier_multiplier,
                     grid_transform, roundoff_cut, separable_wave, translates)
 from .module_space import ModuleFunction, module_norm, unit_scaled
 
@@ -304,7 +308,8 @@ def dense_apply(a: PhaseSymbol, plan: DensePlan) -> np.ndarray:
     slab of a on the plan's box, in its own (x', q, k^2) layout (x' the
     other n - 1 x axes), is multiplied by rest into one reused buffer, and
     one (N^(n-1) x M k^2) @ (M k^2 x k C) GEMM contracts it with slab i's
-    rhs matrix into row x_0 = x_i of the result."""
+    rhs matrix into row x_0 = x_i of the result, scaled in place by the
+    dual measure at the end."""
     g, k = plan.grid, a.algebra_dim
     _check_dims(a, g, plan.shape)
     out = np.empty(plan.shape, dtype=complex)
@@ -314,7 +319,8 @@ def dense_apply(a: PhaseSymbol, plan: DensePlan) -> np.ndarray:
     for slab, rhs, row in zip(a.slabs(g, plan.box), plan.rhs, rows, strict=True):
         buf = np.multiply(slab.reshape(slab.shape[:-2] + (k * k,)), plan.rest, out=buf)
         np.matmul(buf.reshape(rows.shape[1], -1), rhs, out=row)
-    return g.dual_measure * out
+    out *= g.dual_measure
+    return out
 
 
 def dense_quantize(a: PhaseSymbol, grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -506,21 +512,52 @@ class GridSymbol(PhaseSymbol):
 
 
 class TranslationSymbol(PhaseSymbol):
-    """a(x, xi) = F(x - J xi): the symbol of the left action L_F."""
+    """a(x, xi) = F(x - J xi): the symbol of the left action L_F.
+
+    It keeps F's FFT-order spectrum F^ = grids.fft_forward(F) over the grid
+    axes, made once on first use, read-only.  fourier_side returns a symbol
+    made from a product with F^, which synthesizes its samples F once, only
+    when something reads them (star, quantize, eval, the J = 0 writer)."""
 
     def __init__(self, F: ModuleFunction, J: SkewForm):
         if J.n != F.grid.n:
             raise GridMismatchError("J dimension does not match F's grid")
-        self.F = F
-        self.J = J
-        self.n = F.grid.n
-        self.algebra_dim = F.algebra_dim
+        self._F, self._hat, self.grid, self.J = F, None, F.grid, J
+        self.n, self.algebra_dim = F.grid.n, F.algebra_dim
+
+    @classmethod
+    def _of_spectrum(cls, grid: GridSpec, hat: np.ndarray, J: SkewForm):
+        """The symbol of F^ = hat on grid, made read-only.  A non-finite hat
+        raises ValueError, as non-finite samples do."""
+        if not np.isfinite(hat).all():
+            raise ValueError("spectrum contains NaN or Inf")
+        hat.flags.writeable = False
+        a = cls.__new__(cls)
+        a._F, a._hat, a.grid, a.J = None, hat, grid, J
+        a.n, a.algebra_dim = grid.n, hat.shape[-1]
+        return a
+
+    @property
+    def F(self) -> ModuleFunction:
+        """F's samples, synthesized from F^ on the first read if
+        fourier_side made this symbol."""
+        if self._F is None:
+            self._F = ModuleFunction(self.grid, fft_inverse(self._hat, self.n))
+        return self._F
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """F^, [nu_0, .., nu_n-1, a, b] in FFT order, read-only."""
+        if self._hat is None:
+            self._hat = fft_forward(self._F.samples, self.n)
+            self._hat.flags.writeable = False
+        return self._hat
 
     def _trig(self) -> TrigPolySymbol:
         """F's Fourier series at x - J xi as a trig polynomial: one term
         (nu, J nu, c_nu) per non-zero mode nu of F^, c = (2 pi)^(-n/2) dnu^n
         F^(nu) (independent of _shear)."""
-        g, k = self.F.grid, self.algebra_dim
+        g, k = self.grid, self.algebra_dim
         c = g.dual_measure * grid_transform(self.F.samples, g).reshape(-1, k, k)
         nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
         return TrigPolySymbol(self.n, k, [
@@ -535,7 +572,7 @@ class TranslationSymbol(PhaseSymbol):
     def _fill(self, grid, out, box):
         # the shear, or F's slabs at J = 0 (constant along xi, so they
         # broadcast into any box)
-        _check_grid(self.F.grid, grid)
+        _check_grid(self.grid, grid)
         if self.J.entries.any():
             return self._shear(grid, out, box)
         F = self.F.samples.reshape(grid.shape + (1,) * grid.n + (self.algebra_dim,) * 2)
@@ -562,35 +599,34 @@ class TranslationSymbol(PhaseSymbol):
         columns, from cos and sin tables) and the rows of S_i: H_0, H_j +
         H_{N-j}, H_{N/2}, i (H_j - H_{N-j}), i H_{N/2} (j = 1 .. N/2-1).
 
-        Only F^'s nu1 columns above the FFT's noise floor enter: column nu1
-        is kept for channel (a, b) iff some |F^[nu0, nu1, a, b]| is at least
-        u log2(N) times that channel's largest modulus, u = 2^-53
-        (grids.roundoff_cut), every column if some channel's largest is not
-        finite.  The pair (j, N - j) is kept if either member is, and K
-        lists the kept pairs' columns of R, all N + 1 in order for a
-        full-band F.  Each channel's cut columns are zeroed in the shear's
-        own F^.  u log2(N) times the largest modulus is the normwise error
-        of the FFT that made F^ (Higham, ch. 24), so a cut column holds only
-        transform roundoff, and each coefficient it drops moves a sample by
-        less than u log2(N) of the largest term the sample's sum adds; a
-        band-limited F's samples move by about 4e-16 of their sup.  Axis 0
-        takes its factor and inverse transform once, on the head H of the
-        kept columns, (nu0, nu1, 1, xi1, k, k) with xi1 in the box.  Slab i
-        is one real GEMM of 4 N B0 |K| B1 k^2 flops (B0 x B1 the box), for
-        |K| = N + 1 about half the complex one's, with R's kept columns
-        gathered once per call and S_i built in one reused |K| x B1 k^2
-        buffer.  R depends only on (N, L, the box's xi_0 range, J_10), not
-        on F: _shear_table keeps it on that key (see there)."""
+        Only the nu1 columns of the symbol's spectrum F^ that lie above the
+        FFT's noise floor enter: column nu1 is kept for channel (a, b) iff
+        some |F^[nu0, nu1, a, b]| is at least u log2(N) times that channel's
+        largest modulus, u = 2^-53 (grids.roundoff_cut), every column if some
+        channel's largest is not finite.  The pair (j, N - j) is kept if
+        either member is, and K lists the kept pairs' columns of R, all N + 1
+        in order for a full-band F.  Each channel's cut columns are zeroed in
+        the shear's own copy of the kept columns.  u log2(N) times the
+        largest modulus is the normwise error of the FFT that made F^
+        (Higham, ch. 24), so a cut column holds only transform roundoff, and
+        each coefficient it drops moves a sample by less than u log2(N) of
+        the largest term the sample's sum adds; a band-limited F's samples
+        move by about 4e-16 of their sup.  Axis 0 takes its factor and
+        inverse transform once, on the head H of the kept columns, (nu0, nu1,
+        1, xi1, k, k) with xi1 in the box.  Slab i is one real GEMM of 4 N B0
+        |K| B1 k^2 flops (B0 x B1 the box), for |K| = N + 1 about half the
+        complex one's, with R's kept columns gathered once per call and the
+        S_i of _SHEAR_SLABS slabs built per numpy call in one reused buffer.
+        R depends only on (N, L, the box's xi_0 range, J_10), not on F:
+        _shear_table keeps it on that key (see there)."""
         N, k = grid.points, self.algebra_dim
         h = N // 2
         J = self.J.entries
         nu = np.fft.ifftshift(grid.dual_axis())
         xi1 = box_nodes(grid, box)[1]
-        fhat = np.fft.fftn(self.F.samples, axes=(0, 1))   # [nu0, nu1, a, b]
+        fhat = self.spectrum                                  # [nu0, nu1, a, b]
         kept, noise, finite = roundoff_cut(
             np.abs(fhat).max(axis=0).reshape(N, k * k).T, N)  # [ab, nu1]
-        ab, cut = np.nonzero(noise)
-        fhat[:, cut, ab // k, ab % k] = 0
         # the kept pairs j = 0 .. N/2: lo, of which mid are conjugate pairs;
         # the head's columns are lo, then N - j for j in mid
         j = np.arange(h + 1)
@@ -600,8 +636,10 @@ class TranslationSymbol(PhaseSymbol):
         K0, nm = lo.size, mid.size
         z0 = int(K0 > 0 and lo[0] == 0)
         e = z0 + nm   # lo[e:] is [N/2] or empty
-        head = fhat.take(np.concatenate([lo, N - mid]), axis=1).reshape(
-            (N, K0 + nm, 1, 1, k, k)) * np.exp(
+        cols = np.concatenate([lo, N - mid])
+        head = fhat.take(cols, axis=1)
+        head.reshape(N, cols.size, k * k)[:, noise.T[cols]] = 0
+        head = head.reshape((N, K0 + nm, 1, 1, k, k)) * np.exp(
             -1j * J[0, 1] * nu.reshape(-1, 1, 1, 1) * xi1)[..., None, None]
         np.fft.ifft(head, axis=0, out=head)
         R = _shear_table(N, grid.half_width, box[0].indices(N), float(J[1, 0]))
@@ -609,18 +647,21 @@ class TranslationSymbol(PhaseSymbol):
         # of a transposed R rounds differently
         R = R.take(np.concatenate([lo, h + lo[lo > 0]]), axis=1)
         H = head.reshape(N, K0 + nm, len(xi1) * k * k)
-        S = np.empty((R.shape[1], len(xi1) * k * k), dtype=complex)
-        for i in range(N):
+        S = np.empty((_SHEAR_SLABS, R.shape[1], H.shape[2]), dtype=complex)
+        for i0 in range(0, N, _SHEAR_SLABS):
             # S's rows follow R's columns: H_0 if kept, the sums over mid,
             # H_{N/2} if kept, then i times the differences and i H_{N/2}
-            Hi = H[i]
-            S[:z0], S[e:K0], S[K0 + nm:] = Hi[:z0], Hi[e:K0], Hi[e:K0]
-            np.add(Hi[z0:e], Hi[K0:], out=S[z0:e])
-            np.subtract(Hi[z0:e], Hi[K0:], out=S[K0:K0 + nm])
-            S[K0:] *= 1j
-            slab = out[i % len(out)]
-            np.matmul(R, S.view(float), out=slab.reshape(R.shape[0], S.shape[1]).view(float))
-            yield slab
+            Hb = H[i0:i0 + _SHEAR_SLABS]
+            Sb = S[:len(Hb)]
+            Sb[:, :z0], Sb[:, e:K0], Sb[:, K0 + nm:] = Hb[:, :z0], Hb[:, e:K0], Hb[:, e:K0]
+            np.add(Hb[:, z0:e], Hb[:, K0:], out=Sb[:, z0:e])
+            np.subtract(Hb[:, z0:e], Hb[:, K0:], out=Sb[:, K0:K0 + nm])
+            Sb[:, K0:] *= 1j
+            for i, Si in enumerate(Sb, i0):
+                slab = out[i % len(out)]
+                np.matmul(R, Si.view(float),
+                          out=slab.reshape(R.shape[0], Si.shape[1]).view(float))
+                yield slab
 
     def quantize(self, u):
         return deformed_product(self.F, u, self.J)
@@ -629,15 +670,19 @@ class TranslationSymbol(PhaseSymbol):
         """F(x - J xi) = integral F^(nu) e^{i nu.x} e^{i (J nu).xi} (J
         antisymmetric), with F^ multiplied by mult(freqs), where freqs lists
         the 2n phase-space frequencies nu_1..nu_n, (J nu)_1..(J nu)_n: one
-        multiplier on F's own grid, so the result is again F'(x - J xi).  (J
-        nu)_j skips J's zero diagonal, so, like nu_j, it holds N values."""
-        g = self.F.grid
-        J = self.J.entries
-        return TranslationSymbol(ModuleFunction(g, fourier_multiplier(
-            self.F.samples, [g.spacing] * g.n, lambda nus: mult(nus + [
-                sum(J[j, e] * nus[e] for e in range(g.n) if e != j)
-                for j in range(g.n)]))),
-            self.J)
+        product with the spectrum, in FFT order on F's own grid, so the
+        result is again F'(x - J xi), made from its spectrum with no
+        transform.  (J nu)_j skips J's zero diagonal, so, like nu_j, it
+        holds N values."""
+        g, J = self.grid, self.J.entries
+        nus = fft_frequencies(self.spectrum.shape, [g.spacing] * g.n)
+        return TranslationSymbol._of_spectrum(g, self.spectrum * mult(nus + [
+            sum(J[j, e] * nus[e] for e in range(g.n) if e != j)
+            for j in range(g.n)]), self.J)
+
+
+# rows S_i that TranslationSymbol._shear builds per numpy call
+_SHEAR_SLABS = 4
 
 
 @functools.lru_cache(maxsize=4)

@@ -36,6 +36,9 @@ N = 32, k = 2) are memoized on that key, at most 8 probes, read-only; the
 shear's real table is memoized on (N, L, the box's xi_0 rows, J_10), at
 most 4.  Only the fixed probe is planned once: a plan memoized on a generic
 caller's coefficients would keep full-box plans (8 MiB at N = 32, k = 2).
+On the CLI's chain, gamma_reconstruct(b_transform(TranslationSymbol(F, J)))
+multiplies F's one spectrum twice and the dense pass shears that product,
+so a warm recover makes one np.fft.fftn on F and no np.fft.ifftn.
 """
 from __future__ import annotations
 
@@ -314,7 +317,10 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     generic dense quantize (never TranslationSymbol.quantize, which is L_F
     itself), on the stacked coefficients of [1 | u] as made: u's draw and
     the constant's exact delta, so the dense pass's box holds u's modes and
-    xi = 0 only.  F x_J u is deformed_product(F, u, J) on u's samples.  u,
+    xi = 0 only; a translation symbol's slabs are sheared from its kept
+    spectrum, so a symbol that b_transform and gamma_reconstruct made from
+    one never synthesizes its samples here.  F x_J u is
+    deformed_product(F, u, J) on u's samples.  u,
     sup ||u|| and the frozen dense plan depend only on (grid, k) and are
     memoized on it (_probe: at most 8 probes, read-only), so a second call
     on a grid plans nothing and applies the plan to a's slabs only.  Returns

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ from rieffel.algebra import cnorm, cnorm_sup_slabs
 from rieffel.cli import main
 from rieffel.deformation import SkewForm, deformed_product
 from rieffel.errors import CapabilityError, GridMismatchError
-from rieffel.grids import (TWO_PI, GridSpec, axis_transform, grid_transform,
-                           separable_wave, translates)
+from rieffel.grids import (TWO_PI, GridSpec, axis_transform, fourier_multiplier,
+                           grid_transform, separable_wave, translates)
 from rieffel.heisenberg import HeisenbergPoint
 from rieffel.mgf import write_mgf
 from rieffel.module_space import ModuleFunction, inner_product, module_norm, translate
@@ -25,7 +26,8 @@ from rieffel.quantization import (CallableSymbol, ComposedOp, GridSymbol,
                                   symbol_to_kernel)
 from rieffel.suites import (SUITE_CHECKS, SuiteConfig, check_rng, matrix_gaussian,
                             random_band_symbol)
-from rieffel.symbolic_calculus import (poisson_bracket, recover,
+from rieffel.symbolic_calculus import (GammaKernel, b_transform, gamma_reconstruct,
+                                       poisson_bracket, recover,
                                        recover_translation_symbol,
                                        translation_certificate)
 
@@ -716,6 +718,106 @@ def test_translation_multiplier_calls_fn_per_distinct_frequency():
     ref = grid_transform(grid_transform(F.samples, g) * mult[..., None, None],
                          g, inverse=True)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+Z, ZETA = (0.37, -0.21), (0.13, 0.29)      # an off-node shift on every grid
+GAMMA = GammaKernel(400)
+# the chain b -> gamma -> d/d xi_0 -> shift, as symbol operations and as the
+# multipliers they apply to the 2n phase-space frequencies
+SPECTRUM_CHAIN = [
+    (b_transform, lambda f: math.prod((1 + 1j * x) ** 2 for x in f)),
+    (lambda a: gamma_reconstruct(a, GAMMA),
+     lambda f: math.prod(GAMMA.laplace(x) for x in f)),
+    (lambda a: a.partial((0, 0), (1, 0)), lambda f: 1j * f[2]),
+    (lambda a: a.shift(Z, ZETA),
+     lambda f: np.exp(1j * sum(t * x for t, x in zip(Z + ZETA, f))))]
+
+
+def round_trip_chain(F, Jt):
+    """SPECTRUM_CHAIN's F by one grids.fourier_multiplier on F's samples per
+    step, a forward and an inverse transform each, at the frequencies (nu,
+    J nu): the route that transformed F back after every multiplier."""
+    g, E, out = F.grid, Jt.entries, F.samples
+    for _, mult in SPECTRUM_CHAIN:
+        out = fourier_multiplier(out, [g.spacing] * 2, lambda nus: mult(
+            nus + [E[0, 1] * nus[1], E[1, 0] * nus[0]]))
+    return ModuleFunction(g, out)
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("npts", [16, 18, 32])
+def test_spectrum_chain_matches_round_trip_twin(npts, k, theta):
+    # the chain multiplies one spectrum and transforms it back only when F
+    # is read; the twin rounds through the samples after every step.  Both
+    # F and the slabs on a 9 x 9 box agree to 1e-14 of their largest entry,
+    # 3 times the observed worst (3.3e-15, at N = 18)
+    g = GridSpec(2, npts, 8.0)
+    Jt = SkewForm.standard(theta)
+    F = band_field(g, k, npts + k)
+    a = TranslationSymbol(F, Jt)
+    for op, _ in SPECTRUM_CHAIN:
+        a = op(a)
+    twin = round_trip_chain(F, Jt)
+    box = (slice(npts // 2 - 4, npts // 2 + 5),) * 2
+    got = np.stack([s.copy() for s in a.slabs(g, box)])
+    ref = np.stack([s.copy() for s in TranslationSymbol(twin, Jt).slabs(g, box)])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(a.F.samples - twin.samples).max() <= 1e-14 * np.abs(twin.samples).max()
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.7, 0.0])
+def test_spectrum_symbol_star_and_quantize_equal_its_samples_symbol(theta):
+    # star, quantize (and the J = 0 writer) read the synthesized samples,
+    # so they give the bits of the symbol made from those samples
+    g = GridSpec(2, 16, 8.0)
+    Jt = SkewForm.standard(theta)
+    a = gamma_reconstruct(b_transform(TranslationSymbol(band_field(g, 2, 50), Jt)), GAMMA)
+    twin = TranslationSymbol(a.F, Jt)
+    u = random_band_limited(g, 2, np.random.default_rng(51))
+    assert a.star().F.samples.tobytes() == twin.star().F.samples.tobytes()
+    assert a.quantize(u).samples.tobytes() == twin.quantize(u).samples.tobytes()
+    assert a.adjoint().spectrum.tobytes() == twin.adjoint().spectrum.tobytes()
+    if theta == 0.0:
+        assert all(np.array_equal(s, t) for s, t in zip(a.slabs(g), twin.slabs(g)))
+
+
+@pytest.mark.parametrize("other", [GridSpec(2, 16, 6.0), GridSpec(2, 18, 8.0),
+                                   GridSpec(1, 16, 8.0)])
+def test_spectrum_symbol_sample_and_slabs_raise_off_its_grid(other):
+    g = GridSpec(2, 16, 8.0)
+    a = b_transform(TranslationSymbol(band_field(g, 2, 52), J)).partial((1, 0), (0, 0))
+    with pytest.raises(GridMismatchError):
+        a.sample(other)
+    with pytest.raises(GridMismatchError):
+        next(a.slabs(other))
+
+
+def test_spectrum_product_that_overflows_raises():
+    # a multiplier that takes the spectrum past the double range raises as
+    # non-finite samples do, before any reader can draw a slab of it
+    g = GridSpec(2, 16, 8.0)
+    a = TranslationSymbol(1e300 * band_field(g, 2, 54), J)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        a.multiplier(lambda nu: np.full(nu.shape, 1e10))
+
+
+def test_spectrum_read_only_and_two_shears_equal():
+    # the shear zeroes its cut columns in its own copy: the benchmark's kind
+    # of F keeps 7 of 33 columns at N = 32, so a cut that wrote into the
+    # spectrum would change it, and a second shear would read that
+    g = G2
+    F = band_field(g, 2, 53)
+    src = TranslationSymbol(F, J)
+    assert src.spectrum.tobytes() == np.fft.fftn(F.samples, axes=(0, 1)).tobytes()
+    for a in (src, gamma_reconstruct(b_transform(src), GAMMA)):
+        hat = a.spectrum.copy()
+        with pytest.raises(ValueError):
+            a.spectrum[0, 0, 0, 0] = 1.0
+        box = (slice(12, 21),) * 2
+        first = np.stack([s.copy() for s in a.slabs(g, box)])
+        assert np.array_equal(first, np.stack([s.copy() for s in a.slabs(g, box)]))
+        assert np.array_equal(a.spectrum, hat)
 
 
 def test_trig_adjoint_pairing():

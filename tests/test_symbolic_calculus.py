@@ -823,6 +823,46 @@ def test_recover_product_loop_visits_only_u_band_rows(npts, monkeypatch):
     assert len([s for s in shapes if len(s) == 3]) > 9
 
 
+def count_fft_calls(monkeypatch, fn):
+    """fn()'s result and its np.fft.fft, ifft, fftn and ifftn calls, counted
+    by name."""
+    counts = dict.fromkeys(("fft", "ifft", "fftn", "ifftn"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    try:
+        return fn(), counts
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("npts", [16, 32])
+def test_recover_chain_transforms_F_once(npts, monkeypatch):
+    # the CLI's chain: b and gamma multiply the translation symbol's one
+    # spectrum and the shear starts from their product, so a warm chain
+    # transforms F forward once and never back; the ifft and fft calls are
+    # the shear's axis-0 inverse and the product's transforms
+    g = GridSpec(2, npts, 8.0)
+    F = band_limited_field(g, 2, np.random.default_rng(6))
+
+    def chain(read_F=False):
+        a = gamma_reconstruct(b_transform(TranslationSymbol(F, J)), K)
+        if read_F:
+            a.F
+        return recover(a, J, g)
+    chain()                      # the probe, the Laplace tables and R
+    got, counts = count_fft_calls(monkeypatch, chain)
+    assert counts == {"fft": 13, "ifft": 2, "fftn": 1, "ifftn": 0}
+    # negative control: reading the gamma symbol's samples synthesizes
+    # them, one inverse transform more; the shear still reads the spectrum
+    read, counts = count_fft_calls(monkeypatch, lambda: chain(read_F=True))
+    assert counts == {"fft": 13, "ifft": 2, "fftn": 1, "ifftn": 1}
+    assert read[0].samples.tobytes() == got[0].samples.tobytes()
+    assert read[1] == got[1]
+
+
 def clear_memos():
     symbolic_calculus._laplace_table.cache_clear()
     symbolic_calculus._probe.cache_clear()
@@ -922,24 +962,27 @@ def test_public_entries_are_finite_or_raise_at_every_scale(scale):
     # a finite value or raises, and none returns NaN.  F and G are s times
     # full-band fields (N = 16, k = 2).  An entry of F's scale alone (the
     # module norm, the sup of the C*-norm, the norm estimate of L_F and
-    # recover's F = T(1) and residual) returns at every s, and its F and
-    # norms are not 0.  A product's or a Gram's scale is its factors'
-    # product, s^2: it may underflow to 0 (s <= 1e-170, where s^2 is below
-    # the least subnormal), and where s^2 overflows (s = 1e200) both
-    # products and the Gram raise OverflowError.  No entry emits a
-    # RuntimeWarning on the way
+    # recover's F = T(1) and residual, on F's translation symbol and on the
+    # CLI's chain gamma(b(F(x - J xi))), whose multipliers act on the
+    # symbol's spectrum) returns at every s, and its F and norms are not 0.
+    # A product's or a Gram's scale is its factors' product, s^2: it may
+    # underflow to 0 (s <= 1e-170, where s^2 is below the least subnormal),
+    # and where s^2 overflows (s = 1e200) both products and the Gram raise
+    # OverflowError.  No entry emits a RuntimeWarning on the way
     g = GridSpec(2, 16, 8.0)
     r = np.random.default_rng(43)
     F, G = (ModuleFunction(g, scale * (r.normal(size=g.shape + (2, 2))
                                        + 1j * r.normal(size=g.shape + (2, 2))))
             for _ in range(2))
     Fr, residual = recover(TranslationSymbol(F, J), J, g)
+    Fc, chain_residual = recover(gamma_reconstruct(b_transform(
+        TranslationSymbol(F, J)), K), J, g)
     own_scale = [module_norm(F), cnorm_sup(F.samples),
                  operator_norm_estimate(LeftActionOp(F, J), g, 2, trials=2,
-                                        power_iters=2)[0], Fr.samples]
+                                        power_iters=2)[0], Fr.samples, Fc.samples]
     for value in own_scale:
         assert np.isfinite(value).all() and np.any(value)
-    assert np.isfinite(residual)
+    assert np.isfinite(residual) and np.isfinite(chain_residual)
     squared = [lambda: deformed_product(F, G, SkewForm(0.0)).samples,
                lambda: deformed_product(F, G, J).samples,
                lambda: inner_product(F, G)]
