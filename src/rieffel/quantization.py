@@ -53,10 +53,11 @@ kept pairs alone, the GEMMs' rows built for a block of slabs at a time), or
 by broadcasting F's slabs at J = 0.  A bracket multiplies its factors'
 slabs; a grid symbol yields basic-slice views of its samples.
 Those views are read-only; every other stream writes into a slab buffer of
-its own, scratch that the caller who drew the stream may overwrite
-(recover_translation_symbol subtracts into its translation stream's slab),
-so a fold that writes into a slab raises before it can reach a symbol's
-samples.
+its own, scratch that the caller who drew the stream may overwrite, so a
+fold that writes into a slab raises before it can reach a symbol's samples.
+A box's slices may step: every writer reads the box's nodes through
+box_nodes or basic slicing, and the shear keys its table on the xi_0
+slice's (start, stop, step).
 
 pi_seminorm's supremum over the 4^n partials d^beta_x d^gamma_xi a,
 beta, gamma <= (1, ..., 1), folds each partial's slabs in turn.  A backing
@@ -74,10 +75,12 @@ axis: m fields side by side (C = m k) run as one pass over a's slabs, one
 GEMM per slab, and column block j of the result is a(x, D) of field j.
 Only the coefficients' dual_box enters the sum, read as a.slabs(grid, box):
 a full-band input gets the full box, recover's probe on modes -4..4 and
-the constant's delta at xi = 0 a 9 x 9 box (of 32 x 32 at N = 32).
-PhaseSymbol.quantize is the m = 1 case and transforms u itself.  The pass
-is dense_plan (tables that do not read a) then dense_apply; dense_quantize
-keeps no plan, and recover keeps its fixed probe's plan frozen.
+the constant's delta at xi = 0 a 9 x 9 box (of 32 x 32 at N = 32), and
+recover_translation_symbol's plane waves on the two ends of a dual axis the
+stepped slice(0, N, N - 1).  PhaseSymbol.quantize is the m = 1 case and
+transforms u itself.  The pass is dense_plan (tables that do not read a)
+then dense_apply; dense_quantize keeps no plan, and recover and
+recover_translation_symbol keep their fixed probes' plans frozen.
 
 TrigPolySymbol also overrides quantize: it translates u to u(x + w) for the
 terms with w != 0, 8 at a time, through grids.translates (one forward FFT
@@ -249,11 +252,19 @@ def full_box(grid: GridSpec) -> tuple:
 
 def dual_box(grid: GridSpec, coeffs: np.ndarray) -> tuple:
     """The dual box of coefficients laid out on grid.shape + (...): per dual
-    axis, the smallest contiguous index range that holds every non-zero
-    coefficient (empty if there is none), as n slices."""
-    nodes = np.nonzero(coeffs.reshape(grid.shape + (-1,)).any(axis=-1))
-    return tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
-                 for i in nodes)
+    axis, the smallest arithmetic index range that holds every non-zero
+    coefficient (empty if there is none), as n slices.  Its step is the
+    greatest common divisor of the occupied indices' distances, so a range
+    of consecutive indices is a plain slice and the two ends of an axis, 0
+    and N - 1, are the two-node slice(0, N, N - 1)."""
+    box = []
+    for i in np.nonzero(coeffs.reshape(grid.shape + (-1,)).any(axis=-1)):
+        if not i.size:
+            box.append(slice(0, 0))
+            continue
+        lo, hi, step = int(i.min()), int(i.max()), int(np.gcd.reduce(i - i.min()))
+        box.append(slice(lo, hi + 1, step if step > 1 else None))
+    return tuple(box)
 
 
 def box_nodes(grid: GridSpec, box) -> list:
@@ -522,7 +533,7 @@ class TranslationSymbol(PhaseSymbol):
     def __init__(self, F: ModuleFunction, J: SkewForm):
         if J.n != F.grid.n:
             raise GridMismatchError("J dimension does not match F's grid")
-        self._F, self._hat, self.grid, self.J = F, None, F.grid, J
+        self._F, self._hat, self._series, self.grid, self.J = F, None, None, F.grid, J
         self.n, self.algebra_dim = F.grid.n, F.algebra_dim
 
     @classmethod
@@ -533,7 +544,7 @@ class TranslationSymbol(PhaseSymbol):
             raise ValueError("spectrum contains NaN or Inf")
         hat.flags.writeable = False
         a = cls.__new__(cls)
-        a._F, a._hat, a.grid, a.J = None, hat, grid, J
+        a._F, a._hat, a._series, a.grid, a.J = None, hat, None, grid, J
         a.n, a.algebra_dim = grid.n, hat.shape[-1]
         return a
 
@@ -554,14 +565,23 @@ class TranslationSymbol(PhaseSymbol):
         return self._hat
 
     def _trig(self) -> TrigPolySymbol:
-        """F's Fourier series at x - J xi as a trig polynomial: one term
-        (nu, J nu, c_nu) per non-zero mode nu of F^, c = (2 pi)^(-n/2) dnu^n
-        F^(nu) (independent of _shear)."""
-        g, k = self.grid, self.algebra_dim
-        c = g.dual_measure * grid_transform(self.F.samples, g).reshape(-1, k, k)
-        nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
-        return TrigPolySymbol(self.n, k, [
-            (nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()])
+        """F's Fourier series at x - J xi as a trig polynomial, made once per
+        symbol, like spectrum: one term (nu, J nu, c_nu) per non-zero mode nu
+        of F^, c = (2 pi)^(-n/2) dnu^n times F's grid transform.  On the
+        symmetric box that is F^ rolled by N/2 into the dual axis's order,
+        times the exact sign (-1)^(m + N/2) per axis at dual index m, over
+        N^n: no transform (independent of _shear, which reads F^ in FFT
+        order)."""
+        if self._series is None:
+            g, k, N = self.grid, self.algebra_dim, self.grid.points
+            sign = np.where((np.arange(N) + N // 2) % 2 == 0, 1.0, -1.0)
+            signs = functools.reduce(np.multiply.outer, [sign] * self.n) / N ** self.n
+            c = np.roll(self.spectrum, N // 2, axis=tuple(range(self.n)))
+            c = (c * signs[..., None, None]).reshape(-1, k, k)
+            nus = np.stack([d.ravel() for d in g.dual_mesh()], axis=-1)
+            self._series = TrigPolySymbol(self.n, k, [
+                (nu, self.J.apply(nu), cn) for nu, cn in zip(nus, c) if cn.any()])
+        return self._series
 
     def eval(self, x, xi):
         return self._trig().eval(x, xi)

@@ -12,30 +12,35 @@ integral gamma(t) e^{-i nu t} dt = 1/(1 + i nu)^2 cancels it.  Those
 factors do not depend on the symbol: GammaKernel.laplace memoizes each table
 on (kernel, nu's shape, nu's bytes), at most 32 of them, read-only.
 
-recover_translation_symbol reads F(z) = a(z, 0) off a's slabs on the
-one-node dual box xi = 0, whatever the backing, and measures how far a is
-from the translation form F(x - J xi);
-the directional certificate d a/d xi_i = sum_j J_ij d a/d x_j vanishes
-exactly on translation symbols.  Both fold cnorm_sup over the differences
-of zipped PhaseSymbol.slabs streams: symbols are never read through eval.
-The recovery residual subtracts into the slab of the translation stream it
-creates itself; the certificate scales and subtracts in one buffer of its
-own, since a grid symbol's slabs are read-only views of its samples.
+recover and recover_translation_symbol work on the operator T = a(x, D):
+an operator that commutes with the right action is left multiplication by
+T(1), so both return F = T(1) and the largest residual sup ||T u - T(1) x_J
+u|| / sup ||u|| over their probes u, through one route (_operator_residual):
+dense passes over the probes' stacked exact coefficients, T(1) the
+constant's delta at xi = 0, and one batched deformed_product for the T(1)
+x_J u, whose roundoff cut keeps only the rows of the probes' bands.  recover
+takes one seeded probe u on modes -4..4, in one pass with the constant (one
+slab stream of a on the 9 x 9 dual box that they occupy).
+recover_translation_symbol takes the 3^n - 1 plane waves e_q on the edge
+dual nodes q in {0, N/2, N - 1}^n, xi = 0 left out: T e_q = a(x, q) e_q on
+the grid, so its residual is the translation-form residual on those nodes,
+and a symbol is read on 3^n dual nodes, not on the N^n of its full
+residual.  Its 2^n passes take boxes that are products of the centre {N/2}
+and the two ends {0, N - 1} of each axis, the centre alone for F.  The
+directional certificate d a/d xi_i = sum_j J_ij d a/d x_j vanishes exactly
+on translation symbols; it folds cnorm_sup over zipped PhaseSymbol.slabs
+streams, scaling and subtracting in one buffer of its own, since a grid
+symbol's slabs are read-only views of its samples.  No symbol is read
+through eval.
 
-recover works on the operator T = a(x, D) instead: an operator that commutes
-with the right action is left multiplication by T(1), so it returns F = T(1)
-and the residual sup ||T u - T(1) x_J u|| / sup ||u|| on one seeded probe u.
-T(1) and T u come from one dense pass over the stacked coefficients of
-[1 | u] (one slab stream of a, on the 9 x 9 dual box that u's modes -4..4
-and the constant's delta at xi = 0 occupy), read off their exact zeros.
-The product T(1) x_J u is deformed_product on u's samples: its roundoff
-cut keeps the 9 rows of u's band, so its q2 loop visits only those.  The
-probe is a constant of (grid, k): u, sup ||u|| and the dense pass's frozen
-plan (its box, phase table and N per-slab block matrices: 1.35 MB at
-N = 32, k = 2) are memoized on that key, at most 8 probes, read-only; the
-shear's real table is memoized on (N, L, the box's xi_0 rows, J_10), at
-most 4.  Only the fixed probe is planned once: a plan memoized on a generic
-caller's coefficients would keep full-box plans (8 MiB at N = 32, k = 2).
+The probes are constants of (grid, k).  recover's u, sup ||u|| and the
+dense pass's frozen plan (its box, phase table and N per-slab block
+matrices: 1.35 MB at N = 32, k = 2) are memoized on that key, at most 8
+probes, read-only, and so are recover_translation_symbol's plans, waves and
+sups (_planes: 0.75 MB at N = 32, k = 2); the shear's real table is
+memoized on (N, L, the box's xi_0 rows, J_10), at most 4.  Only fixed
+probes are planned once: a plan memoized on a generic caller's coefficients
+would keep full-box plans (8 MiB at N = 32, k = 2).
 On the CLI's chain, gamma_reconstruct(b_transform(TranslationSymbol(F, J)))
 multiplies F's one spectrum twice and the dense pass shears that product,
 so a warm recover makes one np.fft.fftn on F and no np.fft.ifftn.
@@ -43,6 +48,7 @@ so a warm recover makes one np.fft.fftn on F and no np.fft.ifftn.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +58,8 @@ from .deformation import SkewForm, deformed_product
 from .errors import GridMismatchError
 from .grids import GridSpec, grid_transform
 from .module_space import ModuleFunction
-from .quantization import (CallableSymbol, PhaseSymbol, TranslationSymbol,
-                           dense_apply, dense_plan, random_band_coefficients)
+from .quantization import (CallableSymbol, PhaseSymbol, dense_apply, dense_plan,
+                           random_band_coefficients)
 
 
 T_MAX = 40.0
@@ -263,22 +269,19 @@ def gamma_reconstruct(b: PhaseSymbol, kernel: GammaKernel) -> PhaseSymbol:
 
 
 def recover_translation_symbol(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
-    """Extract F(z) = a(z, 0) and measure the translation-form residual
-    sup cnorm(a(z, zeta) - F(z - J zeta)) over the sample box.
+    """F = T(1) and the largest plane-wave residual sup ||T e_q - F x_J e_q||
+    / sup ||e_q|| of T = a(x, D) over the 3^n - 1 edge plane waves, q on the
+    dual nodes {0, N/2, N - 1}^n (indices) without the centre xi = 0.
 
-    Row i of F is slab i of a on the one-node dual box at xi = 0 (N/2 on
-    each xi axis).  Returns (F, residual); the caller compares residual
-    against its own tolerance to accept or reject the translation-type
-    hypothesis.
+    On the grid T e_q = a(x, q) e_q and F x_J e_q = F(x - J q) e_q, so the
+    residual on e_q is the translation-form residual of a on the node q,
+    and a is read on the 3^n nodes alone (module docstring): a NaN of a on
+    a probe's node makes the residual NaN (LinAlgError from the norm at k
+    >= 2), a NaN on any other node is never read.  Returns (F, residual);
+    the caller compares residual against its own tolerance to accept or
+    reject the translation-type hypothesis.
     """
-    F = np.empty(grid.shape + (a.algebra_dim,) * 2, dtype=complex)
-    half = grid.points // 2
-    for row, slab in zip(F, a.slabs(grid, (slice(half, half + 1),) * grid.n)):
-        row[...] = slab.reshape(row.shape)
-    F = ModuleFunction(grid, F)
-    # the translation stream's slab buffer is this call's own: subtract into it
-    return F, cnorm_sup_slabs(np.subtract(x, y, out=y) for x, y in zip(
-        a.slabs(grid), TranslationSymbol(F, J).slabs(grid)))
+    return _operator_residual(a, J, grid, *_planes(grid, a.algebra_dim))
 
 
 def translation_certificate(a: PhaseSymbol, J: SkewForm, grid: GridSpec) -> float:
@@ -320,19 +323,30 @@ def recover(a: PhaseSymbol, J: SkewForm, grid: GridSpec):
     xi = 0 only; a translation symbol's slabs are sheared from its kept
     spectrum, so a symbol that b_transform and gamma_reconstruct made from
     one never synthesizes its samples here.  F x_J u is
-    deformed_product(F, u, J) on u's samples.  u,
-    sup ||u|| and the frozen dense plan depend only on (grid, k) and are
-    memoized on it (_probe: at most 8 probes, read-only), so a second call
-    on a grid plans nothing and applies the plan to a's slabs only.  Returns
-    (F, residual) as recover_translation_symbol does.
+    deformed_product(F, u, J) on u's samples.  u, sup ||u|| and the frozen
+    dense plan are memoized on (grid, k) (_probe), so a second call on a
+    grid plans nothing and applies the plan to a's slabs only.  Returns (F,
+    residual) as recover_translation_symbol does.
     """
+    u, u_sup, plan = _probe(grid, a.algebra_dim)
+    return _operator_residual(a, J, grid, (plan,), (u,), (u_sup,))
+
+
+def _operator_residual(a: PhaseSymbol, J: SkewForm, grid: GridSpec,
+                       plans, us, sups):
+    """recover's and recover_translation_symbol's one route: the dense
+    passes of a on plans, whose result columns side by side are k-column
+    blocks T(1), T u_1, .., T u_m; then F = T(1) and the largest of sup ||T
+    u_j - F x_J u_j|| / sups[j], the products one batched deformed_product
+    (F, us, J).  A NaN residual reaches the result."""
     if J.n != grid.n:
         raise GridMismatchError(f"J dimension {J.n} != grid dimension {grid.n}")
     k = a.algebra_dim
-    u, u_sup, plan = _probe(grid, k)
-    out = dense_apply(a, plan)
-    F = ModuleFunction(grid, np.ascontiguousarray(out[..., :k]))
-    return F, cnorm_sup(out[..., k:] - deformed_product(F, u, J).samples) / u_sup
+    blocks = [out[..., j:j + k] for out in (dense_apply(a, plan) for plan in plans)
+              for j in range(0, out.shape[-1], k)]
+    F = ModuleFunction(grid, np.ascontiguousarray(blocks[0]))
+    return F, float(np.max([cnorm_sup(t - p.samples) / s for t, p, s in zip(
+        blocks[1:], deformed_product(F, us, J), sups, strict=True)]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -342,10 +356,38 @@ def _probe(grid: GridSpec, k: int):
     uh = random_band_coefficients(grid, k, np.random.default_rng(PROBE_SEED))
     u = ModuleFunction(grid, grid_transform(uh, grid, inverse=True))
     u.samples.flags.writeable = False
-    # the constant's coefficients are a delta at xi = 0, kept exact (its
-    # height is the transform's own) so that they add no node to u's box
+    # the constant's coefficients are a delta at xi = 0, kept exact so that
+    # they add no node to u's box
     one = np.zeros_like(uh)
-    centre = (grid.points // 2,) * grid.n
-    one[centre] = grid_transform(np.ones(grid.shape), grid)[centre] * np.eye(k)
+    one[(grid.points // 2,) * grid.n] = _delta_height(grid) * np.eye(k)
     plan = dense_plan(grid, np.concatenate([one, uh], axis=-1)).frozen()
     return u, u.sup_norm(), plan
+
+
+@functools.lru_cache(maxsize=8)
+def _planes(grid: GridSpec, k: int):
+    """recover_translation_symbol's probes on (grid, k): the frozen dense
+    plans of its 2^n passes, the centre's first, each on the exact delta
+    coefficients of its nodes side by side; the 3^n - 1 plane waves e_q,
+    their samples read-only, in the order of the passes' column blocks
+    after F; and their sups."""
+    plans, waves, height = [], [], _delta_height(grid)
+    ends = (0, grid.points - 1)
+    for axes in itertools.product(((grid.points // 2,), ends), repeat=grid.n):
+        nodes = list(itertools.product(*axes))
+        coeffs = np.zeros(grid.shape + (k, k * len(nodes)), dtype=complex)
+        for j, q in enumerate(nodes):
+            block = coeffs[..., j * k:(j + 1) * k]
+            block[q] = height * np.eye(k)
+            waves.append(ModuleFunction(grid, grid_transform(block, grid, inverse=True)))
+        plans.append(dense_plan(grid, coeffs).frozen())
+    waves = waves[1:]                   # the centre's is the constant 1
+    for e in waves:
+        e.samples.flags.writeable = False
+    return tuple(plans), tuple(waves), tuple(e.sup_norm() for e in waves)
+
+
+def _delta_height(grid: GridSpec) -> complex:
+    """The transform of the constant 1 at xi = 0: the height of a delta
+    whose inverse transform is 1, and of a plane wave's, to roundoff."""
+    return grid_transform(np.ones(grid.shape), grid)[(grid.points // 2,) * grid.n]

@@ -10,7 +10,7 @@ from rieffel.deformation import SkewForm
 from rieffel.grids import GridSpec
 from rieffel.mgf import read_mgf, write_mgf
 from rieffel.module_space import ModuleFunction, inner_product
-from rieffel.quantization import TranslationSymbol
+from rieffel.quantization import GridSymbol, TranslationSymbol
 from rieffel.suites import (SUITE_CHECKS, SUITE_NAMES, SuiteConfig, check,
                             check_rng, run_suite)
 
@@ -187,10 +187,16 @@ def pipeline_residual(check_id, **config):
 def test_nan_recovery_residual_fails_recovery(monkeypatch):
     # negative control: a NaN residual from the recovery must reach the
     # check's residual, though it is not the first of the three it folds
-    # (with a max() fold the check read 6.8e-14 at k = 1 and passed)
-    def nan_residual(a, J, grid):
-        return symbolic_calculus.recover_translation_symbol(a, J, grid)[0], np.nan
-    monkeypatch.setattr("rieffel.suites.recover_translation_symbol", nan_residual)
+    # (with a max() fold the check read 6.8e-14 at k = 1 and passed).  The
+    # NaN comes through the plane-wave route itself: the chain's symbol is
+    # sampled with a NaN on the corner probe's dual node, indices (0, 0), at
+    # the x node of indices (0, 0), so F stays finite and that probe's
+    # residual is NaN
+    def nan_on_a_probe(a, J, grid):
+        s = a.sample(grid).samples.copy()
+        s[0, 0, 0, 0] = np.nan
+        return symbolic_calculus.recover_translation_symbol(GridSymbol(grid, s), J, grid)
+    monkeypatch.setattr("rieffel.suites.recover_translation_symbol", nan_on_a_probe)
     assert np.isnan(pipeline_residual("recovery", algebra_dim=1))
 
 

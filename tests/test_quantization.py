@@ -498,10 +498,12 @@ def test_pointwise_route_resamples_on_another_grid(kind):
 
 def sample_boxes(g):
     """The full box, a 9 x 9 box placed differently on the two dual axes (so
-    that swapping them shows) and the one-node box at xi = 0."""
-    h = g.points // 2
+    that swapping them shows), the one-node box at xi = 0 and a stepped box:
+    the two ends of the first dual axis by another step on the second (the
+    plane waves' boxes step from 0 to N - 1)."""
+    h, N = g.points // 2, g.points
     return [None, (slice(h - 4, h + 5), slice(h - 6, h + 3))[:g.n],
-            (slice(h, h + 1),) * g.n]
+            (slice(h, h + 1),) * g.n, (slice(0, N, N - 1), slice(1, N, 5))[:g.n]]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -549,6 +551,12 @@ def test_dual_box_holds_every_nonzero_coefficient():
     c[:, 20] = 0
     c[13, 12] = 0
     assert dual_box(g, c) == (slice(12, 21), slice(12, 20))
+    # nodes whose distances share a factor get a stepped box: the two ends
+    # of an axis, and every third node of the other
+    ends = np.zeros(g.shape + (2, 2), dtype=complex)
+    ends[0, 3] = ends[31, 9] = ends[0, 12] = 1.0
+    assert dual_box(g, ends) == (slice(0, 32, 31), slice(3, 13, 3))
+    assert [len(q) for q in box_nodes(g, dual_box(g, ends))] == [2, 4]
     a = slab_symbol("translation", 2, 2, g)
     zero = np.zeros(g.shape + (2, 4), dtype=complex)
     assert dual_box(g, zero) == (slice(0, 0),) * 2
@@ -946,6 +954,14 @@ def test_dense_quantize_matches_einsum_reference(backing, n, k):
     c = random_band_coefficients(g, k, np.random.default_rng(45))
     ref = dense_quantize_reference(a, ModuleFunction(g, grid_transform(c, g, inverse=True)))
     got = dense_quantize(a, g, c)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # and coefficients on a stepped box, the plane waves' kind, on its nodes
+    stepped = np.zeros_like(c)
+    box = (slice(0, 16, 15), slice(1, 12, 5))[:n]
+    stepped[box] = c[(slice(8, 10), slice(6, 9))[:n]]
+    assert dual_box(g, stepped) == box
+    ref = dense_quantize_reference(a, ModuleFunction(g, grid_transform(stepped, g, inverse=True)))
+    got = dense_quantize(a, g, stepped)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
